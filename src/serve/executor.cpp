@@ -63,20 +63,7 @@ int configured_workers(int requested) {
   return hw > 0 ? static_cast<int>(hw) : 1;
 }
 
-std::size_t configured_scratch_bytes() {
-  long kb = 64;
-  if (const char* env = util::env_cstr("TVS_SERVE_SCRATCH_KB");
-      env != nullptr && env[0] != '\0') {
-    long v = 0;
-    const char* last = env + std::strlen(env);
-    const auto [ptr, ec] = std::from_chars(env, last, v);
-    if (ec == std::errc() && ptr == last && v >= 0) kb = v;
-  }
-  return static_cast<std::size_t>(kb) * 1024;
-}
-
 thread_local int t_worker_index = -1;
-thread_local std::span<unsigned char> t_scratch{};
 
 }  // namespace
 
@@ -151,11 +138,7 @@ struct ThreadPool::Impl {
 
   void worker(std::size_t self) {
     t_worker_index = static_cast<int>(self);
-    // Pin first, then allocate: the zero-fill below is the first touch, so
-    // under a first-touch policy the scratch pages land on the home node.
     if (topo.active()) topo.pin_current_thread(node_of[self]);
-    std::vector<unsigned char> scratch(configured_scratch_bytes(), 0);
-    t_scratch = {scratch.data(), scratch.size()};
 
     for (;;) {
       Taken taken = take_own(self);
@@ -250,8 +233,6 @@ int ThreadPool::workers() const {
 }
 
 int ThreadPool::current_worker() noexcept { return t_worker_index; }
-
-std::span<unsigned char> worker_scratch() noexcept { return t_scratch; }
 
 ExecutorStats ThreadPool::stats() const {
   ExecutorStats s;

@@ -12,10 +12,10 @@
 // safety net, not a latency backstop — so an idle-pool submit starts
 // running in microseconds, not poll periods.
 //
-// Workers pin to NUMA nodes under serve::Topology (TVS_SERVE_NUMA) and
-// first-touch a per-worker scratch arena on their home node; the tiled
-// drivers' ring workspaces are allocated lazily on the executing worker,
-// so decomposed tile tasks place their working sets the same way.
+// Workers pin to NUMA nodes under serve::Topology (TVS_SERVE_NUMA); the
+// tiled drivers' ring workspaces are allocated lazily on the executing
+// worker, so decomposed tile tasks first-touch their working sets on the
+// worker's home node.
 //
 // Destruction drains: every task submitted before ~ThreadPool() runs to
 // completion before the workers join.  Tasks must not throw — the serving
@@ -26,7 +26,6 @@
 #include <cstddef>
 #include <functional>
 #include <memory>
-#include <span>
 #include <vector>
 
 namespace tvs::serve {
@@ -75,11 +74,6 @@ class ThreadPool {
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };
-
-// The calling worker's NUMA-local scratch arena (first-touched on its home
-// node at startup; TVS_SERVE_SCRATCH_KB sizes it, default 64).  Empty on
-// non-pool threads.
-std::span<unsigned char> worker_scratch() noexcept;
 
 // The process-wide pool Solver::submit and Batch use, created on first
 // touch (sized by TVS_SERVE_WORKERS / hardware concurrency).

@@ -241,7 +241,9 @@ inline VecF8 retire_shift_in(VecF8 w, float fresh, float* top_out) {
 inline VecD8 retire_shift_in(VecD8 w, double fresh, double* top_out) {
   TVS_REORG_TICK(1);
   const __m512i up = _mm512_setr_epi64(7, 0, 1, 2, 3, 4, 5, 6);
-  const __m512d rot = _mm512_permutexvar_pd(up, w.r);
+  // Full-mask maskz_ form: same codegen, no GCC PR105593 false positive.
+  const __m512d rot =
+      _mm512_maskz_permutexvar_pd(static_cast<__mmask8>(0xff), up, w.r);
   *top_out = _mm512_cvtsd_f64(rot);
   return VecD8{_mm512_mask_mov_pd(rot, 0x01, _mm512_set1_pd(fresh))};
 }
@@ -249,7 +251,8 @@ inline VecF16 retire_shift_in(VecF16 w, float fresh, float* top_out) {
   TVS_REORG_TICK(1);
   const __m512i up = _mm512_setr_epi32(15, 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10,
                                        11, 12, 13, 14);
-  const __m512 rot = _mm512_permutexvar_ps(up, w.r);
+  const __m512 rot =
+      _mm512_maskz_permutexvar_ps(static_cast<__mmask16>(0xffff), up, w.r);
   *top_out = _mm512_cvtss_f32(rot);
   return VecF16{_mm512_mask_mov_ps(rot, 0x0001, _mm512_set1_ps(fresh))};
 }

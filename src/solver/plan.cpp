@@ -12,8 +12,9 @@ namespace tvs::solver {
 
 namespace {
 
-// Ring capacity of the parallelogram tile kernel (parallelogram_impl.hpp
-// asserts s <= 12).
+// Stride cap of the parallelogram drivers: tiling/parallelogram*.cpp clamp
+// s to [2, 12] before running the Gauss-Seidel engine tile
+// (tv/tv_gs*_impl.hpp) on each parallelogram.
 constexpr int kMaxParallelogramStride = 12;
 
 int parse_int_value(std::string_view clause, std::string_view value) {

@@ -5,7 +5,6 @@
 
 #include "dispatch/backend_variant.hpp"
 #include "tiling/diamond.hpp"
-#include "tiling/diamond_impl.hpp"
 #include "tv/functors1d.hpp"
 #include "tv/tv1d_impl.hpp"
 
@@ -14,6 +13,27 @@ namespace tvs::tiling {
 namespace {
 
 using V = simd::NativeVec<double, 4>;
+constexpr int VL = V::lanes;
+
+// Level storage of a trapezoid based at band step t0: level l lives in
+// parity(t0 + l).  Levels 0 and vl (even) are the base array a0.
+struct ParityLevels1D {
+  static_assert(VL % 2 == 0, "level vl must share parity(t0) with level 0");
+  double* a0;
+  double* a1;
+  tv::LevelLine<double> lo(int l) const { return {(l & 1) != 0 ? a1 : a0, 0}; }
+  tv::LevelLine<double> hi(int l) const { return lo(l); }
+};
+
+// One trapezoid: base interval [xl0, xr0] at band step tt, edges moving
+// dl / dr per level, run as the engine tile on the parity arrays.
+template <class F>
+void trapezoid(const F& f, double* even, double* odd, long tt, int nx, int s,
+               int xl0, int xr0, int dl, int dr, bool scalar_only) {
+  ParityLevels1D lev{(tt % 2 == 0) ? even : odd, (tt % 2 == 0) ? odd : even};
+  const auto rows = tv::TileRows<VL>::sloped(xl0, xr0, dl, dr, nx, F::radius);
+  tv::tv1d_tile<V>(f, lev.a0, lev, rows, s, scalar_only);
+}
 
 // Generic band-driver over parity arrays.
 template <class F>
@@ -21,18 +41,18 @@ void diamond_run(const F& f, double* even, double* odd, int nx, long steps,
                  Diamond1DOptions opt) {
   constexpr int R = F::radius;
   const int s = opt.stride;
-  // Sanitize: band height a positive multiple of 4; width wide enough that
-  // concurrent tiles never touch each other's working set (see
-  // diamond_impl.hpp) and phase-1 tiles stay non-empty at the band top.
-  int H = std::max(4, opt.height - opt.height % 4);
-  int W = std::max(opt.width, 2 * H * R + 4 * s + 8);
+  // Sanitize: band height a positive multiple of vl; width wide enough that
+  // concurrent tiles never touch each other's working set (see the read
+  // cap in tv/tile.hpp) and phase-1 tiles stay non-empty at the band top.
+  int H = std::max(VL, opt.height - opt.height % VL);
+  int W = std::max(opt.width, 2 * H * R + VL * s + 8);
   if (W >= nx) {  // single tile column: degenerate but still correct
     W = nx;
-    H = std::min(H, std::max(4, (W / (2 * R) / 4) * 4));
-    W = std::max(W, 2 * H * R + 4 * s + 8);
+    H = std::min(H, std::max(VL, (W / (2 * R) / VL) * VL));
+    W = std::max(W, 2 * H * R + VL * s + 8);
   }
 
-  const long t_vec = steps - steps % 4;
+  const long t_vec = steps - steps % VL;
   long t0 = 0;
   while (t0 < t_vec) {
     const int h = static_cast<int>(std::min<long>(H, t_vec - t0));
@@ -42,14 +62,9 @@ void diamond_run(const F& f, double* even, double* odd, int nx, long steps,
     // [1 + k*W, (k+1)*W] (edges shrink inward), so the parity arrays are
     // partitioned by the tile index.
     const auto phase1 = [&](int k, int /*slot*/) {
-      for (int j = 0; j < h / 4; ++j) {
-        const long tt = t0 + 4 * j;
-        double* a0 = (tt % 2 == 0) ? even : odd;
-        double* a1 = (tt % 2 == 0) ? odd : even;
-        tv::tv1d_trapezoid<V>(f, a0, a1, nx, s, 1 + k * W + 4 * j * R,
-                              (k + 1) * W - 4 * j * R, +R, -R,
-                              !opt.use_vector);
-      }
+      for (int j = 0; j < h / VL; ++j)
+        trapezoid(f, even, odd, t0 + VL * j, nx, s, 1 + k * W + VL * j * R,
+                  (k + 1) * W - VL * j * R, +R, -R, !opt.use_vector);
     };
     if (opt.exec != nullptr) {
       stage_run(opt.exec, nb, phase1);
@@ -63,13 +78,9 @@ void diamond_run(const F& f, double* even, double* odd, int nx, long steps,
     // widest level still ends left of where tile k+1's level starts, so
     // writes stay disjoint per k.
     const auto phase2 = [&](int k, int /*slot*/) {
-      for (int j = 0; j < h / 4; ++j) {
-        const long tt = t0 + 4 * j;
-        double* a0 = (tt % 2 == 0) ? even : odd;
-        double* a1 = (tt % 2 == 0) ? odd : even;
-        tv::tv1d_trapezoid<V>(f, a0, a1, nx, s, k * W + 1 - 4 * j * R,
-                              k * W + 4 * j * R, -R, +R, !opt.use_vector);
-      }
+      for (int j = 0; j < h / VL; ++j)
+        trapezoid(f, even, odd, t0 + VL * j, nx, s, k * W + 1 - VL * j * R,
+                  k * W + VL * j * R, -R, +R, !opt.use_vector);
     };
     if (opt.exec != nullptr) {
       stage_run(opt.exec, nb + 1, phase2);
@@ -80,7 +91,7 @@ void diamond_run(const F& f, double* even, double* odd, int nx, long steps,
     }
     t0 += h;
   }
-  // Scalar residual steps (steps % 4) on the parity arrays.
+  // Scalar residual steps (steps % vl) on the parity arrays.
   double win[2 * R + 1];
   for (; t0 < steps; ++t0) {
     const double* src = (t0 % 2 == 0) ? even : odd;

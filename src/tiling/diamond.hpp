@@ -1,14 +1,18 @@
 // Diamond-tiled, OpenMP-parallel drivers for the 1D Jacobi kernels
 // (Figure 4b; Table 1's Heat-1D blocking 16384 x 128).
 //
-// Decomposition per band of height `height` (a multiple of 4):
+// Decomposition per band of height `height` (a multiple of vl = 4):
 //   phase 1: shrinking trapezoids based at [1+kW, (k+1)W], mutually
 //            independent — parallel for;
 //   phase 2: growing trapezoids from the seams kW (empty base), mutually
 //            independent once phase 1 finished — parallel for.
 // The union of a phase-2 tile and the next band's phase-1 tile above it is
-// the classic diamond.  Data lives in two parity arrays (see
-// diamond_impl.hpp); the result of step T is in parity(T).
+// the classic diamond.  Each trapezoid is the flat engine's tile
+// (tv/tv1d_impl.hpp) on clipped, sloped rows (tv/tile.hpp) with its levels
+// in two parity arrays: every value a^t_x that any *other* tile may read
+// is written to parity(t)[x], and the slope-R tile edges guarantee a slot
+// is only overwritten after its last reader ran (the classic two-array
+// sufficiency of diamond tiling).  The result of step T is in parity(T).
 #pragma once
 
 #include "grid/grid1d.hpp"

@@ -1,14 +1,10 @@
-// 2D trapezoid engine + diamond driver; see diamond2d.hpp.
-//
-// A trapezoid advances rows [xl0+dl*l, xr0+dr*l] (clamped) from the band
-// level l = 0 to l = VL, slopes dl, dr = +-1 per level (radius-1 stencils).
-// All values any other tile may read live in the parity grids; the sloped
-// scalar wedge rows read/write them directly (the slot a wedge reads always
-// holds the right level by the diamond discipline), while the steady loop
-// keeps intermediates in a per-thread ring of input-vector rows, exactly as
-// in the flat 2D engine (tv2d_impl.hpp).  Grouped bottom-row loads are
-// clamped at row XR[1]+1: rows past it may be rewritten concurrently by the
-// phase neighbour, and lanes read from there are provably never consumed.
+// 2D diamond driver; see diamond2d.hpp.  A trapezoid advances rows
+// [xl0+dl*l, xr0+dr*l] (clamped) from band level l = 0 to l = vl with
+// slopes dl, dr = +-1 per level (radius-1 stencils), and is the flat 2D
+// engine's tile (tv/tv2d_impl.hpp) instantiated on those clipped rows with
+// its levels in the parity grids: level l lives in pp.by_parity(t0 + l).
+// All values any other tile may read live in the parity grids; only the
+// ring of input-vector rows is per runner.
 #include "dispatch/backend_variant.hpp"
 #include "tiling/diamond2d.hpp"
 
@@ -17,146 +13,22 @@
 #include <algorithm>
 #include <vector>
 
-#include "grid/aligned.hpp"
-#include "simd/reorg.hpp"
-#include "simd/vec.hpp"
 #include "tv/functors2d.hpp"
-#include "tv/ring.hpp"
+#include "tv/tv2d_impl.hpp"
 
 namespace tvs::tiling {
 
 namespace {
 
-template <class V>
-struct TrapWs2D {
-  grid::AlignedBuffer<V> ring;
-  int s = 0;
-  std::ptrdiff_t rstride = 0;
-  void prepare(int stride, int ny) {
-    const std::ptrdiff_t need = ((ny + 4 + 15) / 16) * 16;
-    if (stride != s || need != rstride) {
-      s = stride;
-      rstride = need;
-      ring = grid::AlignedBuffer<V>(static_cast<std::size_t>(s + 2) *
-                                    static_cast<std::size_t>(rstride));
-    }
-  }
-  V* row(int p) {
-    const int M = s + 2;
-    const int slot = tv::RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(rstride) +
-           1;
-  }
+// Level storage of a trapezoid based at band step t0: lev_g(l) =
+// pp.by_parity(t0 + l).  Levels 0 and vl (even) are the base grid.
+template <class T>
+struct ParityLevels2D {
+  grid::Grid2D<T>* odd;  // parity(t0 + 1)
+  grid::Grid2D<T>* even;  // parity(t0)
+  T* lo(int l, int r) const { return ((l & 1) != 0 ? odd : even)->row(r); }
+  T* hi(int l, int r) const { return lo(l, r); }
 };
-
-template <class V, class F, class T>
-void trapezoid2d(const F& f, grid::Grid2D<T>& g0, grid::Grid2D<T>& g1, int s,
-                 int xl0, int xr0, int dl, int dr, TrapWs2D<V>& ws,
-                 bool force_scalar) {
-  constexpr int VL = V::lanes;
-  const int nx = g0.nx(), ny = g0.ny();
-  grid::Grid2D<T>* const arr[2] = {&g0, &g1};
-  const auto lev_g = [&](int l) -> grid::Grid2D<T>& { return *arr[l & 1]; };
-
-  int XL[VL + 1], XR[VL + 1];
-  for (int l = 0; l <= VL; ++l) {
-    XL[l] = std::max(1, xl0 + dl * l);
-    XR[l] = std::min(nx, xr0 + dr * l);
-  }
-
-  // Scalar rows of level l over [r0, r1]; parity slots already hold the
-  // right level-(l-1) values everywhere the stencil reads.
-  const auto scalar_rows = [&](int l, int r0, int r1) {
-    grid::Grid2D<T>& dst = lev_g(l);
-    const grid::Grid2D<T>& src = lev_g(l - 1);
-    const auto at = [&](int r, int y) -> T { return src.at(r, y); };
-    for (int r = r0; r <= r1; ++r)
-      for (int y = 1; y <= ny; ++y) dst.at(r, y) = f.apply_scalar(at, r, y);
-  };
-
-  int x_begin = XL[1] - (VL - 1) * s, x_end = XR[1] - (VL - 1) * s;
-  for (int l = 2; l <= VL; ++l) {
-    x_begin = std::max(x_begin, XL[l] - (VL - l) * s);
-    x_end = std::min(x_end, XR[l] - (VL - l) * s);
-  }
-
-  if (force_scalar || x_end - x_begin < VL) {
-    for (int l = 1; l <= VL; ++l) scalar_rows(l, XL[l], XR[l]);
-    return;
-  }
-
-  // ---- left wedges (levels ascending, final level last) --------------------
-  for (int l = 1; l <= VL - 1; ++l)
-    scalar_rows(l, XL[l], std::min(XR[l], x_begin + (VL - l) * s - 1));
-  scalar_rows(VL, XL[VL], x_begin - 1);
-
-  // ---- gather ring rows ------------------------------------------------------
-  for (int p = x_begin - 1; p <= x_begin + s - 1; ++p) {
-    V* row = ws.row(p);
-    alignas(64) T lanes[VL];
-    for (int y = 0; y <= ny + 1; ++y) {
-      for (int k = 0; k < VL; ++k)
-        lanes[k] = lev_g(k).at(std::min(p + (VL - 1 - k) * s, nx + 1), y);
-      row[y] = V::load(lanes);
-    }
-  }
-
-  // ---- steady loop --------------------------------------------------------------
-  const int read_cap = std::min(XR[1] + 1, nx + 1);
-  for (int x = x_begin; x <= x_end; ++x) {
-    const V* rm1 = ws.row(x - 1);
-    const V* r0v = ws.row(x);
-    const V* rp1 = ws.row(x + 1);
-    V* rout = ws.row(x + s);
-    T* trow = g0.row(x);
-    const T* brow = g0.row(std::min(x + VL * s, read_cap));
-
-    {
-      alignas(64) T lanes[VL];
-      const int p = x + s;
-      for (const int y : {0, ny + 1}) {
-        for (int k = 0; k < VL; ++k)
-          lanes[k] = g0.at(std::min(p + (VL - 1 - k) * s, nx + 1), y);
-        rout[y] = V::load(lanes);
-      }
-    }
-
-    int y = 1;
-    V wbuf[VL];
-    for (; y + VL - 1 <= ny; y += VL) {
-      V bot = V::loadu(brow + y);
-      for (int j = 0; j < VL - 1; ++j) {
-        wbuf[j] = f.apply(rm1, r0v, rp1, y + j);
-        rout[y + j] = simd::shift_in_low_v(wbuf[j], bot);
-        bot = simd::rotate_down(bot);
-      }
-      wbuf[VL - 1] = f.apply(rm1, r0v, rp1, y + VL - 1);
-      rout[y + VL - 1] = simd::shift_in_low_v(wbuf[VL - 1], bot);
-      simd::collect_tops_arr(wbuf).storeu(trow + y);
-    }
-    for (; y <= ny; ++y) {
-      const V w = f.apply(rm1, r0v, rp1, y);
-      rout[y] = simd::shift_in_low(w, brow[y]);
-      trow[y] = simd::top_lane(w);
-    }
-  }
-
-  // ---- flush surviving ring lanes into the parity grids -----------------------
-  for (int p = x_end; p <= x_end + s; ++p) {
-    const V* row = ws.row(p);
-    for (int k = 1; k <= VL - 1; ++k) {
-      const int r = p + (VL - 1 - k) * s;
-      if (r < XL[k] || r > XR[k]) continue;
-      grid::Grid2D<T>& dst = lev_g(k);
-      for (int y = 1; y <= ny; ++y) dst.at(r, y) = row[y][k];
-    }
-  }
-
-  // ---- right wedges (levels ascending) -------------------------------------------
-  for (int l = 1; l <= VL; ++l)
-    scalar_rows(l, std::max(XL[l], x_end + (VL - l) * s + 1), XR[l]);
-}
 
 // Band/phase diamond driver shared by every 2D kernel.
 template <class V, class F, class T>
@@ -173,13 +45,29 @@ void diamond2d_run(const F& f, grid::PingPong<grid::Grid2D<T>>& pp, long steps,
     W = std::max(W, 2 * H + VL * s + 8);
   }
 
+  static_assert(VL % 2 == 0, "level vl must share parity(t0) with level 0");
   // One ring workspace per concurrent runner: OpenMP threads on the
   // driver's own loops, executor slots under an external StageExec (the
   // slot is unique among running bodies, and each lazy prepare() below
   // first-touches the ring on the worker that sweeps it).
   const int nslots = std::max(
       omp_get_max_threads(), opt.exec != nullptr ? opt.exec->slots : 0);
-  std::vector<TrapWs2D<V>> tls(static_cast<std::size_t>(nslots));
+  std::vector<tv::SlabRing<V>> tls(static_cast<std::size_t>(nslots));
+  // The stacked trapezoids of one tile: base interval [xl0 + dl*VL*j,
+  // xr0 + dr*VL*j] at band step tb + VL*j, j = 0 .. h/VL - 1.
+  const auto tile = [&](int slot, long tb, int h, int xl0, int xr0, int dl,
+                        int dr) {
+    tv::SlabRing<V>& ring = tls[static_cast<std::size_t>(slot)];
+    ring.prepare(s + 2, 1, ny);
+    for (int j = 0; j < h / VL; ++j) {
+      const long tt = tb + static_cast<long>(VL) * j;
+      grid::Grid2D<T>& a0 = pp.by_parity(tt);
+      ParityLevels2D<T> lev{&pp.by_parity(tt + 1), &a0};
+      const auto rows = tv::TileRows<VL>::sloped(
+          xl0 + dl * VL * j, xr0 + dr * VL * j, dl, dr, nx, F::radius);
+      tv::tv2d_tile<V>(f, a0, lev, ring, rows, s, !opt.use_vector);
+    }
+  };
 
   const long t_vec = steps - steps % VL;
   long t0 = 0;
@@ -187,18 +75,10 @@ void diamond2d_run(const F& f, grid::PingPong<grid::Grid2D<T>>& pp, long steps,
     const int h = static_cast<int>(std::min<long>(H, t_vec - t0));
     const int nb = (nx + W - 1) / W;
     // Phase-1 trapezoids write rows [1 + k*W, (k+1)*W] only (shrinking
-    // edges); the parity grids are partitioned by tile index, and the ws
-    // scratch is per-runner (tls[slot]).
+    // edges); the parity grids are partitioned by tile index, and the
+    // ring is per-runner (tls[slot]).
     const auto phase1 = [&](int k, int slot) {
-      TrapWs2D<V>& ws = tls[static_cast<std::size_t>(slot)];
-      ws.prepare(s, ny);
-      for (int j = 0; j < h / VL; ++j) {
-        const long tt = t0 + static_cast<long>(VL) * j;
-        grid::Grid2D<T>& a0 = pp.by_parity(tt);
-        grid::Grid2D<T>& a1 = pp.by_parity(tt + 1);
-        trapezoid2d<V>(f, a0, a1, s, 1 + k * W + VL * j, (k + 1) * W - VL * j,
-                       +1, -1, ws, !opt.use_vector);
-      }
+      tile(slot, t0, h, 1 + k * W, (k + 1) * W, +1, -1);
     };
     if (opt.exec != nullptr) {
       stage_run(opt.exec, nb, phase1);
@@ -210,15 +90,7 @@ void diamond2d_run(const F& f, grid::PingPong<grid::Grid2D<T>>& pp, long steps,
     // Phase-2 seam tiles: disjoint row ranges around each seam k*W, same
     // partition argument as phase 1.
     const auto phase2 = [&](int k, int slot) {
-      TrapWs2D<V>& ws = tls[static_cast<std::size_t>(slot)];
-      ws.prepare(s, ny);
-      for (int j = 0; j < h / VL; ++j) {
-        const long tt = t0 + static_cast<long>(VL) * j;
-        grid::Grid2D<T>& a0 = pp.by_parity(tt);
-        grid::Grid2D<T>& a1 = pp.by_parity(tt + 1);
-        trapezoid2d<V>(f, a0, a1, s, k * W + 1 - VL * j, k * W + VL * j, -1,
-                       +1, ws, !opt.use_vector);
-      }
+      tile(slot, t0, h, k * W + 1, k * W, -1, +1);
     };
     if (opt.exec != nullptr) {
       stage_run(opt.exec, nb + 1, phase2);

@@ -1,4 +1,7 @@
-// 3D trapezoid engine + diamond driver; the slab analogue of diamond2d.cpp.
+// 3D diamond driver; the slab analogue of diamond2d.cpp.  A trapezoid is
+// the flat 3D engine's tile (tv/tv3d_impl.hpp) on clipped plane ranges
+// with level l in pp.by_parity(t0 + l); only the ring of input-vector
+// slabs is per runner.
 #include "dispatch/backend_variant.hpp"
 #include "tiling/diamond3d.hpp"
 
@@ -7,156 +10,27 @@
 #include <algorithm>
 #include <vector>
 
-#include "grid/aligned.hpp"
-#include "simd/reorg.hpp"
-#include "simd/vec.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/ring.hpp"
+#include "tv/tv3d_impl.hpp"
 
 namespace tvs::tiling {
 
 namespace {
 
 using V = simd::NativeVec<double, 4>;
-constexpr int VL = 4;
+constexpr int VL = V::lanes;
 
-struct TrapWs3D {
-  grid::AlignedBuffer<V> ring;
-  int s = 0, ny = 0;
-  std::ptrdiff_t zstride = 0, ystride = 0;
-  void prepare(int stride, int ny_, int nz) {
-    const std::ptrdiff_t zs = ((nz + 4 + 15) / 16) * 16;
-    if (stride != s || ny_ != ny || zs != zstride) {
-      s = stride;
-      ny = ny_;
-      zstride = zs;
-      ystride = static_cast<std::ptrdiff_t>(ny + 2) * zstride;
-      ring = grid::AlignedBuffer<V>(static_cast<std::size_t>(s + 2) *
-                                    static_cast<std::size_t>(ystride));
-    }
+// Level storage of a trapezoid based at band step t0: lev_g(l) =
+// pp.by_parity(t0 + l).  Levels 0 and vl (even) are the base grid.
+struct ParityLevels3D {
+  static_assert(VL % 2 == 0, "level vl must share parity(t0) with level 0");
+  grid::Grid3D<double>* odd;   // parity(t0 + 1)
+  grid::Grid3D<double>* even;  // parity(t0)
+  tv::LevelSlab<double> lo(int l, int r) const {
+    return tv::LevelSlab<double>::of((l & 1) != 0 ? *odd : *even, r);
   }
-  V* line(int p, int y) {
-    const int M = s + 2;
-    const int slot = tv::RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(ystride) +
-           static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) + 1;
-  }
+  tv::LevelSlab<double> hi(int l, int r) const { return lo(l, r); }
 };
-
-void trapezoid3d(const tv::J3D7F<V>& f, grid::Grid3D<double>& g0,
-                 grid::Grid3D<double>& g1, int s, int xl0, int xr0, int dl,
-                 int dr, TrapWs3D& ws, bool force_scalar) {
-  const int nx = g0.nx(), ny = g0.ny(), nz = g0.nz();
-  grid::Grid3D<double>* const arr[2] = {&g0, &g1};
-  const auto lev_g = [&](int l) -> grid::Grid3D<double>& { return *arr[l & 1]; };
-
-  int XL[VL + 1], XR[VL + 1];
-  for (int l = 0; l <= VL; ++l) {
-    XL[l] = std::max(1, xl0 + dl * l);
-    XR[l] = std::min(nx, xr0 + dr * l);
-  }
-
-  const auto scalar_slabs = [&](int l, int r0, int r1) {
-    grid::Grid3D<double>& dst = lev_g(l);
-    const grid::Grid3D<double>& src = lev_g(l - 1);
-    const auto at = [&](int r, int y, int z) { return src.at(r, y, z); };
-    for (int r = r0; r <= r1; ++r)
-      for (int y = 1; y <= ny; ++y)
-        for (int z = 1; z <= nz; ++z)
-          dst.at(r, y, z) = f.apply_scalar(at, r, y, z);
-  };
-
-  int x_begin = XL[1] - (VL - 1) * s, x_end = XR[1] - (VL - 1) * s;
-  for (int l = 2; l <= VL; ++l) {
-    x_begin = std::max(x_begin, XL[l] - (VL - l) * s);
-    x_end = std::min(x_end, XR[l] - (VL - l) * s);
-  }
-  if (force_scalar || x_end - x_begin < VL) {
-    for (int l = 1; l <= VL; ++l) scalar_slabs(l, XL[l], XR[l]);
-    return;
-  }
-
-  for (int l = 1; l <= VL - 1; ++l)
-    scalar_slabs(l, XL[l], std::min(XR[l], x_begin + (VL - l) * s - 1));
-  scalar_slabs(VL, XL[VL], x_begin - 1);
-
-  alignas(64) double lanes[VL];
-  for (int p = x_begin - 1; p <= x_begin + s - 1; ++p)
-    for (int y = 0; y <= ny + 1; ++y) {
-      V* line = ws.line(p, y);
-      for (int z = 0; z <= nz + 1; ++z) {
-        for (int k = 0; k < VL; ++k)
-          lanes[k] = lev_g(k).at(std::min(p + (VL - 1 - k) * s, nx + 1), y, z);
-        line[z] = V::load(lanes);
-      }
-    }
-
-  const int read_cap = std::min(XR[1] + 1, nx + 1);
-  for (int x = x_begin; x <= x_end; ++x) {
-    {
-      const int p = x + s;
-      const auto fill = [&](int y, int z) {
-        for (int k = 0; k < VL; ++k)
-          lanes[k] = g0.at(std::min(p + (VL - 1 - k) * s, nx + 1), y, z);
-        ws.line(p, y)[z] = V::load(lanes);
-      };
-      for (int z = 0; z <= nz + 1; ++z) {
-        fill(0, z);
-        fill(ny + 1, z);
-      }
-      for (int y = 1; y <= ny; ++y) {
-        fill(y, 0);
-        fill(y, nz + 1);
-      }
-    }
-    const int bx = std::min(x + VL * s, read_cap);
-    for (int y = 1; y <= ny; ++y) {
-      const V* bm1 = ws.line(x - 1, y);
-      const V* b0c = ws.line(x, y);
-      const V* b0m = ws.line(x, y - 1);
-      const V* b0p = ws.line(x, y + 1);
-      const V* bp1 = ws.line(x + 1, y);
-      V* lout = ws.line(x + s, y);
-      double* tline = g0.line(x, y);
-      const double* bline = g0.line(bx, y);
-
-      int z = 1;
-      V wbuf[VL];
-      for (; z + VL - 1 <= nz; z += VL) {
-        V bot = V::loadu(bline + z);
-        for (int j = 0; j < VL - 1; ++j) {
-          wbuf[j] = f.apply(bm1, b0c, b0m, b0p, bp1, z + j);
-          lout[z + j] = simd::shift_in_low_v(wbuf[j], bot);
-          bot = simd::rotate_down(bot);
-        }
-        wbuf[VL - 1] = f.apply(bm1, b0c, b0m, b0p, bp1, z + VL - 1);
-        lout[z + VL - 1] = simd::shift_in_low_v(wbuf[VL - 1], bot);
-        simd::collect_tops_arr(wbuf).storeu(tline + z);
-      }
-      for (; z <= nz; ++z) {
-        const V w = f.apply(bm1, b0c, b0m, b0p, bp1, z);
-        lout[z] = simd::shift_in_low(w, bline[z]);
-        tline[z] = simd::top_lane(w);
-      }
-    }
-  }
-
-  for (int p = x_end; p <= x_end + s; ++p) {
-    for (int k = 1; k <= VL - 1; ++k) {
-      const int r = p + (VL - 1 - k) * s;
-      if (r < XL[k] || r > XR[k]) continue;
-      grid::Grid3D<double>& dst = lev_g(k);
-      for (int y = 1; y <= ny; ++y) {
-        const V* line = ws.line(p, y);
-        for (int z = 1; z <= nz; ++z) dst.at(r, y, z) = line[z][k];
-      }
-    }
-  }
-
-  for (int l = 1; l <= VL; ++l)
-    scalar_slabs(l, std::max(XL[l], x_end + (VL - l) * s + 1), XR[l]);
-}
 
 void jacobi3d7(const stencil::C3D7& c,
                grid::PingPong<grid::Grid3D<double>>& pp, long steps,
@@ -176,7 +50,21 @@ void jacobi3d7(const stencil::C3D7& c,
   // worker.
   const int nslots = std::max(
       omp_get_max_threads(), opt.exec != nullptr ? opt.exec->slots : 0);
-  std::vector<TrapWs3D> tls(static_cast<std::size_t>(nslots));
+  std::vector<tv::SlabRing<V>> tls(static_cast<std::size_t>(nslots));
+  // The stacked trapezoids of one tile (see diamond2d.cpp).
+  const auto tile = [&](int slot, long tb, int h, int xl0, int xr0, int dl,
+                        int dr) {
+    tv::SlabRing<V>& ring = tls[static_cast<std::size_t>(slot)];
+    ring.prepare(s + 2, ny + 2, nz);
+    for (int j = 0; j < h / VL; ++j) {
+      const long tt = tb + static_cast<long>(VL) * j;
+      grid::Grid3D<double>& a0 = pp.by_parity(tt);
+      ParityLevels3D lev{&pp.by_parity(tt + 1), &a0};
+      const auto rows = tv::TileRows<VL>::sloped(
+          xl0 + dl * VL * j, xr0 + dr * VL * j, dl, dr, nx, 1);
+      tv::tv3d_tile<V>(f, a0, lev, ring, rows, s, !opt.use_vector);
+    }
+  };
 
   const long t_vec = steps - steps % VL;
   long t0 = 0;
@@ -186,14 +74,7 @@ void jacobi3d7(const stencil::C3D7& c,
     // Phase-1 trapezoids write planes [1 + k*W, (k+1)*W] only (shrinking
     // edges); parity grids partitioned by tile index, ws is per-runner.
     const auto phase1 = [&](int k, int slot) {
-      TrapWs3D& ws = tls[static_cast<std::size_t>(slot)];
-      ws.prepare(s, ny, nz);
-      for (int j = 0; j < h / VL; ++j) {
-        const long tt = t0 + static_cast<long>(VL) * j;
-        trapezoid3d(f, pp.by_parity(tt), pp.by_parity(tt + 1), s,
-                    1 + k * W + VL * j, (k + 1) * W - VL * j, +1, -1, ws,
-                    !opt.use_vector);
-      }
+      tile(slot, t0, h, 1 + k * W, (k + 1) * W, +1, -1);
     };
     if (opt.exec != nullptr) {
       stage_run(opt.exec, nb, phase1);
@@ -204,14 +85,7 @@ void jacobi3d7(const stencil::C3D7& c,
     }
     // Phase-2 seam tiles: disjoint plane ranges around each seam k*W.
     const auto phase2 = [&](int k, int slot) {
-      TrapWs3D& ws = tls[static_cast<std::size_t>(slot)];
-      ws.prepare(s, ny, nz);
-      for (int j = 0; j < h / VL; ++j) {
-        const long tt = t0 + static_cast<long>(VL) * j;
-        trapezoid3d(f, pp.by_parity(tt), pp.by_parity(tt + 1), s,
-                    k * W + 1 - VL * j, k * W + VL * j, -1, +1, ws,
-                    !opt.use_vector);
-      }
+      tile(slot, t0, h, k * W + 1, k * W, -1, +1);
     };
     if (opt.exec != nullptr) {
       stage_run(opt.exec, nb + 1, phase2);

@@ -1,26 +1,40 @@
+// Parallelogram-tiled 1D Gauss-Seidel driver — compiled once per SIMD
+// backend.  A tile is the Gauss-Seidel engine tile (tv/tv_gs1d_impl.hpp)
+// on sloped rows with every level in the single array; see
+// parallelogram.hpp for the legality argument.
 #include "dispatch/backend_variant.hpp"
 #include "tiling/parallelogram.hpp"
 
 #include <algorithm>
 
-#include "tiling/parallelogram_impl.hpp"
+#include "tv/tv_gs1d_impl.hpp"
 
 namespace tvs::tiling {
 namespace {
 
 using V = simd::NativeVec<double, 4>;
+constexpr int VL = V::lanes;
+
+// Level storage of a parallelogram tile: every level is the array itself.
+// Because the tile edges slope exactly -1, the last write to an interface
+// slot is always the level its reader needs, so no interface buffers.
+struct ArrayLevels1D {
+  double* a;
+  tv::LevelLine<double> lo(int /*l*/) const { return {a, 0}; }
+  tv::LevelLine<double> hi(int /*l*/) const { return {a, 0}; }
+};
 
 void gs1d3_tiled(const stencil::C1D3& c, grid::Grid1D<double>& u,
                              long sweeps, const Parallelogram1DOptions& opt) {
   const int nx = u.nx();
   double* a = u.p();
   const int s = std::clamp(opt.stride, 2, 12);
-  // Band height: multiple of 4, at least s+4 so a tile's base-row footprint
-  // stays within the two band-(bt-1) tiles it depends on.
-  int H = std::max(((s + 4 + 3) / 4) * 4, opt.height - opt.height % 4);
-  const int W = std::max(opt.width, 4 * s + 8);
+  // Band height: multiple of vl, at least s+vl so a tile's base-row
+  // footprint stays within the two band-(bt-1) tiles it depends on.
+  int H = std::max(((s + 2 * VL - 1) / VL) * VL, opt.height - opt.height % VL);
+  const int W = std::max(opt.width, VL * s + 8);
 
-  const long t_vec = sweeps - sweeps % 4;
+  const long t_vec = sweeps - sweeps % VL;
   const int nbt = static_cast<int>((t_vec + H - 1) / H);
 
   if (nbt > 0) {
@@ -62,9 +76,14 @@ void gs1d3_tiled(const stencil::C1D3& c, grid::Grid1D<double>& u,
         const int hb = band_h(bt);
         const int xl0 = static_cast<int>(1 + static_cast<long>(bx) * W - tb);
         const int xr0 = xl0 + W - 1;
-        for (int j = 0; j < hb / 4; ++j)
-          tv::tv_gs1d_parallelogram<V>(c, a, nx, s, xl0 - 4 * j, xr0 - 4 * j,
-                                       !opt.use_vector);
+        ArrayLevels1D lev{a};
+        // Level l (1..vl) covers [xl0-(l-1), xr0-(l-1)] shifted down by
+        // vl per stacked tile.
+        for (int j = 0; j < hb / VL; ++j) {
+          const auto rows = tv::TileRows<VL>::sloped(
+              xl0 + 1 - VL * j, xr0 + 1 - VL * j, -1, -1, nx, 1);
+          tv::tv_gs1d_tile<V>(c, a, lev, rows, s, !opt.use_vector);
+        }
       };
       if (opt.exec != nullptr) {
         stage_run(opt.exec, nbt, tile);

@@ -1,9 +1,9 @@
-// Parallelogram tiles for GS-2D/3D: the flat Gauss-Seidel engines
-// (tv_gs2d_impl.hpp / tv_gs3d_impl.hpp) restricted to a row-parallelogram,
-// with every wedge/flush value read from and written to the single array —
-// the slope -1 interface ladder guarantees each slot holds exactly the
-// level its reader needs (see parallelogram_impl.hpp for the 1D proof,
-// which lifts row-wise / plane-wise verbatim).
+// Parallelogram tiles for GS-2D/3D: the flat Gauss-Seidel engines' tiles
+// (tv/tv_gs2d_impl.hpp / tv/tv_gs3d_impl.hpp) on a row-parallelogram, with
+// every level read from and written to the single array — the slope -1
+// interface ladder guarantees each slot holds exactly the level its reader
+// needs (see parallelogram.hpp for the 1D argument, which lifts row-wise /
+// plane-wise verbatim).  Only the ring state is per runner.
 #include "dispatch/backend_variant.hpp"
 #include "tiling/parallelogram2d.hpp"
 
@@ -12,366 +12,33 @@
 #include <algorithm>
 #include <vector>
 
-#include "grid/aligned.hpp"
-#include "simd/reorg.hpp"
-#include "simd/vec.hpp"
-#include "stencil/kernels.hpp"
-#include "tv/ring.hpp"
+#include "tv/tv_gs2d_impl.hpp"
+#include "tv/tv_gs3d_impl.hpp"
 
 namespace tvs::tiling {
 namespace {
 
 using V = simd::NativeVec<double, 4>;
+constexpr int VL = V::lanes;
 
-// ---------------------------------------------------------------------------
-// 2D tile
-// ---------------------------------------------------------------------------
-struct GsWs2D {
-  grid::AlignedBuffer<V> ring, wrow;
-  int s = 0;
-  std::ptrdiff_t rstride = 0;
-  void prepare(int stride, int ny) {
-    const std::ptrdiff_t need = ((ny + 4 + 15) / 16) * 16;
-    if (stride != s || need != rstride) {
-      s = stride;
-      rstride = need;
-      ring = grid::AlignedBuffer<V>(static_cast<std::size_t>(s + 1) *
-                                    static_cast<std::size_t>(rstride));
-      wrow = grid::AlignedBuffer<V>(static_cast<std::size_t>(rstride));
-    }
+// Level storage of a parallelogram tile: every level is the array itself.
+struct ArrayLevels2D {
+  grid::Grid2D<double>* g;
+  double* lo(int /*l*/, int r) const { return g->row(r); }
+  double* hi(int /*l*/, int r) const { return g->row(r); }
+};
+struct ArrayLevels3D {
+  grid::Grid3D<double>* g;
+  tv::LevelSlab<double> lo(int /*l*/, int r) const {
+    return tv::LevelSlab<double>::of(*g, r);
   }
-  V* row(int p) {
-    const int M = s + 1;
-    const int slot = tv::RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(rstride) +
-           1;
-  }
-  V* wr() { return wrow.data() + 1; }
+  tv::LevelSlab<double> hi(int /*l*/, int r) const { return lo(0, r); }
 };
 
-void gs2d_trap(const stencil::C2D5& c, grid::Grid2D<double>& g, int s,
-               int xl0, int xr0, GsWs2D& ws, bool force_scalar) {
-  const int nx = g.nx(), ny = g.ny();
-  int XL[5], XR[5];
-  for (int l = 1; l <= 4; ++l) {
-    XL[l] = std::max(1, xl0 - (l - 1));
-    XR[l] = std::min(nx, xr0 - (l - 1));
-  }
-
-  // Scalar Gauss-Seidel rows of level l over [r0, r1], in place.
-  const auto scalar_rows = [&](int l, int r0, int r1) {
-    (void)l;
-    for (int r = r0; r <= r1; ++r) {
-      double west = g.at(r, 0);
-      for (int y = 1; y <= ny; ++y) {
-        const double v =
-            stencil::gs2d5(c.c, c.w, c.e, c.s, c.n, g.at(r, y), west,
-                           g.at(r, y + 1), g.at(r - 1, y), g.at(r + 1, y));
-        g.at(r, y) = v;
-        west = v;
-      }
-    }
-  };
-
-  int x_begin = XL[1] - 3 * s, x_end = XR[1] - 3 * s;
-  for (int l = 2; l <= 4; ++l) {
-    x_begin = std::max(x_begin, XL[l] - (4 - l) * s);
-    x_end = std::min(x_end, XR[l] - (4 - l) * s);
-  }
-  if (force_scalar || x_end - x_begin < 4) {
-    for (int l = 1; l <= 4; ++l) scalar_rows(l, XL[l], XR[l]);
-    return;
-  }
-
-  for (int l = 1; l <= 3; ++l)
-    scalar_rows(l, XL[l], std::min(XR[l], x_begin + (4 - l) * s - 1));
-  scalar_rows(4, XL[4], x_begin - 1);
-
-  // Gather (ladder: slot (r, y) holds exactly the level the lane wants).
-  alignas(64) double lanes[4];
-  for (int p = x_begin; p <= x_begin + s - 1; ++p) {
-    V* row = ws.row(p);
-    for (int y = 0; y <= ny + 1; ++y) {
-      lanes[0] = g.at(std::min(p + 3 * s, nx + 1), y);
-      lanes[1] = g.at(p + 2 * s, y);
-      lanes[2] = g.at(p + s, y);
-      lanes[3] = g.at(p, y);
-      row[y] = V::load(lanes);
-    }
-  }
-  {
-    V* wr = ws.wr();
-    for (int y = 0; y <= ny + 1; ++y) {
-      lanes[0] = g.at(x_begin - 1 + 3 * s, y);
-      lanes[1] = g.at(x_begin - 1 + 2 * s, y);
-      lanes[2] = g.at(x_begin - 1 + s, y);
-      lanes[3] = g.at(x_begin - 1, y);
-      wr[y] = V::load(lanes);
-    }
-  }
-
-  const V cc = V::set1(c.c), cw = V::set1(c.w), ce = V::set1(c.e),
-          cs = V::set1(c.s), cn = V::set1(c.n);
-  const int read_cap = std::min(XR[1] + 1, nx + 1);
-
-  V* wr = ws.wr();
-  for (int x = x_begin; x <= x_end; ++x) {
-    const V* r0v = ws.row(x);
-    const V* rp1 = ws.row(x + 1);
-    V* rout = ws.row(x + s);
-    double* trow = g.row(x);
-    const double* brow = g.row(std::min(x + 4 * s, read_cap));
-
-    {
-      const int p = x + s;
-      for (const int y : {0, ny + 1}) {
-        lanes[0] = g.at(std::min(p + 3 * s, nx + 1), y);
-        lanes[1] = g.at(p + 2 * s, y);
-        lanes[2] = g.at(p + s, y);
-        lanes[3] = g.at(p, y);
-        rout[y] = V::load(lanes);
-      }
-    }
-    V wprev;
-    {
-      lanes[0] = g.at(x + 3 * s, 0);
-      lanes[1] = g.at(x + 2 * s, 0);
-      lanes[2] = g.at(x + s, 0);
-      lanes[3] = g.at(x, 0);
-      wprev = V::load(lanes);
-    }
-
-    int y = 1;
-    V wbuf[4];
-    for (; y + 3 <= ny; y += 4) {
-      V bot = V::loadu(brow + y);
-      for (int j = 0; j < 4; ++j) {
-        const int yy = y + j;
-        const V w = stencil::gs2d5(cc, cw, ce, cs, cn, r0v[yy], wprev,
-                                   r0v[yy + 1], wr[yy], rp1[yy]);
-        wbuf[j] = w;
-        wr[yy] = w;
-        rout[yy] = simd::shift_in_low_v(w, bot);
-        if (j != 3) bot = simd::rotate_down(bot);
-        wprev = w;
-      }
-      simd::collect_tops_arr(wbuf).storeu(trow + y);
-    }
-    for (; y <= ny; ++y) {
-      const V w = stencil::gs2d5(cc, cw, ce, cs, cn, r0v[y], wprev, r0v[y + 1],
-                                 wr[y], rp1[y]);
-      wr[y] = w;
-      rout[y] = simd::shift_in_low(w, brow[y]);
-      trow[y] = simd::top_lane(w);
-      wprev = w;
-    }
-  }
-
-  // Flush surviving lanes into the array (level order; ranges guard).
-  for (int p = x_end + 1; p <= x_end + s; ++p) {
-    const V* row = ws.row(p);
-    const int rr[3] = {p + 2 * s, p + s, p};
-    for (int k = 1; k <= 3; ++k) {
-      const int r = rr[k - 1];
-      if (r < XL[k] || r > XR[k]) continue;
-      for (int y = 1; y <= ny; ++y) g.at(r, y) = row[y][k];
-    }
-  }
-
-  for (int l = 1; l <= 4; ++l)
-    scalar_rows(l, std::max(XL[l], x_end + (4 - l) * s + 1), XR[l]);
-}
-
-// ---------------------------------------------------------------------------
-// 3D tile
-// ---------------------------------------------------------------------------
-struct GsWs3D {
-  grid::AlignedBuffer<V> ring, wslab;
-  int s = 0, ny = 0;
-  std::ptrdiff_t zstride = 0, ystride = 0;
-  void prepare(int stride, int ny_, int nz) {
-    const std::ptrdiff_t zs = ((nz + 4 + 15) / 16) * 16;
-    if (stride != s || ny_ != ny || zs != zstride) {
-      s = stride;
-      ny = ny_;
-      zstride = zs;
-      ystride = static_cast<std::ptrdiff_t>(ny + 2) * zstride;
-      ring = grid::AlignedBuffer<V>(static_cast<std::size_t>(s + 1) *
-                                    static_cast<std::size_t>(ystride));
-      wslab = grid::AlignedBuffer<V>(static_cast<std::size_t>(ystride));
-    }
-  }
-  V* line(int p, int y) {
-    const int M = s + 1;
-    const int slot = tv::RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(ystride) +
-           static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) + 1;
-  }
-  V* wline(int y) {
-    return wslab.data() +
-           static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) + 1;
-  }
-};
-
-void gs3d_trap(const stencil::C3D7& c, grid::Grid3D<double>& g, int s,
-               int xl0, int xr0, GsWs3D& ws, bool force_scalar) {
-  const int nx = g.nx(), ny = g.ny(), nz = g.nz();
-  int XL[5], XR[5];
-  for (int l = 1; l <= 4; ++l) {
-    XL[l] = std::max(1, xl0 - (l - 1));
-    XR[l] = std::min(nx, xr0 - (l - 1));
-  }
-
-  const auto scalar_planes = [&](int l, int r0, int r1) {
-    (void)l;
-    for (int r = r0; r <= r1; ++r)
-      for (int y = 1; y <= ny; ++y) {
-        double west = g.at(r, y, 0);
-        for (int z = 1; z <= nz; ++z) {
-          const double v = stencil::gs3d7(
-              c.c, c.w, c.e, c.s, c.n, c.b, c.f, g.at(r, y, z), west,
-              g.at(r, y, z + 1), g.at(r, y - 1, z), g.at(r, y + 1, z),
-              g.at(r - 1, y, z), g.at(r + 1, y, z));
-          g.at(r, y, z) = v;
-          west = v;
-        }
-      }
-  };
-
-  int x_begin = XL[1] - 3 * s, x_end = XR[1] - 3 * s;
-  for (int l = 2; l <= 4; ++l) {
-    x_begin = std::max(x_begin, XL[l] - (4 - l) * s);
-    x_end = std::min(x_end, XR[l] - (4 - l) * s);
-  }
-  if (force_scalar || x_end - x_begin < 4) {
-    for (int l = 1; l <= 4; ++l) scalar_planes(l, XL[l], XR[l]);
-    return;
-  }
-
-  for (int l = 1; l <= 3; ++l)
-    scalar_planes(l, XL[l], std::min(XR[l], x_begin + (4 - l) * s - 1));
-  scalar_planes(4, XL[4], x_begin - 1);
-
-  alignas(64) double lanes[4];
-  for (int p = x_begin; p <= x_begin + s - 1; ++p)
-    for (int y = 0; y <= ny + 1; ++y) {
-      V* line = ws.line(p, y);
-      for (int z = 0; z <= nz + 1; ++z) {
-        lanes[0] = g.at(std::min(p + 3 * s, nx + 1), y, z);
-        lanes[1] = g.at(p + 2 * s, y, z);
-        lanes[2] = g.at(p + s, y, z);
-        lanes[3] = g.at(p, y, z);
-        line[z] = V::load(lanes);
-      }
-    }
-  for (int y = 0; y <= ny + 1; ++y) {
-    V* line = ws.wline(y);
-    for (int z = 0; z <= nz + 1; ++z) {
-      lanes[0] = g.at(x_begin - 1 + 3 * s, y, z);
-      lanes[1] = g.at(x_begin - 1 + 2 * s, y, z);
-      lanes[2] = g.at(x_begin - 1 + s, y, z);
-      lanes[3] = g.at(x_begin - 1, y, z);
-      line[z] = V::load(lanes);
-    }
-  }
-
-  const V cc = V::set1(c.c), cw = V::set1(c.w), ce = V::set1(c.e),
-          cs = V::set1(c.s), cn = V::set1(c.n), cb = V::set1(c.b),
-          cf = V::set1(c.f);
-  const int read_cap = std::min(XR[1] + 1, nx + 1);
-
-  for (int x = x_begin; x <= x_end; ++x) {
-    {
-      const int p = x + s;
-      const auto fill = [&](int y, int z) {
-        lanes[0] = g.at(std::min(p + 3 * s, nx + 1), y, z);
-        lanes[1] = g.at(p + 2 * s, y, z);
-        lanes[2] = g.at(p + s, y, z);
-        lanes[3] = g.at(p, y, z);
-        ws.line(p, y)[z] = V::load(lanes);
-      };
-      for (int z = 0; z <= nz + 1; ++z) {
-        fill(0, z);
-        fill(ny + 1, z);
-      }
-      for (int y = 1; y <= ny; ++y) {
-        fill(y, 0);
-        fill(y, nz + 1);
-      }
-    }
-    {
-      V* line = ws.wline(0);
-      for (int z = 0; z <= nz + 1; ++z) {
-        lanes[0] = g.at(x + 3 * s, 0, z);
-        lanes[1] = g.at(x + 2 * s, 0, z);
-        lanes[2] = g.at(x + s, 0, z);
-        lanes[3] = g.at(x, 0, z);
-        line[z] = V::load(lanes);
-      }
-    }
-    const int brow_x = std::min(x + 4 * s, read_cap);
-    for (int y = 1; y <= ny; ++y) {
-      const V* b0c = ws.line(x, y);
-      const V* b0p = ws.line(x, y + 1);
-      const V* bp1 = ws.line(x + 1, y);
-      V* lout = ws.line(x + s, y);
-      V* wsl = ws.wline(y);
-      const V* wsm = ws.wline(y - 1);
-      double* tline = g.line(x, y);
-      const double* bline = g.line(brow_x, y);
-
-      V wprev;
-      {
-        lanes[0] = g.at(x + 3 * s, y, 0);
-        lanes[1] = g.at(x + 2 * s, y, 0);
-        lanes[2] = g.at(x + s, y, 0);
-        lanes[3] = g.at(x, y, 0);
-        wprev = V::load(lanes);
-      }
-      int z = 1;
-      V wbuf[4];
-      for (; z + 3 <= nz; z += 4) {
-        V bot = V::loadu(bline + z);
-        for (int j = 0; j < 4; ++j) {
-          const int zz = z + j;
-          const V w = stencil::gs3d7(cc, cw, ce, cs, cn, cb, cf, b0c[zz],
-                                     wprev, b0c[zz + 1], wsm[zz], b0p[zz],
-                                     wsl[zz], bp1[zz]);
-          wbuf[j] = w;
-          wsl[zz] = w;
-          lout[zz] = simd::shift_in_low_v(w, bot);
-          if (j != 3) bot = simd::rotate_down(bot);
-          wprev = w;
-        }
-        simd::collect_tops_arr(wbuf).storeu(tline + z);
-      }
-      for (; z <= nz; ++z) {
-        const V w = stencil::gs3d7(cc, cw, ce, cs, cn, cb, cf, b0c[z], wprev,
-                                   b0c[z + 1], wsm[z], b0p[z], wsl[z], bp1[z]);
-        wsl[z] = w;
-        lout[z] = simd::shift_in_low(w, bline[z]);
-        tline[z] = simd::top_lane(w);
-        wprev = w;
-      }
-    }
-  }
-
-  for (int p = x_end + 1; p <= x_end + s; ++p) {
-    const int rr[3] = {p + 2 * s, p + s, p};
-    for (int k = 1; k <= 3; ++k) {
-      const int r = rr[k - 1];
-      if (r < XL[k] || r > XR[k]) continue;
-      for (int y = 1; y <= ny; ++y) {
-        const V* line = ws.line(p, y);
-        for (int z = 1; z <= nz; ++z) g.at(r, y, z) = line[z][k];
-      }
-    }
-  }
-
-  for (int l = 1; l <= 4; ++l)
-    scalar_planes(l, std::max(XL[l], x_end + (4 - l) * s + 1), XR[l]);
+// Level l (1..vl) of a tile anchored at [xl0, xr0] covers
+// [xl0-(l-1), xr0-(l-1)], clipped to the domain.
+tv::TileRows<VL> para_rows(int xl0, int xr0, int nx) {
+  return tv::TileRows<VL>::sloped(xl0 + 1, xr0 + 1, -1, -1, nx, 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -381,9 +48,9 @@ template <class Tile, class Residual>
 void wavefront_run(int nx, long sweeps, ParallelogramNDOptions opt, int min_s,
                    Tile tile, Residual residual) {
   const int s = std::clamp(opt.stride, min_s, 12);
-  int H = std::max(((s + 4 + 3) / 4) * 4, opt.height - opt.height % 4);
-  const int W = std::max(opt.width, 4 * s + 8);
-  const long t_vec = sweeps - sweeps % 4;
+  int H = std::max(((s + 2 * VL - 1) / VL) * VL, opt.height - opt.height % VL);
+  const int W = std::max(opt.width, VL * s + 8);
+  const long t_vec = sweeps - sweeps % VL;
   const int nbt = static_cast<int>((t_vec + H - 1) / H);
 
   if (nbt > 0) {
@@ -414,8 +81,8 @@ void wavefront_run(int nx, long sweeps, ParallelogramNDOptions opt, int min_s,
         const long tb = static_cast<long>(bt) * H;
         const int hb = band_h(bt);
         const int xl0 = static_cast<int>(1 + static_cast<long>(bx) * W - tb);
-        for (int j = 0; j < hb / 4; ++j)
-          tile(s, xl0 - 4 * j, xl0 + W - 1 - 4 * j, slot);
+        for (int j = 0; j < hb / VL; ++j)
+          tile(s, xl0 - VL * j, xl0 + W - 1 - VL * j, slot);
       };
       if (opt.exec != nullptr) {
         stage_run(opt.exec, nbt, diag);
@@ -434,24 +101,20 @@ void gs2d5_tiled(const stencil::C2D5& c, grid::Grid2D<double>& u,
                              long sweeps, const ParallelogramNDOptions& opt) {
   const int nslots = std::max(
       omp_get_max_threads(), opt.exec != nullptr ? opt.exec->slots : 0);
-  std::vector<GsWs2D> tls(static_cast<std::size_t>(nslots));
+  std::vector<tv::GsRing<V>> tls(static_cast<std::size_t>(nslots));
+  ArrayLevels2D lev{&u};
   wavefront_run(
       u.nx(), sweeps, opt, 2,
       [&](int s, int xl0, int xr0, int slot) {
-        GsWs2D& ws = tls[static_cast<std::size_t>(slot)];
-        ws.prepare(s, u.ny());
-        gs2d_trap(c, u, s, xl0, xr0, ws, !opt.use_vector);
+        tv::GsRing<V>& rs = tls[static_cast<std::size_t>(slot)];
+        rs.prepare(s, 1, u.ny());
+        tv::tv_gs2d_tile<V>(c, u, lev, rs, para_rows(xl0, xr0, u.nx()), s,
+                            !opt.use_vector);
       },
       [&] {
-        for (int r = 1; r <= u.nx(); ++r) {
-          double west;
-          for (int y = 1; y <= u.ny(); ++y) {
-            west = y == 1 ? u.at(r, 0) : u.at(r, y - 1);
-            u.at(r, y) = stencil::gs2d5(c.c, c.w, c.e, c.s, c.n, u.at(r, y),
-                                        west, u.at(r, y + 1), u.at(r - 1, y),
-                                        u.at(r + 1, y));
-          }
-        }
+        for (int r = 1; r <= u.nx(); ++r)
+          tv::detailgs2d::gs_row(c, u.row(r), u.row(r), u.row(r + 1),
+                                 u.row(r - 1), u.ny());
       });
 }
 
@@ -459,23 +122,23 @@ void gs3d7_tiled(const stencil::C3D7& c, grid::Grid3D<double>& u,
                              long sweeps, const ParallelogramNDOptions& opt) {
   const int nslots = std::max(
       omp_get_max_threads(), opt.exec != nullptr ? opt.exec->slots : 0);
-  std::vector<GsWs3D> tls(static_cast<std::size_t>(nslots));
+  std::vector<tv::GsRing<V>> tls(static_cast<std::size_t>(nslots));
+  ArrayLevels3D lev{&u};
+  using Slab = tv::LevelSlab<double>;
   wavefront_run(
       u.nx(), sweeps, opt, 2,
       [&](int s, int xl0, int xr0, int slot) {
-        GsWs3D& ws = tls[static_cast<std::size_t>(slot)];
-        ws.prepare(s, u.ny(), u.nz());
-        gs3d_trap(c, u, s, xl0, xr0, ws, !opt.use_vector);
+        tv::GsRing<V>& rs = tls[static_cast<std::size_t>(slot)];
+        rs.prepare(s, u.ny() + 2, u.nz());
+        tv::tv_gs3d_tile<V>(c, u, lev, rs, para_rows(xl0, xr0, u.nx()), s,
+                            !opt.use_vector);
       },
       [&] {
         for (int r = 1; r <= u.nx(); ++r)
-          for (int y = 1; y <= u.ny(); ++y)
-            for (int z = 1; z <= u.nz(); ++z)
-              u.at(r, y, z) = stencil::gs3d7(
-                  c.c, c.w, c.e, c.s, c.n, c.b, c.f, u.at(r, y, z),
-                  u.at(r, y, z - 1), u.at(r, y, z + 1), u.at(r, y - 1, z),
-                  u.at(r, y + 1, z), u.at(r - 1, y, z), u.at(r + 1, y, z));
-  });
+          tv::detailgs3d::gs_plane(c, Slab::of(u, r), Slab::of(u, r),
+                                   Slab::of(u, r + 1), Slab::of(u, r - 1),
+                                   u.ny(), u.nz());
+      });
 }
 
 }  // namespace

@@ -3,7 +3,9 @@
 // acts on (t, x-rows) — level l of a tile covers rows
 // [xl0-(l-1), xr0-(l-1)] x the full inner dimensions — with the same
 // single-array interface-ladder discipline as the 1D driver
-// (parallelogram_impl.hpp) and anti-diagonal wavefronts w = 2*bt + bx.
+// (parallelogram.hpp) and anti-diagonal wavefronts w = 2*bt + bx.  Each
+// tile is the Gauss-Seidel engine tile (tv/tv_gs2d_impl.hpp,
+// tv/tv_gs3d_impl.hpp) on the parallelogram's rows.
 #pragma once
 
 #include "grid/grid2d.hpp"

@@ -14,22 +14,26 @@
 // at lane 0, and the result is the input vector for position p+s, consumed
 // s iterations later (the ILP-distance knob of §3.3).
 //
-// One vl-step tile over the full line (interior x = 1..nx, Dirichlet cells
-// at x <= 0 and x >= nx+1) does:
+// One vl-step tile (src/tv/tile.hpp has the per-level ranges [XL[l],
+// XR[l]] every tile walks; the flat engine's are the whole line, interior
+// x = 1..nx, Dirichlet cells at x <= 0 and x >= nx+1) does:
 //
-//   prologue  (scalar)  lvl l over [1, (vl-l)*s],  l = 1..vl-1
-//   gather              ring vectors for top positions p = 1-R .. s
-//   steady    (vector)  x = 1 .. nx+1-vl*s, grouped top stores / bottom loads
-//   flush               dump surviving ring lanes into right-edge scratch
-//   epilogue  (scalar)  lvl l over [nx+2-l*s, nx], l = 1..vl-1; lvl vl over
-//                       [nx+2-vl*s, nx] written to the array last
+//   left wedges (scalar)  lvl l over [XL[l], x_begin+(vl-l)s-1]
+//   gather                ring vectors for top positions
+//                         x_begin-R .. x_begin+s-1
+//   steady      (vector)  x = x_begin .. x_end, grouped top stores / bottom
+//                         loads, bottom reads capped at the tile's read_cap
+//   flush                 dump surviving ring lanes into their levels
+//   right wedges (scalar) lvl l over [x_end+(vl-l)s+1, XR[l]], lvl vl last
 //
-// The array is updated *in place*: the lvl vl write at x trails every lvl0
-// read (all at >= x+vl*s), which is how the paper halves the memory traffic
-// of Jacobi stencils (§3.5).  Intermediate levels live only in registers
-// except for the O(vl*s) scratch at the two edges — the "84 scalar points
-// per tile for s=7" of the evaluation section at vl = 4; the scalar area
-// grows with vl^2*s/2 at wider lengths.
+// The flat engine updates the array *in place*: the lvl vl write at x
+// trails every lvl0 read (all at >= x+vl*s), which is how the paper halves
+// the memory traffic of Jacobi stencils (§3.5).  Intermediate levels live
+// only in registers except for the O(vl*s) scratch at the two edges — the
+// "84 scalar points per tile for s=7" of the evaluation section at vl = 4;
+// the scalar area grows with vl^2*s/2 at wider lengths.  The diamond
+// driver (tiling/diamond.cpp) runs the same tile on a sloped, clipped
+// interval with its levels in the two parity arrays.
 //
 // The stencil functor F supplies:
 //   static constexpr int radius;
@@ -41,6 +45,7 @@
 // (ScalarVec<double, N>) the width-property suite asks for.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cassert>
 #include <vector>
@@ -49,33 +54,49 @@
 #include "simd/reorg.hpp"
 #include "simd/vec.hpp"
 #include "tv/ring.hpp"  // kMaxStride, kRingCapacity, RingIndex
+#include "tv/tile.hpp"
 
 namespace tvs::tv {
 
-// Reusable scratch for one run (avoids per-tile allocation).  Sizes depend
-// on the engine's vector length: vl-1 intermediate levels per edge.
-// Templated on the element type T (double or float).
+// Reusable scratch for one flat run (avoids per-tile allocation): the
+// edge lines of levels 1..vl-1 and the scalar-fallback line.  Templated on
+// the element type T (double or float).  The left lines cover
+// x in [1-R, (vl-1)s], the right lines x in [rbase+1, nx+R]; both hold
+// copies of the boundary cells they reach past the interior.
 template <class T>
 struct Workspace1D {
-  std::vector<T> left;   // vl-1 levels, prologue values
-  std::vector<T> right;  // vl-1 levels, flush + epilogue values
+  std::vector<T> left;   // vl-1 levels, left wedges + gather
+  std::vector<T> right;  // vl-1 levels, flush + right wedges
   std::vector<T> sbuf;   // scalar-fallback ping-pong line
-  int s = 0, nx = 0, vl = 0;
-  int llen = 0, rlen = 0;      // per-level extents of left/right
+  int s = 0, nx = 0, vl = 0, radius = 0;
+  int llen = 0, rlen = 0, rbase = 0;  // per-level extents, right anchor
 
-  void prepare(int stride, int n, int radius, int lanes) {
+  void prepare(int stride, int n, int r, int lanes) {
     s = stride;
     nx = n;
     vl = lanes;
-    llen = (vl - 1) * s + 2;
-    // Trailing slack for the flush path, not a lane count.
-    rlen = vl * s + radius + 4;  // tvslint: allow(R4)
+    radius = r;
+    llen = (vl - 1) * s + r + 1;
+    rbase = nx - (vl - 1) * s - r;  // right lines start at x_end + 1 - R
+    rlen = nx + r - rbase + 1;
     left.assign(static_cast<std::size_t>(vl - 1) * llen, T{0});
     right.assign(static_cast<std::size_t>(vl - 1) * rlen, T{0});
   }
-  // Level l (1 .. vl-1) scratch lines.
-  T* lptr(int lev) { return left.data() + static_cast<std::size_t>(lev - 1) * llen; }
-  T* rptr(int lev) { return right.data() + static_cast<std::size_t>(lev - 1) * rlen; }
+  // Level l (1 .. vl-1) as seen by the left wedges / gather (lo) and by the
+  // flush / right wedges (hi) — the flat engine's level-storage policy.
+  LevelLine<T> lo(int lev) {
+    return {left.data() + static_cast<std::size_t>(lev - 1) * llen + radius, 0};
+  }
+  LevelLine<T> hi(int lev) {
+    return {right.data() + static_cast<std::size_t>(lev - 1) * rlen, rbase};
+  }
+  // Boundary cells are fixed for the whole run: copy them once.
+  void copy_boundaries(const T* a) {
+    for (int lev = 1; lev <= vl - 1; ++lev) {
+      for (int x = 1 - radius; x <= 0; ++x) lo(lev)[x] = a[x];
+      for (int x = nx + 1; x <= nx + radius; ++x) hi(lev)[x] = a[x];
+    }
+  }
 };
 
 namespace detail {
@@ -162,68 +183,79 @@ int steady_s7(const F& f, typename V::value_type* a, int x_end,
 
 }  // namespace detail
 
-// One vl-step temporally vectorized tile; see the file comment.
-// Requires nx >= vl*s and s >= radius+1 (checked by the caller).
+// One vl-step temporally vectorized tile over the rows `rows`; see the file
+// comment.  Levels 0 and vl are the base array `a`, levels 1..vl-1 live
+// wherever the level-storage policy `lev` says (lo(l) / hi(l) return a
+// LevelLine).  With scalar_only, or when the steady interval is shorter
+// than vl (TileRows::vector_ok), every level is updated in scalar over its
+// full range, levels ascending, through lev.lo — a path only the tiled
+// drivers take (the flat run checks vector_ok first).  Requires
+// s >= radius+1.
 //
 // Re = the redundancy-eliminated steady loop (arXiv:2103.08825 /
-// 2103.09235, see tv1d_re_impl.hpp): identical prologue / gather / flush /
-// epilogue and bit-identical arithmetic, but the steady loop retires tops
+// 2103.09235, see tv1d_re_impl.hpp): identical wedges / gather / flush
+// and bit-identical arithmetic, but the steady loop retires tops
 // scalar-as-they-finish and slides the stencil window in registers, so each
 // produced vector costs ONE shuffle (simd::retire_shift_in) instead of the
 // baseline's shift_in_low_v + dispense_low pair plus the amortized
 // collect_tops assembly tree.
-template <class V, class F, bool Re = false>
-void tv1d_tile(const F& f, typename V::value_type* a, int nx, int s,
-               Workspace1D<typename V::value_type>& ws) {
+template <class V, class F, bool Re = false, class Levels>
+void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
+               const TileRows<V::lanes>& rows, int s,
+               bool scalar_only = false) {
   static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
   using T = typename V::value_type;
   constexpr int R = F::radius;
   constexpr int VL = V::lanes;
   const int M = s + R;  // live input vectors (paper: "s + r")
-  assert(s >= R + 1 && s <= kMaxStride && nx >= VL * s);
-  assert(ws.vl == VL);
-  const int rbase = nx - VL * s - R;  // right scratch anchored at rbase
+  assert(s >= R + 1 && s <= kMaxStride);
 
-  // Value of level l (1..vl-1) at position x during the prologue: boundary
-  // cells keep their fixed value at every level.
-  const auto lv = [&](int lev, int x) -> T {
-    return x <= 0 ? a[x] : ws.lptr(lev)[x];
-  };
-
-  T win[2 * R + 1];
-
-  // ---- prologue: left trapezoid, scalar ---------------------------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    T* out = ws.lptr(lev);
-    for (int x = 1; x <= (VL - lev) * s; ++x) {
-      if (lev == 1) {
-        for (int k = 0; k <= 2 * R; ++k) win[k] = a[x - R + k];
-      } else {
-        for (int k = 0; k <= 2 * R; ++k) win[k] = lv(lev - 1, x - R + k);
-      }
-      out[x] = f.apply_scalar(win);
-    }
+  LevelLine<T> lo[VL + 1], hi[VL + 1];
+  lo[0] = hi[0] = lo[VL] = hi[VL] = LevelLine<T>{a, 0};
+  for (int l = 1; l <= VL - 1; ++l) {
+    lo[l] = lev.lo(l);
+    hi[l] = lev.hi(l);
   }
 
-  // Level k (0..vl-1) at position x for the gather (level 0 = the array).
-  const auto lv_any = [&](int lev, int x) -> T {
-    return lev == 0 ? a[x] : lv(lev, x);
+  T win[2 * R + 1];
+  // Scalar update of level l over [x0, x1] from level l-1.
+  const auto scalar_range = [&](const LevelLine<T>* L, int l, int x0, int x1) {
+    const LevelLine<T> src = L[l - 1], dst = L[l];
+    for (int x = x0; x <= x1; ++x) {
+      for (int k = 0; k <= 2 * R; ++k) win[k] = src[x - R + k];
+      dst[x] = f.apply_scalar(win);
+    }
   };
+
+  const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
+  if (scalar_only || !rows.vector_ok(s)) {
+    for (int l = 1; l <= VL; ++l) scalar_range(lo, l, rows.xl(l), rows.xr(l));
+    return;
+  }
+
+  // ---- left wedges (levels ascending; lvl vl's wedge is last so its writes
+  // to the base array cannot disturb level-0 values still being read) -------
+  for (int l = 1; l <= VL - 1; ++l)
+    scalar_range(lo, l, rows.xl(l),
+                 std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
+  scalar_range(lo, VL, rows.xl(VL), x_begin - 1);
 
   // ---- gather the initial ring ------------------------------------------
   std::array<V, kRingCapacity> ring;
   const RingIndex rix(M);
-  for (int p = 1 - R; p <= s; ++p) {
+  for (int p = x_begin - R; p <= x_begin + s - 1; ++p) {
     alignas(64) T lanes[VL];
-    for (int k = 0; k < VL; ++k) lanes[k] = lv_any(k, p + (VL - 1 - k) * s);
+    for (int k = 0; k < VL; ++k) lanes[k] = lo[k][p + (VL - 1 - k) * s];
     ring[static_cast<std::size_t>(rix.slot(p))] = V::load(lanes);
   }
 
   // ---- steady vector loop -------------------------------------------------
-  const int x_end = nx + 1 - VL * s;
-  int x = 1;
+  // Up to x_fast every bottom read a[x + vl*s] is within the read cap; the
+  // ungrouped tail clamps the rest (their lanes are never consumed).
+  const int x_fast = std::min(x_end, rows.read_cap - VL * s);
+  int x = x_begin;
   if constexpr (!Re && R == 1 && VL == 4) {
-    if (s == 7) x = detail::steady_s7(f, a, x_end, ring);
+    if (s == 7 && x == 1) x = detail::steady_s7(f, a, x_fast, ring);
   }
   int ib = rix.slot(x - R);  // slot of the west-most window vector (pos x-R)
   V winv[2 * R + 1];
@@ -234,13 +266,13 @@ void tv1d_tile(const F& f, typename V::value_type* a, int nx, int s,
     // bottom element, and the retired tops stream to `a` as scalar stores
     // — no collect_tops assembly tree, no separate dispense rotate.  The
     // values produced are bit-identical to the baseline loop below.
-    if (x <= x_end) {
+    if (x <= x_fast) {
       int iw = ib;
       for (int k = 0; k <= 2 * R; ++k) {
         winv[k] = ring[iw];
         iw = rix.inc(iw);
       }
-      for (; x <= x_end; ++x) {
+      for (; x <= x_fast; ++x) {
         const V w = f.apply(winv);
         ring[ib] = simd::retire_shift_in(w, a[x + VL * s], &a[x]);
         ib = rix.inc(ib);
@@ -251,7 +283,7 @@ void tv1d_tile(const F& f, typename V::value_type* a, int nx, int s,
     }
   } else {
     V wbuf[VL];
-    for (; x + VL - 1 <= x_end; x += VL) {
+    for (; x + VL - 1 <= x_fast; x += VL) {
       V bot = V::loadu(a + x + VL * s);
       for (int j = 0; j < VL; ++j) {
         int iw = ib;
@@ -266,55 +298,38 @@ void tv1d_tile(const F& f, typename V::value_type* a, int nx, int s,
       }
       simd::collect_tops_arr(wbuf).storeu(a + x);
     }
-    for (; x <= x_end; ++x) {  // ungrouped tail
-      int iw = ib;
-      for (int k = 0; k <= 2 * R; ++k) {
-        winv[k] = ring[iw];
-        iw = rix.inc(iw);
-      }
-      const V w = f.apply(winv);
-      ring[ib] = simd::shift_in_low(w, a[x + VL * s]);
-      ib = rix.inc(ib);
-      a[x] = simd::top_lane(w);
+  }
+  for (; x <= x_end; ++x) {  // ungrouped tail
+    int iw = ib;
+    for (int k = 0; k <= 2 * R; ++k) {
+      winv[k] = ring[iw];
+      iw = rix.inc(iw);
     }
+    const V w = f.apply(winv);
+    ring[ib] = simd::shift_in_low(w, a[std::min(x + VL * s, rows.read_cap)]);
+    ib = rix.inc(ib);
+    a[x] = simd::top_lane(w);
   }
 
-  // ---- flush: dump surviving ring lanes into the right scratch -----------
-  const auto rput = [&](int lev, int q, T v) {
-    if (q >= rbase + 1 && q <= nx) ws.rptr(lev)[q - rbase] = v;
-  };
+  // ---- flush: surviving ring lanes into their levels ---------------------
   for (int p = x_end + 1 - R; p <= x_end + s; ++p) {
     const V& u = ring[static_cast<std::size_t>(rix.slot(p))];
-    for (int k = 1; k <= VL - 1; ++k) rput(k, p + (VL - 1 - k) * s, u[k]);
-  }
-
-  // Level l (1..vl-1) at position x during the epilogue.
-  const auto rv = [&](int lev, int q) -> T {
-    return q > nx ? a[q] : ws.rptr(lev)[q - rbase];
-  };
-
-  // ---- epilogue: right trapezoid, scalar (level order matters: lvl vl
-  // writes to `a` would destroy the lvl0 values lvl1 still reads) ----------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    T* out = ws.rptr(lev);
-    for (int xx = nx + 2 - lev * s; xx <= nx; ++xx) {
-      if (lev == 1) {
-        for (int k = 0; k <= 2 * R; ++k) win[k] = a[xx - R + k];
-      } else {
-        for (int k = 0; k <= 2 * R; ++k) win[k] = rv(lev - 1, xx - R + k);
-      }
-      out[xx - rbase] = f.apply_scalar(win);
+    for (int k = 1; k <= VL - 1; ++k) {
+      const int q = p + (VL - 1 - k) * s;
+      if (q >= rows.xl(k) && q <= rows.xr(k)) hi[k][q] = u[k];
     }
   }
-  for (int xx = nx + 2 - VL * s; xx <= nx; ++xx) {
-    for (int k = 0; k <= 2 * R; ++k) win[k] = rv(VL - 1, xx - R + k);
-    a[xx] = f.apply_scalar(win);
-  }
+
+  // ---- right wedges (levels ascending: lvl vl writes to the base array
+  // last, after lvl 1 read the level-0 values there) ----------------------
+  for (int l = 1; l <= VL; ++l)
+    scalar_range(hi, l, std::max(rows.xl(l), x_end + (VL - l) * s + 1),
+                 rows.xr(l));
 }
 
 // Advance `u` by `steps` time steps: floor(steps/vl) vector tiles plus a
 // scalar residual.  Falls back to scalar whenever the line is too short for
-// the pipeline (nx < vl*s).
+// the pipeline (TileRows::vector_ok).
 template <class V, class F, bool Re = false>
 void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
               int s) {
@@ -322,13 +337,15 @@ void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
   constexpr int R = F::radius;
   constexpr int VL = V::lanes;
   assert(s >= R + 1);
-  Workspace1D<T> ws;
-  ws.prepare(s, u.nx(), R, VL);
   T* a = u.p();
   const int nx = u.nx();
+  Workspace1D<T> ws;
+  ws.prepare(s, nx, R, VL);
+  const auto rows = TileRows<VL>::full(nx, R);
   long t = 0;
-  if (nx >= VL * s) {
-    for (; t + VL <= steps; t += VL) tv1d_tile<V, F, Re>(f, a, nx, s, ws);
+  if (rows.vector_ok(s) && steps >= VL) {
+    ws.copy_boundaries(a);
+    for (; t + VL <= steps; t += VL) tv1d_tile<V, F, Re>(f, a, ws, rows, s);
   }
   if (t < steps)
     detail::scalar_steps(f, a, nx, static_cast<int>(steps - t), ws);

@@ -11,19 +11,22 @@
 //
 // This ring is the paper's "transposed data layout" made explicit: one
 // aligned vector store per produced input vector, one aligned load per
-// consumed one (§3.3).  Everything else mirrors the 1D kernel: a scalar
-// prologue forwards rows [1, (vl-l)s] to level l, the steady loop advances
-// whole rows vl time steps with grouped top stores / bottom loads along y,
-// the ring is flushed into right-edge scratch planes, and a scalar epilogue
-// finishes rows [nx+2-l*s, nx] per level.  The main array is updated in
-// place (the top-row write at x trails every bottom read at x+vl*s).
+// consumed one (§3.3).  Everything else mirrors the 1D kernel over the
+// per-level row ranges of tv/tile.hpp: scalar left wedges forward rows to
+// each level, the steady loop advances whole rows vl time steps with
+// grouped top stores / bottom loads along y, the ring is flushed into the
+// levels, and scalar right wedges finish each level.  The flat engine
+// updates the main array in place (the top-row write at x trails every
+// bottom read at x+vl*s) with levels 1..vl-1 in two edge scratch planes;
+// the diamond driver (tiling/diamond2d.cpp) runs the same tile on clipped
+// row ranges with its levels in the two parity grids.
 //
 // The stencil functor F supplies (V = vector type, T = element type):
 //   static constexpr int radius = 1;
 //   V apply(const V* rm1, const V* r0, const V* rp1, int y)
 //       — rm1/r0/rp1 are ring rows for x-1, x, x+1, indexable at y-1..y+1;
 //   T apply_scalar(At&& at, int r, int y)
-//       — `at(r, y)` reads the previous level with boundary fallback.
+//       — `at(r, y)` reads the previous level.
 #pragma once
 
 #include <algorithm>
@@ -35,63 +38,36 @@
 #include "simd/reorg.hpp"
 #include "simd/vec.hpp"
 #include "tv/ring.hpp"
+#include "tv/tile.hpp"
 
 namespace tvs::tv {
 
-// Scratch for one 2D run: ring rows, edge planes, and a residual-step grid.
+// Scratch for one flat 2D run: ring rows, the edge planes holding levels
+// 1..vl-1 (the flat engine's level-storage policy, tv/tile.hpp) and a
+// residual-step grid.
 template <class V, class T>
 struct Workspace2D {
-  static constexpr int VL = V::lanes;
+  SlabRing<V> ring;       // s+2 rows of input vectors
+  EdgePlanes<T> planes;   // levels 1..vl-1 at the two edges
+  grid::Grid2D<T> tmp;    // residual / fallback ping-pong partner
 
-  grid::AlignedBuffer<V> ring;   // (s+2) rows x rstride vectors
-  grid::AlignedBuffer<T> lscr;   // (VL-1) levels x lrows x rstride
-  grid::AlignedBuffer<T> rscr;   // (VL-1) levels x rrows x rstride
-  grid::Grid2D<T> tmp;           // residual / fallback ping-pong partner
-  int s = 0, ny = 0, nx = 0;
-  std::ptrdiff_t rstride = 0;
-  int lrows = 0, rrows = 0, rbase = 0;
-
-  void prepare(int stride, int nx_, int ny_) {
-    s = stride;
-    nx = nx_;
-    ny = ny_;
-    rstride = ((ny + 4 + 15) / 16) * 16;
-    lrows = (VL - 1) * s + 1;
-    // Trailing slack, not a lane count.  tvslint: allow(R4)
-    rrows = VL * s + 4;
-    rbase = nx - VL * s - 1;  // right planes cover rows [rbase+1, nx]
-    ring = grid::AlignedBuffer<V>(
-        static_cast<std::size_t>(s + 2) * static_cast<std::size_t>(rstride));
-    lscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * lrows *
-                                  static_cast<std::size_t>(rstride));
-    rscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * rrows *
-                                  static_cast<std::size_t>(rstride));
+  void prepare(int s, int nx, int ny) {
+    ring.prepare(s + 2, 1, ny);
+    planes.prepare(V::lanes, s, nx, 1, ny);
     if (tmp.nx() != nx || tmp.ny() != ny) tmp = grid::Grid2D<T>(nx, ny);
-  }
-
-  // Ring row for position p (valid y in [-1, rstride-2]; offset +1).
-  V* ring_row(int p) {
-    const int M = s + 2;
-    const int slot = RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(rstride) +
-           1;
-  }
-  // Left scratch plane value, level in 1..VL-1, row in [1, (VL-level)*s].
-  T& lv(int level, int r, int y) {
-    return lscr[(static_cast<std::size_t>(level - 1) * lrows + r) *
-                    static_cast<std::size_t>(rstride) +
-                static_cast<std::size_t>(y + 1)];
-  }
-  // Right scratch plane value, level in 1..VL-1, row in [rbase+1, nx].
-  T& rv(int level, int r, int y) {
-    return rscr[(static_cast<std::size_t>(level - 1) * rrows + (r - rbase)) *
-                    static_cast<std::size_t>(rstride) +
-                static_cast<std::size_t>(y + 1)];
   }
 };
 
 namespace detail2d {
+
+// One scalar row of level l: dst[y] from the level-(l-1) rows r-1, r, r+1.
+template <class F, class T>
+void scalar_row(const F& f, T* dst, const T* sm, const T* s0, const T* sp,
+                int r, int ny) {
+  const T* const rows[3] = {sm, s0, sp};
+  const auto at = [&](int rr, int y) -> T { return rows[rr - r + 1][y]; };
+  for (int y = 1; y <= ny; ++y) dst[y] = f.apply_scalar(at, r, y);
+}
 
 // Plain scalar steps for grids too small for the pipeline and for the
 // T % vl residual.
@@ -110,65 +86,80 @@ void scalar_steps(const F& f, grid::Grid2D<T>& g, grid::Grid2D<T>& tmp,
 
 }  // namespace detail2d
 
-// One vl-step temporally vectorized tile over the full grid, in place.
-// Requires nx >= vl*s and s >= 2 (radius-1 stencils).
+// One vl-step temporally vectorized tile over the rows `rows`.  Levels 0
+// and vl are the base grid g (as are the boundary rows 0 and nx+1 of every
+// level); levels 1..vl-1 live where the level-storage policy `lev` says
+// (lo(l, r) / hi(l, r) return row pointers; see tv/tile.hpp).  `ring`
+// holds s+2 rows.  With scalar_only, or when the steady interval is
+// shorter than vl, every level is updated in scalar, levels ascending,
+// through lev.lo — a path only the tiled drivers take.  s >= 2.
 //
 // Re = the redundancy-eliminated inner loop (arXiv:2103.08825 /
-// 2103.09235, see tv2d_re_impl.hpp): identical prologue / gather / flush /
-// epilogue and bit-identical arithmetic, but each produced ring vector
-// costs ONE shuffle (simd::retire_shift_in) and the functor's F::Carry
-// slides the shared column operands in registers across consecutive y.
-template <class V, class F, class T, bool Re = false>
-void tv2d_tile(const F& f, grid::Grid2D<T>& g, int s, Workspace2D<V, T>& ws) {
+// 2103.09235, see tv2d_re_impl.hpp): identical wedges / gather / flush and
+// bit-identical arithmetic, but each produced ring vector costs ONE
+// shuffle (simd::retire_shift_in) and the functor's F::Carry slides the
+// shared column operands in registers across consecutive y.
+template <class V, class F, class T, bool Re = false, class Levels>
+void tv2d_tile(const F& f, grid::Grid2D<T>& g, Levels& lev, SlabRing<V>& ring,
+               const TileRows<V::lanes>& rows, int s,
+               bool scalar_only = false) {
   static_assert(F::radius == 1, "2D engine covers radius-1 stencils");
   constexpr int VL = V::lanes;
   const int nx = g.nx(), ny = g.ny();
-  assert(nx >= VL * s && s >= 2);
-  const int rbase = ws.rbase;
+  assert(s >= 2);
 
-  // Accessor for level `lev` (0 = the array) with boundary fallback.
-  const auto left_at = [&](int lev) {
-    return [&, lev](int r, int y) -> T {
-      if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny) return g.at(r, y);
-      return ws.lv(lev, r, y);
-    };
+  // Row r of level l for the left wedges / gather (lo) and for the flush /
+  // right wedges (hi) — one policy call per row, never per point.
+  const auto lo = [&](int l, int r) -> T* {
+    return l == 0 || l == VL || r < 1 || r > nx ? g.row(r) : lev.lo(l, r);
+  };
+  const auto hi = [&](int l, int r) -> T* {
+    return l == 0 || l == VL || r < 1 || r > nx ? g.row(r) : lev.hi(l, r);
+  };
+  // Scalar rows of level l over [r0, r1].
+  const auto scalar_rows = [&](const auto& L, int l, int r0, int r1) {
+    for (int r = r0; r <= r1; ++r)
+      detail2d::scalar_row(f, L(l, r), L(l - 1, r - 1), L(l - 1, r),
+                           L(l - 1, r + 1), r, ny);
   };
 
-  // ---- prologue: left trapezoid of rows, scalar ----------------------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    const auto at = left_at(lev - 1);
-    for (int r = 1; r <= (VL - lev) * s; ++r)
-      for (int y = 1; y <= ny; ++y) ws.lv(lev, r, y) = f.apply_scalar(at, r, y);
+  const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
+  if (scalar_only || !rows.vector_ok(s)) {
+    for (int l = 1; l <= VL; ++l) scalar_rows(lo, l, rows.xl(l), rows.xr(l));
+    return;
   }
 
-  // ---- gather ring rows p = 0 .. s ------------------------------------------
-  const auto lv_any = [&](int lev, int r, int y) -> T {
-    if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny) return g.at(r, y);
-    return ws.lv(lev, r, y);
-  };
-  for (int p = 0; p <= s; ++p) {
-    V* row = ws.ring_row(p);
-    alignas(64) T lanes[VL];
+  // ---- left wedges (levels ascending, final level last) --------------------
+  for (int l = 1; l <= VL - 1; ++l)
+    scalar_rows(lo, l, rows.xl(l),
+                std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
+  scalar_rows(lo, VL, rows.xl(VL), x_begin - 1);
+
+  // ---- gather ring rows p = x_begin-1 .. x_begin+s-1 ------------------------
+  alignas(64) T lanes[VL];
+  for (int p = x_begin - 1; p <= x_begin + s - 1; ++p) {
+    V* row = ring.row(p);
+    const T* src[VL];
+    for (int k = 0; k < VL; ++k)
+      src[k] = lo(k, std::min(p + (VL - 1 - k) * s, nx + 1));
     for (int y = 0; y <= ny + 1; ++y) {
-      for (int k = 0; k < VL; ++k)
-        lanes[k] = lv_any(k, p + (VL - 1 - k) * s, y);
+      for (int k = 0; k < VL; ++k) lanes[k] = src[k][y];
       row[y] = V::load(lanes);
     }
   }
 
-  // ---- steady loop ------------------------------------------------------------
-  const int x_end = nx + 1 - VL * s;
-  for (int x = 1; x <= x_end; ++x) {
-    const V* rm1 = ws.ring_row(x - 1);
-    const V* r0 = ws.ring_row(x);
-    const V* rp1 = ws.ring_row(x + 1);
-    V* rout = ws.ring_row(x + s);
+  // ---- steady loop ----------------------------------------------------------
+  for (int x = x_begin; x <= x_end; ++x) {
+    const V* rm1 = ring.row(x - 1);
+    const V* r0 = ring.row(x);
+    const V* rp1 = ring.row(x + 1);
+    V* rout = ring.row(x + s);
     T* trow = g.row(x);
-    const T* brow = g.row(x + VL * s);
+    // Bottom rows past the read cap are never consumed: clamp (tile.hpp).
+    const T* brow = g.row(std::min(x + VL * s, rows.read_cap));
 
     // Boundary columns of the produced row: constant at every level.
     {
-      alignas(64) T lanes[VL];
       const int p = x + s;
       for (const int y : {0, ny + 1}) {
         for (int k = 0; k < VL; ++k)
@@ -209,37 +200,22 @@ void tv2d_tile(const F& f, grid::Grid2D<T>& g, int s, Workspace2D<V, T>& ws) {
     }
   }
 
-  // ---- flush ring rows into the right scratch planes ------------------------
-  const auto rput = [&](int lev, int r, int y, T v) {
-    if (r >= rbase + 1 && r <= nx) ws.rv(lev, r, y) = v;
-  };
+  // ---- flush surviving ring lanes into their levels -------------------------
   for (int p = x_end; p <= x_end + s; ++p) {
-    const V* row = ws.ring_row(p);
-    for (int y = 1; y <= ny; ++y) {
-      const V u = row[y];
-      for (int k = 1; k <= VL - 1; ++k) rput(k, p + (VL - 1 - k) * s, y, u[k]);
+    const V* row = ring.row(p);
+    for (int k = 1; k <= VL - 1; ++k) {
+      const int r = p + (VL - 1 - k) * s;
+      if (r < rows.xl(k) || r > rows.xr(k)) continue;
+      T* dst = hi(k, r);
+      for (int y = 1; y <= ny; ++y) dst[y] = row[y][k];
     }
   }
 
-  const auto right_at = [&](int lev) {
-    return [&, lev](int r, int y) -> T {
-      if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny) return g.at(r, y);
-      return ws.rv(lev, r, y);
-    };
-  };
-
-  // ---- epilogue: right trapezoid of rows, scalar (levels ascending; the
-  // final level writes to the array last so level 1 can still read lvl0) ----
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    const auto at = right_at(lev - 1);
-    for (int r = nx + 2 - lev * s; r <= nx; ++r)
-      for (int y = 1; y <= ny; ++y) ws.rv(lev, r, y) = f.apply_scalar(at, r, y);
-  }
-  {
-    const auto at = right_at(VL - 1);
-    for (int r = nx + 2 - VL * s; r <= nx; ++r)
-      for (int y = 1; y <= ny; ++y) g.at(r, y) = f.apply_scalar(at, r, y);
-  }
+  // ---- right wedges (levels ascending; the final level writes to the base
+  // grid last so level 1 can still read lvl0) ---------------------------------
+  for (int l = 1; l <= VL; ++l)
+    scalar_rows(hi, l, std::max(rows.xl(l), x_end + (VL - l) * s + 1),
+                rows.xr(l));
 }
 
 // Advance g by `steps` time steps (vl per tile + scalar residual).
@@ -249,9 +225,12 @@ void tv2d_run(const F& f, grid::Grid2D<T>& g, long steps, int s,
   static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
   constexpr int VL = V::lanes;
   ws.prepare(s, g.nx(), g.ny());
+  const auto rows = TileRows<VL>::full(g.nx(), F::radius);
   long t = 0;
-  if (g.nx() >= VL * s) {
-    for (; t + VL <= steps; t += VL) tv2d_tile<V, F, T, Re>(f, g, s, ws);
+  if (rows.vector_ok(s) && steps >= VL) {
+    ws.planes.copy_frames([&](int r, int, int y) { return g.at(r, y); });
+    for (; t + VL <= steps; t += VL)
+      tv2d_tile<V, F, T, Re>(f, g, ws.planes, ws.ring, rows, s);
   }
   if (t < steps)
     detail2d::scalar_steps(f, g, ws.tmp, static_cast<int>(steps - t));

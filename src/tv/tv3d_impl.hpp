@@ -2,11 +2,14 @@
 // outermost x dimension, the inner (y, z) loops sweep whole planes.  The
 // ring holds s+2 *slabs* of input vectors:
 //
-//   ring(p)[y][z] = [ lvl0 @ (p+3s, y, z) , ... , lvl3 @ (p, y, z) ]
+//   ring(p)[y][z] = [ lvl0 @ (p+(vl-1)s, y, z) , ... , lvl(vl-1) @ (p, y, z) ]
 //
-// Structure is the 2D engine's with rows generalized to planes; grouped
-// top stores / bottom loads run along the unit-stride z dimension.  The
-// main array is updated in place (top plane x trails bottom reads x+4s).
+// Structure is the 2D engine's with rows generalized to planes (the same
+// tile over the per-level ranges of tv/tile.hpp); grouped top stores /
+// bottom loads run along the unit-stride z dimension.  The flat engine
+// updates the main array in place (top plane x trails bottom reads
+// x+vl*s); the diamond driver (tiling/diamond3d.cpp) runs the same tile on
+// clipped plane ranges with its levels in the two parity grids.
 //
 // The functor F supplies:
 //   static constexpr int radius = 1;
@@ -25,65 +28,42 @@
 #include "simd/reorg.hpp"
 #include "simd/vec.hpp"
 #include "tv/ring.hpp"
+#include "tv/tile.hpp"
 
 namespace tvs::tv {
 
+// Scratch for one flat 3D run: ring slabs, the edge planes holding levels
+// 1..vl-1 (the flat engine's level-storage policy, tv/tile.hpp) and a
+// residual-step grid.
 template <class V, class T>
 struct Workspace3D {
-  static constexpr int VL = V::lanes;
-
-  grid::AlignedBuffer<V> ring;  // (s+2) slabs x (ny+2) x zstride vectors
-  grid::AlignedBuffer<T> lscr;  // (VL-1) levels x lrows x plane
-  grid::AlignedBuffer<T> rscr;
+  SlabRing<V> ring;       // s+2 slabs of (ny+2) lines
+  EdgePlanes<T> planes;   // levels 1..vl-1 at the two edges
   grid::Grid3D<T> tmp;
-  int s = 0, nx = 0, ny = 0, nz = 0;
-  std::ptrdiff_t zstride = 0, ystride = 0;
-  int lrows = 0, rrows = 0, rbase = 0;
 
-  void prepare(int stride, int nx_, int ny_, int nz_) {
-    s = stride;
-    nx = nx_;
-    ny = ny_;
-    nz = nz_;
-    zstride = ((nz + 4 + 15) / 16) * 16;
-    ystride = static_cast<std::ptrdiff_t>(ny + 2) * zstride;
-    lrows = (VL - 1) * s + 1;
-    // Trailing slack, not a lane count.  tvslint: allow(R4)
-    rrows = VL * s + 4;
-    rbase = nx - VL * s - 1;
-    ring = grid::AlignedBuffer<V>(static_cast<std::size_t>(s + 2) *
-                                  static_cast<std::size_t>(ystride));
-    lscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * lrows *
-                                  static_cast<std::size_t>(ystride));
-    rscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * rrows *
-                                  static_cast<std::size_t>(ystride));
+  void prepare(int s, int nx, int ny, int nz) {
+    ring.prepare(s + 2, ny + 2, nz);
+    planes.prepare(V::lanes, s, nx, ny + 2, nz);
     if (tmp.nx() != nx || tmp.ny() != ny || tmp.nz() != nz)
       tmp = grid::Grid3D<T>(nx, ny, nz);
-  }
-
-  // Line (x-slab p, row y), indexable z in [-1, zstride-2].
-  V* ring_line(int p, int y) {
-    const int M = s + 2;
-    const int slot = RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(ystride) +
-           static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) + 1;
-  }
-  T& lv(int level, int r, int y, int z) {
-    return lscr[(static_cast<std::size_t>(level - 1) * lrows + r) *
-                    static_cast<std::size_t>(ystride) +
-                static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) +
-                static_cast<std::size_t>(z + 1)];
-  }
-  T& rv(int level, int r, int y, int z) {
-    return rscr[(static_cast<std::size_t>(level - 1) * rrows + (r - rbase)) *
-                    static_cast<std::size_t>(ystride) +
-                static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) +
-                static_cast<std::size_t>(z + 1)];
   }
 };
 
 namespace detail3d {
+
+// One scalar plane of level l: dst from the level-(l-1) planes r-1, r, r+1.
+template <class F, class T>
+void scalar_plane(const F& f, LevelSlab<T> dst, LevelSlab<T> sm,
+                  LevelSlab<T> s0, LevelSlab<T> sp, int r, int ny, int nz) {
+  const LevelSlab<T> planes[3] = {sm, s0, sp};
+  const auto at = [&](int rr, int y, int z) -> T {
+    return planes[rr - r + 1].line(y)[z];
+  };
+  for (int y = 1; y <= ny; ++y) {
+    T* d = dst.line(y);
+    for (int z = 1; z <= nz; ++z) d[z] = f.apply_scalar(at, r, y, z);
+  }
+}
 
 template <class F, class T>
 void scalar_steps(const F& f, grid::Grid3D<T>& g, grid::Grid3D<T>& tmp,
@@ -103,62 +83,75 @@ void scalar_steps(const F& f, grid::Grid3D<T>& g, grid::Grid3D<T>& tmp,
 
 }  // namespace detail3d
 
-// One vl-step tile over the full grid, in place.  nx >= vl*s, s >= 2.
+// One vl-step tile over the planes `rows`; the 3D analogue of tv2d_tile
+// (same level-storage contract, with lo(l, r) / hi(l, r) returning a
+// LevelSlab).  `ring` holds s+2 slabs of ny+2 lines.  s >= 2.
 //
 // Re = the redundancy-eliminated inner loop (arXiv:2103.08825 /
-// 2103.09235, see tv3d_re_impl.hpp): identical prologue / gather / flush /
-// epilogue and bit-identical arithmetic, but each produced ring vector
-// costs ONE shuffle (simd::retire_shift_in) and the functor's F::Carry
-// slides the shared center-line operands in registers across consecutive z.
-template <class V, class F, class T, bool Re = false>
-void tv3d_tile(const F& f, grid::Grid3D<T>& g, int s, Workspace3D<V, T>& ws) {
+// 2103.09235, see tv3d_re_impl.hpp): identical wedges / gather / flush and
+// bit-identical arithmetic, but each produced ring vector costs ONE
+// shuffle (simd::retire_shift_in) and the functor's F::Carry slides the
+// shared center-line operands in registers across consecutive z.
+template <class V, class F, class T, bool Re = false, class Levels>
+void tv3d_tile(const F& f, grid::Grid3D<T>& g, Levels& lev, SlabRing<V>& ring,
+               const TileRows<V::lanes>& rows, int s,
+               bool scalar_only = false) {
   static_assert(F::radius == 1);
   constexpr int VL = V::lanes;
   const int nx = g.nx(), ny = g.ny(), nz = g.nz();
-  assert(nx >= VL * s && s >= 2);
-  const int rbase = ws.rbase;
+  assert(s >= 2);
 
-  const auto lv_any = [&](int lev, int r, int y, int z) -> T {
-    if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny || z < 1 || z > nz)
-      return g.at(r, y, z);
-    return ws.lv(lev, r, y, z);
+  const auto lo = [&](int l, int r) -> LevelSlab<T> {
+    return l == 0 || l == VL || r < 1 || r > nx ? LevelSlab<T>::of(g, r)
+                                                : lev.lo(l, r);
+  };
+  const auto hi = [&](int l, int r) -> LevelSlab<T> {
+    return l == 0 || l == VL || r < 1 || r > nx ? LevelSlab<T>::of(g, r)
+                                                : lev.hi(l, r);
+  };
+  const auto scalar_planes = [&](const auto& L, int l, int r0, int r1) {
+    for (int r = r0; r <= r1; ++r)
+      detail3d::scalar_plane(f, L(l, r), L(l - 1, r - 1), L(l - 1, r),
+                             L(l - 1, r + 1), r, ny, nz);
   };
 
-  // ---- prologue --------------------------------------------------------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    const auto at = [&, lev](int r, int y, int z) {
-      return lv_any(lev - 1, r, y, z);
-    };
-    for (int r = 1; r <= (VL - lev) * s; ++r)
-      for (int y = 1; y <= ny; ++y)
-        for (int z = 1; z <= nz; ++z)
-          ws.lv(lev, r, y, z) = f.apply_scalar(at, r, y, z);
+  const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
+  if (scalar_only || !rows.vector_ok(s)) {
+    for (int l = 1; l <= VL; ++l)
+      scalar_planes(lo, l, rows.xl(l), rows.xr(l));
+    return;
   }
 
-  // ---- gather slabs p = 0 .. s -------------------------------------------------
-  for (int p = 0; p <= s; ++p) {
-    alignas(64) T lanes[VL];
+  // ---- left wedges (levels ascending, final level last) --------------------
+  for (int l = 1; l <= VL - 1; ++l)
+    scalar_planes(lo, l, rows.xl(l),
+                  std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
+  scalar_planes(lo, VL, rows.xl(VL), x_begin - 1);
+
+  // ---- gather slabs p = x_begin-1 .. x_begin+s-1 ----------------------------
+  alignas(64) T lanes[VL];
+  for (int p = x_begin - 1; p <= x_begin + s - 1; ++p) {
+    LevelSlab<T> src[VL];
+    for (int k = 0; k < VL; ++k)
+      src[k] = lo(k, std::min(p + (VL - 1 - k) * s, nx + 1));
     for (int y = 0; y <= ny + 1; ++y) {
-      V* line = ws.ring_line(p, y);
+      V* line = ring.line(p, y);
       for (int z = 0; z <= nz + 1; ++z) {
-        for (int k = 0; k < VL; ++k)
-          lanes[k] = lv_any(k, p + (VL - 1 - k) * s, y, z);
+        for (int k = 0; k < VL; ++k) lanes[k] = src[k].line(y)[z];
         line[z] = V::load(lanes);
       }
     }
   }
 
-  // ---- steady loop ---------------------------------------------------------------
-  const int x_end = nx + 1 - VL * s;
-  for (int x = 1; x <= x_end; ++x) {
+  // ---- steady loop ----------------------------------------------------------
+  for (int x = x_begin; x <= x_end; ++x) {
     // Boundary rows/columns of the produced slab: constant at every level.
     {
-      alignas(64) T lanes[VL];
       const int p = x + s;
       const auto fill = [&](int y, int z) {
         for (int k = 0; k < VL; ++k)
           lanes[k] = g.at(std::min(p + (VL - 1 - k) * s, nx + 1), y, z);
-        ws.ring_line(p, y)[z] = V::load(lanes);
+        ring.line(p, y)[z] = V::load(lanes);
       };
       for (int z = 0; z <= nz + 1; ++z) {
         fill(0, z);
@@ -169,15 +162,17 @@ void tv3d_tile(const F& f, grid::Grid3D<T>& g, int s, Workspace3D<V, T>& ws) {
         fill(y, nz + 1);
       }
     }
+    // Bottom planes past the read cap are never consumed: clamp (tile.hpp).
+    const int bx = std::min(x + VL * s, rows.read_cap);
     for (int y = 1; y <= ny; ++y) {
-      const V* bm1 = ws.ring_line(x - 1, y);
-      const V* b0c = ws.ring_line(x, y);
-      const V* b0m = ws.ring_line(x, y - 1);
-      const V* b0p = ws.ring_line(x, y + 1);
-      const V* bp1 = ws.ring_line(x + 1, y);
-      V* lout = ws.ring_line(x + s, y);
+      const V* bm1 = ring.line(x - 1, y);
+      const V* b0c = ring.line(x, y);
+      const V* b0m = ring.line(x, y - 1);
+      const V* b0p = ring.line(x, y + 1);
+      const V* bp1 = ring.line(x + 1, y);
+      V* lout = ring.line(x + s, y);
       T* tline = g.line(x, y);
-      const T* bline = g.line(x + VL * s, y);
+      const T* bline = g.line(bx, y);
 
       if constexpr (Re) {
         // Redundancy-eliminated inner loop: one retire_shift_in shuffle
@@ -211,42 +206,24 @@ void tv3d_tile(const F& f, grid::Grid3D<T>& g, int s, Workspace3D<V, T>& ws) {
     }
   }
 
-  // ---- flush -------------------------------------------------------------------
-  const auto rput = [&](int lev, int r, int y, int z, T v) {
-    if (r >= rbase + 1 && r <= nx) ws.rv(lev, r, y, z) = v;
-  };
-  for (int p = x_end; p <= x_end + s; ++p)
-    for (int y = 1; y <= ny; ++y) {
-      const V* line = ws.ring_line(p, y);
-      for (int z = 1; z <= nz; ++z) {
-        const V u = line[z];
-        for (int k = 1; k <= VL - 1; ++k)
-          rput(k, p + (VL - 1 - k) * s, y, z, u[k]);
+  // ---- flush surviving ring lanes into their levels -------------------------
+  for (int p = x_end; p <= x_end + s; ++p) {
+    for (int k = 1; k <= VL - 1; ++k) {
+      const int r = p + (VL - 1 - k) * s;
+      if (r < rows.xl(k) || r > rows.xr(k)) continue;
+      const LevelSlab<T> dst = hi(k, r);
+      for (int y = 1; y <= ny; ++y) {
+        const V* line = ring.line(p, y);
+        T* d = dst.line(y);
+        for (int z = 1; z <= nz; ++z) d[z] = line[z][k];
       }
     }
-
-  const auto rv_any = [&](int lev, int r, int y, int z) -> T {
-    if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny || z < 1 || z > nz)
-      return g.at(r, y, z);
-    return ws.rv(lev, r, y, z);
-  };
-
-  // ---- epilogue ------------------------------------------------------------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    const auto at = [&, lev](int r, int y, int z) {
-      return rv_any(lev - 1, r, y, z);
-    };
-    for (int r = nx + 2 - lev * s; r <= nx; ++r)
-      for (int y = 1; y <= ny; ++y)
-        for (int z = 1; z <= nz; ++z)
-          ws.rv(lev, r, y, z) = f.apply_scalar(at, r, y, z);
   }
-  {
-    const auto at = [&](int r, int y, int z) { return rv_any(VL - 1, r, y, z); };
-    for (int r = nx + 2 - VL * s; r <= nx; ++r)
-      for (int y = 1; y <= ny; ++y)
-        for (int z = 1; z <= nz; ++z) g.at(r, y, z) = f.apply_scalar(at, r, y, z);
-  }
+
+  // ---- right wedges (levels ascending, final level last) --------------------
+  for (int l = 1; l <= VL; ++l)
+    scalar_planes(hi, l, std::max(rows.xl(l), x_end + (VL - l) * s + 1),
+                  rows.xr(l));
 }
 
 template <class V, class F, class T, bool Re = false>
@@ -255,9 +232,13 @@ void tv3d_run(const F& f, grid::Grid3D<T>& g, long steps, int s,
   static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
   constexpr int VL = V::lanes;
   ws.prepare(s, g.nx(), g.ny(), g.nz());
+  const auto rows = TileRows<VL>::full(g.nx(), F::radius);
   long t = 0;
-  if (g.nx() >= VL * s) {
-    for (; t + VL <= steps; t += VL) tv3d_tile<V, F, T, Re>(f, g, s, ws);
+  if (rows.vector_ok(s) && steps >= VL) {
+    ws.planes.copy_frames([&](int r, int y, int z) { return g.at(r, y, z); });
+    EdgeSlabs<T> lev{&ws.planes};
+    for (; t + VL <= steps; t += VL)
+      tv3d_tile<V, F, T, Re>(f, g, lev, ws.ring, rows, s);
   }
   if (t < steps)
     detail3d::scalar_steps(f, g, ws.tmp, static_cast<int>(steps - t));

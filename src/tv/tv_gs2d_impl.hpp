@@ -13,7 +13,10 @@
 //     column — buffered in one extra row of vectors, `wrow`, which is read
 //     and then overwritten in place as the y loop advances.
 // The ring needs only rows x .. x+s (window is {x, x+1}): s+1 slots.
-// Everything runs in place on the single Gauss-Seidel array.
+// The flat engine runs in place on the single Gauss-Seidel array with
+// levels 1..vl-1 in edge scratch planes; the parallelogram driver
+// (tiling/parallelogram2d.cpp) runs the same tile on sloped row ranges
+// with every level in the array itself.
 #pragma once
 
 #include <algorithm>
@@ -26,141 +29,112 @@
 #include "stencil/coefficients.hpp"
 #include "stencil/kernels.hpp"
 #include "tv/ring.hpp"
+#include "tv/tile.hpp"
 
 namespace tvs::tv {
 
+// Scratch for one flat run: the ring state and the edge planes holding
+// levels 1..vl-1 (the flat engine's level-storage policy, tv/tile.hpp).
 template <class V>
 struct WorkspaceGs2D {
-  using T = typename V::value_type;
-  static constexpr int VL = V::lanes;
+  GsRing<V> ring;
+  EdgePlanes<typename V::value_type> planes;
 
-  grid::AlignedBuffer<V> ring;  // (s+1) rows x rstride vectors
-  grid::AlignedBuffer<V> wrow;  // 1 row: previous x outputs per column
-  grid::AlignedBuffer<T> lscr, rscr;  // (VL-1) levels of edge planes
-  int s = 0, nx = 0, ny = 0;
-  std::ptrdiff_t rstride = 0;
-  int lrows = 0, rrows = 0, rbase = 0;
-
-  void prepare(int stride, int nx_, int ny_) {
-    s = stride;
-    nx = nx_;
-    ny = ny_;
-    rstride = ((ny + 4 + 15) / 16) * 16;
-    lrows = (VL - 1) * s + 1;
-    // Trailing slack, not a lane count.  tvslint: allow(R4)
-    rrows = VL * s + 4;
-    rbase = nx - VL * s - 1;
-    ring = grid::AlignedBuffer<V>(static_cast<std::size_t>(s + 1) *
-                                  static_cast<std::size_t>(rstride));
-    wrow = grid::AlignedBuffer<V>(static_cast<std::size_t>(rstride));
-    lscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * lrows *
-                                  static_cast<std::size_t>(rstride));
-    rscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * rrows *
-                                  static_cast<std::size_t>(rstride));
-  }
-  V* ring_row(int p) {
-    const int M = s + 1;
-    const int slot = RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(rstride) +
-           1;
-  }
-  T& lv(int level, int r, int y) {
-    return lscr[(static_cast<std::size_t>(level - 1) * lrows + r) *
-                    static_cast<std::size_t>(rstride) +
-                static_cast<std::size_t>(y + 1)];
-  }
-  T& rv(int level, int r, int y) {
-    return rscr[(static_cast<std::size_t>(level - 1) * rrows + (r - rbase)) *
-                    static_cast<std::size_t>(rstride) +
-                static_cast<std::size_t>(y + 1)];
+  void prepare(int s, int nx, int ny) {
+    ring.prepare(s, 1, ny);
+    planes.prepare(V::lanes, s, nx, 1, ny);
   }
 };
 
 namespace detailgs2d {
 
-// One scalar Gauss-Seidel row at level `lev`: new values chained in y and
-// written through `put`; previous-level (old) values via `old_at`; the
-// newest south row via `new_south`.
-template <class T, class OldAt, class NewSouth, class Put>
-inline void gs_row(const stencil::C2D5T<T>& c, T west0, int r, int ny,
-                   OldAt&& old_at, NewSouth&& new_south, Put&& put) {
-  T west = west0;
+// One scalar Gauss-Seidel row of level l, in order of increasing y: the
+// newest west value chains from dst[0], the newest south comes from level
+// l's row r-1, old values from level l-1's rows r and r+1.  dst may alias
+// old (the single Gauss-Seidel array).
+template <class T>
+inline void gs_row(const stencil::C2D5T<T>& c, T* dst, const T* old,
+                   const T* old_n, const T* south, int ny) {
+  T west = dst[0];
   for (int y = 1; y <= ny; ++y) {
-    const T v =
-        stencil::gs2d5(c.c, c.w, c.e, c.s, c.n, old_at(r, y), west,
-                       old_at(r, y + 1), new_south(y), old_at(r + 1, y));
-    put(y, v);
+    const T v = stencil::gs2d5(c.c, c.w, c.e, c.s, c.n, old[y], west,
+                               old[y + 1], south[y], old_n[y]);
+    dst[y] = v;
     west = v;
   }
 }
 
 }  // namespace detailgs2d
 
-// One vl-sweep tile over the whole grid, in place.  nx >= vl*s, s >= 2.
-template <class V>
+// One vl-sweep tile over the rows `rows`, with the level-storage contract
+// of tv2d_tile.  s >= 2.
+template <class V, class Levels>
 void tv_gs2d_tile(const stencil::C2D5T<typename V::value_type>& c,
-                  grid::Grid2D<typename V::value_type>& g, int s,
-                  WorkspaceGs2D<V>& ws) {
+                  grid::Grid2D<typename V::value_type>& g, Levels& lev,
+                  GsRing<V>& rs, const TileRows<V::lanes>& rows, int s,
+                  bool scalar_only = false) {
   using T = typename V::value_type;
   constexpr int VL = V::lanes;
   const int nx = g.nx(), ny = g.ny();
-  assert(nx >= VL * s && s >= 2);
-  const int rbase = ws.rbase;
+  assert(s >= 2);
 
-  const auto lv_any = [&](int lev, int r, int y) -> T {
-    if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny) return g.at(r, y);
-    return ws.lv(lev, r, y);
+  const auto lo = [&](int l, int r) -> T* {
+    return l == 0 || l == VL || r < 1 || r > nx ? g.row(r) : lev.lo(l, r);
+  };
+  const auto hi = [&](int l, int r) -> T* {
+    return l == 0 || l == VL || r < 1 || r > nx ? g.row(r) : lev.hi(l, r);
+  };
+  const auto scalar_rows = [&](const auto& L, int l, int r0, int r1) {
+    for (int r = r0; r <= r1; ++r)
+      detailgs2d::gs_row(c, L(l, r), L(l - 1, r), L(l - 1, r + 1),
+                         L(l, r - 1), ny);
   };
 
-  // ---- prologue: levels 1..vl-1 over rows [1, (vl-lev)s] -------------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    for (int r = 1; r <= (VL - lev) * s; ++r) {
-      detailgs2d::gs_row(
-          c, lv_any(lev, r, 0), r, ny,
-          [&](int rr, int yy) { return lv_any(lev - 1, rr, yy); },
-          [&](int yy) { return lv_any(lev, r - 1, yy); },
-          [&](int yy, T v) { ws.lv(lev, r, yy) = v; });
-    }
+  const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
+  if (scalar_only || !rows.vector_ok(s)) {
+    for (int l = 1; l <= VL; ++l) scalar_rows(lo, l, rows.xl(l), rows.xr(l));
+    return;
   }
 
-  // ---- gather: ring rows p = 1 .. s and the initial wrow --------------------
-  for (int p = 1; p <= s; ++p) {
-    V* row = ws.ring_row(p);
-    alignas(64) T lanes[VL];
+  // ---- left wedges, levels ascending ----------------------------------------
+  for (int l = 1; l <= VL - 1; ++l)
+    scalar_rows(lo, l, rows.xl(l),
+                std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
+  scalar_rows(lo, VL, rows.xl(VL), x_begin - 1);
+
+  // ---- gather: ring rows x_begin .. x_begin+s-1 and the initial wrow --------
+  alignas(64) T lanes[VL];
+  const auto gather = [&](V* row, const T* const* src) {
     for (int y = 0; y <= ny + 1; ++y) {
-      for (int k = 0; k < VL; ++k)
-        lanes[k] = lv_any(k, p + (VL - 1 - k) * s, y);
+      for (int k = 0; k < VL; ++k) lanes[k] = src[k][y];
       row[y] = V::load(lanes);
     }
+  };
+  const T* src[VL];
+  for (int p = x_begin; p <= x_begin + s - 1; ++p) {
+    for (int k = 0; k < VL; ++k)
+      src[k] = lo(k, std::min(p + (VL - 1 - k) * s, nx + 1));
+    gather(rs.ring.row(p), src);
   }
-  {
-    V* wr = ws.wrow.data() + 1;
-    alignas(64) T lanes[VL];
-    for (int y = 0; y <= ny + 1; ++y) {
-      for (int k = 0; k < VL - 1; ++k)
-        lanes[k] = lv_any(k + 1, (VL - 1 - k) * s, y);
-      lanes[VL - 1] = g.at(0, y);  // lvl vl @ row 0 = boundary
-      wr[y] = V::load(lanes);
-    }
-  }
+  // wrow lane k = lvl(k+1) @ row x_begin-1 + (vl-1-k)s: the wedges' tips.
+  for (int k = 0; k < VL; ++k)
+    src[k] = lo(k + 1, x_begin - 1 + (VL - 1 - k) * s);
+  gather(rs.w.row(0), src);
 
   const V cc = V::set1(c.c), cw = V::set1(c.w), ce = V::set1(c.e),
           cs = V::set1(c.s), cn = V::set1(c.n);
 
-  // ---- steady loop -----------------------------------------------------------
-  const int x_end = nx + 1 - VL * s;
-  V* wr = ws.wrow.data() + 1;
-  for (int x = 1; x <= x_end; ++x) {
-    const V* r0 = ws.ring_row(x);
-    const V* rp1 = ws.ring_row(x + 1);
-    V* rout = ws.ring_row(x + s);
+  // ---- steady loop ----------------------------------------------------------
+  V* wr = rs.w.row(0);
+  for (int x = x_begin; x <= x_end; ++x) {
+    const V* r0 = rs.ring.row(x);
+    const V* rp1 = rs.ring.row(x + 1);
+    V* rout = rs.ring.row(x + s);
     T* trow = g.row(x);
-    const T* brow = g.row(x + VL * s);
+    const T* brow = g.row(std::min(x + VL * s, rows.read_cap));
 
     // Boundary columns of the produced input-vector row.
     {
-      alignas(64) T lanes[VL];
       const int p = x + s;
       for (const int y : {0, ny + 1}) {
         for (int k = 0; k < VL; ++k)
@@ -171,7 +145,6 @@ void tv_gs2d_tile(const stencil::C2D5T<typename V::value_type>& c,
     // Newest-west at y = 0: the boundary column at each lane's row.
     V wprev;
     {
-      alignas(64) T lanes[VL];
       for (int k = 0; k < VL; ++k) lanes[k] = g.at(x + (VL - 1 - k) * s, 0);
       wprev = V::load(lanes);
     }
@@ -202,40 +175,21 @@ void tv_gs2d_tile(const stencil::C2D5T<typename V::value_type>& c,
     }
   }
 
-  // ---- flush ring rows -------------------------------------------------------
-  const auto rput = [&](int lev, int r, int y, T v) {
-    if (r >= rbase + 1 && r <= nx) ws.rv(lev, r, y) = v;
-  };
+  // ---- flush surviving ring lanes into their levels -------------------------
   for (int p = x_end + 1; p <= x_end + s; ++p) {
-    const V* row = ws.ring_row(p);
-    for (int y = 1; y <= ny; ++y) {
-      const V u = row[y];
-      for (int k = 1; k <= VL - 1; ++k) rput(k, p + (VL - 1 - k) * s, y, u[k]);
+    const V* row = rs.ring.row(p);
+    for (int k = 1; k <= VL - 1; ++k) {
+      const int r = p + (VL - 1 - k) * s;
+      if (r < rows.xl(k) || r > rows.xr(k)) continue;
+      T* dst = hi(k, r);
+      for (int y = 1; y <= ny; ++y) dst[y] = row[y][k];
     }
   }
 
-  const auto rv_any = [&](int lev, int r, int y) -> T {
-    if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny) return g.at(r, y);
-    return ws.rv(lev, r, y);
-  };
-
-  // ---- epilogue: levels ascending, lvl vl into the array last ----------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    for (int r = nx + 2 - lev * s; r <= nx; ++r) {
-      detailgs2d::gs_row(
-          c, rv_any(lev, r, 0), r, ny,
-          [&](int rr, int yy) { return rv_any(lev - 1, rr, yy); },
-          [&](int yy) { return rv_any(lev, r - 1, yy); },
-          [&](int yy, T v) { ws.rv(lev, r, yy) = v; });
-    }
-  }
-  for (int r = nx + 2 - VL * s; r <= nx; ++r) {
-    detailgs2d::gs_row(
-        c, g.at(r, 0), r, ny,
-        [&](int rr, int yy) { return rv_any(VL - 1, rr, yy); },
-        [&](int yy) { return g.at(r - 1, yy); },
-        [&](int yy, T v) { g.at(r, yy) = v; });
-  }
+  // ---- right wedges: levels ascending, lvl vl into the base grid last -------
+  for (int l = 1; l <= VL; ++l)
+    scalar_rows(hi, l, std::max(rows.xl(l), x_end + (VL - l) * s + 1),
+                rows.xr(l));
 }
 
 // Advance g by `sweeps` Gauss-Seidel sweeps.
@@ -244,23 +198,20 @@ void tv_gs2d_run_impl(const stencil::C2D5T<typename V::value_type>& c,
                       grid::Grid2D<typename V::value_type>& g, long sweeps,
                       int s) {
   static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
-  using T = typename V::value_type;
   constexpr int VL = V::lanes;
   WorkspaceGs2D<V> ws;
   ws.prepare(s, g.nx(), g.ny());
+  const auto rows = TileRows<VL>::full(g.nx(), 1);
   long t = 0;
-  if (g.nx() >= VL * s) {
-    for (; t + VL <= sweeps; t += VL) tv_gs2d_tile(c, g, s, ws);
+  if (rows.vector_ok(s) && sweeps >= VL) {
+    ws.planes.copy_frames([&](int r, int, int y) { return g.at(r, y); });
+    for (; t + VL <= sweeps; t += VL)
+      tv_gs2d_tile<V>(c, g, ws.planes, ws.ring, rows, s);
   }
-  for (; t < sweeps; ++t) {
-    for (int r = 1; r <= g.nx(); ++r) {
-      detailgs2d::gs_row(
-          c, g.at(r, 0), r, g.ny(),
-          [&](int rr, int yy) { return g.at(rr, yy); },
-          [&](int yy) { return g.at(r - 1, yy); },
-          [&](int yy, T v) { g.at(r, yy) = v; });
-    }
-  }
+  for (; t < sweeps; ++t)
+    for (int r = 1; r <= g.nx(); ++r)
+      detailgs2d::gs_row(c, g.row(r), g.row(r), g.row(r + 1), g.row(r - 1),
+                         g.ny());
 }
 
 }  // namespace tvs::tv

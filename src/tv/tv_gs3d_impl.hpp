@@ -12,7 +12,10 @@
 // (y, z) for the newest *back* value (still holding the x-1 output) and at
 // (y-1, z) for the newest *south* value (already overwritten with the
 // current x output) — read-then-overwrite gives both for free.  Old values
-// come from ring slabs x and x+1 (s+1 slots).  Runs in place.
+// come from ring slabs x and x+1 (s+1 slots).  The flat engine runs in
+// place with levels 1..vl-1 in edge scratch planes; the parallelogram
+// driver (tiling/parallelogram2d.cpp) runs the same tile on sloped plane
+// ranges with every level in the array itself.
 #pragma once
 
 #include <algorithm>
@@ -25,81 +28,45 @@
 #include "stencil/coefficients.hpp"
 #include "stencil/kernels.hpp"
 #include "tv/ring.hpp"
+#include "tv/tile.hpp"
 
 namespace tvs::tv {
 
+// Scratch for one flat run: the ring state and the edge planes holding
+// levels 1..vl-1 (the flat engine's level-storage policy, tv/tile.hpp).
 template <class V>
 struct WorkspaceGs3D {
-  using T = typename V::value_type;
-  static constexpr int VL = V::lanes;
+  GsRing<V> ring;
+  EdgePlanes<typename V::value_type> planes;
 
-  grid::AlignedBuffer<V> ring;   // (s+1) slabs
-  grid::AlignedBuffer<V> wslab;  // previous-x outputs
-  grid::AlignedBuffer<T> lscr, rscr;  // (VL-1) levels of edge slabs
-  int s = 0, nx = 0, ny = 0, nz = 0;
-  std::ptrdiff_t zstride = 0, ystride = 0;
-  int lrows = 0, rrows = 0, rbase = 0;
-
-  void prepare(int stride, int nx_, int ny_, int nz_) {
-    s = stride;
-    nx = nx_;
-    ny = ny_;
-    nz = nz_;
-    zstride = ((nz + 4 + 15) / 16) * 16;
-    ystride = static_cast<std::ptrdiff_t>(ny + 2) * zstride;
-    lrows = (VL - 1) * s + 1;
-    // Trailing slack, not a lane count.  tvslint: allow(R4)
-    rrows = VL * s + 4;
-    rbase = nx - VL * s - 1;
-    ring = grid::AlignedBuffer<V>(static_cast<std::size_t>(s + 1) *
-                                  static_cast<std::size_t>(ystride));
-    wslab = grid::AlignedBuffer<V>(static_cast<std::size_t>(ystride));
-    lscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * lrows *
-                                  static_cast<std::size_t>(ystride));
-    rscr = grid::AlignedBuffer<T>(static_cast<std::size_t>(VL - 1) * rrows *
-                                  static_cast<std::size_t>(ystride));
-  }
-  V* ring_line(int p, int y) {
-    const int M = s + 1;
-    const int slot = RingIndex(M).slot(p);
-    return ring.data() +
-           static_cast<std::size_t>(slot) * static_cast<std::size_t>(ystride) +
-           static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) + 1;
-  }
-  V* wslab_line(int y) {
-    return wslab.data() +
-           static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) + 1;
-  }
-  T& lv(int level, int r, int y, int z) {
-    return lscr[(static_cast<std::size_t>(level - 1) * lrows + r) *
-                    static_cast<std::size_t>(ystride) +
-                static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) +
-                static_cast<std::size_t>(z + 1)];
-  }
-  T& rv(int level, int r, int y, int z) {
-    return rscr[(static_cast<std::size_t>(level - 1) * rrows + (r - rbase)) *
-                    static_cast<std::size_t>(ystride) +
-                static_cast<std::size_t>(y) * static_cast<std::size_t>(zstride) +
-                static_cast<std::size_t>(z + 1)];
+  void prepare(int s, int nx, int ny, int nz) {
+    ring.prepare(s, ny + 2, nz);
+    planes.prepare(V::lanes, s, nx, ny + 2, nz);
   }
 };
 
 namespace detailgs3d {
 
-// One scalar Gauss-Seidel plane at level `lev`: old values (level lev-1)
-// via old_at, newest values (level lev, rows/planes already updated) via
-// new_at, results through put (which must be visible through new_at).
-template <class T, class OldAt, class NewAt, class Put>
-inline void gs_plane(const stencil::C3D7T<T>& c, int r, int ny, int nz,
-                     OldAt&& old_at, NewAt&& new_at, Put&& put) {
+// One scalar Gauss-Seidel plane of level l, y then z ascending: newest
+// values (west, south, back) from level l — dst's own lines and the plane
+// r-1 `back` — old values from level l-1's planes r and r+1.  dst may
+// alias old (the single Gauss-Seidel array).
+template <class T>
+inline void gs_plane(const stencil::C3D7T<T>& c, LevelSlab<T> dst,
+                     LevelSlab<T> old, LevelSlab<T> old_f, LevelSlab<T> back,
+                     int ny, int nz) {
   for (int y = 1; y <= ny; ++y) {
-    T west = new_at(r, y, 0);
+    T* d = dst.line(y);
+    const T* ds = dst.line(y - 1);
+    const T* o = old.line(y);
+    const T* on = old.line(y + 1);
+    const T* of = old_f.line(y);
+    const T* b = back.line(y);
+    T west = d[0];
     for (int z = 1; z <= nz; ++z) {
-      const T v = stencil::gs3d7(
-          c.c, c.w, c.e, c.s, c.n, c.b, c.f, old_at(r, y, z), west,
-          old_at(r, y, z + 1), new_at(r, y - 1, z), old_at(r, y + 1, z),
-          new_at(r - 1, y, z), old_at(r + 1, y, z));
-      put(y, z, v);
+      const T v = stencil::gs3d7(c.c, c.w, c.e, c.s, c.n, c.b, c.f, o[z], west,
+                                 o[z + 1], ds[z], on[z], b[z], of[z]);
+      d[z] = v;
       west = v;
     }
   }
@@ -107,68 +74,80 @@ inline void gs_plane(const stencil::C3D7T<T>& c, int r, int ny, int nz,
 
 }  // namespace detailgs3d
 
-// One vl-sweep tile over the whole grid, in place.  nx >= vl*s, s >= 2.
-template <class V>
+// One vl-sweep tile over the planes `rows`, with the level-storage
+// contract of tv3d_tile.  s >= 2.
+template <class V, class Levels>
 void tv_gs3d_tile(const stencil::C3D7T<typename V::value_type>& c,
-                  grid::Grid3D<typename V::value_type>& g, int s,
-                  WorkspaceGs3D<V>& ws) {
+                  grid::Grid3D<typename V::value_type>& g, Levels& lev,
+                  GsRing<V>& rs, const TileRows<V::lanes>& rows, int s,
+                  bool scalar_only = false) {
   using T = typename V::value_type;
   constexpr int VL = V::lanes;
   const int nx = g.nx(), ny = g.ny(), nz = g.nz();
-  assert(nx >= VL * s && s >= 2);
-  const int rbase = ws.rbase;
+  assert(s >= 2);
 
-  const auto lv_any = [&](int lev, int r, int y, int z) -> T {
-    if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny || z < 1 || z > nz)
-      return g.at(r, y, z);
-    return ws.lv(lev, r, y, z);
+  const auto lo = [&](int l, int r) -> LevelSlab<T> {
+    return l == 0 || l == VL || r < 1 || r > nx ? LevelSlab<T>::of(g, r)
+                                                : lev.lo(l, r);
+  };
+  const auto hi = [&](int l, int r) -> LevelSlab<T> {
+    return l == 0 || l == VL || r < 1 || r > nx ? LevelSlab<T>::of(g, r)
+                                                : lev.hi(l, r);
+  };
+  const auto scalar_planes = [&](const auto& L, int l, int r0, int r1) {
+    for (int r = r0; r <= r1; ++r)
+      detailgs3d::gs_plane(c, L(l, r), L(l - 1, r), L(l - 1, r + 1),
+                           L(l, r - 1), ny, nz);
   };
 
-  // ---- prologue ---------------------------------------------------------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    for (int r = 1; r <= (VL - lev) * s; ++r)
-      detailgs3d::gs_plane(
-          c, r, ny, nz,
-          [&](int rr, int yy, int zz) { return lv_any(lev - 1, rr, yy, zz); },
-          [&](int rr, int yy, int zz) { return lv_any(lev, rr, yy, zz); },
-          [&](int yy, int zz, T v) { ws.lv(lev, r, yy, zz) = v; });
+  const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
+  if (scalar_only || !rows.vector_ok(s)) {
+    for (int l = 1; l <= VL; ++l)
+      scalar_planes(lo, l, rows.xl(l), rows.xr(l));
+    return;
   }
 
-  // ---- gather ring slabs p = 1 .. s and the initial wslab ----------------------
+  // ---- left wedges, levels ascending ----------------------------------------
+  for (int l = 1; l <= VL - 1; ++l)
+    scalar_planes(lo, l, rows.xl(l),
+                  std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
+  scalar_planes(lo, VL, rows.xl(VL), x_begin - 1);
+
+  // ---- gather ring slabs x_begin .. x_begin+s-1 and the initial wslab -------
   alignas(64) T lanes[VL];
-  for (int p = 1; p <= s; ++p)
+  LevelSlab<T> src[VL];
+  const auto gather = [&](SlabRing<V>& dst, int p) {
     for (int y = 0; y <= ny + 1; ++y) {
-      V* line = ws.ring_line(p, y);
+      V* line = dst.line(p, y);
       for (int z = 0; z <= nz + 1; ++z) {
-        for (int k = 0; k < VL; ++k)
-          lanes[k] = lv_any(k, p + (VL - 1 - k) * s, y, z);
+        for (int k = 0; k < VL; ++k) lanes[k] = src[k].line(y)[z];
         line[z] = V::load(lanes);
       }
     }
-  for (int y = 0; y <= ny + 1; ++y) {
-    V* line = ws.wslab_line(y);
-    for (int z = 0; z <= nz + 1; ++z) {
-      for (int k = 0; k < VL - 1; ++k)
-        lanes[k] = lv_any(k + 1, (VL - 1 - k) * s, y, z);
-      lanes[VL - 1] = g.at(0, y, z);
-      line[z] = V::load(lanes);
-    }
+  };
+  for (int p = x_begin; p <= x_begin + s - 1; ++p) {
+    for (int k = 0; k < VL; ++k)
+      src[k] = lo(k, std::min(p + (VL - 1 - k) * s, nx + 1));
+    gather(rs.ring, p);
   }
+  // wslab lane k = lvl(k+1) @ plane x_begin-1 + (vl-1-k)s.
+  for (int k = 0; k < VL; ++k)
+    src[k] = lo(k + 1, x_begin - 1 + (VL - 1 - k) * s);
+  gather(rs.w, 0);
 
   const V cc = V::set1(c.c), cw = V::set1(c.w), ce = V::set1(c.e),
           cs = V::set1(c.s), cn = V::set1(c.n), cb = V::set1(c.b),
           cf = V::set1(c.f);
 
-  // ---- steady loop ----------------------------------------------------------------
-  const int x_end = nx + 1 - VL * s;
-  for (int x = 1; x <= x_end; ++x) {
+  // ---- steady loop ----------------------------------------------------------
+  for (int x = x_begin; x <= x_end; ++x) {
     // Boundary rows/columns of the produced slab.
     {
       const int p = x + s;
       const auto fill = [&](int y, int z) {
         for (int k = 0; k < VL; ++k)
           lanes[k] = g.at(std::min(p + (VL - 1 - k) * s, nx + 1), y, z);
-        ws.ring_line(p, y)[z] = V::load(lanes);
+        rs.ring.line(p, y)[z] = V::load(lanes);
       };
       for (int z = 0; z <= nz + 1; ++z) {
         fill(0, z);
@@ -182,22 +161,23 @@ void tv_gs3d_tile(const stencil::C3D7T<typename V::value_type>& c,
     // Boundary row y = 0 of wslab: newest-south values are the constant
     // boundary plane at each lane's row.
     {
-      V* line = ws.wslab_line(0);
+      V* line = rs.w.line(0, 0);
       for (int z = 0; z <= nz + 1; ++z) {
         for (int k = 0; k < VL; ++k)
           lanes[k] = g.at(x + (VL - 1 - k) * s, 0, z);
         line[z] = V::load(lanes);
       }
     }
+    const int bx = std::min(x + VL * s, rows.read_cap);
     for (int y = 1; y <= ny; ++y) {
-      const V* b0c = ws.ring_line(x, y);
-      const V* b0p = ws.ring_line(x, y + 1);
-      const V* bp1 = ws.ring_line(x + 1, y);
-      V* lout = ws.ring_line(x + s, y);
-      V* wsl = ws.wslab_line(y);         // (y,z): x-1 output until overwritten
-      const V* wsm = ws.wslab_line(y - 1);  // (y-1,z): current-x output
+      const V* b0c = rs.ring.line(x, y);
+      const V* b0p = rs.ring.line(x, y + 1);
+      const V* bp1 = rs.ring.line(x + 1, y);
+      V* lout = rs.ring.line(x + s, y);
+      V* wsl = rs.w.line(0, y);         // (y,z): x-1 output until overwritten
+      const V* wsm = rs.w.line(0, y - 1);  // (y-1,z): current-x output
       T* tline = g.line(x, y);
-      const T* bline = g.line(x + VL * s, y);
+      const T* bline = g.line(bx, y);
 
       V wprev;
       {
@@ -234,41 +214,24 @@ void tv_gs3d_tile(const stencil::C3D7T<typename V::value_type>& c,
     }
   }
 
-  // ---- flush ----------------------------------------------------------------------
-  const auto rput = [&](int lev, int r, int y, int z, T v) {
-    if (r >= rbase + 1 && r <= nx) ws.rv(lev, r, y, z) = v;
-  };
-  for (int p = x_end + 1; p <= x_end + s; ++p)
-    for (int y = 1; y <= ny; ++y) {
-      const V* line = ws.ring_line(p, y);
-      for (int z = 1; z <= nz; ++z) {
-        const V u = line[z];
-        for (int k = 1; k <= VL - 1; ++k)
-          rput(k, p + (VL - 1 - k) * s, y, z, u[k]);
+  // ---- flush surviving ring lanes into their levels -------------------------
+  for (int p = x_end + 1; p <= x_end + s; ++p) {
+    for (int k = 1; k <= VL - 1; ++k) {
+      const int r = p + (VL - 1 - k) * s;
+      if (r < rows.xl(k) || r > rows.xr(k)) continue;
+      const LevelSlab<T> dst = hi(k, r);
+      for (int y = 1; y <= ny; ++y) {
+        const V* line = rs.ring.line(p, y);
+        T* d = dst.line(y);
+        for (int z = 1; z <= nz; ++z) d[z] = line[z][k];
       }
     }
-
-  const auto rv_any = [&](int lev, int r, int y, int z) -> T {
-    if (lev == 0 || r < 1 || r > nx || y < 1 || y > ny || z < 1 || z > nz)
-      return g.at(r, y, z);
-    return ws.rv(lev, r, y, z);
-  };
-
-  // ---- epilogue --------------------------------------------------------------------
-  for (int lev = 1; lev <= VL - 1; ++lev) {
-    for (int r = nx + 2 - lev * s; r <= nx; ++r)
-      detailgs3d::gs_plane(
-          c, r, ny, nz,
-          [&](int rr, int yy, int zz) { return rv_any(lev - 1, rr, yy, zz); },
-          [&](int rr, int yy, int zz) { return rv_any(lev, rr, yy, zz); },
-          [&](int yy, int zz, T v) { ws.rv(lev, r, yy, zz) = v; });
   }
-  for (int r = nx + 2 - VL * s; r <= nx; ++r)
-    detailgs3d::gs_plane(
-        c, r, ny, nz,
-        [&](int rr, int yy, int zz) { return rv_any(VL - 1, rr, yy, zz); },
-        [&](int rr, int yy, int zz) { return g.at(rr, yy, zz); },
-        [&](int yy, int zz, T v) { g.at(r, yy, zz) = v; });
+
+  // ---- right wedges: levels ascending, lvl vl into the base grid last -------
+  for (int l = 1; l <= VL; ++l)
+    scalar_planes(hi, l, std::max(rows.xl(l), x_end + (VL - l) * s + 1),
+                  rows.xr(l));
 }
 
 // Advance g by `sweeps` Gauss-Seidel sweeps.
@@ -281,18 +244,19 @@ void tv_gs3d_run_impl(const stencil::C3D7T<typename V::value_type>& c,
   constexpr int VL = V::lanes;
   WorkspaceGs3D<V> ws;
   ws.prepare(s, g.nx(), g.ny(), g.nz());
+  const auto rows = TileRows<VL>::full(g.nx(), 1);
   long t = 0;
-  if (g.nx() >= VL * s) {
-    for (; t + VL <= sweeps; t += VL) tv_gs3d_tile(c, g, s, ws);
+  if (rows.vector_ok(s) && sweeps >= VL) {
+    ws.planes.copy_frames([&](int r, int y, int z) { return g.at(r, y, z); });
+    EdgeSlabs<T> lev{&ws.planes};
+    for (; t + VL <= sweeps; t += VL)
+      tv_gs3d_tile<V>(c, g, lev, ws.ring, rows, s);
   }
-  for (; t < sweeps; ++t) {
+  for (; t < sweeps; ++t)
     for (int r = 1; r <= g.nx(); ++r)
-      detailgs3d::gs_plane(
-          c, r, g.ny(), g.nz(),
-          [&](int rr, int yy, int zz) { return g.at(rr, yy, zz); },
-          [&](int rr, int yy, int zz) { return g.at(rr, yy, zz); },
-          [&](int yy, int zz, T v) { g.at(r, yy, zz) = v; });
-  }
+      detailgs3d::gs_plane(c, LevelSlab<T>::of(g, r), LevelSlab<T>::of(g, r),
+                           LevelSlab<T>::of(g, r + 1),
+                           LevelSlab<T>::of(g, r - 1), g.ny(), g.nz());
 }
 
 }  // namespace tvs::tv

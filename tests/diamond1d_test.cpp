@@ -62,7 +62,15 @@ INSTANTIATE_TEST_SUITE_P(
         // odd sizes, stride at minimum
         P{333, 40, 48, 12, 2}, P{513, 28, 96, 24, 5},
         // tall bands (heavy phase-2 growth)
-        P{2048, 128, 512, 128, 7}, P{2048, 100, 512, 128, 7}),
+        P{2048, 128, 512, 128, 7}, P{2048, 100, 512, 128, 7},
+        // shared-tile branches: all-scalar fallback (every trapezoid too
+        // narrow for the steady loop), the read-cap clamp where the last
+        // tile is clipped at the right domain edge, the largest stride the
+        // driver runs (8; larger requests clamp to it), steps < vl and
+        // steps % vl != 0
+        P{30, 12, 8, 4, 2}, P{1001, 24, 96, 16, 7}, P{997, 40, 160, 16, 8},
+        P{700, 36, 128, 16, 32}, P{300, 3, 64, 16, 7},
+        P{300, 13, 64, 16, 5}, P{641, 45, 100, 20, 3}),
     [](const auto& info) {
       return "nx" + std::to_string(std::get<0>(info.param)) + "_t" +
              std::to_string(std::get<1>(info.param)) + "_W" +

@@ -72,19 +72,26 @@ TEST_P(Diamond2DSweep, GaussSeidel2DMatchesOracle) {
   const auto [nx, ny, steps, w, h, s] = GetParam();
   const stencil::C2D5 c{0.3, 0.2, 0.16, 0.19, 0.15};
   std::mt19937_64 rng(1200u + static_cast<unsigned>(nx * 13 + ny));
+  GridD2 init(nx, ny);
+  init.fill_random(rng, -1.0, 1.0);
   GridD2 ref(nx, ny);
-  ref.fill_random(rng, -1.0, 1.0);
-  GridD2 got(nx, ny);
-  copy(ref, got);
+  copy(init, ref);
   stencil::gs2d5_run(c, ref, steps);
-  tiling::ParallelogramNDOptions opt;
-  opt.width = w;
-  opt.height = h;
-  opt.stride = s;
-  tiling::parallelogram_gs2d5_run(c, got, steps, opt);
-  EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
-      << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
-      << " H=" << h << " s=" << s;
+  // Vector tiles, then the identical tiling with scalar tiles (the
+  // bench/fig*_par comparators' baseline).
+  for (const bool use_vector : {true, false}) {
+    GridD2 got(nx, ny);
+    copy(init, got);
+    tiling::ParallelogramNDOptions opt;
+    opt.width = w;
+    opt.height = h;
+    opt.stride = s;
+    opt.use_vector = use_vector;
+    tiling::parallelogram_gs2d5_run(c, got, steps, opt);
+    EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
+        << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
+        << " H=" << h << " s=" << s << " use_vector=" << use_vector;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -94,7 +101,16 @@ INSTANTIATE_TEST_SUITE_P(
                       P2{100, 30, 18, 32, 8, 2},  // off-grid steps
                       P2{100, 30, 3, 32, 8, 2},   // scalar residual only
                       P2{64, 17, 12, 4096, 64, 2},  // single huge tile
-                      P2{130, 20, 24, 48, 12, 2}, P2{97, 13, 9, 40, 8, 2}),
+                      P2{130, 20, 24, 48, 12, 2}, P2{97, 13, 9, 40, 8, 2},
+                      // shared-tile branches: all-scalar fallback (tiles
+                      // too short for the steady loop), the read-cap clamp
+                      // on tiles clipped at the right domain edge, the
+                      // largest stride (32 for the diamonds; the
+                      // parallelograms clamp it to 12), steps < vl and
+                      // steps % vl != 0
+                      P2{14, 9, 12, 8, 4, 3}, P2{131, 7, 16, 40, 8, 5},
+                      P2{300, 6, 12, 64, 8, 32}, P2{90, 11, 2, 32, 8, 3},
+                      P2{110, 10, 13, 36, 8, 3}),
     [](const auto& info) {
       return "nx" + std::to_string(std::get<0>(info.param)) + "_ny" +
              std::to_string(std::get<1>(info.param)) + "_t" +
@@ -126,47 +142,70 @@ TEST(DiamondLife, MatchesOracleAcrossGeometries) {
   }
 }
 
+void copy3(const GridD3& src, GridD3& dst) {
+  for (int x = 0; x <= src.nx() + 1; ++x)
+    for (int y = 0; y <= src.ny() + 1; ++y)
+      for (int z = 0; z <= src.nz() + 1; ++z) dst.at(x, y, z) = src.at(x, y, z);
+}
+
+// (nx, ny, nz, steps, W, H, s): the first rows are regular geometries; the
+// rest hit the shared-tile branches — all-scalar fallback, the read-cap
+// clamp on a tile clipped at the right domain edge, a large stride (the
+// parallelograms clamp it to 12), steps < vl and steps % vl != 0.
+constexpr std::tuple<int, int, int, long, int, int, int> kGeom3D[] = {
+    {40, 10, 12, 8, 20, 4, 2},  {64, 12, 8, 12, 24, 8, 2},
+    {30, 8, 8, 7, 1024, 8, 2},  {64, 12, 8, 13, 24, 8, 2},
+    {30, 8, 8, 12, 1024, 8, 2}, {12, 5, 6, 8, 8, 4, 3},
+    {53, 6, 7, 12, 20, 4, 3},   {120, 4, 5, 8, 48, 4, 16},
+    {40, 6, 6, 3, 20, 4, 2},    {45, 6, 9, 13, 20, 8, 3}};
+
 TEST(Diamond3D, JacobiMatchesOracleAcrossGeometries) {
   const stencil::C3D7 c{0.28, 0.13, 0.12, 0.12, 0.11, 0.13, 0.11};
-  for (const auto& [nx, ny, nz, steps, w, h] :
-       {std::tuple{40, 10, 12, 8, 20, 4}, std::tuple{64, 12, 8, 12, 24, 8},
-        std::tuple{30, 8, 8, 7, 1024, 8}}) {
+  for (const auto& [nx, ny, nz, steps, w, h, s] : kGeom3D) {
     std::mt19937_64 rng(3000u + static_cast<unsigned>(nx));
+    GridD3 init(nx, ny, nz);
+    init.fill_random(rng, -1.0, 1.0);
     GridD3 ref(nx, ny, nz);
-    ref.fill_random(rng, -1.0, 1.0);
-    GridD3 got(nx, ny, nz);
-    for (int x = 0; x <= nx + 1; ++x)
-      for (int y = 0; y <= ny + 1; ++y)
-        for (int z = 0; z <= nz + 1; ++z) got.at(x, y, z) = ref.at(x, y, z);
+    copy3(init, ref);
     stencil::jacobi3d7_run(c, ref, steps);
-    tiling::Diamond3DOptions opt;
-    opt.width = w;
-    opt.height = h;
-    tiling::diamond_jacobi3d7_run(c, got, steps, opt);
-    ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
-        << "nx=" << nx << " steps=" << steps;
+    for (const bool use_vector : {true, false}) {
+      GridD3 got(nx, ny, nz);
+      copy3(init, got);
+      tiling::Diamond3DOptions opt;
+      opt.width = w;
+      opt.height = h;
+      opt.stride = s;
+      opt.use_vector = use_vector;
+      tiling::diamond_jacobi3d7_run(c, got, steps, opt);
+      ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
+          << "nx=" << nx << " steps=" << steps << " s=" << s
+          << " use_vector=" << use_vector;
+    }
   }
 }
 
 TEST(ParaGs3D, MatchesOracleAcrossGeometries) {
   const stencil::C3D7 c{0.3, 0.12, 0.11, 0.12, 0.1, 0.13, 0.12};
-  for (const auto& [nx, ny, nz, steps, w, h] :
-       {std::tuple{40, 10, 12, 8, 20, 4}, std::tuple{64, 12, 8, 13, 24, 8},
-        std::tuple{30, 8, 8, 12, 1024, 8}}) {
+  for (const auto& [nx, ny, nz, steps, w, h, s] : kGeom3D) {
     std::mt19937_64 rng(4000u + static_cast<unsigned>(nx));
+    GridD3 init(nx, ny, nz);
+    init.fill_random(rng, -1.0, 1.0);
     GridD3 ref(nx, ny, nz);
-    ref.fill_random(rng, -1.0, 1.0);
-    GridD3 got(nx, ny, nz);
-    for (int x = 0; x <= nx + 1; ++x)
-      for (int y = 0; y <= ny + 1; ++y)
-        for (int z = 0; z <= nz + 1; ++z) got.at(x, y, z) = ref.at(x, y, z);
+    copy3(init, ref);
     stencil::gs3d7_run(c, ref, steps);
-    tiling::ParallelogramNDOptions opt;
-    opt.width = w;
-    opt.height = h;
-    tiling::parallelogram_gs3d7_run(c, got, steps, opt);
-    ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
-        << "nx=" << nx << " steps=" << steps;
+    for (const bool use_vector : {true, false}) {
+      GridD3 got(nx, ny, nz);
+      copy3(init, got);
+      tiling::ParallelogramNDOptions opt;
+      opt.width = w;
+      opt.height = h;
+      opt.stride = s;
+      opt.use_vector = use_vector;
+      tiling::parallelogram_gs3d7_run(c, got, steps, opt);
+      ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
+          << "nx=" << nx << " steps=" << steps << " s=" << s
+          << " use_vector=" << use_vector;
+    }
   }
 }
 

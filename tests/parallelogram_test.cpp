@@ -58,7 +58,13 @@ INSTANTIATE_TEST_SUITE_P(
         P{400, 1, 64, 16, 3}, P{333, 21, 48, 12, 2},
         // domain smaller than a tile; very tall bands
         P{90, 24, 2048, 64, 3}, P{2048, 128, 256, 128, 3},
-        P{1500, 100, 200, 60, 5}),
+        P{1500, 100, 200, 60, 5},
+        // shared-tile branches: all-scalar fallback (domain too short for
+        // the steady loop), the read-cap clamp on tiles clipped at the
+        // right domain edge, the largest stride the driver runs (12;
+        // larger requests clamp to it), steps < vl and steps % vl != 0
+        P{20, 16, 16, 4, 3}, P{1003, 28, 90, 16, 3}, P{900, 40, 120, 16, 12},
+        P{900, 24, 120, 16, 32}, P{500, 2, 64, 16, 3}, P{500, 23, 64, 16, 5}),
     [](const auto& info) {
       return "nx" + std::to_string(std::get<0>(info.param)) + "_t" +
              std::to_string(std::get<1>(info.param)) + "_W" +

@@ -9,27 +9,33 @@
 // out-of-bounds access for a given (vl, radius/pad, stride) fails the
 // enclosing static_assert - a build break, not a runtime fault.
 //
-// The models mirror, line for line, the index arithmetic of:
-//   jacobi1d          src/tv/tv1d_impl.hpp        (ring period M = s + R)
-//   gs1d              src/tv/tv_gs1d_impl.hpp     (M = s)
-//   diamond1d         src/tiling/diamond_impl.hpp (M = s + R, sloped
-//                     bases: gather/flush positions can be negative)
-//   parallelogram1d   src/tiling/parallelogram_impl.hpp (M = s, sloped)
-//   rowring           the 2D/3D row rings (tv2d/tv3d/diamond2d/diamond3d
-//                     at pad 2, tv_gs2d/tv_gs3d/parallelogram2d at pad 1;
-//                     M = s + pad rows allocated dynamically, so only the
-//                     [0, M) slot bound applies)
+// The 1D models mirror, line for line, the index arithmetic of the one
+// tile walk each family has, with the steady interval taken from the same
+// tv::TileRows the engines use:
+//   jacobi1d   tv1d_tile in src/tv/tv1d_impl.hpp      (ring period M = s + R)
+//   gs1d       tv_gs1d_tile in src/tv/tv_gs1d_impl.hpp (M = s)
+// Each is traced on the flat engine's rows (the whole line) and on the
+// sloped, clipped rows of the tiled drivers that instantiate the same
+// tile: diamond trapezoids (tiling/diamond.cpp, edges +-R per level) for
+// jacobi1d, parallelograms (tiling/parallelogram.cpp, edges -1 per level)
+// for gs1d.
+//   rowring    the 2D/3D row rings (tv2d/tv3d and their diamond tiles at
+//              pad 2, tv_gs2d/tv_gs3d and their parallelogram tiles at
+//              pad 1; M = s + pad rows allocated dynamically, so only the
+//              [0, M) slot bound applies)
 // If an engine's ring walk changes shape, change the model in the same
 // commit - the static gate is only as honest as this correspondence.
 #pragma once
 
 #include "tv/ring.hpp"
+#include "tv/tile.hpp"
 #include "util/checked_idx.hpp"
 
 namespace tvs::ringtest {
 
 using tv::kRingCapacity;
 using tv::RingIndex;
+using tv::TileRows;
 using util::checked_index;
 using Slot = util::CheckedIdx<0, kRingCapacity - 1>;
 
@@ -41,65 +47,72 @@ constexpr bool touch(int slot, int M) {
   return true;
 }
 
-// Jacobi flat tile (tv1d_impl.hpp): gather positions [base - R,
-// base + s - 1], a steady loop whose window walks 2R+1 consecutive slots
-// per output, and a flush over [x_end + 1 - R, x_end + s].
-template <int VL, int R>
-constexpr bool check_jacobi1d(int s, int base) {
-  const int M = s + R;
+// The shared 1D tile walk over `rows`.  Jacobi (Gs = false): gather
+// positions [x_begin - R, x_begin + s - 1], a steady loop whose window
+// walks 2R+1 consecutive slots per output, and a flush over
+// [x_end + 1 - R, x_end + s].  Gauss-Seidel (Gs = true): gather
+// [x_begin, x_begin + s - 1], a steady loop touching the center slot and
+// its east neighbour, flush [x_end + 1, x_end + s].  A tile whose steady
+// interval is too short runs all-scalar and never touches the ring.
+template <int VL, int R, bool Gs>
+constexpr bool check_tile1d(int s, const TileRows<VL>& rows) {
+  if (!rows.vector_ok(s)) return true;
+  const int M = Gs ? s : s + R;
+  const int lag = Gs ? 0 : R;  // window reach west of the top position
   const RingIndex rix(M);
-  for (int p = base - R; p <= base + s - 1; ++p) touch(rix.slot(p), M);
-  int ib = rix.slot(base - R);
-  const int x_end = base + VL * s + s;  // nominal tile: a few periods
-  for (int x = base; x <= x_end; ++x) {
+  const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
+  for (int p = x_begin - lag; p <= x_begin + s - 1; ++p) touch(rix.slot(p), M);
+  int ib = rix.slot(x_begin - lag);
+  for (int x = x_begin; x <= x_end; ++x) {
     int iw = ib;
-    for (int k = 0; k <= 2 * R; ++k) {
+    for (int k = 0; k <= (Gs ? 1 : 2 * R); ++k) {
       touch(iw, M);
       iw = rix.inc(iw);
     }
     touch(ib, M);  // the overwrite of the oldest slot
     ib = rix.inc(ib);
   }
-  for (int p = x_end + 1 - R; p <= x_end + s; ++p) touch(rix.slot(p), M);
+  for (int p = x_end + 1 - lag; p <= x_end + s; ++p) touch(rix.slot(p), M);
   return true;
 }
 
-// Gauss-Seidel tile (tv_gs1d_impl.hpp): gather [base, base + s - 1],
-// steady loop touching the center slot and its east neighbour, flush
-// [x_end + 1, x_end + s].
+// A line long enough for a few ring periods of steady state.
+constexpr int model_nx(int VL, int s) { return 2 * VL * s + 2 * VL; }
+
+// Jacobi: the flat line, then diamond trapezoids — a phase-1 shrinking
+// tile off the left edge, and phase-2 growing seam tiles at the left
+// domain edge (clipped at x = 1, so gather positions reach 1 - R) and in
+// the interior.
 template <int VL, int R>
-constexpr bool check_gs1d(int s, int base) {
+constexpr bool check_jacobi1d(int s, int /*base*/) {
+  const int nx = model_nx(VL, s);
+  using Rows = TileRows<VL>;
+  const int c = nx / 2;  // an interior seam
+  return check_tile1d<VL, R, false>(s, Rows::full(nx, R)) &&
+         check_tile1d<VL, R, false>(
+             s, Rows::sloped(1 + VL * R, nx, R, -R, nx, R)) &&
+         check_tile1d<VL, R, false>(
+             s, Rows::sloped(1 - VL * R, VL * R, -R, R, nx, R)) &&
+         check_tile1d<VL, R, false>(
+             s, Rows::sloped(c + 1 - VL * R, c + VL * R, -R, R, nx, R));
+}
+
+// Gauss-Seidel: the flat line, then parallelograms (level l covers
+// [xl0-(l-1), xr0-(l-1)]) straddling the left edge, inside, and
+// straddling the right edge.
+template <int VL, int R>
+constexpr bool check_gs1d(int s, int /*base*/) {
   static_assert(R == 1, "the GS engines are radius-1");
-  const int M = s;
-  const RingIndex rix(M);
-  for (int p = base; p <= base + s - 1; ++p) touch(rix.slot(p), M);
-  int ic = rix.slot(base);
-  const int x_end = base + VL * s + s;
-  for (int x = base; x <= x_end; ++x) {
-    const int ie = rix.inc(ic);
-    touch(ic, M);
-    touch(ie, M);
-    ic = ie;
-  }
-  for (int p = x_end + 1; p <= x_end + s; ++p) touch(rix.slot(p), M);
-  return true;
-}
-
-// Diamond trapezoid (diamond_impl.hpp): the flat Jacobi walk, but the
-// base interval is sloped, so gather/flush positions go negative (phase-2
-// seam tiles start at x_begin = 1 - 3s at the left domain edge).
-template <int VL, int R>
-constexpr bool check_diamond1d(int s, int /*base*/) {
-  // Most negative phase-2 base: xl0 = 1 - (VL - 1) * s, minus the wedge.
-  return check_jacobi1d<VL, R>(s, 1 - (VL - 1) * s - R) &&
-         check_jacobi1d<VL, R>(s, 1);
-}
-
-// Parallelogram tile (parallelogram_impl.hpp): the GS walk with sloped
-// bases (x_begin = XL[1] - (VL - 1) * s can be deeply negative).
-template <int VL, int R>
-constexpr bool check_parallelogram1d(int s, int /*base*/) {
-  return check_gs1d<VL, R>(s, 1 - (VL - 1) * s) && check_gs1d<VL, R>(s, 1);
+  const int nx = model_nx(VL, s);
+  using Rows = TileRows<VL>;
+  const int W = nx / 2;
+  return check_tile1d<VL, R, true>(s, Rows::full(nx, R)) &&
+         check_tile1d<VL, R, true>(
+             s, Rows::sloped(2 - VL, W + 1, -1, -1, nx, R)) &&
+         check_tile1d<VL, R, true>(
+             s, Rows::sloped(VL + 1, W + VL, -1, -1, nx, R)) &&
+         check_tile1d<VL, R, true>(
+             s, Rows::sloped(W + 1, nx + VL, -1, -1, nx, R));
 }
 
 // 2D/3D row rings: M = s + pad rows, slot = RingIndex(M).slot(p) for row

@@ -69,6 +69,13 @@ class LineRuleFixtures(unittest.TestCase):
         self.assertEqual({f[2] for f in findings}, {"R4"})
         self.assertEqual(sorted(f[1] for f in findings), [16, 19])
 
+    def test_r4_covers_tiling_impl_headers(self):
+        code, findings = run_lint(
+            [fixture(os.path.join("src", "tiling", "r4_tile_impl.hpp"))])
+        self.assertEqual(code, 1)
+        self.assertEqual({f[2] for f in findings}, {"R4"})
+        self.assertEqual(sorted(f[1] for f in findings), [13])
+
     def test_rule_subset_masks_findings(self):
         code, findings = run_lint(
             [fixture("r1_omp_include.cpp"), "--rules", "R2,R4"])

@@ -286,10 +286,9 @@ def r2_applies(path: str) -> bool:
 
 
 def r4_applies(path: str) -> bool:
-    # The lane-generic engine templates: src/tv/*_impl.hpp.  The tiling
-    # impl headers drive f64/i32 tile schedules and are exempt by design.
-    p = norm(path)
-    return p.endswith("_impl.hpp") and "/tiling/" not in p
+    # The lane-generic engine templates: every *_impl.hpp, tile code under
+    # src/tiling/ included (a tile is an engine instantiation).
+    return norm(path).endswith("_impl.hpp")
 
 
 def check_lines(sf: SourceFile) -> List[Violation]:
