@@ -22,7 +22,6 @@ int main() {
 
   grid::PingPong<grid::Grid1D<double>> pp(nx);
   for (int x = 0; x <= nx + 1; ++x) pp.even().at(x) = 1.0 + 0.001 * (x % 97);
-  tiling::fix_boundaries(pp);
 
   // "our" goes through the Solver facade, pinned to the paper blocking.
   const solver::StencilProblem prob =

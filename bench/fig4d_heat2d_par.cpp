@@ -18,7 +18,6 @@ int main() {
   for (int x = 0; x <= n + 1; ++x)
     for (int y = 0; y <= n + 1; ++y)
       pp.even().at(x, y) = 0.001 * ((x * 31 + y) % 89);
-  tiling::fix_boundaries2d(pp);
   grid::Grid2D<double> ua(n, n);
   for (int x = 0; x <= n + 1; ++x)
     for (int y = 0; y <= n + 1; ++y) ua.at(x, y) = pp.even().at(x, y);

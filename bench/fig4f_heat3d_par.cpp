@@ -19,7 +19,6 @@ int main() {
     for (int y = 0; y <= n + 1; ++y)
       for (int z = 0; z <= n + 1; ++z)
         pp.even().at(x, y, z) = 0.001 * ((x * 7 + y * 3 + z) % 89);
-  tiling::fix_boundaries3d(pp);
   grid::Grid3D<double> ua(n, n, n);
   for (int x = 0; x <= n + 1; ++x)
     for (int y = 0; y <= n + 1; ++y)

@@ -38,7 +38,6 @@ int main() {
   const double pts = static_cast<double>(nx) * steps;
   grid::PingPong<grid::Grid1D<double>> pp(nx);
   for (int x = 0; x <= nx + 1; ++x) pp.even().at(x) = 0.001 * (x % 101);
-  tiling::fix_boundaries(pp);
 
   b::print_title("Heat-1D diamond block search (24 threads, Gstencils/s)");
   b::print_header({"WxH", "rate"});

@@ -15,6 +15,11 @@ class PingPong {
   PingPong() = default;
   template <class... Args>
   explicit PingPong(Args&&... args) : a_(args...), b_(args...) {}
+  // Adopts two existing grids by move: `even` becomes parity 0, `odd`
+  // parity 1 (tiling/pingpong_convert.hpp runs a caller's grid in place
+  // this way and moves it back out of even() afterwards).
+  PingPong(GridT&& even, GridT&& odd)
+      : a_(std::move(even)), b_(std::move(odd)) {}
 
   GridT& cur() { return flipped_ ? b_ : a_; }
   GridT& next() { return flipped_ ? a_ : b_; }

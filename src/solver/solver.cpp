@@ -98,9 +98,7 @@ class ThreadScope {
 // Grid <-> parity-pair conversion comes from tiling/pingpong_convert.hpp
 // (shared with tiling_dispatch.cpp); the Solver's only difference is that
 // the run callback resolves the kernel at the *planned* backend.
-using tiling::with_pingpong1d;
-using tiling::with_pingpong2d;
-using tiling::with_pingpong3d;
+using tiling::with_pingpong;
 
 [[noreturn]] void throw_needs_tiled(const StencilProblem& p) {
   throw Error(Errc::kBadPath,
@@ -177,7 +175,7 @@ void Solver::exec(const stencil::C1D3& c, grid::Grid1D<double>& u) const {
     return;
   }
   if (plan_.path == Path::kTiledParallel) {
-    with_pingpong1d(u, prob_.steps, [&](auto& pp) { run(c, pp); });
+    with_pingpong(u, prob_.steps, [&](auto& pp) { run(c, pp); });
   } else {
     resolve<dispatch::TvJacobi1D3Fn>(
         plan_, variant_id(plan_, dispatch::kTvJacobi1D3,
@@ -223,7 +221,7 @@ void Solver::exec(const stencil::C2D5& c, grid::Grid2D<double>& u) const {
     return;
   }
   if (plan_.path == Path::kTiledParallel) {
-    with_pingpong2d(u, prob_.steps, [&](auto& pp) { run(c, pp); });
+    with_pingpong(u, prob_.steps, [&](auto& pp) { run(c, pp); });
   } else {
     resolve<dispatch::TvJacobi2D5Fn>(
         plan_, variant_id(plan_, dispatch::kTvJacobi2D5,
@@ -234,7 +232,7 @@ void Solver::exec(const stencil::C2D5& c, grid::Grid2D<double>& u) const {
 
 void Solver::exec(const stencil::C2D9& c, grid::Grid2D<double>& u) const {
   if (plan_.path == Path::kTiledParallel) {
-    with_pingpong2d(u, prob_.steps, [&](auto& pp) { run(c, pp); });
+    with_pingpong(u, prob_.steps, [&](auto& pp) { run(c, pp); });
   } else {
     resolve<dispatch::TvJacobi2D9Fn>(
         plan_, variant_id(plan_, dispatch::kTvJacobi2D9,
@@ -285,7 +283,7 @@ void Solver::exec(const stencil::C3D7& c, grid::Grid3D<double>& u) const {
     return;
   }
   if (plan_.path == Path::kTiledParallel) {
-    with_pingpong3d(u, prob_.steps, [&](auto& pp) { run(c, pp); });
+    with_pingpong(u, prob_.steps, [&](auto& pp) { run(c, pp); });
   } else {
     resolve<dispatch::TvJacobi3D7Fn>(
         plan_, variant_id(plan_, dispatch::kTvJacobi3D7,
@@ -366,7 +364,7 @@ void Solver::exec(const stencil::C3D7f& c, grid::Grid3D<float>& u) const {
 void Solver::exec(const stencil::LifeRule& r,
                   grid::Grid2D<std::int32_t>& u) const {
   if (plan_.path == Path::kTiledParallel) {
-    with_pingpong2d(u, prob_.steps, [&](auto& pp) { run(r, pp); });
+    with_pingpong(u, prob_.steps, [&](auto& pp) { run(r, pp); });
   } else {
     resolve<dispatch::TvLifeFn>(plan_, dispatch::kTvLife)(r, u, prob_.steps,
                                                           plan_.stride);

@@ -111,9 +111,11 @@ class Solver {
   void run(const stencil::C2D9f& c, grid::Grid2D<float>& u) const;
   void run(const stencil::C3D7f& c, grid::Grid3D<float>& u) const;
 
-  // Tiled-path parity-pair overloads (no copy-in/copy-out: the result of
-  // step `steps` is left in pp.by_parity(steps), as with the raw diamond
-  // drivers).  Only valid on a kTiledParallel plan of a diamond family.
+  // Tiled-path parity-pair overloads: the caller owns both grids, fills
+  // pp.even() (the driver mirrors its boundary cells into pp.odd()), and
+  // finds the result of step `steps` in pp.by_parity(steps), as with the
+  // raw diamond drivers.  Only valid on a kTiledParallel plan of a diamond
+  // family.
   // These stay typed: their result placement differs from the Workload
   // contract, so they are not serving payloads.
   void run(const stencil::C1D3& c,

@@ -1,6 +1,5 @@
 // Diamond-tiled 1D Jacobi engine variant — compiled once per SIMD backend.
-// The Grid1D convenience wrapper and fix_boundaries live in
-// tiling_dispatch.cpp (common code).
+// The Grid1D wrapper lives in tiling_dispatch.cpp (common code).
 #include <algorithm>
 
 #include "dispatch/backend_variant.hpp"
@@ -51,6 +50,12 @@ void diamond_run(const F& f, double* even, double* odd, int nx, long steps,
     H = std::min(H, std::max(VL, (W / (2 * R) / VL) * VL));
     W = std::max(W, 2 * H * R + VL * s + 8);
   }
+
+  // The parity-pair invariant: the odd array's boundary and halo cells
+  // mirror the even array's (every level reads them from its own parity).
+  // A few cells in 1D, so inline.
+  std::copy(even - grid::kPad, even + 1, odd - grid::kPad);
+  std::copy(even + nx + 1, even + nx + 2 + grid::kPad, odd + nx + 1);
 
   const long t_vec = steps - steps % VL;
   long t0 = 0;

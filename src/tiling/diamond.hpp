@@ -32,19 +32,17 @@ struct Diamond1DOptions {
   const StageExec* exec = nullptr;
 };
 
-// Input: pp.by_parity(0) holds the t = 0 data; boundary cells (x <= 0,
-// x >= nx+1) must be identical in both arrays (fix_boundaries does that).
-// Output: pp.by_parity(steps) holds the result.
+// Input: pp.by_parity(0) holds the t = 0 data, boundary and halo cells
+// included; the driver mirrors those cells (x <= 0, x >= nx+1) into
+// pp.by_parity(1) before the first step, so the odd array's prior
+// contents do not matter.  Output: pp.by_parity(steps) holds the result.
 void diamond_jacobi1d3_run(const stencil::C1D3& c,
                            grid::PingPong<grid::Grid1D<double>>& pp,
                            long steps, const Diamond1DOptions& opt = {});
 
-// Convenience wrapper: result copied back into u (allocates the partner
-// array internally — prefer the PingPong overload in benchmarks).
+// In place on u (tiling/pingpong_convert.hpp): u's storage is the even
+// array and one partner array is allocated; the result ends in u.
 void diamond_jacobi1d3_run(const stencil::C1D3& c, grid::Grid1D<double>& u,
                            long steps, const Diamond1DOptions& opt = {});
-
-// Copies boundary cells of the even array into the odd array.
-void fix_boundaries(grid::PingPong<grid::Grid1D<double>>& pp);
 
 }  // namespace tvs::tiling

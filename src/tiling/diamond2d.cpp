@@ -30,6 +30,26 @@ struct ParityLevels2D {
   T* hi(int l, int r) const { return lo(l, r); }
 };
 
+// Copies the boundary and halo cells of rows [x0, x1] from `from` into
+// `to`: the whole padded row for the boundary rows 0 and nx+1, the y halos
+// [-kPad, 0] and [ny+1, ny+1+kPad] for interior rows.
+template <class T>
+void mirror_rows(const grid::Grid2D<T>& from, grid::Grid2D<T>& to, int x0,
+                 int x1) {
+  constexpr int P = grid::kPad;
+  const int nx = from.nx(), ny = from.ny();
+  for (int x = x0; x <= x1; ++x) {
+    const T* src = from.row(x);
+    T* dst = to.row(x);
+    if (x == 0 || x == nx + 1) {
+      std::copy(src - P, src + ny + 2 + P, dst - P);
+    } else {
+      std::copy(src - P, src + 1, dst - P);
+      std::copy(src + ny + 1, src + ny + 2 + P, dst + ny + 1);
+    }
+  }
+}
+
 // Band/phase diamond driver shared by every 2D kernel.
 template <class V, class F, class T>
 void diamond2d_run(const F& f, grid::PingPong<grid::Grid2D<T>>& pp, long steps,
@@ -69,11 +89,27 @@ void diamond2d_run(const F& f, grid::PingPong<grid::Grid2D<T>>& pp, long steps,
     }
   };
 
+  const int nb = (nx + W - 1) / W;
+  // First stage, the parity-pair invariant: the odd grid's boundary and
+  // halo cells mirror the even grid's.  Same row blocks as phase 1, the
+  // first and last block also taking the boundary rows 0 and nx+1; the
+  // blocks' rows are disjoint.
+  const auto mirror = [&](int k, int /*slot*/) {
+    mirror_rows(pp.even(), pp.odd(), k == 0 ? 0 : 1 + k * W,
+                k == nb - 1 ? nx + 1 : (k + 1) * W);
+  };
+  if (opt.exec != nullptr) {
+    stage_run(opt.exec, nb, mirror);
+  } else {
+    // tvsrace: partitioned(k)
+#pragma omp parallel for schedule(static)
+    for (int k = 0; k < nb; ++k) mirror(k, 0);
+  }
+
   const long t_vec = steps - steps % VL;
   long t0 = 0;
   while (t0 < t_vec) {
     const int h = static_cast<int>(std::min<long>(H, t_vec - t0));
-    const int nb = (nx + W - 1) / W;
     // Phase-1 trapezoids write rows [1 + k*W, (k+1)*W] only (shrinking
     // edges); the parity grids are partitioned by tile index, and the
     // ring is per-runner (tls[slot]).

@@ -26,8 +26,9 @@ struct Diamond2DOptions {
 };
 
 // Jacobi 2D5P / 2D9P on a parity pair: pp.by_parity(0) holds t = 0,
-// boundary cells must be identical in both grids; result in
-// pp.by_parity(steps).
+// boundary and halo cells included; the driver's first stage mirrors those
+// cells into pp.by_parity(1), so the odd grid's prior contents do not
+// matter.  Result in pp.by_parity(steps).
 void diamond_jacobi2d5_run(const stencil::C2D5& c,
                            grid::PingPong<grid::Grid2D<double>>& pp,
                            long steps, const Diamond2DOptions& opt = {});
@@ -38,7 +39,8 @@ void diamond_life_run(const stencil::LifeRule& r,
                       grid::PingPong<grid::Grid2D<std::int32_t>>& pp,
                       long steps, const Diamond2DOptions& opt = {});
 
-// Convenience wrappers (allocate the partner grid; result back in u).
+// In place on u (tiling/pingpong_convert.hpp): u's storage is the even
+// grid and one partner grid is allocated; the result ends in u.
 void diamond_jacobi2d5_run(const stencil::C2D5& c, grid::Grid2D<double>& u,
                            long steps, const Diamond2DOptions& opt = {});
 void diamond_jacobi2d9_run(const stencil::C2D9& c, grid::Grid2D<double>& u,
@@ -46,19 +48,5 @@ void diamond_jacobi2d9_run(const stencil::C2D9& c, grid::Grid2D<double>& u,
 void diamond_life_run(const stencil::LifeRule& r,
                       grid::Grid2D<std::int32_t>& u, long steps,
                       const Diamond2DOptions& opt = {});
-
-template <class T>
-void fix_boundaries2d(grid::PingPong<grid::Grid2D<T>>& pp) {
-  const int nx = pp.even().nx(), ny = pp.even().ny();
-  for (int y = -grid::kPad; y <= ny + 1 + grid::kPad; ++y) {
-    pp.odd().at(0, y) = pp.even().at(0, y);
-    pp.odd().at(nx + 1, y) = pp.even().at(nx + 1, y);
-  }
-  for (int x = 1; x <= nx; ++x) {
-    for (int y = -grid::kPad; y <= 0; ++y) pp.odd().at(x, y) = pp.even().at(x, y);
-    for (int y = ny + 1; y <= ny + 1 + grid::kPad; ++y)
-      pp.odd().at(x, y) = pp.even().at(x, y);
-  }
-}
 
 }  // namespace tvs::tiling

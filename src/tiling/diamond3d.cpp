@@ -32,6 +32,28 @@ struct ParityLevels3D {
   tv::LevelSlab<double> hi(int l, int r) const { return lo(l, r); }
 };
 
+// Copies the boundary and halo cells of planes [x0, x1] from `from` into
+// `to`: whole padded lines for the boundary planes 0 and nx+1 and the
+// boundary lines y = 0 and ny+1, the z halos [-kPad, 0] and
+// [nz+1, nz+1+kPad] for interior lines.
+template <class T>
+void mirror_planes(const grid::Grid3D<T>& from, grid::Grid3D<T>& to, int x0,
+                   int x1) {
+  constexpr int P = grid::kPad;
+  const int nx = from.nx(), ny = from.ny(), nz = from.nz();
+  for (int x = x0; x <= x1; ++x)
+    for (int y = 0; y <= ny + 1; ++y) {
+      const T* src = from.line(x, y);
+      T* dst = to.line(x, y);
+      if (x == 0 || x == nx + 1 || y == 0 || y == ny + 1) {
+        std::copy(src - P, src + nz + 2 + P, dst - P);
+      } else {
+        std::copy(src - P, src + 1, dst - P);
+        std::copy(src + nz + 1, src + nz + 2 + P, dst + nz + 1);
+      }
+    }
+}
+
 void jacobi3d7(const stencil::C3D7& c,
                grid::PingPong<grid::Grid3D<double>>& pp, long steps,
                const Diamond3DOptions& opt) {
@@ -66,11 +88,25 @@ void jacobi3d7(const stencil::C3D7& c,
     }
   };
 
+  const int nb = (nx + W - 1) / W;
+  // First stage, the parity-pair invariant (see diamond2d.cpp): mirror the
+  // boundary and halo cells of phase 1's plane blocks into the odd grid.
+  const auto mirror = [&](int k, int /*slot*/) {
+    mirror_planes(pp.even(), pp.odd(), k == 0 ? 0 : 1 + k * W,
+                  k == nb - 1 ? nx + 1 : (k + 1) * W);
+  };
+  if (opt.exec != nullptr) {
+    stage_run(opt.exec, nb, mirror);
+  } else {
+    // tvsrace: partitioned(k)
+#pragma omp parallel for schedule(static)
+    for (int k = 0; k < nb; ++k) mirror(k, 0);
+  }
+
   const long t_vec = steps - steps % VL;
   long t0 = 0;
   while (t0 < t_vec) {
     const int h = static_cast<int>(std::min<long>(H, t_vec - t0));
-    const int nb = (nx + W - 1) / W;
     // Phase-1 trapezoids write planes [1 + k*W, (k+1)*W] only (shrinking
     // edges); parity grids partitioned by tile index, ws is per-runner.
     const auto phase1 = [&](int k, int slot) {

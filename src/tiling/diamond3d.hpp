@@ -19,21 +19,14 @@ struct Diamond3DOptions {
   const StageExec* exec = nullptr;
 };
 
+// Same parity-pair contract as diamond2d.hpp: pp.by_parity(0) holds t = 0,
+// the driver's first stage mirrors its boundary and halo cells into
+// pp.by_parity(1), and the result ends in pp.by_parity(steps).
 void diamond_jacobi3d7_run(const stencil::C3D7& c,
                            grid::PingPong<grid::Grid3D<double>>& pp,
                            long steps, const Diamond3DOptions& opt = {});
+// In place on u, one partner grid allocated (tiling/pingpong_convert.hpp).
 void diamond_jacobi3d7_run(const stencil::C3D7& c, grid::Grid3D<double>& u,
                            long steps, const Diamond3DOptions& opt = {});
-
-template <class T>
-void fix_boundaries3d(grid::PingPong<grid::Grid3D<T>>& pp) {
-  const int nx = pp.even().nx(), ny = pp.even().ny(), nz = pp.even().nz();
-  for (int x = 0; x <= nx + 1; ++x)
-    for (int y = 0; y <= ny + 1; ++y)
-      for (int z = -grid::kPad; z <= nz + 1 + grid::kPad; ++z)
-        if (x == 0 || x == nx + 1 || y == 0 || y == ny + 1 || z <= 0 ||
-            z >= nz + 1)
-          pp.odd().at(x, y, z) = pp.even().at(x, y, z);
-}
 
 }  // namespace tvs::tiling

@@ -1,59 +1,79 @@
-// Grid <-> parity-pair conversion for the diamond drivers' convenience
-// overloads: copy the grid (boundary cells and vector-overrun padding
-// included) into the even array, mirror the boundaries into the odd one,
-// run the tiled kernel, and copy the result parity back.  Shared by the
+// Grid <-> parity-pair conversion for the diamond drivers' Grid overloads,
+// in place: the caller's grid is moved in as the even parity (no copy),
+// one partner grid of the same extents is allocated as the odd parity
+// (zero pages until the driver touches them, see grid/aligned.hpp), and
+// the driver itself mirrors the boundary and halo cells into the partner
+// as its first stage.  Afterwards the storage is moved back into the
+// caller's grid — on an exception too — so the grid keeps its buffer
+// address; an even step count leaves the result there already, an odd one
+// copies the result's cells [0, n+1] over from the partner.  Shared by the
 // public tiling dispatchers (tiling_dispatch.cpp) and the Solver facade
-// (solver/solver.cpp), so the pad-sensitive copy ranges live in exactly
-// one place.
+// (solver/solver.cpp), so the copy ranges live in exactly one place.
 #pragma once
+
+#include <algorithm>
+#include <utility>
 
 #include "grid/grid1d.hpp"
 #include "grid/grid2d.hpp"
 #include "grid/grid3d.hpp"
 #include "grid/pingpong.hpp"
-#include "tiling/diamond.hpp"
-#include "tiling/diamond2d.hpp"
-#include "tiling/diamond3d.hpp"
 
 namespace tvs::tiling {
 
-template <class T, class Run>
-void with_pingpong1d(grid::Grid1D<T>& u, long steps, Run run) {
-  grid::PingPong<grid::Grid1D<T>> pp(u.nx());
-  for (int x = -grid::kPad; x <= u.nx() + 1 + grid::kPad; ++x)
-    pp.even().at(x) = u.at(x);
-  fix_boundaries(pp);
-  run(pp);
-  grid::Grid1D<T>& res = pp.by_parity(steps);
-  for (int x = 0; x <= u.nx() + 1; ++x) u.at(x) = res.at(x);
+namespace detail {
+
+template <class T>
+grid::Grid1D<T> partner_of(const grid::Grid1D<T>& u) {
+  return grid::Grid1D<T>(u.nx());
+}
+template <class T>
+grid::Grid2D<T> partner_of(const grid::Grid2D<T>& u) {
+  return grid::Grid2D<T>(u.nx(), u.ny());
+}
+template <class T>
+grid::Grid3D<T> partner_of(const grid::Grid3D<T>& u) {
+  return grid::Grid3D<T>(u.nx(), u.ny(), u.nz());
 }
 
-template <class T, class Run>
-void with_pingpong2d(grid::Grid2D<T>& u, long steps, Run run) {
-  grid::PingPong<grid::Grid2D<T>> pp(u.nx(), u.ny());
-  for (int x = 0; x <= u.nx() + 1; ++x)
-    for (int y = -grid::kPad; y <= u.ny() + 1 + grid::kPad; ++y)
-      pp.even().at(x, y) = u.at(x, y);
-  fix_boundaries2d(pp);
-  run(pp);
-  const grid::Grid2D<T>& res = pp.by_parity(steps);
-  for (int x = 0; x <= u.nx() + 1; ++x)
-    for (int y = 0; y <= u.ny() + 1; ++y) u.at(x, y) = res.at(x, y);
+// Copies the cells [0, n+1] of every dimension (boundary included).
+template <class T>
+void copy_cells(const grid::Grid1D<T>& src, grid::Grid1D<T>& dst) {
+  std::copy(src.p(), src.p() + src.nx() + 2, dst.p());
+}
+template <class T>
+void copy_cells(const grid::Grid2D<T>& src, grid::Grid2D<T>& dst) {
+  for (int x = 0; x <= src.nx() + 1; ++x)
+    std::copy(src.row(x), src.row(x) + src.ny() + 2, dst.row(x));
+}
+template <class T>
+void copy_cells(const grid::Grid3D<T>& src, grid::Grid3D<T>& dst) {
+  for (int x = 0; x <= src.nx() + 1; ++x)
+    for (int y = 0; y <= src.ny() + 1; ++y)
+      std::copy(src.line(x, y), src.line(x, y) + src.nz() + 2, dst.line(x, y));
 }
 
-template <class T, class Run>
-void with_pingpong3d(grid::Grid3D<T>& u, long steps, Run run) {
-  grid::PingPong<grid::Grid3D<T>> pp(u.nx(), u.ny(), u.nz());
-  for (int x = 0; x <= u.nx() + 1; ++x)
-    for (int y = 0; y <= u.ny() + 1; ++y)
-      for (int z = -grid::kPad; z <= u.nz() + 1 + grid::kPad; ++z)
-        pp.even().at(x, y, z) = u.at(x, y, z);
-  fix_boundaries3d(pp);
+}  // namespace detail
+
+// Runs run(pp) on a parity pair whose even grid is u's own storage; u
+// holds the result of `steps` steps afterwards.
+template <class GridT, class Run>
+void with_pingpong(GridT& u, long steps, Run run) {
+  GridT partner = detail::partner_of(u);
+  grid::PingPong<GridT> pp(std::move(u), std::move(partner));
+  class Restore {
+   public:
+    Restore(GridT& dst, grid::PingPong<GridT>& src) : u_(dst), pp_(src) {}
+    ~Restore() { u_ = std::move(pp_.even()); }
+    Restore(const Restore&) = delete;
+    Restore& operator=(const Restore&) = delete;
+
+   private:
+    GridT& u_;
+    grid::PingPong<GridT>& pp_;
+  } restore(u, pp);
   run(pp);
-  const grid::Grid3D<T>& res = pp.by_parity(steps);
-  for (int x = 0; x <= u.nx() + 1; ++x)
-    for (int y = 0; y <= u.ny() + 1; ++y)
-      for (int z = 0; z <= u.nz() + 1; ++z) u.at(x, y, z) = res.at(x, y, z);
+  if (steps % 2 != 0) detail::copy_cells(pp.odd(), pp.even());
 }
 
 }  // namespace tvs::tiling

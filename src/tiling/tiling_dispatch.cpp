@@ -1,6 +1,6 @@
 // Public tiling/ entry points: registry dispatch plus the Grid-based
-// convenience wrappers (PingPong setup / result copy-back), which are plain
-// memory management and therefore common code.
+// wrappers (in-place parity pair, tiling/pingpong_convert.hpp), which are
+// plain memory management and therefore common code.
 #include "dispatch/kernels.hpp"
 #include "dispatch/registry.hpp"
 #include "tiling/diamond.hpp"
@@ -24,13 +24,6 @@ Fn* lookup(std::string_view id) {
 
 // ---- 1D diamond ------------------------------------------------------------
 
-void fix_boundaries(grid::PingPong<grid::Grid1D<double>>& pp) {
-  const int nx = pp.even().nx();
-  for (int x = -grid::kPad; x <= 0; ++x) pp.odd().at(x) = pp.even().at(x);
-  for (int x = nx + 1; x <= nx + 1 + grid::kPad; ++x)
-    pp.odd().at(x) = pp.even().at(x);
-}
-
 void diamond_jacobi1d3_run(const stencil::C1D3& c,
                            grid::PingPong<grid::Grid1D<double>>& pp,
                            long steps, const Diamond1DOptions& opt) {
@@ -41,8 +34,8 @@ void diamond_jacobi1d3_run(const stencil::C1D3& c,
 
 void diamond_jacobi1d3_run(const stencil::C1D3& c, grid::Grid1D<double>& u,
                            long steps, const Diamond1DOptions& opt) {
-  with_pingpong1d(u, steps,
-                  [&](auto& pp) { diamond_jacobi1d3_run(c, pp, steps, opt); });
+  with_pingpong(u, steps,
+                [&](auto& pp) { diamond_jacobi1d3_run(c, pp, steps, opt); });
 }
 
 // ---- 2D diamond ------------------------------------------------------------
@@ -72,21 +65,21 @@ void diamond_life_run(const stencil::LifeRule& r,
 
 void diamond_jacobi2d5_run(const stencil::C2D5& c, grid::Grid2D<double>& u,
                            long steps, const Diamond2DOptions& opt) {
-  with_pingpong2d(u, steps,
-                  [&](auto& pp) { diamond_jacobi2d5_run(c, pp, steps, opt); });
+  with_pingpong(u, steps,
+                [&](auto& pp) { diamond_jacobi2d5_run(c, pp, steps, opt); });
 }
 
 void diamond_jacobi2d9_run(const stencil::C2D9& c, grid::Grid2D<double>& u,
                            long steps, const Diamond2DOptions& opt) {
-  with_pingpong2d(u, steps,
-                  [&](auto& pp) { diamond_jacobi2d9_run(c, pp, steps, opt); });
+  with_pingpong(u, steps,
+                [&](auto& pp) { diamond_jacobi2d9_run(c, pp, steps, opt); });
 }
 
 void diamond_life_run(const stencil::LifeRule& r,
                       grid::Grid2D<std::int32_t>& u, long steps,
                       const Diamond2DOptions& opt) {
-  with_pingpong2d(u, steps,
-                  [&](auto& pp) { diamond_life_run(r, pp, steps, opt); });
+  with_pingpong(u, steps,
+                [&](auto& pp) { diamond_life_run(r, pp, steps, opt); });
 }
 
 // ---- 3D diamond ------------------------------------------------------------
@@ -101,8 +94,8 @@ void diamond_jacobi3d7_run(const stencil::C3D7& c,
 
 void diamond_jacobi3d7_run(const stencil::C3D7& c, grid::Grid3D<double>& u,
                            long steps, const Diamond3DOptions& opt) {
-  with_pingpong3d(u, steps,
-                  [&](auto& pp) { diamond_jacobi3d7_run(c, pp, steps, opt); });
+  with_pingpong(u, steps,
+                [&](auto& pp) { diamond_jacobi3d7_run(c, pp, steps, opt); });
 }
 
 // ---- Gauss-Seidel parallelograms -------------------------------------------

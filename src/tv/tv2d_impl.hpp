@@ -44,7 +44,7 @@ namespace tvs::tv {
 
 // Scratch for one flat 2D run: ring rows, the edge planes holding levels
 // 1..vl-1 (the flat engine's level-storage policy, tv/tile.hpp) and a
-// residual-step grid.
+// residual-step grid, allocated only when a residual step runs.
 template <class V, class T>
 struct Workspace2D {
   SlabRing<V> ring;       // s+2 rows of input vectors
@@ -54,7 +54,10 @@ struct Workspace2D {
   void prepare(int s, int nx, int ny) {
     ring.prepare(s + 2, 1, ny);
     planes.prepare(V::lanes, s, nx, 1, ny);
+  }
+  grid::Grid2D<T>& residual(int nx, int ny) {
     if (tmp.nx() != nx || tmp.ny() != ny) tmp = grid::Grid2D<T>(nx, ny);
+    return tmp;
   }
 };
 
@@ -233,7 +236,8 @@ void tv2d_run(const F& f, grid::Grid2D<T>& g, long steps, int s,
       tv2d_tile<V, F, T, Re>(f, g, ws.planes, ws.ring, rows, s);
   }
   if (t < steps)
-    detail2d::scalar_steps(f, g, ws.tmp, static_cast<int>(steps - t));
+    detail2d::scalar_steps(f, g, ws.residual(g.nx(), g.ny()),
+                           static_cast<int>(steps - t));
 }
 
 }  // namespace tvs::tv

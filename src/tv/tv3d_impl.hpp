@@ -34,7 +34,7 @@ namespace tvs::tv {
 
 // Scratch for one flat 3D run: ring slabs, the edge planes holding levels
 // 1..vl-1 (the flat engine's level-storage policy, tv/tile.hpp) and a
-// residual-step grid.
+// residual-step grid, allocated only when a residual step runs.
 template <class V, class T>
 struct Workspace3D {
   SlabRing<V> ring;       // s+2 slabs of (ny+2) lines
@@ -44,8 +44,11 @@ struct Workspace3D {
   void prepare(int s, int nx, int ny, int nz) {
     ring.prepare(s + 2, ny + 2, nz);
     planes.prepare(V::lanes, s, nx, ny + 2, nz);
+  }
+  grid::Grid3D<T>& residual(int nx, int ny, int nz) {
     if (tmp.nx() != nx || tmp.ny() != ny || tmp.nz() != nz)
       tmp = grid::Grid3D<T>(nx, ny, nz);
+    return tmp;
   }
 };
 
@@ -241,7 +244,8 @@ void tv3d_run(const F& f, grid::Grid3D<T>& g, long steps, int s,
       tv3d_tile<V, F, T, Re>(f, g, lev, ws.ring, rows, s);
   }
   if (t < steps)
-    detail3d::scalar_steps(f, g, ws.tmp, static_cast<int>(steps - t));
+    detail3d::scalar_steps(f, g, ws.residual(g.nx(), g.ny(), g.nz()),
+                           static_cast<int>(steps - t));
 }
 
 }  // namespace tvs::tv

@@ -351,6 +351,34 @@ grid::Grid2D<std::int32_t> random_life(int nx, int ny, unsigned seed) {
   return g;
 }
 
+// Fills the boundary and halo cells of g — the cells a diamond driver
+// mirrors from the even grid into the odd one before its first step — with
+// `v`.  A finite sentinel rather than NaN: max_abs_diff's std::max would
+// drop a NaN difference.
+void poison_halo(grid::Grid1D<double>& g, double v) {
+  for (int x = -grid::kPad; x <= 0; ++x) g.at(x) = v;
+  for (int x = g.nx() + 1; x <= g.nx() + 1 + grid::kPad; ++x) g.at(x) = v;
+}
+
+template <class T>
+void poison_halo(grid::Grid2D<T>& g, T v) {
+  for (int x = 0; x <= g.nx() + 1; ++x)
+    for (int y = -grid::kPad; y <= g.ny() + 1 + grid::kPad; ++y)
+      if (x == 0 || x == g.nx() + 1 || y <= 0 || y >= g.ny() + 1)
+        g.at(x, y) = v;
+}
+
+void poison_halo(grid::Grid3D<double>& g, double v) {
+  for (int x = 0; x <= g.nx() + 1; ++x)
+    for (int y = 0; y <= g.ny() + 1; ++y)
+      for (int z = -grid::kPad; z <= g.nz() + 1 + grid::kPad; ++z)
+        if (x == 0 || x == g.nx() + 1 || y == 0 || y == g.ny() + 1 ||
+            z <= 0 || z >= g.nz() + 1)
+          g.at(x, y, z) = v;
+}
+
+constexpr double kSentinel = 1e30;
+
 class LaneForLane : public ::testing::TestWithParam<Backend> {};
 
 INSTANTIATE_TEST_SUITE_P(Backends, LaneForLane,
@@ -574,6 +602,9 @@ TEST_P(LaneForLane, BaselinesAutovec) {
   }
 }
 
+// The PingPong-form drivers own the parity-pair invariant: the odd grid's
+// boundary and halo cells start as a sentinel, and the drivers must still
+// match the oracle exactly.
 TEST_P(LaneForLane, TilingDiamond) {
   const Backend b = GetParam();
   const stencil::C1D3 c3 = stencil::heat1d(0.25);
@@ -582,7 +613,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     grid::PingPong<grid::Grid1D<double>> pp(200);
     for (int x = -grid::kPad; x <= 200 + 1 + grid::kPad; ++x)
       pp.even().at(x) = ref.at(x);
-    tiling::fix_boundaries(pp);
+    poison_halo(pp.odd(), kSentinel);
     const long steps = 18;
     stencil::jacobi1d3_run(c3, ref, steps);
     at<dispatch::DiamondJacobi1D3Fn>(dispatch::kDiamondJacobi1D3, b)(
@@ -596,7 +627,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     for (int x = 0; x <= 48 + 1; ++x)
       for (int y = -grid::kPad; y <= 14 + 1 + grid::kPad; ++y)
         pp.even().at(x, y) = ref.at(x, y);
-    tiling::fix_boundaries2d(pp);
+    poison_halo(pp.odd(), kSentinel);
     const long steps = 10;
     stencil::jacobi2d5_run(c5, ref, steps);
     at<dispatch::DiamondJacobi2D5Fn>(dispatch::kDiamondJacobi2D5, b)(
@@ -610,7 +641,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     for (int x = 0; x <= 48 + 1; ++x)
       for (int y = -grid::kPad; y <= 14 + 1 + grid::kPad; ++y)
         pp.even().at(x, y) = ref.at(x, y);
-    tiling::fix_boundaries2d(pp);
+    poison_halo(pp.odd(), kSentinel);
     const long steps = 9;
     stencil::jacobi2d9_run(c9, ref, steps);
     at<dispatch::DiamondJacobi2D9Fn>(dispatch::kDiamondJacobi2D9, b)(
@@ -624,7 +655,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     for (int x = 0; x <= 48 + 1; ++x)
       for (int y = -grid::kPad; y <= 14 + 1 + grid::kPad; ++y)
         pp.even().at(x, y) = ref.at(x, y);
-    tiling::fix_boundaries2d(pp);
+    poison_halo(pp.odd(), std::int32_t{7});
     const long steps = 9;
     stencil::life_run(rule, ref, steps);
     at<dispatch::DiamondLifeFn>(dispatch::kDiamondLife, b)(
@@ -639,7 +670,7 @@ TEST_P(LaneForLane, TilingDiamond) {
       for (int y = 0; y <= 8 + 1; ++y)
         for (int z = -grid::kPad; z <= 8 + 1 + grid::kPad; ++z)
           pp.even().at(x, y, z) = ref.at(x, y, z);
-    tiling::fix_boundaries3d(pp);
+    poison_halo(pp.odd(), kSentinel);
     const long steps = 9;
     stencil::jacobi3d7_run(c7, ref, steps);
     at<dispatch::DiamondJacobi3D7Fn>(dispatch::kDiamondJacobi3D7, b)(

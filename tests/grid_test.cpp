@@ -4,6 +4,7 @@
 
 #include "tolerance.hpp"
 
+#include <algorithm>
 #include <cstdint>
 #include <random>
 
@@ -29,6 +30,55 @@ TEST(AlignedBuffer, MoveTransfersOwnership) {
   AlignedBuffer<int> b = std::move(a);
   EXPECT_EQ(b[3], 42);
   EXPECT_EQ(a.data(), nullptr);
+}
+
+// Zero contents and 64-byte alignment below glibc's heap/mmap split (a
+// heap block) and above its largest mmap threshold (a fresh mapping).
+void expect_zeroed_and_aligned(std::size_t bytes) {
+  const std::size_t n = bytes / sizeof(double);
+  const AlignedBuffer<double> b(n);
+  ASSERT_EQ(b.size(), n);
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(b.data()) % kAlignment, 0u);
+  EXPECT_TRUE(std::all_of(b.data(), b.data() + n,
+                          [](double v) { return v == 0.0; }));
+}
+
+TEST(AlignedBuffer, SmallBlockZeroedAndAligned) {
+  expect_zeroed_and_aligned(std::size_t{100} << 10);  // 100 KiB
+}
+
+TEST(AlignedBuffer, LargeBlockZeroedAndAligned) {
+  expect_zeroed_and_aligned(std::size_t{40} << 20);  // 40 MiB
+}
+
+TEST(AlignedBuffer, RecycledBlockIsZeroedAgain) {
+  constexpr std::size_t kN = 4096;
+  for (int round = 0; round < 3; ++round) {
+    AlignedBuffer<double> b(kN);
+    ASSERT_TRUE(std::all_of(b.data(), b.data() + kN,
+                            [](double v) { return v == 0.0; }))
+        << "round " << round;
+    std::fill(b.data(), b.data() + kN, 3.5);  // freed dirty at scope end
+  }
+}
+
+TEST(AlignedBuffer, MoveLeavesSourceEmptyAndFreesOnce) {
+  AlignedBuffer<float> a(64);
+  const float* pa = a.data();
+  AlignedBuffer<float> b(std::move(a));
+  EXPECT_EQ(b.data(), pa);
+  EXPECT_EQ(b.size(), 64u);
+  EXPECT_EQ(a.data(), nullptr);
+  EXPECT_EQ(a.size(), 0u);
+
+  AlignedBuffer<float> c(16);  // its block is freed by the assignment
+  c = std::move(b);
+  EXPECT_EQ(c.data(), pa);
+  EXPECT_EQ(c.size(), 64u);
+  EXPECT_EQ(b.data(), nullptr);
+  EXPECT_EQ(b.size(), 0u);
+  // a, b and c destruct here: one free of pa, none of the empty sources
+  // (the ASan tier reports a double or missing free).
 }
 
 TEST(Grid1D, IndexingAndPadding) {
@@ -182,6 +232,23 @@ TEST(PingPong, SwapAndParity) {
   EXPECT_EQ(pp.by_parity(0).at(1), 1.0);
   EXPECT_EQ(pp.by_parity(1).at(1), 2.0);
   EXPECT_EQ(pp.by_parity(8).at(1), 1.0);
+}
+
+TEST(PingPong, AdoptsGridsByMove) {
+  Grid2D<double> even(6, 5), odd(6, 5);
+  even.at(2, 3) = 1.5;
+  odd.at(2, 3) = 2.5;
+  const double* pe = even.row(0);
+  const double* po = odd.row(0);
+  PingPong<Grid2D<double>> pp(std::move(even), std::move(odd));
+  EXPECT_EQ(pp.even().row(0), pe);
+  EXPECT_EQ(pp.odd().row(0), po);
+  EXPECT_EQ(pp.by_parity(0).at(2, 3), 1.5);
+  EXPECT_EQ(pp.by_parity(1).at(2, 3), 2.5);
+  Grid2D<double> back = std::move(pp.even());
+  EXPECT_EQ(back.row(0), pe);
+  EXPECT_EQ(back.nx(), 6);
+  EXPECT_EQ(back.ny(), 5);
 }
 
 }  // namespace

@@ -228,7 +228,15 @@ TEST(ServeExecutor, CountsTasksAndSpreadsBursts) {
       ran.fetch_add(1, std::memory_order_relaxed);
     });
   }
-  while (ran.load() < kTasks) std::this_thread::yield();
+  // The executor counts a task after its body returns, so `ran` can reach
+  // kTasks before the last increment lands: wait for the counter itself,
+  // bounded so a lost count fails instead of hanging.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (pool.stats().tasks_run < kTasks &&
+         std::chrono::steady_clock::now() < deadline)
+    std::this_thread::yield();
+  EXPECT_EQ(ran.load(), kTasks);
   const serve::ExecutorStats stats = pool.stats();
   EXPECT_EQ(stats.tasks_run, kTasks);
   EXPECT_EQ(stats.workers, 4);

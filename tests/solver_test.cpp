@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/lcs_ref.hpp"
 #include "tiling/diamond.hpp"
@@ -561,6 +562,148 @@ TEST(SolverEqualityTiled, LcsWavefront) {
   EXPECT_EQ(s.lcs(a, b), tiling::lcs_wavefront(a, b, opt));
 }
 
+// ---- in-place tiled Grid runs ----------------------------------------------
+// A Grid-form tiled solve runs on the caller's own storage: the buffer
+// address survives the run (plain and decomposed), the result matches the
+// serial engine bit for bit at both step parities, and a failing stage
+// executor leaves the grid whole.
+
+// A StageExec that runs every body in order on the calling thread.
+void run_inline(void*, int n, void (*body)(void*, int, int), void* ctx) {
+  for (int i = 0; i < n; ++i) body(ctx, i, 0);
+}
+
+// A StageExec whose every stage fails before running a tile.
+[[noreturn]] void run_throwing(void*, int, void (*)(void*, int, int), void*) {
+  throw std::runtime_error("stage executor failed");
+}
+
+template <class GridT>
+const void* buffer_of(const GridT& u) {
+  if constexpr (requires(GridT g) { g.line(0, 0); }) {
+    return u.line(0, 0);
+  } else if constexpr (requires(GridT g) { g.row(0); }) {
+    return u.row(0);
+  } else {
+    return u.p();
+  }
+}
+
+template <class GridT>
+std::vector<int> extents_of(const GridT& u) {
+  if constexpr (requires(GridT g) { g.nz(); }) {
+    return {u.nx(), u.ny(), u.nz()};
+  } else if constexpr (requires(GridT g) { g.ny(); }) {
+    return {u.nx(), u.ny()};
+  } else {
+    return {u.nx()};
+  }
+}
+
+// Whether every boundary cell (some coordinate 0 or n+1) of a equals b's.
+template <class GridT>
+bool boundaries_equal(const GridT& a, const GridT& b) {
+  bool eq = true;
+  if constexpr (requires(GridT g) { g.at(0, 0, 0); }) {
+    const int nx = a.nx(), ny = a.ny(), nz = a.nz();
+    for (int x = 0; x <= nx + 1; ++x)
+      for (int y = 0; y <= ny + 1; ++y)
+        for (int z = 0; z <= nz + 1; ++z)
+          if (x == 0 || x == nx + 1 || y == 0 || y == ny + 1 || z == 0 ||
+              z == nz + 1)
+            eq = eq && a.at(x, y, z) == b.at(x, y, z);
+  } else if constexpr (requires(GridT g) { g.at(0, 0); }) {
+    const int nx = a.nx(), ny = a.ny();
+    for (int x = 0; x <= nx + 1; ++x)
+      for (int y = 0; y <= ny + 1; ++y)
+        if (x == 0 || x == nx + 1 || y == 0 || y == ny + 1)
+          eq = eq && a.at(x, y) == b.at(x, y);
+  } else {
+    eq = a.at(0) == b.at(0) && a.at(a.nx() + 1) == b.at(b.nx() + 1);
+  }
+  return eq;
+}
+
+// Runs the checks at an even and an odd step count on the problem `b`
+// describes, with threads = 2 (the tiled path); `make()` returns a fresh,
+// identically filled grid.
+template <class C, class Make>
+void expect_in_place_tiled(const solver::ProblemBuilder& b, const C& c,
+                           Make make) {
+  for (const long steps : {8L, 9L}) {
+    const StencilProblem p =
+        solver::ProblemBuilder(b).steps(steps).threads(2).build();
+    SCOPED_TRACE(p.signature());
+    StencilProblem ps = p;
+    ps.threads = 0;
+    auto ref = make();
+    Solver(ps).run(solver::Workload(c, ref));
+
+    const Solver tiled(p);
+    ASSERT_EQ(tiled.plan().path, Path::kTiledParallel);
+    const tiling::StageExec inline_exec{nullptr, 1, run_inline};
+    for (const Solver& s : {tiled, tiled.with_stage_exec(&inline_exec)}) {
+      auto u = make();
+      const void* buf = buffer_of(u);
+      s.run(solver::Workload(c, u));
+      EXPECT_EQ(buffer_of(u), buf);
+      EXPECT_EQ(grid::max_abs_diff(u, ref), 0.0);
+    }
+
+    const tiling::StageExec failing{nullptr, 1, run_throwing};
+    const auto before = make();
+    auto u = make();
+    const void* buf = buffer_of(u);
+    EXPECT_THROW(tiled.with_stage_exec(&failing).run(solver::Workload(c, u)),
+                 std::runtime_error);
+    ASSERT_EQ(buffer_of(u), buf);
+    EXPECT_EQ(extents_of(u), extents_of(before));
+    EXPECT_TRUE(boundaries_equal(u, before));
+  }
+}
+
+// A maker of G<T>(n...) grids filled from `seed` (values in [0, 1]).
+template <class T, template <class> class G, class... Extents>
+auto random_grid(unsigned seed, Extents... n) {
+  return [=] {
+    std::mt19937_64 rng(seed);
+    G<T> g(n...);
+    g.fill_random(rng, T{0}, T{1});
+    return g;
+  };
+}
+
+TEST(SolverInPlace, Jacobi1D3) {
+  expect_in_place_tiled(
+      solver::ProblemBuilder(Family::kJacobi1D3).extents(4096),
+      stencil::heat1d(0.25), random_grid<double, grid::Grid1D>(31, 4096));
+}
+
+TEST(SolverInPlace, Jacobi2D5) {
+  expect_in_place_tiled(
+      solver::ProblemBuilder(Family::kJacobi2D5).extents(96, 80),
+      stencil::heat2d(0.2), random_grid<double, grid::Grid2D>(32, 96, 80));
+}
+
+TEST(SolverInPlace, Jacobi2D9) {
+  const stencil::C2D9 c{0.2, 0.14, 0.12, 0.1, 0.09, 0.08, 0.09, 0.09, 0.09};
+  expect_in_place_tiled(
+      solver::ProblemBuilder(Family::kJacobi2D9).extents(96, 80), c,
+      random_grid<double, grid::Grid2D>(33, 96, 80));
+}
+
+TEST(SolverInPlace, Jacobi3D7) {
+  const stencil::C3D7 c{0.28, 0.13, 0.12, 0.12, 0.11, 0.13, 0.11};
+  expect_in_place_tiled(
+      solver::ProblemBuilder(Family::kJacobi3D7).extents(40, 12, 10), c,
+      random_grid<double, grid::Grid3D>(34, 40, 12, 10));
+}
+
+TEST(SolverInPlace, Life) {
+  expect_in_place_tiled(solver::ProblemBuilder(Family::kLife).extents(96, 80),
+                        stencil::LifeRule{},
+                        random_grid<std::int32_t, grid::Grid2D>(35, 96, 80));
+}
 
 // ---- float (dtype = f32) plumbing ------------------------------------------
 
