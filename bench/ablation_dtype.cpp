@@ -17,6 +17,7 @@
 #include <string>
 
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/coefficients.hpp"
 
@@ -29,13 +30,15 @@ double rate_1d(int nx, long steps) {
   grid::Grid1D<T> u(nx);
   for (int x = 0; x <= nx + 1; ++x)
     u.at(x) = T{1} + T(0.001) * static_cast<T>(x % 97);
-  solver::StencilProblem p =
-      solver::problem_1d(solver::Family::kJacobi1D3, nx, steps);
+  solver::StencilProblem p = solver::ProblemBuilder(solver::Family::kJacobi1D3)
+                                 .extents(nx)
+                                 .steps(steps)
+                                 .build();
   if constexpr (std::is_same_v<T, float>) p.dtype = dispatch::DType::kF32;
   const solver::Solver s(p);
   const stencil::C1D3T<T> c = stencil::heat1d<T>(0.25);
   const double pts = static_cast<double>(nx) * static_cast<double>(steps);
-  return bench::measure_gstencils(pts, [&] { s.run(c, u); });
+  return bench::measure_gstencils(pts, [&] { s.run(solver::Workload(c, u)); });
 }
 
 template <class T>
@@ -44,14 +47,16 @@ double rate_2d(int nx, int ny, long steps) {
   for (int x = 0; x <= nx + 1; ++x)
     for (int y = 0; y <= ny + 1; ++y)
       u.at(x, y) = T{1} + T(0.001) * static_cast<T>((x + y) % 97);
-  solver::StencilProblem p =
-      solver::problem_2d(solver::Family::kJacobi2D5, nx, ny, steps);
+  solver::StencilProblem p = solver::ProblemBuilder(solver::Family::kJacobi2D5)
+                                 .extents(nx, ny)
+                                 .steps(steps)
+                                 .build();
   if constexpr (std::is_same_v<T, float>) p.dtype = dispatch::DType::kF32;
   const solver::Solver s(p);
   const stencil::C2D5T<T> c = stencil::heat2d<T>(0.2);
   const double pts =
       static_cast<double>(nx) * ny * static_cast<double>(steps);
-  return bench::measure_gstencils(pts, [&] { s.run(c, u); });
+  return bench::measure_gstencils(pts, [&] { s.run(solver::Workload(c, u)); });
 }
 
 template <class T>
@@ -61,14 +66,16 @@ double rate_3d(int n, long steps) {
     for (int y = 0; y <= n + 1; ++y)
       for (int z = 0; z <= n + 1; ++z)
         u.at(x, y, z) = T{1} + T(0.001) * static_cast<T>((x + y + z) % 97);
-  solver::StencilProblem p =
-      solver::problem_3d(solver::Family::kJacobi3D7, n, n, n, steps);
+  solver::StencilProblem p = solver::ProblemBuilder(solver::Family::kJacobi3D7)
+                                 .extents(n, n, n)
+                                 .steps(steps)
+                                 .build();
   if constexpr (std::is_same_v<T, float>) p.dtype = dispatch::DType::kF32;
   const solver::Solver s(p);
   const stencil::C3D7T<T> c = stencil::heat3d<T>(0.1);
   const double pts =
       static_cast<double>(n) * n * n * static_cast<double>(steps);
-  return bench::measure_gstencils(pts, [&] { s.run(c, u); });
+  return bench::measure_gstencils(pts, [&] { s.run(solver::Workload(c, u)); });
 }
 
 std::string ratio(double num, double den) {

@@ -10,6 +10,7 @@
 #include "baseline/autovec.hpp"
 #include "baseline/spatial.hpp"
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/reference1d.hpp"
 
@@ -37,9 +38,12 @@ int main() {
       u.at(x) = 1.0 + 0.001 * (x % 97);
 
     const solver::Solver solve(
-        solver::problem_1d(solver::Family::kJacobi1D3, nx, steps));
-    const double r_our =
-        b::measure_gstencils(pts, [&] { solve.run(c, u); });
+        solver::ProblemBuilder(solver::Family::kJacobi1D3)
+            .extents(nx)
+            .steps(steps)
+            .build());
+    const double r_our = b::measure_gstencils(
+        pts, [&] { solve.run(solver::Workload(c, u)); });
     const double r_auto = b::measure_gstencils(
         pts, [&] { baseline::autovec_jacobi1d3_run(c, u, steps); });
     const double r_scalar = b::measure_gstencils(

@@ -2,6 +2,7 @@
 #include "baseline/autovec.hpp"
 #include "baseline/spatial.hpp"
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/reference2d.hpp"
 
@@ -20,9 +21,12 @@ int main() {
     for (int x = 0; x <= n + 1; ++x)
       for (int y = 0; y <= n + 1; ++y) u.at(x, y) = 0.001 * ((x * 31 + y) % 89);
     const solver::Solver solve(
-        solver::problem_2d(solver::Family::kJacobi2D5, n, n, steps));
-    const double r_our =
-        b::measure_gstencils(pts, [&] { solve.run(c, u); });
+        solver::ProblemBuilder(solver::Family::kJacobi2D5)
+            .extents(n, n)
+            .steps(steps)
+            .build());
+    const double r_our = b::measure_gstencils(
+        pts, [&] { solve.run(solver::Workload(c, u)); });
     const double r_auto = b::measure_gstencils(
         pts, [&] { baseline::autovec_jacobi2d5_run(c, u, steps); });
     const double r_sc = b::measure_gstencils(

@@ -3,6 +3,7 @@
 #include "baseline/autovec.hpp"
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "tiling/diamond2d.hpp"
 
@@ -14,17 +15,21 @@ int main() {
   const stencil::C2D5 c = stencil::heat2d(0.2);
   const double pts = static_cast<double>(n) * n * static_cast<double>(steps);
 
-  grid::PingPong<grid::Grid2D<double>> pp(n, n);
+  // "our" and "tiled-auto" both solve in place on the same plain grid, so
+  // both pay the same parity-partner allocation per run.
+  grid::Grid2D<double> u(n, n);
   for (int x = 0; x <= n + 1; ++x)
-    for (int y = 0; y <= n + 1; ++y)
-      pp.even().at(x, y) = 0.001 * ((x * 31 + y) % 89);
+    for (int y = 0; y <= n + 1; ++y) u.at(x, y) = 0.001 * ((x * 31 + y) % 89);
   grid::Grid2D<double> ua(n, n);
   for (int x = 0; x <= n + 1; ++x)
-    for (int y = 0; y <= n + 1; ++y) ua.at(x, y) = pp.even().at(x, y);
+    for (int y = 0; y <= n + 1; ++y) ua.at(x, y) = u.at(x, y);
 
   // "our" through the Solver facade, pinned to Table 1's 256^2 x 64.
   const solver::StencilProblem prob =
-      solver::problem_2d(solver::Family::kJacobi2D5, n, n, steps);
+      solver::ProblemBuilder(solver::Family::kJacobi2D5)
+          .extents(n, n)
+          .steps(steps)
+          .build();
   solver::ExecutionPlan plan = solver::heuristic_plan(prob);
   plan.path = solver::Path::kTiledParallel;
   plan.tile_w = 256;
@@ -40,7 +45,8 @@ int main() {
       "Fig 4d  Heat-2D parallel, diamond 256x64 on x (Gstencils/s)",
       {{"our",
         [&](int) {
-          return b::measure_gstencils(pts, [&] { solve.run(c, pp); });
+          return b::measure_gstencils(
+              pts, [&] { solve.run(solver::Workload(c, u)); });
         }},
        {"auto",
         [&](int) {
@@ -50,7 +56,7 @@ int main() {
         }},
        {"tiled-auto", [&](int) {
           return b::measure_gstencils(
-              pts, [&] { tiling::diamond_jacobi2d5_run(c, pp, steps, sc); });
+              pts, [&] { tiling::diamond_jacobi2d5_run(c, u, steps, sc); });
         }}});
   return 0;
 }

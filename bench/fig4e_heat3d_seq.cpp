@@ -3,6 +3,7 @@
 #include "baseline/autovec.hpp"
 #include "baseline/spatial.hpp"
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/reference3d.hpp"
 
@@ -26,9 +27,12 @@ int main() {
         for (int z = 0; z <= nn + 1; ++z)
           u.at(x, y, z) = 0.001 * ((x * 7 + y * 3 + z) % 89);
     const solver::Solver solve(
-        solver::problem_3d(solver::Family::kJacobi3D7, nn, nn, nn, steps));
-    const double r_our =
-        b::measure_gstencils(pts, [&] { solve.run(c, u); });
+        solver::ProblemBuilder(solver::Family::kJacobi3D7)
+            .extents(nn, nn, nn)
+            .steps(steps)
+            .build());
+    const double r_our = b::measure_gstencils(
+        pts, [&] { solve.run(solver::Workload(c, u)); });
     const double r_auto = b::measure_gstencils(
         pts, [&] { baseline::autovec_jacobi3d7_run(c, u, steps); });
     const double r_sc = b::measure_gstencils(

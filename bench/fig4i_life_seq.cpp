@@ -2,6 +2,7 @@
 #include "baseline/autovec.hpp"
 #include "baseline/spatial.hpp"
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/life_ref.hpp"
 
@@ -20,9 +21,12 @@ int main() {
     for (int x = 0; x <= n + 1; ++x)
       for (int y = 0; y <= n + 1; ++y) u.at(x, y) = (x * 31 + y * 17) % 3 == 0;
     const solver::Solver solve(
-        solver::problem_2d(solver::Family::kLife, n, n, steps));
-    const double r_our =
-        b::measure_gstencils(pts, [&] { solve.run(rule, u); });
+        solver::ProblemBuilder(solver::Family::kLife)
+            .extents(n, n)
+            .steps(steps)
+            .build());
+    const double r_our = b::measure_gstencils(
+        pts, [&] { solve.run(solver::Workload(rule, u)); });
     const double r_auto = b::measure_gstencils(
         pts, [&] { baseline::autovec_life_run(rule, u, steps); });
     const double r_sc =

@@ -1,6 +1,7 @@
 // Figure 5a: Gauss-Seidel 1D sequential, size sweep 2^7..2^23; curves
 // our / scalar (no spatial vectorization of Gauss-Seidel exists).
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/reference1d.hpp"
 
@@ -19,9 +20,12 @@ int main() {
     grid::Grid1D<double> u(nx);
     for (int x = 0; x <= nx + 1; ++x) u.at(x) = 1.0 + 0.001 * (x % 97);
     const solver::Solver solve(
-        solver::problem_1d(solver::Family::kGs1D3, nx, sweeps));
-    const double r_our =
-        b::measure_gstencils(pts, [&] { solve.run(c, u); });
+        solver::ProblemBuilder(solver::Family::kGs1D3)
+            .extents(nx)
+            .steps(sweeps)
+            .build());
+    const double r_our = b::measure_gstencils(
+        pts, [&] { solve.run(solver::Workload(c, u)); });
     const double r_sc =
         b::measure_gstencils(pts, [&] { stencil::gs1d3_run(c, u, sweeps); });
     b::print_row({"2^" + std::to_string(e), b::fmt(r_our), b::fmt(r_sc)});

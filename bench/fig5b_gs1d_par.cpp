@@ -2,6 +2,7 @@
 // 2048 x 64 blocking.  `our` and `scalar` share the identical tiling.
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "tiling/parallelogram.hpp"
 
@@ -18,7 +19,10 @@ int main() {
 
   // "our" through the Solver facade, pinned to Table 1's blocking.
   const solver::StencilProblem prob =
-      solver::problem_1d(solver::Family::kGs1D3, nx, sweeps);
+      solver::ProblemBuilder(solver::Family::kGs1D3)
+          .extents(nx)
+          .steps(sweeps)
+          .build();
   solver::ExecutionPlan plan = solver::heuristic_plan(prob);
   plan.path = solver::Path::kTiledParallel;
   plan.tile_w = 2048;
@@ -34,7 +38,8 @@ int main() {
       "Fig 5b  GS-1D parallel, parallelogram 2048x64 (Gstencils/s)",
       {{"our",
         [&](int) {
-          return b::measure_gstencils(pts, [&] { solve.run(c, u); });
+          return b::measure_gstencils(
+              pts, [&] { solve.run(solver::Workload(c, u)); });
         }},
        {"scalar", [&](int) {
           return b::measure_gstencils(pts, [&] {

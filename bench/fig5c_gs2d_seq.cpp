@@ -1,5 +1,6 @@
 // Figure 5c: GS-2D sequential, size sweep.
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/reference2d.hpp"
 
@@ -18,9 +19,12 @@ int main() {
     for (int x = 0; x <= n + 1; ++x)
       for (int y = 0; y <= n + 1; ++y) u.at(x, y) = 0.001 * ((x * 29 + y) % 97);
     const solver::Solver solve(
-        solver::problem_2d(solver::Family::kGs2D5, n, n, sweeps));
-    const double r_our =
-        b::measure_gstencils(pts, [&] { solve.run(c, u); });
+        solver::ProblemBuilder(solver::Family::kGs2D5)
+            .extents(n, n)
+            .steps(sweeps)
+            .build());
+    const double r_our = b::measure_gstencils(
+        pts, [&] { solve.run(solver::Workload(c, u)); });
     const double r_sc =
         b::measure_gstencils(pts, [&] { stencil::gs2d5_run(c, u, sweeps); });
     b::print_row({std::to_string(n), b::fmt(r_our), b::fmt(r_sc)});

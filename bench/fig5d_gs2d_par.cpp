@@ -2,6 +2,7 @@
 // Table 1: 128^2 x 32.
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "tiling/parallelogram2d.hpp"
 
@@ -19,7 +20,10 @@ int main() {
 
   // "our" through the Solver facade, pinned to Table 1's blocking.
   const solver::StencilProblem prob =
-      solver::problem_2d(solver::Family::kGs2D5, n, n, sweeps);
+      solver::ProblemBuilder(solver::Family::kGs2D5)
+          .extents(n, n)
+          .steps(sweeps)
+          .build();
   solver::ExecutionPlan plan = solver::heuristic_plan(prob);
   plan.path = solver::Path::kTiledParallel;
   plan.tile_w = 128;
@@ -35,7 +39,8 @@ int main() {
       "Fig 5d  GS-2D parallel, parallelogram 128x32 on x (Gstencils/s)",
       {{"our",
         [&](int) {
-          return b::measure_gstencils(pts, [&] { solve.run(c, u); });
+          return b::measure_gstencils(
+              pts, [&] { solve.run(solver::Workload(c, u)); });
         }},
        {"scalar", [&](int) {
           return b::measure_gstencils(pts, [&] {

@@ -1,5 +1,6 @@
 // Figure 5e: GS-3D sequential, size sweep.
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/reference3d.hpp"
 
@@ -22,9 +23,12 @@ int main() {
         for (int z = 0; z <= n + 1; ++z)
           u.at(x, y, z) = 0.001 * ((x * 5 + y * 3 + z) % 97);
     const solver::Solver solve(
-        solver::problem_3d(solver::Family::kGs3D7, n, n, n, sweeps));
-    const double r_our =
-        b::measure_gstencils(pts, [&] { solve.run(c, u); });
+        solver::ProblemBuilder(solver::Family::kGs3D7)
+            .extents(n, n, n)
+            .steps(sweeps)
+            .build());
+    const double r_our = b::measure_gstencils(
+        pts, [&] { solve.run(solver::Workload(c, u)); });
     const double r_sc =
         b::measure_gstencils(pts, [&] { stencil::gs3d7_run(c, u, sweeps); });
     b::print_row({std::to_string(n), b::fmt(r_our), b::fmt(r_sc)});

@@ -2,6 +2,7 @@
 // Table 1: 32^3 x 32.
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "tiling/parallelogram2d.hpp"
 
@@ -22,7 +23,10 @@ int main() {
 
   // "our" through the Solver facade, pinned to Table 1's blocking.
   const solver::StencilProblem prob =
-      solver::problem_3d(solver::Family::kGs3D7, n, n, n, sweeps);
+      solver::ProblemBuilder(solver::Family::kGs3D7)
+          .extents(n, n, n)
+          .steps(sweeps)
+          .build();
   solver::ExecutionPlan plan = solver::heuristic_plan(prob);
   plan.path = solver::Path::kTiledParallel;
   plan.tile_w = 32;
@@ -38,7 +42,8 @@ int main() {
       "Fig 5f  GS-3D parallel, parallelogram 32x32 on x (Gstencils/s)",
       {{"our",
         [&](int) {
-          return b::measure_gstencils(pts, [&] { solve.run(c, u); });
+          return b::measure_gstencils(
+              pts, [&] { solve.run(solver::Workload(c, u)); });
         }},
        {"scalar", [&](int) {
           return b::measure_gstencils(pts, [&] {

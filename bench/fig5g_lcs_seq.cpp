@@ -4,6 +4,7 @@
 #include <vector>
 
 #include "bench_util/bench.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/lcs_ref.hpp"
 
@@ -24,9 +25,10 @@ int main() {
     const double pts = static_cast<double>(n) * static_cast<double>(n);
     volatile std::int32_t sink = 0;
     const solver::Solver solve(
-        solver::problem_2d(solver::Family::kLcs, n, n, 0));
+        solver::ProblemBuilder(solver::Family::kLcs).extents(n, n).build());
+    const solver::Workload w(a, bseq);
     const double r_our =
-        b::measure_gstencils(pts, [&] { sink = solve.lcs(a, bseq); });
+        b::measure_gstencils(pts, [&] { sink = solve.run(w).lcs_length; });
     const double r_sc =
         b::measure_gstencils(pts, [&] { sink = stencil::lcs_ref(a, bseq); });
     (void)sink;

@@ -5,6 +5,7 @@
 
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "tiling/lcs_wavefront.hpp"
 
@@ -22,12 +23,13 @@ int main() {
 
   // "our" through the Solver facade, pinned to Table 1's 4096 x 4096.
   const solver::StencilProblem prob =
-      solver::problem_2d(solver::Family::kLcs, n, n, 0);
+      solver::ProblemBuilder(solver::Family::kLcs).extents(n, n).build();
   solver::ExecutionPlan plan = solver::heuristic_plan(prob);
   plan.path = solver::Path::kTiledParallel;
   plan.tile_w = 4096;
   plan.tile_h = 4096;
   const solver::Solver solve(prob, plan);
+  const solver::Workload w(a, bseq);
 
   tiling::LcsWavefrontOptions sc;  // identical tiling, scalar DP rows
   sc.block = plan.tile_w;
@@ -40,7 +42,7 @@ int main() {
       {{"our",
         [&](int) {
           return b::measure_gstencils(
-              pts, [&] { sink = solve.lcs(a, bseq); });
+              pts, [&] { sink = solve.run(w).lcs_length; });
         }},
        {"scalar", [&](int) {
           return b::measure_gstencils(

@@ -36,8 +36,8 @@ int main() {
   const int nx = 1 << 22;
   const long steps = 256;
   const double pts = static_cast<double>(nx) * steps;
-  grid::PingPong<grid::Grid1D<double>> pp(nx);
-  for (int x = 0; x <= nx + 1; ++x) pp.even().at(x) = 0.001 * (x % 101);
+  grid::Grid1D<double> u(nx);
+  for (int x = 0; x <= nx + 1; ++x) u.at(x) = 0.001 * (x % 101);
 
   b::print_title("Heat-1D diamond block search (24 threads, Gstencils/s)");
   b::print_header({"WxH", "rate"});
@@ -47,9 +47,8 @@ int main() {
       tiling::Diamond1DOptions opt;
       opt.width = w;
       opt.height = h;
-      const double r = b::measure_gstencils(pts, [&] {
-        tiling::diamond_jacobi1d3_run(c, pp, steps, opt);
-      });
+      const double r = b::measure_gstencils(
+          pts, [&] { tiling::diamond_jacobi1d3_run(c, u, steps, opt); });
       b::print_row({std::to_string(w) + "x" + std::to_string(h), b::fmt(r)});
     }
   return 0;

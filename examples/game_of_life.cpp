@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
                                  .build());
   long alive_total = 0;
   for (long g = 0; g < gens; g += 8) {
-    solve.run(conway, u);
+    solve.run(solver::Workload(conway, u));
     alive_total = 0;
     for (int x = 1; x <= nx; ++x)
       for (int y = 1; y <= ny; ++y) alive_total += u.at(x, y);

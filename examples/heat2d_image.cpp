@@ -29,7 +29,7 @@ int main(int argc, char** argv) {
           .extents(n, n)
           .steps(steps)
           .build());
-  solve.run(stencil::heat2d(0.2), u);
+  solve.run(solver::Workload(stencil::heat2d(0.2), u));
 
   std::FILE* f = std::fopen("heat2d.ppm", "wb");
   if (f == nullptr) return 1;

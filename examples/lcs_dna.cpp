@@ -43,9 +43,10 @@ int main(int argc, char** argv) {
   wf_plan.tile_h = 2048;
   const solver::Solver wavefront(p, wf_plan);
 
+  const solver::Workload w(a, b);
   const auto [r_ref, t_ref] = time([&] { return stencil::lcs_ref(a, b); });
-  const auto [r_tv, t_tv] = time([&] { return serial.lcs(a, b); });
-  const auto [r_wf, t_wf] = time([&] { return wavefront.lcs(a, b); });
+  const auto [r_tv, t_tv] = time([&] { return serial.run(w).lcs_length; });
+  const auto [r_wf, t_wf] = time([&] { return wavefront.run(w).lcs_length; });
 
   std::printf("LCS of two %d-base DNA fragments: %d (%.1f%% of length)\n", n,
               r_ref, 100.0 * r_ref / n);

@@ -63,7 +63,8 @@ int main(int argc, char** argv) {
               kTol);
   const double t_sc =
       solve([&] { stencil::gs2d5_run(c, u, kChunk); }, "scalar GS");
-  const double t_tv = solve([&] { gs.run(c, u); }, "temporal-vector GS");
+  const double t_tv =
+      solve([&] { gs.run(solver::Workload(c, u)); }, "temporal-vector GS");
   std::printf("speedup: %.2fx\n", t_sc / t_tv);
   return 0;
 }

@@ -36,7 +36,7 @@ int main() {
           .steps(steps)
           .build();
   const solver::Solver solve(problem);
-  solve.run(heat, u);
+  solve.run(solver::Workload(heat, u));
 
   // Scalar oracle for comparison — bit-identical by construction.
   grid::Grid1D<double> ref(nx);

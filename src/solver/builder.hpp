@@ -7,13 +7,12 @@
 //                          .threads(4)
 //                          .build();
 //
-// Unlike the positional problem_{1,2,3}d helpers (problem.hpp), the
-// builder checks everything at build() time and throws tvs::solver::Error:
-// the extents arity must match the family's dimensionality and every
-// extent must be positive (Errc::kBadExtents), steps must be >= 0
-// (kBadSteps), threads >= 0 (kBadThreads), and the element type must be
-// one the family can run at (kUnsupportedDtype).  LCS problems read
-// extents(|a|, |b|).
+// The builder checks everything at build() time and throws
+// tvs::solver::Error: the extents arity must match the family's
+// dimensionality and every extent must be positive (Errc::kBadExtents),
+// steps must be >= 0 (kBadSteps), threads >= 0 (kBadThreads), and the
+// element type must be one the family can run at (kUnsupportedDtype).
+// LCS problems read extents(|a|, |b|).
 #pragma once
 
 #include "dispatch/dtype.hpp"

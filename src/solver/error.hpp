@@ -21,18 +21,17 @@
 namespace tvs::solver {
 
 enum class Errc : int {
-  kBadFamily = 0,        // unknown family name/id, or a family/overload
-                         // mismatch on a typed entry point
+  kBadFamily = 0,        // unknown family name/id
   kBadExtents,           // grid/span extents disagree with the descriptor,
                          // or a builder was given the wrong arity
   kBadSteps,             // negative step/sweep count
   kBadThreads,           // negative thread request
   kBadPlanSpec,          // malformed TVS_PLAN clause
   kUnsupportedDtype,     // family cannot run at the requested element type,
-                         // or a typed overload got the wrong-precision grid
+                         // or a payload of the other precision
   kBadStride,            // §3.2 stride legality / ring capacity violation
   kBadVl,                // no engine registered at the pinned vector length
-  kBadPath,              // plan path the family/overload cannot serve
+  kBadPath,              // plan path the family cannot serve
   kBadVariant,           // variant=re outside the Jacobi serial engines
   kBackendUnavailable,   // backend not compiled in or not executable here
   kBadWorkload,          // a Workload payload the problem cannot run

@@ -39,36 +39,6 @@ bool family_has_re_variant(Family f) {
          f == Family::kJacobi3D7;
 }
 
-// The serial temporal-engine registry id for a family (used to check that
-// a pinned vector length actually has a registered engine).  The re
-// variant swaps in the redundancy-eliminated ids for the Jacobi families.
-std::string_view serial_kernel_id(Family f, Variant v) {
-  const bool re = v == Variant::kRe;
-  switch (f) {
-    case Family::kJacobi1D3:
-      return re ? dispatch::kTvJacobi1D3Re : dispatch::kTvJacobi1D3;
-    case Family::kJacobi1D5:
-      return re ? dispatch::kTvJacobi1D5Re : dispatch::kTvJacobi1D5;
-    case Family::kJacobi2D5:
-      return re ? dispatch::kTvJacobi2D5Re : dispatch::kTvJacobi2D5;
-    case Family::kJacobi2D9:
-      return re ? dispatch::kTvJacobi2D9Re : dispatch::kTvJacobi2D9;
-    case Family::kJacobi3D7:
-      return re ? dispatch::kTvJacobi3D7Re : dispatch::kTvJacobi3D7;
-    case Family::kGs1D3:
-      return dispatch::kTvGs1D3;
-    case Family::kGs2D5:
-      return dispatch::kTvGs2D5;
-    case Family::kGs3D7:
-      return dispatch::kTvGs3D7;
-    case Family::kLife:
-      return dispatch::kTvLife;
-    case Family::kLcs:
-      return dispatch::kTvLcsRows;
-  }
-  throw Error(Errc::kBadFamily, "unknown stencil family");
-}
-
 // Band height rounded down to a multiple of `unit`, clamped to the number
 // of steps actually requested (never below one unit).
 int clamp_height(int preferred, long steps, int unit) {
@@ -102,6 +72,60 @@ std::string ExecutionPlan::to_string() const {
     s += variant_name(variant);
   }
   return s;
+}
+
+std::string_view serial_kernel_id(Family f, Variant v) {
+  const bool re = v == Variant::kRe;
+  switch (f) {
+    case Family::kJacobi1D3:
+      return re ? dispatch::kTvJacobi1D3Re : dispatch::kTvJacobi1D3;
+    case Family::kJacobi1D5:
+      return re ? dispatch::kTvJacobi1D5Re : dispatch::kTvJacobi1D5;
+    case Family::kJacobi2D5:
+      return re ? dispatch::kTvJacobi2D5Re : dispatch::kTvJacobi2D5;
+    case Family::kJacobi2D9:
+      return re ? dispatch::kTvJacobi2D9Re : dispatch::kTvJacobi2D9;
+    case Family::kJacobi3D7:
+      return re ? dispatch::kTvJacobi3D7Re : dispatch::kTvJacobi3D7;
+    case Family::kGs1D3:
+      return dispatch::kTvGs1D3;
+    case Family::kGs2D5:
+      return dispatch::kTvGs2D5;
+    case Family::kGs3D7:
+      return dispatch::kTvGs3D7;
+    case Family::kLife:
+      return dispatch::kTvLife;
+    case Family::kLcs:
+      return dispatch::kTvLcsRows;
+  }
+  throw Error(Errc::kBadFamily, "unknown stencil family");
+}
+
+std::string_view tiled_kernel_id(Family f) {
+  switch (f) {
+    case Family::kJacobi1D3:
+      return dispatch::kDiamondJacobi1D3;
+    case Family::kJacobi2D5:
+      return dispatch::kDiamondJacobi2D5;
+    case Family::kJacobi2D9:
+      return dispatch::kDiamondJacobi2D9;
+    case Family::kJacobi3D7:
+      return dispatch::kDiamondJacobi3D7;
+    case Family::kLife:
+      return dispatch::kDiamondLife;
+    case Family::kGs1D3:
+      return dispatch::kParallelogramGs1D3;
+    case Family::kGs2D5:
+      return dispatch::kParallelogramGs2D5;
+    case Family::kGs3D7:
+      return dispatch::kParallelogramGs3D7;
+    case Family::kLcs:
+      return dispatch::kLcsWavefront;
+    case Family::kJacobi1D5:
+      break;
+  }
+  throw Error(Errc::kBadPath,
+              std::string(family_name(f)) + " has no tiled parallel driver");
 }
 
 bool family_has_tiled_path(Family f) { return f != Family::kJacobi1D5; }

@@ -101,4 +101,12 @@ void validate_plan(const StencilProblem& p, const ExecutionPlan& plan);
 // Jacobi 1D5P, which only has the serial temporal engine).
 bool family_has_tiled_path(Family f);
 
+// The registry id of the family's serial temporal engine (kRe swaps in the
+// redundancy-eliminated engine of a Jacobi family; the other families
+// ignore the variant) and of its tiled parallel driver (diamond for
+// Jacobi/Life, parallelogram for Gauss-Seidel, wavefront for LCS).
+// tiled_kernel_id throws Error(kBadPath) for a family without one.
+std::string_view serial_kernel_id(Family f, Variant v);
+std::string_view tiled_kernel_id(Family f);
+
 }  // namespace tvs::solver

@@ -92,32 +92,4 @@ std::string StencilProblem::signature() const {
   return s;
 }
 
-StencilProblem problem_1d(Family f, int nx, long steps, int threads) {
-  return {f, nx, 0, 0, steps, threads};
-}
-
-StencilProblem problem_2d(Family f, int nx, int ny, long steps, int threads) {
-  return {f, nx, ny, 0, steps, threads};
-}
-
-StencilProblem problem_3d(Family f, int nx, int ny, int nz, long steps,
-                          int threads) {
-  return {f, nx, ny, nz, steps, threads};
-}
-
-StencilProblem problem_1d(Family f, dispatch::DType dt, int nx, long steps,
-                          int threads) {
-  return {f, nx, 0, 0, steps, threads, dt};
-}
-
-StencilProblem problem_2d(Family f, dispatch::DType dt, int nx, int ny,
-                          long steps, int threads) {
-  return {f, nx, ny, 0, steps, threads, dt};
-}
-
-StencilProblem problem_3d(Family f, dispatch::DType dt, int nx, int ny, int nz,
-                          long steps, int threads) {
-  return {f, nx, ny, nz, steps, threads, dt};
-}
-
 }  // namespace tvs::solver

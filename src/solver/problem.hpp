@@ -83,25 +83,4 @@ struct StencilProblem {
   std::string signature() const;
 };
 
-// Convenience constructors for the common shapes.
-//
-// DEPRECATED: prefer solver::ProblemBuilder (builder.hpp), which validates
-// extents arity/positivity, steps, threads and dtype at build() time; the
-// positional helpers below construct unvalidated descriptors and are kept
-// for source compatibility only.
-StencilProblem problem_1d(Family f, int nx, long steps, int threads = 0);
-StencilProblem problem_2d(Family f, int nx, int ny, long steps,
-                          int threads = 0);
-StencilProblem problem_3d(Family f, int nx, int ny, int nz, long steps,
-                          int threads = 0);
-
-// The same shapes with an explicit element type (dt = kF32 for the float
-// engines).
-StencilProblem problem_1d(Family f, dispatch::DType dt, int nx, long steps,
-                          int threads = 0);
-StencilProblem problem_2d(Family f, dispatch::DType dt, int nx, int ny,
-                          long steps, int threads = 0);
-StencilProblem problem_3d(Family f, dispatch::DType dt, int nx, int ny,
-                          int nz, long steps, int threads = 0);
-
 }  // namespace tvs::solver

@@ -51,7 +51,7 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
         for (int x = 0; x <= rep.nx + 1; ++x)
           u.at(x) = T{1} + T(0.001) * static_cast<T>(x % 97);
         const stencil::C1D3T<T> c = stencil::heat1d<T>(0.25);
-        return timed([&] { s.run(c, u); });
+        return timed([&] { s.run(Workload(c, u)); });
       };
       return f32 ? go.template operator()<float>()
                  : go.template operator()<double>();
@@ -62,7 +62,7 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
         for (int x = 0; x <= rep.nx + 1; ++x)
           u.at(x) = T{1} + T(0.001) * static_cast<T>(x % 97);
         const stencil::C1D5T<T> c = stencil::heat1d5<T>(0.1);
-        return timed([&] { s.run(c, u); });
+        return timed([&] { s.run(Workload(c, u)); });
       };
       return f32 ? go.template operator()<float>()
                  : go.template operator()<double>();
@@ -75,7 +75,7 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
           for (int y = 0; y <= rep.ny + 1; ++y)
             u.at(x, y) = T{1} + T(0.001) * static_cast<T>((x + y) % 97);
         const stencil::C2D5T<T> c = stencil::heat2d<T>(0.2);
-        return timed([&] { s.run(c, u); });
+        return timed([&] { s.run(Workload(c, u)); });
       };
       return f32 ? go.template operator()<float>()
                  : go.template operator()<double>();
@@ -87,7 +87,7 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
           for (int y = 0; y <= rep.ny + 1; ++y)
             u.at(x, y) = T{1} + T(0.001) * static_cast<T>((x + y) % 97);
         const stencil::C2D9T<T> c = stencil::box2d9<T>(0.1);
-        return timed([&] { s.run(c, u); });
+        return timed([&] { s.run(Workload(c, u)); });
       };
       return f32 ? go.template operator()<float>()
                  : go.template operator()<double>();
@@ -102,7 +102,7 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
               u.at(x, y, z) =
                   T{1} + T(0.001) * static_cast<T>((x + y + z) % 97);
         const stencil::C3D7T<T> c = stencil::heat3d<T>(0.1);
-        return timed([&] { s.run(c, u); });
+        return timed([&] { s.run(Workload(c, u)); });
       };
       return f32 ? go.template operator()<float>()
                  : go.template operator()<double>();
@@ -115,7 +115,7 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
         for (int y = 1; y <= rep.ny; ++y)
           u.at(x, y) = static_cast<std::int32_t>(rng() & 1u);
       const stencil::LifeRule r{};
-      return timed([&] { s.run(r, u); });
+      return timed([&] { s.run(Workload(r, u)); });
     }
     case Family::kLcs: {
       std::mt19937 rng(7);
@@ -123,7 +123,7 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
           b(static_cast<std::size_t>(rep.ny));
       for (auto& v : a) v = static_cast<std::int32_t>(rng() % 4);
       for (auto& v : b) v = static_cast<std::int32_t>(rng() % 4);
-      return timed([&] { s.lcs(a, b); });
+      return timed([&] { s.run(Workload(a, b)); });
     }
   }
   return 0.0;

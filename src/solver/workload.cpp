@@ -1,15 +1,11 @@
 // The one family/dtype/extent validation behind the unified Solver front
-// door, and the run(Workload) dispatcher both the sync and async paths
-// share.  Every typed run() overload forwards here, so a payload rejected
-// once is rejected everywhere — and a payload accepted here routes to the
-// same registry-resolved engines the typed overloads always used.
-#include <cassert>
-#include <chrono>
+// door: Solver::run(Workload) and Solver::submit(Workload) both call it
+// before any kernel runs, so a payload rejected once is rejected
+// everywhere.
 #include <string>
 #include <variant>
 
 #include "solver/error.hpp"
-#include "solver/solver.hpp"
 #include "solver/workload.hpp"
 #include "util/checked_idx.hpp"
 
@@ -180,29 +176,6 @@ void validate_workload(const StencilProblem& p, const Workload& w) {
         }
       },
       w.payload());
-}
-
-RunResult Solver::run(const Workload& w) const {
-  validate_workload(prob_, w);
-  RunResult out;
-  out.plan = plan_;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::visit(
-      [&](const auto& job) {
-        using Job = std::decay_t<decltype(job)>;
-        if constexpr (std::is_same_v<Job, detail::LcsJob>) {
-          exec_lcs(job, out);
-        } else {
-          assert(job.grid != nullptr &&
-                 "validate_workload admitted a null grid");
-          exec(job.coeffs, *job.grid);
-        }
-      },
-      w.payload());
-  out.seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
-  return out;
 }
 
 }  // namespace tvs::solver

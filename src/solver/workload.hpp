@@ -1,16 +1,15 @@
 // Workload: the type-erased payload behind the unified Solver front door.
 //
-// The facade used to expose one typed run() overload per (coefficient set,
-// grid) pair — 16 entry points whose family/dtype/extent checks were
-// repeated per overload.  A Workload erases the pair into one variant, so
+// A Workload erases one (coefficient set, grid) pair — or an LCS sequence
+// pair — into one variant, so
 //
 //   Solver s(problem);
 //   s.run(Workload(stencil::heat2d(0.2), u));       // synchronous
 //   auto fut = s.submit(Workload(coeffs, grid));    // async, see serve/
 //
 // both route through ONE validation (family <-> payload alternative, dtype,
-// extents — workload.cpp) and one kernel-routing switch, and the legacy
-// typed overloads are now thin wrappers that build the same Workload.
+// extents — workload.cpp) and one generic kernel router (solver.cpp).
+// These two calls are the only ways to run a Solver.
 //
 // ---- Lifetime contract ----------------------------------------------------
 //
@@ -37,9 +36,6 @@
 // whose deadline is set — land in the workers' interactive band, which is
 // drained before batch work on both pop and steal.  They are hints only:
 // run() ignores them, and results never depend on them.
-//
-// The parity-pair (PingPong) overloads stay typed: they are a tiled-path
-// special case with different result placement, not a serving payload.
 #pragma once
 
 #include <cstdint>
@@ -65,8 +61,8 @@ template <class T>
 using Future = std::future<T>;
 
 // What one run produced.  Grid-payload workloads leave their result in the
-// caller's grid (exactly like the typed run() overloads); the LCS payload
-// returns its answer here.
+// caller's grid (updated in place); the LCS payload returns its answer
+// here.
 struct RunResult {
   // The plan the run executed with (resolved through the plan cache).
   ExecutionPlan plan;

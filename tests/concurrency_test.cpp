@@ -14,6 +14,7 @@
 #include <thread>
 #include <vector>
 
+#include "solver/builder.hpp"
 #include "solver/plan_cache.hpp"
 #include "solver/solver.hpp"
 #include "stencil/reference2d.hpp"
@@ -35,7 +36,10 @@ TEST(Concurrency, SameSignatureSingleMissBitIdentical) {
   const long steps = 9;
   const stencil::C2D5 c = stencil::heat2d(0.2);
   const solver::StencilProblem p =
-      solver::problem_2d(solver::Family::kJacobi2D5, nx, ny, steps);
+      solver::ProblemBuilder(solver::Family::kJacobi2D5)
+          .extents(nx, ny)
+          .steps(steps)
+          .build();
 
   // One shared initial state; each thread gets its own copy.
   grid::Grid2D<double> init(nx, ny);
@@ -62,7 +66,7 @@ TEST(Concurrency, SameSignatureSingleMissBitIdentical) {
       while (!go.load()) {
       }
       const solver::Solver s(p);  // races the first plan of this signature
-      s.run(c, *outs[t]);
+      s.run(solver::Workload(c, *outs[t]));
     });
   }
   while (ready.load() != kThreads) {
@@ -92,7 +96,10 @@ TEST(Concurrency, SteadyStateAllHits) {
   }
   solver::plan_cache_clear();
   const solver::StencilProblem p =
-      solver::problem_1d(solver::Family::kJacobi1D3, 128, 5);
+      solver::ProblemBuilder(solver::Family::kJacobi1D3)
+          .extents(128)
+          .steps(5)
+          .build();
   const stencil::C1D3 c = stencil::heat1d(0.25);
   { const solver::Solver warm(p); }  // the single miss
   std::vector<std::thread> workers;
@@ -102,7 +109,7 @@ TEST(Concurrency, SteadyStateAllHits) {
         const solver::Solver s(p);
         grid::Grid1D<double> u(p.nx);
         u.fill(1.0);
-        s.run(c, u);
+        s.run(solver::Workload(c, u));
       }
     });
   }

@@ -285,6 +285,26 @@ TEST(Registry, DtypeAxis) {
   }
 }
 
+// The Solver resolves every engine pinned to the problem's dtype.  Pinning
+// an id to its default dtype must pick exactly the function the dtype-less
+// lookup picks, at the native width and at every registered width.
+TEST(Registry, DefaultDtypePinResolvesTheSameEngine) {
+  const KernelRegistry& reg = KernelRegistry::instance();
+  for (const Backend b : available_backends()) {
+    for (const std::string_view id : reg.kernel_ids()) {
+      const dispatch::DType dt = reg.default_dtype(id);
+      EXPECT_EQ(reg.resolve_at(id, b, dispatch::kAnyVl, dt),
+                reg.resolve_at(id, b))
+          << id << " at " << dispatch::backend_name(b);
+      for (const int vl : reg.registered_widths(id, b)) {
+        if (vl == dispatch::kAnyVl) continue;
+        EXPECT_EQ(reg.resolve_at(id, b, vl, dt), reg.resolve_at(id, b, vl))
+            << id << " at " << dispatch::backend_name(b) << " vl=" << vl;
+      }
+    }
+  }
+}
+
 TEST(Dtype, NamesRoundTrip) {
   using dispatch::DType;
   for (DType d : {DType::kF64, DType::kF32, DType::kI32}) {

@@ -25,6 +25,7 @@
 #include "dispatch/backend.hpp"
 #include "dispatch/kernels.hpp"
 #include "dispatch/registry.hpp"
+#include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stencil/lcs_ref.hpp"
 #include "stencil/life_ref.hpp"
@@ -403,7 +404,7 @@ void solver_float_check(const Problem& p, const CoefT& c, const GridT& init,
   GridT ref = clone(init);
   GridT got = clone(init);
   ref_run(c, ref, p.steps);
-  s.run(c, got);
+  s.run(solver::Workload(c, got));
   ASSERT_TRUE(test::grids_allclose(ref, got))
       << "float Solver::run vl=" << vl << " problem " << p.signature();
 }
@@ -413,7 +414,11 @@ TEST(Property, SolverFloatJacobiMatchesFloatOracle) {
   std::mt19937_64 rng(master_seed() ^ 0xF10A7u);
   for (const int vl : {8, 16}) {
     {
-      auto p = solver::problem_1d(Family::kJacobi1D3, DType::kF32, 200, 9);
+      auto p = solver::ProblemBuilder(Family::kJacobi1D3)
+                   .extents(200)
+                   .steps(9)
+                   .dtype(DType::kF32)
+                   .build();
       grid::Grid1D<float> u(p.nx);
       u.fill_random(rng, -1.0f, 1.0f);
       solver_float_check(p, stencil::heat1d<float>(0.24), u,
@@ -423,7 +428,11 @@ TEST(Property, SolverFloatJacobiMatchesFloatOracle) {
                          vl);
     }
     {
-      auto p = solver::problem_2d(Family::kJacobi2D5, DType::kF32, 48, 18, 9);
+      auto p = solver::ProblemBuilder(Family::kJacobi2D5)
+                   .extents(48, 18)
+                   .steps(9)
+                   .dtype(DType::kF32)
+                   .build();
       grid::Grid2D<float> u(p.nx, p.ny);
       u.fill_random(rng, -1.0f, 1.0f);
       solver_float_check(p, stencil::heat2d<float>(0.18), u,
@@ -433,8 +442,11 @@ TEST(Property, SolverFloatJacobiMatchesFloatOracle) {
                          vl);
     }
     {
-      auto p =
-          solver::problem_3d(Family::kJacobi3D7, DType::kF32, 40, 8, 8, 9);
+      auto p = solver::ProblemBuilder(Family::kJacobi3D7)
+                   .extents(40, 8, 8)
+                   .steps(9)
+                   .dtype(DType::kF32)
+                   .build();
       grid::Grid3D<float> u(p.nx, p.ny, p.nz);
       u.fill_random(rng, -1.0f, 1.0f);
       solver_float_check(p, stencil::heat3d<float>(0.08), u,

@@ -40,6 +40,8 @@
 #include "serve/topology.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
+#include "tv/tv2d.hpp"
+#include "tv/tv_lcs.hpp"
 
 namespace tvs {
 namespace {
@@ -147,17 +149,17 @@ TEST(ServePlanStoreFork, ConcurrentWritersNeverTearEntries) {
 
 // ---- unified Workload front door -------------------------------------------
 
-TEST(ServeWorkload, RunWorkloadMatchesTypedOverload) {
+TEST(ServeWorkload, RunWorkloadMatchesDirectEngine) {
   const StencilProblem p =
       ProblemBuilder(Family::kJacobi2D5).extents(40, 24).steps(7).build();
   const stencil::C2D5 c = stencil::heat2d(0.2);
-  grid::Grid2D<double> typed(p.nx, p.ny), erased(p.nx, p.ny);
-  fill_pattern<double>(typed, 1);
+  grid::Grid2D<double> direct(p.nx, p.ny), erased(p.nx, p.ny);
+  fill_pattern<double>(direct, 1);
   fill_pattern<double>(erased, 1);
   const Solver s(p);
-  s.run(c, typed);
+  tv::tv_jacobi2d5_run(c, direct, p.steps, s.plan().stride);
   const RunResult r = s.run(Workload(c, erased));
-  EXPECT_EQ(grid::max_abs_diff(typed, erased), 0.0);
+  EXPECT_EQ(grid::max_abs_diff(direct, erased), 0.0);
   EXPECT_EQ(r.plan.to_string(), s.plan().to_string());
   EXPECT_GE(r.seconds, 0.0);
 }
@@ -327,7 +329,6 @@ TEST(ServeSubmit, MixedLoadBitIdenticalToSync) {
   // LCS payloads, varying lengths.
   std::vector<std::vector<std::int32_t>> seq_a(kPerKind), seq_b(kPerKind);
   std::vector<solver::Future<RunResult>> lcs_futures;
-  std::vector<StencilProblem> lcs_p;
   for (int i = 0; i < kPerKind; ++i) {
     std::mt19937 rng(40u + static_cast<unsigned>(i));
     seq_a[static_cast<std::size_t>(i)].resize(
@@ -342,7 +343,6 @@ TEST(ServeSubmit, MixedLoadBitIdenticalToSync) {
         ProblemBuilder(Family::kLcs)
             .extents(30 + 11 * i, 25 + 7 * i)
             .build();
-    lcs_p.push_back(p);
     lcs_futures.push_back(Solver(p).submit(Workload(
         seq_a[static_cast<std::size_t>(i)],
         seq_b[static_cast<std::size_t>(i)])));
@@ -351,10 +351,10 @@ TEST(ServeSubmit, MixedLoadBitIdenticalToSync) {
   // Sync twins run on the caller thread while the pool is busy.
   for (int i = 0; i < kPerKind; ++i) {
     const std::size_t k = static_cast<std::size_t>(i);
-    Solver(j1_p[k]).run(stencil::heat1d(0.25), *j1_sync[k]);
-    Solver(j2_p[k]).run(stencil::heat2d(0.2), *j2_sync[k]);
-    Solver(f1_p[k]).run(stencil::heat1d<float>(0.25), *f1_sync[k]);
-    Solver(lf_p[k]).run(stencil::LifeRule{}, *lf_sync[k]);
+    Solver(j1_p[k]).run(Workload(stencil::heat1d(0.25), *j1_sync[k]));
+    Solver(j2_p[k]).run(Workload(stencil::heat2d(0.2), *j2_sync[k]));
+    Solver(f1_p[k]).run(Workload(stencil::heat1d<float>(0.25), *f1_sync[k]));
+    Solver(lf_p[k]).run(Workload(stencil::LifeRule{}, *lf_sync[k]));
   }
 
   for (solver::Future<RunResult>& f : futures) f.get();
@@ -369,10 +369,10 @@ TEST(ServeSubmit, MixedLoadBitIdenticalToSync) {
     EXPECT_EQ(grid::max_abs_diff(*lf_sync[k], *lf_async[k]), 0.0)
         << "life instance " << i;
     const RunResult r = lcs_futures[k].get();
-    const Solver s(lcs_p[k]);
-    EXPECT_EQ(r.lcs_length, s.lcs(seq_a[k], seq_b[k])) << "lcs " << i;
+    const std::vector<std::int32_t> row = tv::tv_lcs_row(seq_a[k], seq_b[k]);
+    EXPECT_EQ(r.lcs_length, row.back()) << "lcs " << i;
     if (!r.lcs_row.empty()) {
-      EXPECT_EQ(r.lcs_row, s.lcs_row(seq_a[k], seq_b[k]));
+      EXPECT_EQ(r.lcs_row, row) << "lcs " << i;
     }
   }
 }
@@ -414,7 +414,7 @@ TEST(ServeBatch, AmortizesPlanningAcrossIdenticalSignatures) {
   for (int i = 0; i < kJobs; ++i) {
     grid::Grid1D<double> sync(p.nx);
     fill_pattern<double>(sync, static_cast<unsigned>(i));
-    Solver(p).run(stencil::heat1d(0.25), sync);
+    Solver(p).run(Workload(stencil::heat1d(0.25), sync));
     EXPECT_EQ(grid::max_abs_diff(sync, *grids[static_cast<std::size_t>(i)]),
               0.0)
         << "batch instance " << i;
@@ -850,7 +850,7 @@ TEST(ServeWorkload, OwningGridWorkloadSurvivesFireAndForget) {
 
   grid::Grid2D<double> sync_g(p.nx, p.ny);
   fill_pattern<double>(sync_g, 8);
-  Solver(p).run(c, sync_g);
+  Solver(p).run(Workload(c, sync_g));
 
   auto owned = std::make_shared<grid::Grid2D<double>>(p.nx, p.ny);
   fill_pattern<double>(*owned, 8);
@@ -882,7 +882,7 @@ TEST(ServeWorkload, OwningLcsMovesSequencesAndLvaluesStayNonOwning) {
                                         static_cast<int>(b.size()))
                                .build();
   const Solver s(p);
-  const std::int32_t expect = s.lcs(a, b);
+  const std::int32_t expect = tv::tv_lcs(a, b);
 
   // Lvalue vectors bind the span constructor: non-owning, no copy.
   const Workload borrowed(a, b);
@@ -987,15 +987,14 @@ TEST(ServeErrors, BuilderValidatesAtBuildTime) {
   } catch (const solver::Error& e) {
     EXPECT_EQ(e.code(), solver::Errc::kUnsupportedDtype);
   }
-  // A valid chain emits the same descriptor as the positional helper.
+  // A valid chain emits the same descriptor as the plain aggregate.
   const StencilProblem built = ProblemBuilder(Family::kGs2D5)
                                    .extents(32, 24)
                                    .steps(5)
                                    .threads(2)
                                    .build();
-  const StencilProblem legacy =
-      solver::problem_2d(Family::kGs2D5, 32, 24, 5, 2);
-  EXPECT_EQ(built.signature(), legacy.signature());
+  const StencilProblem plain{Family::kGs2D5, 32, 24, 0, 5, 2};
+  EXPECT_EQ(built.signature(), plain.signature());
 }
 
 }  // namespace

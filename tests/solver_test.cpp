@@ -33,8 +33,10 @@ using solver::ExecutionPlan;
 using solver::Family;
 using solver::Path;
 using solver::PlanMode;
+using solver::ProblemBuilder;
 using solver::Solver;
 using solver::StencilProblem;
+using solver::Workload;
 
 // Sets an environment variable for one scope and restores the previous
 // state on exit (plan_for re-reads TVS_PLAN on every call).
@@ -80,7 +82,8 @@ void fill_pattern(GridT& u) {
 
 TEST(PlanCache, SignatureHitAndMiss) {
   solver::plan_cache_clear();
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
 
   const Solver a(p);
   auto stats = solver::plan_cache_stats();
@@ -103,7 +106,8 @@ TEST(PlanCache, SignatureHitAndMiss) {
 
 TEST(PlanCache, PinnedLookupsBypassTheCache) {
   solver::plan_cache_clear();
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
   {
     const ScopedEnv pin("TVS_PLAN", "stride=9");
     const Solver s(p);
@@ -121,7 +125,8 @@ TEST(PlanCache, PinnedLookupsBypassTheCache) {
 
 TEST(PlanCache, ThreadsAndStepsArePartOfTheSignature) {
   solver::plan_cache_clear();
-  StencilProblem p = solver::problem_2d(Family::kJacobi2D5, 96, 96, 12);
+  StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D5).extents(96, 96).steps(12).build();
   const Solver a(p);
   p.threads = 4;
   const Solver b(p);
@@ -135,7 +140,8 @@ TEST(PlanCache, ThreadsAndStepsArePartOfTheSignature) {
 // ---- TVS_PLAN parsing ------------------------------------------------------
 
 TEST(TvsPlan, OverridesSelectedKnobs) {
-  const StencilProblem p = solver::problem_2d(Family::kJacobi2D5, 96, 96, 12);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D5).extents(96, 96).steps(12).build();
   const ScopedEnv pin("TVS_PLAN", "stride=3,tile=512x32,path=tiled");
   const Solver s(p);
   EXPECT_EQ(s.plan().stride, 3);
@@ -145,7 +151,8 @@ TEST(TvsPlan, OverridesSelectedKnobs) {
 }
 
 TEST(TvsPlan, RoundTripsThroughToString) {
-  const StencilProblem p = solver::problem_1d(Family::kGs1D3, 4096, 24);
+  const StencilProblem p =
+      ProblemBuilder(Family::kGs1D3).extents(4096).steps(24).build();
   const ExecutionPlan plan = solver::plan_for(p);
   const ExecutionPlan again =
       solver::apply_plan_spec(solver::heuristic_plan(p), plan.to_string());
@@ -153,7 +160,8 @@ TEST(TvsPlan, RoundTripsThroughToString) {
 }
 
 TEST(TvsPlan, MalformedSpecsThrowClearErrors) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
   const auto expect_throws = [&](const char* spec, const char* needle) {
     const ScopedEnv pin("TVS_PLAN", spec);
     try {
@@ -176,7 +184,8 @@ TEST(TvsPlan, MalformedSpecsThrowClearErrors) {
 }
 
 TEST(TvsPlan, IllegalKnobValuesAreRejectedByValidation) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
   {
     // Stride 1 violates s * dt > dx for the 1D3P dependence set.
     const ScopedEnv pin("TVS_PLAN", "stride=1");
@@ -195,7 +204,8 @@ TEST(TvsPlan, IllegalKnobValuesAreRejectedByValidation) {
   {
     // Jacobi 1D5P has no tiled driver.
     const ScopedEnv pin("TVS_PLAN", "path=tiled");
-    const StencilProblem q = solver::problem_1d(Family::kJacobi1D5, 4096, 40);
+    const StencilProblem q =
+        ProblemBuilder(Family::kJacobi1D5).extents(4096).steps(40).build();
     EXPECT_THROW(Solver s(q), std::invalid_argument);
   }
   {
@@ -208,7 +218,8 @@ TEST(TvsPlan, IllegalKnobValuesAreRejectedByValidation) {
 // ---- the variant knob (redundancy-eliminated engines) -----------------------
 
 TEST(TvsPlan, VariantRoundTripsThroughToString) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
   const ScopedEnv pin("TVS_PLAN", "stride=7,variant=re");
   const Solver s(p);
   EXPECT_EQ(s.plan().variant, solver::Variant::kRe);
@@ -223,12 +234,13 @@ TEST(TvsPlan, VariantRoundTripsThroughToString) {
 }
 
 TEST(TvsPlan, VariantReValidatesForEveryJacobiFamily) {
-  for (const StencilProblem& p :
-       {solver::problem_1d(Family::kJacobi1D3, 4096, 40),
-        solver::problem_1d(Family::kJacobi1D5, 4096, 40),
-        solver::problem_2d(Family::kJacobi2D5, 96, 80, 12),
-        solver::problem_2d(Family::kJacobi2D9, 96, 80, 12),
-        solver::problem_3d(Family::kJacobi3D7, 24, 20, 28, 8)}) {
+  for (const ProblemBuilder& b :
+       {ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40),
+        ProblemBuilder(Family::kJacobi1D5).extents(4096).steps(40),
+        ProblemBuilder(Family::kJacobi2D5).extents(96, 80).steps(12),
+        ProblemBuilder(Family::kJacobi2D9).extents(96, 80).steps(12),
+        ProblemBuilder(Family::kJacobi3D7).extents(24, 20, 28).steps(8)}) {
+    const StencilProblem p = b.build();
     ExecutionPlan plan = solver::heuristic_plan(p);
     plan.variant = solver::Variant::kRe;
     EXPECT_NO_THROW(solver::validate_plan(p, plan)) << p.signature();
@@ -238,15 +250,19 @@ TEST(TvsPlan, VariantReValidatesForEveryJacobiFamily) {
 TEST(TvsPlan, VariantReIsRejectedWhereNoReEngineExists) {
   {
     // No re engine for the Gauss-Seidel families.
-    const StencilProblem p = solver::problem_1d(Family::kGs1D3, 4096, 24);
+    const StencilProblem p =
+        ProblemBuilder(Family::kGs1D3).extents(4096).steps(24).build();
     ExecutionPlan plan = solver::heuristic_plan(p);
     plan.variant = solver::Variant::kRe;
     EXPECT_THROW(solver::validate_plan(p, plan), std::invalid_argument);
   }
   {
     // variant=re is a serial-path knob.
-    const StencilProblem p =
-        solver::problem_2d(Family::kJacobi2D5, 96, 96, 32, 4);
+    const StencilProblem p = ProblemBuilder(Family::kJacobi2D5)
+                                 .extents(96, 96)
+                                 .steps(32)
+                                 .threads(4)
+                                 .build();
     ExecutionPlan plan = solver::heuristic_plan(p);
     ASSERT_EQ(plan.path, Path::kTiledParallel);
     plan.variant = solver::Variant::kRe;
@@ -255,7 +271,8 @@ TEST(TvsPlan, VariantReIsRejectedWhereNoReEngineExists) {
 }
 
 TEST(TvsPlan, VariantReRunsBitIdenticalToBaseline) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx);
   fill_pattern(direct);
@@ -265,12 +282,13 @@ TEST(TvsPlan, VariantReRunsBitIdenticalToBaseline) {
   grid::Grid1D<double> got(p.nx);
   fill_pattern(got);
   const Solver s(p);
-  s.run(c, got);
+  s.run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(TvsPlan, VariantReWithWidthPinRunsBitIdentical) {
-  const StencilProblem p = solver::problem_2d(Family::kJacobi2D9, 96, 80, 12);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D9).extents(96, 80).steps(12).build();
   const stencil::C2D9 c = stencil::box2d9(0.1);
   grid::Grid2D<double> direct(p.nx, p.ny);
   fill_pattern(direct);
@@ -281,12 +299,13 @@ TEST(TvsPlan, VariantReWithWidthPinRunsBitIdentical) {
   fill_pattern(got);
   const Solver s(p);
   EXPECT_EQ(s.plan().vl, 8);
-  s.run(c, got);
+  s.run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(TvsPlan, WidthPinningKeepsResultsBitIdentical) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx);
   fill_pattern(direct);
@@ -297,38 +316,42 @@ TEST(TvsPlan, WidthPinningKeepsResultsBitIdentical) {
   fill_pattern(got);
   const Solver s(p);
   EXPECT_EQ(s.plan().vl, 8);
-  s.run(c, got);
+  s.run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 // ---- heuristic path choice -------------------------------------------------
 
 TEST(Planner, ThreadsSelectTheTiledPath) {
-  EXPECT_EQ(solver::heuristic_plan(
-                solver::problem_2d(Family::kJacobi2D5, 96, 96, 12))
-                .path,
-            Path::kSerialTv);
-  EXPECT_EQ(solver::heuristic_plan(
-                solver::problem_2d(Family::kJacobi2D5, 96, 96, 12, 4))
-                .path,
+  ProblemBuilder b(Family::kJacobi2D5);
+  b.extents(96, 96).steps(12);
+  EXPECT_EQ(solver::heuristic_plan(b.build()).path, Path::kSerialTv);
+  EXPECT_EQ(solver::heuristic_plan(b.threads(4).build()).path,
             Path::kTiledParallel);
   // Jacobi 1D5P has no tiled driver: serial even with a thread budget.
-  EXPECT_EQ(solver::heuristic_plan(
-                solver::problem_1d(Family::kJacobi1D5, 4096, 40, 4))
-                .path,
-            Path::kSerialTv);
+  const StencilProblem q = ProblemBuilder(Family::kJacobi1D5)
+                               .extents(4096)
+                               .steps(40)
+                               .threads(4)
+                               .build();
+  EXPECT_EQ(solver::heuristic_plan(q).path, Path::kSerialTv);
 }
 
 TEST(Planner, TileHeightsAreClampedToTheStepCount) {
-  const ExecutionPlan plan = solver::heuristic_plan(
-      solver::problem_1d(Family::kJacobi1D3, 1 << 16, 24, 4));
+  const StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
+                               .extents(1 << 16)
+                               .steps(24)
+                               .threads(4)
+                               .build();
+  const ExecutionPlan plan = solver::heuristic_plan(p);
   EXPECT_LE(plan.tile_h, 24);
   EXPECT_EQ(plan.tile_h % 4, 0);
 }
 
 TEST(Planner, TunedModeProducesAValidatedPlan) {
   solver::plan_cache_clear();
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 24);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(24).build();
   const ExecutionPlan plan = solver::plan_for(p, PlanMode::kTuned);
   EXPECT_NO_THROW(solver::validate_plan(p, plan));
 
@@ -341,7 +364,7 @@ TEST(Planner, TunedModeProducesAValidatedPlan) {
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_jacobi1d3_run(c, direct, p.steps, plan.stride);
-  Solver(p, plan).run(c, got);
+  Solver(p, plan).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
@@ -349,7 +372,8 @@ TEST(Planner, TunedReCandidateRunsAndMatches) {
   // The tuner's re candidates are real plans: take the heuristic plan,
   // flip the variant the way candidates() does, and drive a full solve —
   // whatever the wall clock says, the answer cannot move.
-  const StencilProblem p = solver::problem_2d(Family::kJacobi2D5, 96, 80, 12);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D5).extents(96, 80).steps(12).build();
   ExecutionPlan plan = solver::heuristic_plan(p);
   plan.variant = solver::Variant::kRe;
   solver::validate_plan(p, plan);
@@ -359,119 +383,126 @@ TEST(Planner, TunedReCandidateRunsAndMatches) {
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_jacobi2d5_run(c, direct, p.steps, plan.stride);
-  Solver(p, plan).run(c, got);
+  Solver(p, plan).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 // ---- family / extent checking ----------------------------------------------
 
 TEST(SolverChecks, FamilyAndExtentMismatchesThrow) {
-  const StencilProblem p = solver::problem_2d(Family::kJacobi2D5, 96, 96, 12);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D5).extents(96, 96).steps(12).build();
   const Solver s(p);
   grid::Grid1D<double> u1(96);
-  EXPECT_THROW(s.run(stencil::heat1d(0.25), u1), std::invalid_argument);
+  EXPECT_THROW(s.run(Workload(stencil::heat1d(0.25), u1)),
+               std::invalid_argument);
 
   grid::Grid2D<double> wrong(64, 96);
-  EXPECT_THROW(s.run(stencil::heat2d(0.2), wrong), std::invalid_argument);
-
-  // The parity-pair overload needs a tiled plan.
-  grid::PingPong<grid::Grid2D<double>> pp(96, 96);
-  EXPECT_THROW(s.run(stencil::heat2d(0.2), pp), std::invalid_argument);
+  EXPECT_THROW(s.run(Workload(stencil::heat2d(0.2), wrong)),
+               std::invalid_argument);
 }
 
 // ---- plan-vs-direct equality, all nine families ----------------------------
 
 TEST(SolverEquality, Jacobi1D3) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D3).extents(4096).steps(40).build();
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_jacobi1d3_run(c, direct, p.steps, 7);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Jacobi1D5) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D5, 4096, 40);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi1D5).extents(4096).steps(40).build();
   const stencil::C1D5 c = stencil::heat1d5(0.1);
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_jacobi1d5_run(c, direct, p.steps, 7);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Jacobi2D5) {
-  const StencilProblem p = solver::problem_2d(Family::kJacobi2D5, 96, 80, 12);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D5).extents(96, 80).steps(12).build();
   const stencil::C2D5 c = stencil::heat2d(0.2);
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_jacobi2d5_run(c, direct, p.steps, 2);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Jacobi2D9) {
-  const StencilProblem p = solver::problem_2d(Family::kJacobi2D9, 96, 80, 12);
+  const StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D9).extents(96, 80).steps(12).build();
   const stencil::C2D9 c = stencil::box2d9(0.1);
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_jacobi2d9_run(c, direct, p.steps, 2);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Jacobi3D7) {
   const StencilProblem p =
-      solver::problem_3d(Family::kJacobi3D7, 24, 20, 28, 8);
+      ProblemBuilder(Family::kJacobi3D7).extents(24, 20, 28).steps(8).build();
   const stencil::C3D7 c = stencil::heat3d(0.1);
   grid::Grid3D<double> direct(p.nx, p.ny, p.nz), got(p.nx, p.ny, p.nz);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_jacobi3d7_run(c, direct, p.steps, 2);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Gs1D3) {
-  const StencilProblem p = solver::problem_1d(Family::kGs1D3, 4096, 24);
+  const StencilProblem p =
+      ProblemBuilder(Family::kGs1D3).extents(4096).steps(24).build();
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_gs1d3_run(c, direct, p.steps, 3);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Gs2D5) {
-  const StencilProblem p = solver::problem_2d(Family::kGs2D5, 96, 80, 12);
+  const StencilProblem p =
+      ProblemBuilder(Family::kGs2D5).extents(96, 80).steps(12).build();
   const stencil::C2D5 c{0.0, 0.25, 0.25, 0.25, 0.25};
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_gs2d5_run(c, direct, p.steps, 2);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Gs3D7) {
-  const StencilProblem p = solver::problem_3d(Family::kGs3D7, 24, 20, 28, 8);
+  const StencilProblem p =
+      ProblemBuilder(Family::kGs3D7).extents(24, 20, 28).steps(8).build();
   const stencil::C3D7 c = stencil::heat3d(0.1);
   grid::Grid3D<double> direct(p.nx, p.ny, p.nz), got(p.nx, p.ny, p.nz);
   fill_pattern(direct);
   fill_pattern(got);
   tv::tv_gs3d7_run(c, direct, p.steps, 2);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEquality, Life) {
-  const StencilProblem p = solver::problem_2d(Family::kLife, 64, 72, 16);
+  const StencilProblem p =
+      ProblemBuilder(Family::kLife).extents(64, 72).steps(16).build();
   const stencil::LifeRule r{};
   grid::Grid2D<std::int32_t> direct(p.nx, p.ny), got(p.nx, p.ny);
   std::mt19937 rng(11);
@@ -482,7 +513,7 @@ TEST(SolverEquality, Life) {
   for (int x = 0; x <= p.nx + 1; ++x)
     for (int y = 0; y <= p.ny + 1; ++y) got.at(x, y) = direct.at(x, y);
   tv::tv_life_run(r, direct, p.steps, 2);
-  Solver(p).run(r, got);
+  Solver(p).run(Workload(r, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
@@ -491,18 +522,26 @@ TEST(SolverEquality, Lcs) {
   std::vector<std::int32_t> a(600), b(500);
   for (auto& v : a) v = static_cast<std::int32_t>(rng() % 4);
   for (auto& v : b) v = static_cast<std::int32_t>(rng() % 4);
-  const StencilProblem p = solver::problem_2d(
-      Family::kLcs, static_cast<int>(a.size()), static_cast<int>(b.size()), 0);
+  const StencilProblem p =
+      ProblemBuilder(Family::kLcs)
+          .extents(static_cast<int>(a.size()), static_cast<int>(b.size()))
+          .build();
   const Solver s(p);
-  EXPECT_EQ(s.lcs(a, b), tv::tv_lcs(a, b));
-  EXPECT_EQ(s.lcs_row(a, b), tv::tv_lcs_row(a, b));
-  EXPECT_EQ(s.lcs(a, b), stencil::lcs_ref(a, b));
+  ASSERT_EQ(s.plan().path, Path::kSerialTv);
+  const solver::RunResult r = s.run(Workload(a, b));
+  EXPECT_EQ(r.lcs_row, tv::tv_lcs_row(a, b));
+  EXPECT_EQ(r.lcs_length, tv::tv_lcs(a, b));
+  EXPECT_EQ(r.lcs_length, stencil::lcs_ref(a, b));
 }
 
 // ---- tiled-path equality ---------------------------------------------------
 
 TEST(SolverEqualityTiled, Jacobi1D3Diamond) {
-  const StencilProblem p = solver::problem_1d(Family::kJacobi1D3, 4096, 64, 2);
+  const StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
+                               .extents(4096)
+                               .steps(64)
+                               .threads(2)
+                               .build();
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
@@ -512,13 +551,16 @@ TEST(SolverEqualityTiled, Jacobi1D3Diamond) {
   ASSERT_EQ(plan.path, Path::kTiledParallel);
   tiling::Diamond1DOptions opt{plan.tile_w, plan.tile_h, plan.stride, true};
   tiling::diamond_jacobi1d3_run(c, direct, p.steps, opt);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEqualityTiled, Jacobi2D5Diamond) {
-  const StencilProblem p =
-      solver::problem_2d(Family::kJacobi2D5, 96, 80, 32, 2);
+  const StencilProblem p = ProblemBuilder(Family::kJacobi2D5)
+                               .extents(96, 80)
+                               .steps(32)
+                               .threads(2)
+                               .build();
   const stencil::C2D5 c = stencil::heat2d(0.2);
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
@@ -528,12 +570,13 @@ TEST(SolverEqualityTiled, Jacobi2D5Diamond) {
   ASSERT_EQ(plan.path, Path::kTiledParallel);
   tiling::Diamond2DOptions opt{plan.tile_w, plan.tile_h, plan.stride, true};
   tiling::diamond_jacobi2d5_run(c, direct, p.steps, opt);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
 TEST(SolverEqualityTiled, Gs1D3Parallelogram) {
-  const StencilProblem p = solver::problem_1d(Family::kGs1D3, 4096, 64, 2);
+  const StencilProblem p =
+      ProblemBuilder(Family::kGs1D3).extents(4096).steps(64).threads(2).build();
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
@@ -544,7 +587,7 @@ TEST(SolverEqualityTiled, Gs1D3Parallelogram) {
   tiling::Parallelogram1DOptions opt{plan.tile_w, plan.tile_h, plan.stride,
                                      true};
   tiling::parallelogram_gs1d3_run(c, direct, p.steps, opt);
-  Solver(p).run(c, got);
+  Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
@@ -554,12 +597,16 @@ TEST(SolverEqualityTiled, LcsWavefront) {
   for (auto& v : a) v = static_cast<std::int32_t>(rng() % 4);
   for (auto& v : b) v = static_cast<std::int32_t>(rng() % 4);
   const StencilProblem p =
-      solver::problem_2d(Family::kLcs, static_cast<int>(a.size()),
-                         static_cast<int>(b.size()), 0, 2);
+      ProblemBuilder(Family::kLcs)
+          .extents(static_cast<int>(a.size()), static_cast<int>(b.size()))
+          .threads(2)
+          .build();
   const Solver s(p);
   ASSERT_EQ(s.plan().path, Path::kTiledParallel);
   tiling::LcsWavefrontOptions opt{s.plan().tile_w, s.plan().tile_h, true};
-  EXPECT_EQ(s.lcs(a, b), tiling::lcs_wavefront(a, b, opt));
+  const solver::RunResult r = s.run(Workload(a, b));
+  EXPECT_EQ(r.lcs_length, tiling::lcs_wavefront(a, b, opt));
+  EXPECT_TRUE(r.lcs_row.empty());  // the wavefront reports the length only
 }
 
 // ---- in-place tiled Grid runs ----------------------------------------------
@@ -705,10 +752,31 @@ TEST(SolverInPlace, Life) {
                         random_grid<std::int32_t, grid::Grid2D>(35, 96, 80));
 }
 
+// The Gauss-Seidel families take the router's parallelogram branch, which
+// sweeps the caller's grid directly (no parity partner).
+TEST(SolverInPlace, Gs1D3) {
+  expect_in_place_tiled(solver::ProblemBuilder(Family::kGs1D3).extents(4096),
+                        stencil::heat1d(0.25),
+                        random_grid<double, grid::Grid1D>(36, 4096));
+}
+
+TEST(SolverInPlace, Gs2D5) {
+  const stencil::C2D5 c{0.0, 0.25, 0.25, 0.25, 0.25};
+  expect_in_place_tiled(solver::ProblemBuilder(Family::kGs2D5).extents(96, 80),
+                        c, random_grid<double, grid::Grid2D>(37, 96, 80));
+}
+
+TEST(SolverInPlace, Gs3D7) {
+  expect_in_place_tiled(
+      solver::ProblemBuilder(Family::kGs3D7).extents(40, 12, 10),
+      stencil::heat3d(0.1), random_grid<double, grid::Grid3D>(38, 40, 12, 10));
+}
+
 // ---- float (dtype = f32) plumbing ------------------------------------------
 
 TEST(SolverFloat, SignatureCarriesDtype) {
-  StencilProblem p = solver::problem_2d(Family::kJacobi2D5, 64, 32, 10);
+  StencilProblem p =
+      ProblemBuilder(Family::kJacobi2D5).extents(64, 32).steps(10).build();
   const std::string f64_sig = p.signature();
   EXPECT_EQ(f64_sig.find("dtype"), std::string::npos)
       << "f64 signatures stay unsuffixed: " << f64_sig;
@@ -717,8 +785,11 @@ TEST(SolverFloat, SignatureCarriesDtype) {
 }
 
 TEST(SolverFloat, HeuristicDoublesVectorLength) {
-  StencilProblem p = solver::problem_1d(Family::kJacobi1D3,
-                                        dispatch::DType::kF32, 4096, 64);
+  StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
+                         .extents(4096)
+                         .steps(64)
+                         .dtype(dispatch::DType::kF32)
+                         .build();
   const ExecutionPlan plan = solver::heuristic_plan(p);
   EXPECT_EQ(plan.vl,
             plan.backend == dispatch::Backend::kAvx512 ? 16 : 8)
@@ -731,9 +802,12 @@ TEST(SolverFloat, FloatNeverPlansTiled) {
   // Even with a thread request, float problems stay on the serial path
   // (the tiled drivers are double/int32 only) — and a pinned tiled plan is
   // rejected at validation.
-  StencilProblem p = solver::problem_2d(Family::kJacobi2D5,
-                                        dispatch::DType::kF32, 256, 256, 64,
-                                        /*threads=*/4);
+  StencilProblem p = ProblemBuilder(Family::kJacobi2D5)
+                         .extents(256, 256)
+                         .steps(64)
+                         .threads(4)
+                         .dtype(dispatch::DType::kF32)
+                         .build();
   const ExecutionPlan plan = solver::heuristic_plan(p);
   EXPECT_EQ(plan.path, Path::kSerialTv);
   ExecutionPlan tiled = plan;
@@ -745,17 +819,21 @@ TEST(SolverFloat, FloatNeverPlansTiled) {
 }
 
 TEST(SolverFloat, DtypeMismatchThrows) {
-  // A float problem rejects the double overload and vice versa.
-  StencilProblem pf = solver::problem_1d(Family::kJacobi1D3,
-                                         dispatch::DType::kF32, 64, 4);
+  // A float problem rejects a double payload and vice versa.
+  StencilProblem pf = ProblemBuilder(Family::kJacobi1D3)
+                          .extents(64)
+                          .steps(4)
+                          .dtype(dispatch::DType::kF32)
+                          .build();
   grid::Grid1D<double> ud(64);
   ud.fill(1.0);
-  EXPECT_THROW(Solver(pf).run(stencil::heat1d(0.25), ud),
+  EXPECT_THROW(Solver(pf).run(Workload(stencil::heat1d(0.25), ud)),
                std::invalid_argument);
-  StencilProblem pd = solver::problem_1d(Family::kJacobi1D3, 64, 4);
+  StencilProblem pd =
+      ProblemBuilder(Family::kJacobi1D3).extents(64).steps(4).build();
   grid::Grid1D<float> uf(64);
   uf.fill(1.0f);
-  EXPECT_THROW(Solver(pd).run(stencil::heat1d<float>(0.25), uf),
+  EXPECT_THROW(Solver(pd).run(Workload(stencil::heat1d<float>(0.25), uf)),
                std::invalid_argument);
 }
 
@@ -766,25 +844,31 @@ TEST(SolverFloat, RunMatchesDirectEntryPointsBitForBit) {
     for (int x = 0; x <= nx + 1; ++x)
       g.at(x) = 1.0f + 0.001f * static_cast<float>(x % 89);
   };
-  StencilProblem p = solver::problem_1d(Family::kJacobi1D3,
-                                        dispatch::DType::kF32, 200, 9);
+  StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
+                         .extents(200)
+                         .steps(9)
+                         .dtype(dispatch::DType::kF32)
+                         .build();
   const Solver s(p);
   const stencil::C1D3f c = stencil::heat1d<float>(0.25);
   grid::Grid1D<float> direct(p.nx), got(p.nx);
   fill(direct, p.nx);
   fill(got, p.nx);
   tv::tv_jacobi1d3_run(c, direct, p.steps, s.plan().stride);
-  s.run(c, got);
+  s.run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 
-  StencilProblem pg = solver::problem_1d(Family::kGs1D3,
-                                         dispatch::DType::kF32, 150, 8);
+  StencilProblem pg = ProblemBuilder(Family::kGs1D3)
+                          .extents(150)
+                          .steps(8)
+                          .dtype(dispatch::DType::kF32)
+                          .build();
   const Solver sg(pg);
   grid::Grid1D<float> gdirect(pg.nx), ggot(pg.nx);
   fill(gdirect, pg.nx);
   fill(ggot, pg.nx);
   tv::tv_gs1d3_run(c, gdirect, pg.steps, sg.plan().stride);
-  sg.run(c, ggot);
+  sg.run(Workload(c, ggot));
   EXPECT_EQ(grid::max_abs_diff(ggot, gdirect), 0.0);
 }
 
