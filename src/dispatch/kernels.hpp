@@ -135,6 +135,20 @@ using DiamondLifeFn = void(const stencil::LifeRule&,
 using DiamondJacobi3D7Fn = void(const stencil::C3D7&,
                                 grid::PingPong<grid::Grid3D<double>>&, long,
                                 const tiling::Diamond3DOptions&);
+// Single-precision diamond drivers: same ids, registered under
+// DType::kF32 (8-lane float tiles, the f64 drivers' 32-byte tile width).
+using DiamondJacobi1D3F32Fn = void(const stencil::C1D3f&,
+                                   grid::PingPong<grid::Grid1D<float>>&, long,
+                                   const tiling::Diamond1DOptions&);
+using DiamondJacobi2D5F32Fn = void(const stencil::C2D5f&,
+                                   grid::PingPong<grid::Grid2D<float>>&, long,
+                                   const tiling::Diamond2DOptions&);
+using DiamondJacobi2D9F32Fn = void(const stencil::C2D9f&,
+                                   grid::PingPong<grid::Grid2D<float>>&, long,
+                                   const tiling::Diamond2DOptions&);
+using DiamondJacobi3D7F32Fn = void(const stencil::C3D7f&,
+                                   grid::PingPong<grid::Grid3D<float>>&, long,
+                                   const tiling::Diamond3DOptions&);
 using ParallelogramGs1D3Fn = void(const stencil::C1D3&, grid::Grid1D<double>&,
                                   long, const tiling::Parallelogram1DOptions&);
 using ParallelogramGs2D5Fn = void(const stencil::C2D5&, grid::Grid2D<double>&,

@@ -47,6 +47,18 @@ int clamp_height(int preferred, long steps, int unit) {
   return static_cast<int>(std::max<long>(h, unit));
 }
 
+// Whether the family's tiled driver is registered for dtype dt at or below
+// backend b (the registry's dtype axis is the single source of truth:
+// f64/i32 for every tiled driver, f32 for the diamond drivers).
+bool tiled_driver_registered(Family f, dispatch::Backend b,
+                             dispatch::DType dt) {
+  if (!family_has_tiled_path(f)) return false;
+  const std::vector<dispatch::DType> dts =
+      dispatch::KernelRegistry::instance().registered_dtypes(
+          tiled_kernel_id(f), b);
+  return std::find(dts.begin(), dts.end(), dt) != dts.end();
+}
+
 }  // namespace
 
 std::string_view path_name(Path p) {
@@ -174,19 +186,23 @@ ExecutionPlan heuristic_plan(const StencilProblem& p) {
       break;
   }
 
-  // Single precision doubles the lanes per register (Table 1's vl scaling:
-  // 8 under scalar/avx2, 16 under avx512), so the float default pins the
-  // doubled width explicitly; doubles keep vl = 0 (backend native).
-  if (p.effective_dtype() == dispatch::DType::kF32) {
-    plan.vl = plan.backend == dispatch::Backend::kAvx512 ? 16 : 8;
-  }
-
-  // The tiled drivers are double/int32 only, so float problems stay on the
-  // serial temporal path regardless of the thread request.
-  plan.path = (p.threads > 1 && family_has_tiled_path(p.family) &&
-               p.effective_dtype() != dispatch::DType::kF32)
+  // A thread request plans the tiled driver wherever one is registered for
+  // the problem's element type (every Jacobi diamond runs f32 too; the
+  // Gauss-Seidel parallelograms are f64 only).  Tiled plans keep vl = 0:
+  // the drivers fix their own tile width.
+  const dispatch::DType dt = p.effective_dtype();
+  plan.path = (p.threads > 1 &&
+               tiled_driver_registered(p.family, plan.backend, dt))
                   ? Path::kTiledParallel
                   : Path::kSerialTv;
+
+  // On the serial path single precision doubles the lanes per register
+  // (Table 1's vl scaling: 8 under scalar/avx2, 16 under avx512), so the
+  // float default pins the doubled width explicitly; doubles keep vl = 0
+  // (backend native).
+  if (dt == dispatch::DType::kF32 && plan.path == Path::kSerialTv) {
+    plan.vl = plan.backend == dispatch::Backend::kAvx512 ? 16 : 8;
+  }
   return plan;
 }
 
@@ -361,10 +377,10 @@ void validate_plan(const StencilProblem& p, const ExecutionPlan& plan) {
                           "path=tv",
                   p.signature());
     }
-    if (dt == dispatch::DType::kF32) {
+    if (!tiled_driver_registered(p.family, plan.backend, dt)) {
       throw Error(Errc::kBadPath,
-                  where + ": the tiled drivers are double/int32 only; "
-                          "float problems run path=tv",
+                  where + ": no tiled driver is registered for dtype " +
+                      std::string(dispatch::dtype_name(dt)) + "; use path=tv",
                   p.signature());
     }
     if (plan.tile_w <= 0 || plan.tile_h <= 0) {

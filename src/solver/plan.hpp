@@ -71,8 +71,10 @@ struct ExecutionPlan {
 
 // The paper-default plan for the problem: stride and tiling from Table 1
 // scaled to the problem shape, tiled path iff the problem asks for more
-// than one thread and the family has a tiled driver, backend from
-// dispatch::selected_backend().
+// than one thread and the family's tiled driver is registered for the
+// problem's dtype (f32 Gauss-Seidel therefore plans serial), backend from
+// dispatch::selected_backend().  Only serial f32 plans pin vl (the
+// doubled float width); tiled plans keep vl = 0.
 ExecutionPlan heuristic_plan(const StencilProblem& p);
 
 // Measured refinement of heuristic_plan(): times 2-3 candidate strides
@@ -93,7 +95,8 @@ ExecutionPlan apply_plan_spec(ExecutionPlan base, std::string_view spec);
 // Rejects plans that cannot run: illegal stride for the family's
 // dependence set (§3.2), stride beyond an engine's ring capacity,
 // non-positive tile extents on the tiled path, a tiled path for a family
-// with no tiled driver, or a backend this binary/CPU cannot execute.
+// with no tiled driver registered for the problem's dtype, or a backend
+// this binary/CPU cannot execute.
 // Throws std::invalid_argument / std::runtime_error with the reason.
 void validate_plan(const StencilProblem& p, const ExecutionPlan& plan);
 

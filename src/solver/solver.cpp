@@ -44,9 +44,10 @@ Fn* resolve(const ExecutionPlan& plan, std::string_view id,
 
 // Applies the problem's thread request to the tiled drivers for the
 // duration of one run() (no-op when threads == 0 or OpenMP is absent).
-// Under an external stage executor the pool supplies the parallelism, so
-// OpenMP is pinned to one thread — any omp region a driver still reaches
-// (the scalar residual loops) runs serially on the executing worker.
+// Under an external stage executor the pool supplies the parallelism:
+// every driver stage, the diamonds' residual steps included, goes through
+// it, and OpenMP is pinned to one thread so nothing fans out behind the
+// pool.
 class ThreadScope {
  public:
   explicit ThreadScope(int threads)

@@ -1,7 +1,8 @@
 // Diamond-tiled, OpenMP-parallel drivers for the 1D Jacobi kernels
 // (Figure 4b; Table 1's Heat-1D blocking 16384 x 128).
 //
-// Decomposition per band of height `height` (a multiple of vl = 4):
+// Decomposition per band of height `height` (a multiple of vl: 4 doubles,
+// or 8 floats for the f32 driver the registry holds under the same id):
 //   phase 1: shrinking trapezoids based at [1+kW, (k+1)W], mutually
 //            independent — parallel for;
 //   phase 2: growing trapezoids from the seams kW (empty base), mutually

@@ -137,28 +137,47 @@ void diamond2d_run(const F& f, grid::PingPong<grid::Grid2D<T>>& pp, long steps,
     }
     t0 += h;
   }
-  // Residual scalar steps, row-parallel.
+  // Residual scalar steps (steps % vl), one stage per step over phase 1's
+  // row blocks: block k writes rows [1 + k*W, (k+1)*W] of dst only.
   for (; t0 < steps; ++t0) {
     const grid::Grid2D<T>& src = pp.by_parity(t0);
     grid::Grid2D<T>& dst = pp.by_parity(t0 + 1);
     const auto at = [&](int r, int y) -> T { return src.at(r, y); };
+    const auto residual = [&](int k, int /*slot*/) {
+      const int r1 = std::min(nx, (k + 1) * W);
+      for (int r = 1 + k * W; r <= r1; ++r)
+        for (int y = 1; y <= ny; ++y) dst.at(r, y) = f.apply_scalar(at, r, y);
+    };
+    if (opt.exec != nullptr) {
+      stage_run(opt.exec, nb, residual);
+    } else {
+      // tvsrace: partitioned(k)
 #pragma omp parallel for schedule(static)
-    for (int r = 1; r <= nx; ++r)
-      for (int y = 1; y <= ny; ++y) dst.at(r, y) = f.apply_scalar(at, r, y);
+      for (int k = 0; k < nb; ++k) residual(k, 0);
+    }
   }
 }
 
+// The Jacobi drivers on V-lane tiles (V::value_type is the grid's element
+// type).
+template <class V>
+void jacobi2d5(const stencil::C2D5T<typename V::value_type>& c,
+               grid::PingPong<grid::Grid2D<typename V::value_type>>& pp,
+               long steps, const Diamond2DOptions& opt) {
+  diamond2d_run<V>(tv::J2D5F<V>(c), pp, steps, opt);
+}
+template <class V>
+void jacobi2d9(const stencil::C2D9T<typename V::value_type>& c,
+               grid::PingPong<grid::Grid2D<typename V::value_type>>& pp,
+               long steps, const Diamond2DOptions& opt) {
+  diamond2d_run<V>(tv::J2D9F<V>(c), pp, steps, opt);
+}
+
+// One 32-byte vector per tile row: 4 doubles, 8 floats, 8 int32s.
 using VD = simd::NativeVec<double, 4>;
+using VF = simd::NativeVec<float, 8>;
 using VI = simd::NativeVec<std::int32_t, 8>;
 
-void jacobi2d5(const stencil::C2D5& c, grid::PingPong<grid::Grid2D<double>>& pp,
-               long steps, const Diamond2DOptions& opt) {
-  diamond2d_run<VD>(tv::J2D5F<VD>(c), pp, steps, opt);
-}
-void jacobi2d9(const stencil::C2D9& c, grid::PingPong<grid::Grid2D<double>>& pp,
-               long steps, const Diamond2DOptions& opt) {
-  diamond2d_run<VD>(tv::J2D9F<VD>(c), pp, steps, opt);
-}
 void life(const stencil::LifeRule& r,
           grid::PingPong<grid::Grid2D<std::int32_t>>& pp, long steps,
           const Diamond2DOptions& opt) {
@@ -168,9 +187,14 @@ void life(const stencil::LifeRule& r,
 }  // namespace
 
 TVS_BACKEND_REGISTRAR(diamond2d) {
-  TVS_REGISTER(kDiamondJacobi2D5, DiamondJacobi2D5Fn, jacobi2d5);
-  TVS_REGISTER(kDiamondJacobi2D9, DiamondJacobi2D9Fn, jacobi2d9);
-  TVS_REGISTER_DT(kDiamondLife, DiamondLifeFn, life, dispatch::DType::kI32);
+  using dispatch::DType;
+  TVS_REGISTER(kDiamondJacobi2D5, DiamondJacobi2D5Fn, jacobi2d5<VD>);
+  TVS_REGISTER(kDiamondJacobi2D9, DiamondJacobi2D9Fn, jacobi2d9<VD>);
+  TVS_REGISTER_DT(kDiamondJacobi2D5, DiamondJacobi2D5F32Fn, jacobi2d5<VF>,
+                  DType::kF32);
+  TVS_REGISTER_DT(kDiamondJacobi2D9, DiamondJacobi2D9F32Fn, jacobi2d9<VF>,
+                  DType::kF32);
+  TVS_REGISTER_DT(kDiamondLife, DiamondLifeFn, life, DType::kI32);
 }
 
 }  // namespace tvs::tiling

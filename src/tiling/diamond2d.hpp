@@ -28,7 +28,9 @@ struct Diamond2DOptions {
 // Jacobi 2D5P / 2D9P on a parity pair: pp.by_parity(0) holds t = 0,
 // boundary and halo cells included; the driver's first stage mirrors those
 // cells into pp.by_parity(1), so the odd grid's prior contents do not
-// matter.  Result in pp.by_parity(steps).
+// matter.  Result in pp.by_parity(steps).  Tiles are one 32-byte vector
+// wide: 4 doubles, 8 int32s (Life), and 8 floats for the f32 drivers the
+// registry holds under the Jacobi ids (dispatch/kernels.hpp).
 void diamond_jacobi2d5_run(const stencil::C2D5& c,
                            grid::PingPong<grid::Grid2D<double>>& pp,
                            long steps, const Diamond2DOptions& opt = {});

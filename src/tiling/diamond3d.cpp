@@ -17,19 +17,16 @@ namespace tvs::tiling {
 
 namespace {
 
-using V = simd::NativeVec<double, 4>;
-constexpr int VL = V::lanes;
-
 // Level storage of a trapezoid based at band step t0: lev_g(l) =
 // pp.by_parity(t0 + l).  Levels 0 and vl (even) are the base grid.
+template <class T>
 struct ParityLevels3D {
-  static_assert(VL % 2 == 0, "level vl must share parity(t0) with level 0");
-  grid::Grid3D<double>* odd;   // parity(t0 + 1)
-  grid::Grid3D<double>* even;  // parity(t0)
-  tv::LevelSlab<double> lo(int l, int r) const {
-    return tv::LevelSlab<double>::of((l & 1) != 0 ? *odd : *even, r);
+  grid::Grid3D<T>* odd;   // parity(t0 + 1)
+  grid::Grid3D<T>* even;  // parity(t0)
+  tv::LevelSlab<T> lo(int l, int r) const {
+    return tv::LevelSlab<T>::of((l & 1) != 0 ? *odd : *even, r);
   }
-  tv::LevelSlab<double> hi(int l, int r) const { return lo(l, r); }
+  tv::LevelSlab<T> hi(int l, int r) const { return lo(l, r); }
 };
 
 // Copies the boundary and halo cells of planes [x0, x1] from `from` into
@@ -54,9 +51,15 @@ void mirror_planes(const grid::Grid3D<T>& from, grid::Grid3D<T>& to, int x0,
     }
 }
 
-void jacobi3d7(const stencil::C3D7& c,
-               grid::PingPong<grid::Grid3D<double>>& pp, long steps,
-               const Diamond3DOptions& opt) {
+// The 7-point Jacobi driver on V-lane tiles (V::value_type is the grid's
+// element type).
+template <class V>
+void jacobi3d7(const stencil::C3D7T<typename V::value_type>& c,
+               grid::PingPong<grid::Grid3D<typename V::value_type>>& pp,
+               long steps, const Diamond3DOptions& opt) {
+  using T = typename V::value_type;
+  constexpr int VL = V::lanes;
+  static_assert(VL % 2 == 0, "level vl must share parity(t0) with level 0");
   const tv::J3D7F<V> f(c);
   const int nx = pp.even().nx(), ny = pp.even().ny(), nz = pp.even().nz();
   const int s = std::max(2, opt.stride);
@@ -80,8 +83,8 @@ void jacobi3d7(const stencil::C3D7& c,
     ring.prepare(s + 2, ny + 2, nz);
     for (int j = 0; j < h / VL; ++j) {
       const long tt = tb + static_cast<long>(VL) * j;
-      grid::Grid3D<double>& a0 = pp.by_parity(tt);
-      ParityLevels3D lev{&pp.by_parity(tt + 1), &a0};
+      grid::Grid3D<T>& a0 = pp.by_parity(tt);
+      ParityLevels3D<T> lev{&pp.by_parity(tt + 1), &a0};
       const auto rows = tv::TileRows<VL>::sloped(
           xl0 + dl * VL * j, xr0 + dr * VL * j, dl, dr, nx, 1);
       tv::tv3d_tile<V>(f, a0, lev, ring, rows, s, !opt.use_vector);
@@ -132,21 +135,40 @@ void jacobi3d7(const stencil::C3D7& c,
     }
     t0 += h;
   }
+  // Residual scalar steps (steps % vl), one stage per step over phase 1's
+  // plane blocks: block k writes planes [1 + k*W, (k+1)*W] of dst only.
   for (; t0 < steps; ++t0) {
-    const grid::Grid3D<double>& src = pp.by_parity(t0);
-    grid::Grid3D<double>& dst = pp.by_parity(t0 + 1);
+    const grid::Grid3D<T>& src = pp.by_parity(t0);
+    grid::Grid3D<T>& dst = pp.by_parity(t0 + 1);
     const auto at = [&](int r, int y, int z) { return src.at(r, y, z); };
+    const auto residual = [&](int k, int /*slot*/) {
+      const int r1 = std::min(nx, (k + 1) * W);
+      for (int r = 1 + k * W; r <= r1; ++r)
+        for (int y = 1; y <= ny; ++y)
+          for (int z = 1; z <= nz; ++z)
+            dst.at(r, y, z) = f.apply_scalar(at, r, y, z);
+    };
+    if (opt.exec != nullptr) {
+      stage_run(opt.exec, nb, residual);
+    } else {
+      // tvsrace: partitioned(k)
 #pragma omp parallel for schedule(static)
-    for (int r = 1; r <= nx; ++r)
-      for (int y = 1; y <= ny; ++y)
-        for (int z = 1; z <= nz; ++z) dst.at(r, y, z) = f.apply_scalar(at, r, y, z);
+      for (int k = 0; k < nb; ++k) residual(k, 0);
+    }
   }
 }
+
+// One 32-byte vector per tile row: 4 doubles, 8 floats.
+using VD = simd::NativeVec<double, 4>;
+using VF = simd::NativeVec<float, 8>;
 
 }  // namespace
 
 TVS_BACKEND_REGISTRAR(diamond3d) {
-  TVS_REGISTER(kDiamondJacobi3D7, DiamondJacobi3D7Fn, jacobi3d7);
+  using dispatch::DType;
+  TVS_REGISTER(kDiamondJacobi3D7, DiamondJacobi3D7Fn, jacobi3d7<VD>);
+  TVS_REGISTER_DT(kDiamondJacobi3D7, DiamondJacobi3D7F32Fn, jacobi3d7<VF>,
+                  DType::kF32);
 }
 
 }  // namespace tvs::tiling

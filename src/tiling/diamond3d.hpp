@@ -11,7 +11,7 @@ namespace tvs::tiling {
 
 struct Diamond3DOptions {
   int width = 32;   // tile base width in x-slabs
-  int height = 8;   // band height in time steps (multiple of 4)
+  int height = 8;   // band height in time steps (multiple of the lane count)
   int stride = 2;
   bool use_vector = true;  // false: identical tiling, scalar tiles
   // External stage executor (serving pool); nullptr = the driver's own
@@ -21,7 +21,9 @@ struct Diamond3DOptions {
 
 // Same parity-pair contract as diamond2d.hpp: pp.by_parity(0) holds t = 0,
 // the driver's first stage mirrors its boundary and halo cells into
-// pp.by_parity(1), and the result ends in pp.by_parity(steps).
+// pp.by_parity(1), and the result ends in pp.by_parity(steps).  Tiles are
+// 4 doubles wide; the registry's f32 driver under the same id runs 8-lane
+// float tiles (dispatch/kernels.hpp).
 void diamond_jacobi3d7_run(const stencil::C3D7& c,
                            grid::PingPong<grid::Grid3D<double>>& pp,
                            long steps, const Diamond3DOptions& opt = {});

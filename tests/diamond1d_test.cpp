@@ -1,6 +1,8 @@
 // Diamond tiling + temporal vectorization must reproduce the scalar oracle
 // exactly, for every tile geometry: wide/narrow tiles, short/tall bands,
-// step counts off the band and vl grid, single- and multi-threaded.
+// step counts off the band and vl grid, single- and multi-threaded.  The
+// f32 driver (8-lane float tiles) must equal the serial float engine
+// exactly and the float oracle within the scaled-ULP contract.
 #include <gtest/gtest.h>
 
 #include "util/omp_compat.hpp"
@@ -8,8 +10,11 @@
 #include <random>
 #include <tuple>
 
+#include "dispatch/kernels.hpp"
+#include "f32_diamond.hpp"
 #include "stencil/reference1d.hpp"
 #include "tiling/diamond.hpp"
+#include "tv/tv1d.hpp"
 
 namespace {
 
@@ -125,6 +130,16 @@ TEST(Diamond1D, PingPongApiParityContract) {
   opt.height = 16;
   tiling::diamond_jacobi1d3_run(c, pp, 31, opt);
   EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(31)), 0.0);
+}
+
+TEST(Diamond1DF32, MatchesSerialEngineAndFloatOracle) {
+  const stencil::C1D3f c{0.3f, 0.42f, 0.28f};
+  using G = grid::Grid1D<float>;
+  test::expect_f32_diamond<dispatch::DiamondJacobi1D3F32Fn>(
+      dispatch::kDiamondJacobi1D3, c, tiling::Diamond1DOptions{128, 16, 7},
+      test::float_grid<G>(650u, 1000),
+      [&](G& u, long t) { stencil::jacobi1d3_run(c, u, t); },
+      [&](G& u, long t) { tv::tv_jacobi1d3_run(c, u, t, 7); });
 }
 
 }  // namespace

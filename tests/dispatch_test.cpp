@@ -261,6 +261,28 @@ TEST(Registry, DtypeAxis) {
               (std::vector<DType>{DType::kI32}))
         << id;
   }
+  // The tiled drivers the planner may route floats to: every Jacobi
+  // diamond carries an f32 driver next to its f64 default, on every
+  // backend; the Gauss-Seidel parallelograms stay f64 only.
+  for (std::string_view id :
+       {dispatch::kDiamondJacobi1D3, dispatch::kDiamondJacobi2D5,
+        dispatch::kDiamondJacobi2D9, dispatch::kDiamondJacobi3D7}) {
+    EXPECT_EQ(reg.default_dtype(id), DType::kF64) << id;
+    EXPECT_EQ(reg.registered_dtypes(id, Backend::kScalar),
+              (std::vector<DType>{DType::kF64, DType::kF32}))
+        << id;
+    EXPECT_NE(reg.resolve_at(id, Backend::kAvx512, dispatch::kAnyVl),
+              reg.resolve_at(id, Backend::kAvx512, dispatch::kAnyVl,
+                             DType::kF32))
+        << id;
+  }
+  for (std::string_view id :
+       {dispatch::kParallelogramGs1D3, dispatch::kParallelogramGs2D5,
+        dispatch::kParallelogramGs3D7}) {
+    EXPECT_EQ(reg.registered_dtypes(id, Backend::kAvx512),
+              (std::vector<DType>{DType::kF64}))
+        << id;
+  }
   // An unregistered dtype pin is an error naming the dtype.
   try {
     reg.resolve_at(dispatch::kTvLife, Backend::kAvx512, 8, DType::kF32);

@@ -1,6 +1,8 @@
 // The parallel tiled drivers (diamond on x for Jacobi/Life, parallelogram
 // wavefront for Gauss-Seidel) must reproduce the scalar oracles exactly,
-// across tile geometries and under many threads.
+// across tile geometries and under many threads.  The f32 diamonds (8-lane
+// float tiles) must equal the serial float engines exactly and the float
+// oracles within the scaled-ULP contract.
 #include <gtest/gtest.h>
 
 #include "util/omp_compat.hpp"
@@ -8,12 +10,16 @@
 #include <random>
 #include <tuple>
 
+#include "dispatch/kernels.hpp"
+#include "f32_diamond.hpp"
 #include "stencil/life_ref.hpp"
 #include "stencil/reference2d.hpp"
 #include "stencil/reference3d.hpp"
 #include "tiling/diamond2d.hpp"
 #include "tiling/diamond3d.hpp"
 #include "tiling/parallelogram2d.hpp"
+#include "tv/tv2d.hpp"
+#include "tv/tv3d.hpp"
 
 namespace {
 
@@ -226,6 +232,39 @@ TEST(Parallel2D, ManyThreadsDeterministicAndExact) {
   tiling::diamond_jacobi2d5_run(c, got, 32, opt);
   omp_set_num_threads(saved);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
+}
+
+// ---- single precision (f32_diamond.hpp) ------------------------------------
+
+TEST(DiamondF32, Jacobi2D5MatchesSerialEngineAndFloatOracle) {
+  const stencil::C2D5f c{0.31f, 0.2f, 0.17f, 0.17f, 0.15f};
+  using G = grid::Grid2D<float>;
+  test::expect_f32_diamond<dispatch::DiamondJacobi2D5F32Fn>(
+      dispatch::kDiamondJacobi2D5, c, tiling::Diamond2DOptions{48, 16, 2},
+      test::float_grid<G>(6000u, 130, 21),
+      [&](G& u, long t) { stencil::jacobi2d5_run(c, u, t); },
+      [&](G& u, long t) { tv::tv_jacobi2d5_run(c, u, t, 2); });
+}
+
+TEST(DiamondF32, Jacobi2D9MatchesSerialEngineAndFloatOracle) {
+  const stencil::C2D9f c{0.2f,  0.14f, 0.12f, 0.1f, 0.09f,
+                         0.08f, 0.09f, 0.09f, 0.09f};
+  using G = grid::Grid2D<float>;
+  test::expect_f32_diamond<dispatch::DiamondJacobi2D9F32Fn>(
+      dispatch::kDiamondJacobi2D9, c, tiling::Diamond2DOptions{48, 16, 3},
+      test::float_grid<G>(6100u, 130, 21),
+      [&](G& u, long t) { stencil::jacobi2d9_run(c, u, t); },
+      [&](G& u, long t) { tv::tv_jacobi2d9_run(c, u, t, 3); });
+}
+
+TEST(DiamondF32, Jacobi3D7MatchesSerialEngineAndFloatOracle) {
+  const stencil::C3D7f c{0.28f, 0.13f, 0.12f, 0.12f, 0.11f, 0.13f, 0.11f};
+  using G = grid::Grid3D<float>;
+  test::expect_f32_diamond<dispatch::DiamondJacobi3D7F32Fn>(
+      dispatch::kDiamondJacobi3D7, c, tiling::Diamond3DOptions{20, 8, 2},
+      test::float_grid<G>(6200u, 90, 6, 9),
+      [&](G& u, long t) { stencil::jacobi3d7_run(c, u, t); },
+      [&](G& u, long t) { tv::tv_jacobi3d7_run(c, u, t, 2); });
 }
 
 }  // namespace

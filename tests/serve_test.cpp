@@ -729,7 +729,9 @@ TEST(ServeDecompose, TiledFamiliesBitIdenticalToSync) {
   if (plan_pinned()) GTEST_SKIP() << "TVS_PLAN may pin a non-tiled path";
   const serve::SchedStats before = serve::sched_stats();
 
-  // threads > 1 routes every double/int32 family onto the tiled path.
+  // threads > 1 routes every family with a tiled driver registered for its
+  // element type onto the tiled path: every f64/i32 family and the f32
+  // Jacobi families (f32 Gauss-Seidel stays serial).
   constexpr int kThreads = 4;
   {
     const StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
@@ -793,6 +795,46 @@ TEST(ServeDecompose, TiledFamiliesBitIdenticalToSync) {
                                  .build();
     expect_decomposed_identical<double, stencil::C3D7, grid::Grid3D<double>>(
         p, stencil::heat3d(0.1), 7);
+  }
+  {
+    const StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
+                                 .extents(4096)
+                                 .steps(27)
+                                 .threads(kThreads)
+                                 .dtype(dispatch::DType::kF32)
+                                 .build();
+    expect_decomposed_identical<float, stencil::C1D3f, grid::Grid1D<float>>(
+        p, stencil::heat1d<float>(0.25f), 8);
+  }
+  {
+    const StencilProblem p = ProblemBuilder(Family::kJacobi2D5)
+                                 .extents(96, 80)
+                                 .steps(17)
+                                 .threads(kThreads)
+                                 .dtype(dispatch::DType::kF32)
+                                 .build();
+    expect_decomposed_identical<float, stencil::C2D5f, grid::Grid2D<float>>(
+        p, stencil::heat2d<float>(0.2f), 9);
+  }
+  {
+    const StencilProblem p = ProblemBuilder(Family::kJacobi2D9)
+                                 .extents(96, 80)
+                                 .steps(16)
+                                 .threads(kThreads)
+                                 .dtype(dispatch::DType::kF32)
+                                 .build();
+    expect_decomposed_identical<float, stencil::C2D9f, grid::Grid2D<float>>(
+        p, stencil::box2d9<float>(0.05), 10);
+  }
+  {
+    const StencilProblem p = ProblemBuilder(Family::kJacobi3D7)
+                                 .extents(24, 20, 28)
+                                 .steps(9)
+                                 .threads(kThreads)
+                                 .dtype(dispatch::DType::kF32)
+                                 .build();
+    expect_decomposed_identical<float, stencil::C3D7f, grid::Grid3D<float>>(
+        p, stencil::heat3d<float>(0.1), 11);
   }
   {
     // Life: int32 grid, deterministic soup.

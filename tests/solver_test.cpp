@@ -752,6 +752,41 @@ TEST(SolverInPlace, Life) {
                         random_grid<std::int32_t, grid::Grid2D>(35, 96, 80));
 }
 
+// The float Jacobi families run the same diamond drivers on 8-lane float
+// tiles; the serial float engine they are compared with runs 8 or 16.
+TEST(SolverInPlace, Jacobi1D3F32) {
+  expect_in_place_tiled(solver::ProblemBuilder(Family::kJacobi1D3)
+                            .extents(4096)
+                            .dtype(dispatch::DType::kF32),
+                        stencil::heat1d<float>(0.25f),
+                        random_grid<float, grid::Grid1D>(41, 4096));
+}
+
+TEST(SolverInPlace, Jacobi2D5F32) {
+  expect_in_place_tiled(solver::ProblemBuilder(Family::kJacobi2D5)
+                            .extents(96, 80)
+                            .dtype(dispatch::DType::kF32),
+                        stencil::heat2d<float>(0.2f),
+                        random_grid<float, grid::Grid2D>(42, 96, 80));
+}
+
+TEST(SolverInPlace, Jacobi2D9F32) {
+  const stencil::C2D9f c{0.2f,  0.14f, 0.12f, 0.1f, 0.09f,
+                         0.08f, 0.09f, 0.09f, 0.09f};
+  expect_in_place_tiled(solver::ProblemBuilder(Family::kJacobi2D9)
+                            .extents(96, 80)
+                            .dtype(dispatch::DType::kF32),
+                        c, random_grid<float, grid::Grid2D>(43, 96, 80));
+}
+
+TEST(SolverInPlace, Jacobi3D7F32) {
+  const stencil::C3D7f c{0.28f, 0.13f, 0.12f, 0.12f, 0.11f, 0.13f, 0.11f};
+  expect_in_place_tiled(solver::ProblemBuilder(Family::kJacobi3D7)
+                            .extents(40, 12, 10)
+                            .dtype(dispatch::DType::kF32),
+                        c, random_grid<float, grid::Grid3D>(44, 40, 12, 10));
+}
+
 // The Gauss-Seidel families take the router's parallelogram branch, which
 // sweeps the caller's grid directly (no parity partner).
 TEST(SolverInPlace, Gs1D3) {
@@ -798,24 +833,40 @@ TEST(SolverFloat, HeuristicDoublesVectorLength) {
   solver::validate_plan(p, plan);  // must not throw
 }
 
-TEST(SolverFloat, FloatNeverPlansTiled) {
-  // Even with a thread request, float problems stay on the serial path
-  // (the tiled drivers are double/int32 only) — and a pinned tiled plan is
-  // rejected at validation.
-  StencilProblem p = ProblemBuilder(Family::kJacobi2D5)
-                         .extents(256, 256)
-                         .steps(64)
-                         .threads(4)
-                         .dtype(dispatch::DType::kF32)
-                         .build();
-  const ExecutionPlan plan = solver::heuristic_plan(p);
+TEST(SolverFloat, FloatJacobiPlansTiled) {
+  // A thread request puts every float Jacobi family on its diamond driver
+  // (8-lane float tiles, no vl pin); float Gauss-Seidel has no registered
+  // parallelogram, so it plans serial and a pinned tiled plan is rejected.
+  const auto f32_problem = [](ProblemBuilder b) {
+    return b.steps(64).threads(4).dtype(dispatch::DType::kF32).build();
+  };
+  for (const StencilProblem& p :
+       {f32_problem(ProblemBuilder(Family::kJacobi1D3).extents(4096)),
+        f32_problem(ProblemBuilder(Family::kJacobi2D5).extents(256, 256)),
+        f32_problem(ProblemBuilder(Family::kJacobi2D9).extents(256, 256)),
+        f32_problem(ProblemBuilder(Family::kJacobi3D7).extents(64, 32, 32))}) {
+    SCOPED_TRACE(p.signature());
+    const ExecutionPlan plan = solver::heuristic_plan(p);
+    EXPECT_EQ(plan.path, Path::kTiledParallel) << plan.to_string();
+    EXPECT_EQ(plan.vl, 0) << plan.to_string();
+    solver::validate_plan(p, plan);  // must not throw
+  }
+
+  const StencilProblem gs =
+      f32_problem(ProblemBuilder(Family::kGs2D5).extents(256, 256));
+  const ExecutionPlan plan = solver::heuristic_plan(gs);
   EXPECT_EQ(plan.path, Path::kSerialTv);
   ExecutionPlan tiled = plan;
   tiled.vl = 0;
   tiled.path = Path::kTiledParallel;
   tiled.tile_w = 64;
   tiled.tile_h = 32;
-  EXPECT_THROW(solver::validate_plan(p, tiled), std::invalid_argument);
+  try {
+    solver::validate_plan(gs, tiled);
+    ADD_FAILURE() << "a tiled f32 gs2d5 plan validated";
+  } catch (const solver::Error& e) {
+    EXPECT_EQ(e.code(), solver::Errc::kBadPath) << e.what();
+  }
 }
 
 TEST(SolverFloat, DtypeMismatchThrows) {
