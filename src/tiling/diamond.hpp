@@ -1,12 +1,14 @@
-// Diamond-tiled, OpenMP-parallel drivers for the 1D Jacobi kernels
-// (Figure 4b; Table 1's Heat-1D blocking 16384 x 128).
+// Diamond-tiled parallel drivers for the 1D Jacobi kernels (Figure 4b;
+// Table 1's Heat-1D blocking 16384 x 128).
 //
 // Decomposition per band of height `height` (a multiple of vl: 4 doubles,
-// or 8 floats for the f32 driver the registry holds under the same id):
+// or 8 floats for the f32 driver the registry holds under the same id),
+// the band/phase schedule of tiling/schedule.hpp that the 2D and 3D
+// drivers share, each phase one stage (tiling/stage_exec.hpp):
 //   phase 1: shrinking trapezoids based at [1+kW, (k+1)W], mutually
-//            independent — parallel for;
+//            independent;
 //   phase 2: growing trapezoids from the seams kW (empty base), mutually
-//            independent once phase 1 finished — parallel for.
+//            independent once phase 1 finished.
 // The union of a phase-2 tile and the next band's phase-1 tile above it is
 // the classic diamond.  Each trapezoid is the flat engine's tile
 // (tv/tv1d_impl.hpp) on clipped, sloped rows (tv/tile.hpp) with its levels
@@ -28,8 +30,8 @@ struct Diamond1DOptions {
   int height = 128;    // band height (time steps per band)
   int stride = 7;      // temporal-vectorization stride s
   bool use_vector = true;  // false: identical tiling, scalar tiles (bench baseline)
-  // External stage executor (serving pool); nullptr = the driver's own
-  // OpenMP loops.  Same tiles either way, bit-identical results.
+  // External stage executor (serving pool); nullptr = stage_run()'s
+  // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
 

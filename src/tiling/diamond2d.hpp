@@ -1,8 +1,10 @@
 // Diamond tiling on (t, x-rows) for 2D stencils — the paper's parallel
 // scheme: "the diamond tiling always applies to the outermost space loop
 // and co-works with the temporal vectorization" (§3.4).  Tiles are
-// trapezoids of rows x full-width y; data lives in two parity grids; each
-// thread owns a private ring of input-vector rows.
+// trapezoids of rows x full-width y, scheduled in bands and phases by the
+// diamond schedule the 1D and 3D drivers share (tiling/schedule.hpp); data
+// lives in two parity grids; each runner slot owns a private ring of
+// input-vector rows.
 #pragma once
 
 #include <cstdint>
@@ -20,8 +22,8 @@ struct Diamond2DOptions {
   int height = 32;  // band height in time steps (multiple of the lane count)
   int stride = 2;   // temporal-vectorization stride s (paper default for 2D)
   bool use_vector = true;  // false: identical tiling, scalar tiles
-  // External stage executor (serving pool); nullptr = the driver's own
-  // OpenMP loops.  Same tiles either way, bit-identical results.
+  // External stage executor (serving pool); nullptr = stage_run()'s
+  // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
 

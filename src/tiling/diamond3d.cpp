@@ -5,11 +5,10 @@
 #include "dispatch/backend_variant.hpp"
 #include "tiling/diamond3d.hpp"
 
-#include "util/omp_compat.hpp"
-
 #include <algorithm>
 #include <vector>
 
+#include "tiling/schedule.hpp"
 #include "tv/functors3d.hpp"
 #include "tv/tv3d_impl.hpp"
 
@@ -52,110 +51,41 @@ void mirror_planes(const grid::Grid3D<T>& from, grid::Grid3D<T>& to, int x0,
 }
 
 // The 7-point Jacobi driver on V-lane tiles (V::value_type is the grid's
-// element type).
+// element type): the diamond schedule on the parity grids.
 template <class V>
 void jacobi3d7(const stencil::C3D7T<typename V::value_type>& c,
                grid::PingPong<grid::Grid3D<typename V::value_type>>& pp,
                long steps, const Diamond3DOptions& opt) {
   using T = typename V::value_type;
-  constexpr int VL = V::lanes;
-  static_assert(VL % 2 == 0, "level vl must share parity(t0) with level 0");
-  const tv::J3D7F<V> f(c);
+  using F = tv::J3D7F<V>;
+  const F f(c);
   const int nx = pp.even().nx(), ny = pp.even().ny(), nz = pp.even().nz();
   const int s = std::max(2, opt.stride);
-  int H = std::max(VL, opt.height - opt.height % VL);
-  int W = std::max(opt.width, 2 * H + VL * s + 8);
-  if (W >= nx) {
-    W = nx;
-    H = std::max(VL, std::min(H, (W / 2 / VL) * VL));
-    W = std::max(W, 2 * H + VL * s + 8);
-  }
-  // One ring workspace per concurrent runner (OpenMP threads or external
-  // executor slots); lazy prepare() first-touches it on the sweeping
-  // worker.
-  const int nslots = std::max(
-      omp_get_max_threads(), opt.exec != nullptr ? opt.exec->slots : 0);
-  std::vector<tv::SlabRing<V>> tls(static_cast<std::size_t>(nslots));
-  // The stacked trapezoids of one tile (see diamond2d.cpp).
-  const auto tile = [&](int slot, long tb, int h, int xl0, int xr0, int dl,
-                        int dr) {
-    tv::SlabRing<V>& ring = tls[static_cast<std::size_t>(slot)];
-    ring.prepare(s + 2, ny + 2, nz);
-    for (int j = 0; j < h / VL; ++j) {
-      const long tt = tb + static_cast<long>(VL) * j;
-      grid::Grid3D<T>& a0 = pp.by_parity(tt);
-      ParityLevels3D<T> lev{&pp.by_parity(tt + 1), &a0};
-      const auto rows = tv::TileRows<VL>::sloped(
-          xl0 + dl * VL * j, xr0 + dr * VL * j, dl, dr, nx, 1);
-      tv::tv3d_tile<V>(f, a0, lev, ring, rows, s, !opt.use_vector);
-    }
-  };
-
-  const int nb = (nx + W - 1) / W;
-  // First stage, the parity-pair invariant (see diamond2d.cpp): mirror the
-  // boundary and halo cells of phase 1's plane blocks into the odd grid.
-  const auto mirror = [&](int k, int /*slot*/) {
-    mirror_planes(pp.even(), pp.odd(), k == 0 ? 0 : 1 + k * W,
-                  k == nb - 1 ? nx + 1 : (k + 1) * W);
-  };
-  if (opt.exec != nullptr) {
-    stage_run(opt.exec, nb, mirror);
-  } else {
-    // tvsrace: partitioned(k)
-#pragma omp parallel for schedule(static)
-    for (int k = 0; k < nb; ++k) mirror(k, 0);
-  }
-
-  const long t_vec = steps - steps % VL;
-  long t0 = 0;
-  while (t0 < t_vec) {
-    const int h = static_cast<int>(std::min<long>(H, t_vec - t0));
-    // Phase-1 trapezoids write planes [1 + k*W, (k+1)*W] only (shrinking
-    // edges); parity grids partitioned by tile index, ws is per-runner.
-    const auto phase1 = [&](int k, int slot) {
-      tile(slot, t0, h, 1 + k * W, (k + 1) * W, +1, -1);
-    };
-    if (opt.exec != nullptr) {
-      stage_run(opt.exec, nb, phase1);
-    } else {
-      // tvsrace: partitioned(k)
-#pragma omp parallel for schedule(dynamic, 1)
-      for (int k = 0; k < nb; ++k) phase1(k, omp_get_thread_num());
-    }
-    // Phase-2 seam tiles: disjoint plane ranges around each seam k*W.
-    const auto phase2 = [&](int k, int slot) {
-      tile(slot, t0, h, k * W + 1, k * W, -1, +1);
-    };
-    if (opt.exec != nullptr) {
-      stage_run(opt.exec, nb + 1, phase2);
-    } else {
-      // tvsrace: partitioned(k)
-#pragma omp parallel for schedule(dynamic, 1)
-      for (int k = 0; k <= nb; ++k) phase2(k, omp_get_thread_num());
-    }
-    t0 += h;
-  }
-  // Residual scalar steps (steps % vl), one stage per step over phase 1's
-  // plane blocks: block k writes planes [1 + k*W, (k+1)*W] of dst only.
-  for (; t0 < steps; ++t0) {
-    const grid::Grid3D<T>& src = pp.by_parity(t0);
-    grid::Grid3D<T>& dst = pp.by_parity(t0 + 1);
-    const auto at = [&](int r, int y, int z) { return src.at(r, y, z); };
-    const auto residual = [&](int k, int /*slot*/) {
-      const int r1 = std::min(nx, (k + 1) * W);
-      for (int r = 1 + k * W; r <= r1; ++r)
-        for (int y = 1; y <= ny; ++y)
-          for (int z = 1; z <= nz; ++z)
-            dst.at(r, y, z) = f.apply_scalar(at, r, y, z);
-    };
-    if (opt.exec != nullptr) {
-      stage_run(opt.exec, nb, residual);
-    } else {
-      // tvsrace: partitioned(k)
-#pragma omp parallel for schedule(static)
-      for (int k = 0; k < nb; ++k) residual(k, 0);
-    }
-  }
+  // One ring workspace per runner slot; each lazy prepare() first-touches
+  // its ring on the worker that sweeps it.
+  std::vector<tv::SlabRing<V>> tls(stage_slots(opt.exec));
+  diamond_schedule<V::lanes, F::radius>(
+      opt, s, nx, steps,
+      // tvsrace: partitioned(x0)
+      [&](int x0, int x1) { mirror_planes(pp.even(), pp.odd(), x0, x1); },
+      // tvsrace: partitioned(rows)
+      [&](int slot, long tt, const tv::TileRows<V::lanes>& rows) {
+        tv::SlabRing<V>& ring = tls[static_cast<std::size_t>(slot)];
+        ring.prepare(s + 2, ny + 2, nz);
+        grid::Grid3D<T>& a0 = pp.by_parity(tt);
+        const ParityLevels3D<T> lev{&pp.by_parity(tt + 1), &a0};
+        tv::tv3d_tile<V>(f, a0, lev, ring, rows, s, !opt.use_vector);
+      },
+      // tvsrace: partitioned(x0)
+      [&](long t, int x0, int x1) {
+        const grid::Grid3D<T>& src = pp.by_parity(t);
+        grid::Grid3D<T>& dst = pp.by_parity(t + 1);
+        const auto at = [&](int r, int y, int z) { return src.at(r, y, z); };
+        for (int r = x0; r <= x1; ++r)
+          for (int y = 1; y <= ny; ++y)
+            for (int z = 1; z <= nz; ++z)
+              dst.at(r, y, z) = f.apply_scalar(at, r, y, z);
+      });
 }
 
 // One 32-byte vector per tile row: 4 doubles, 8 floats.

@@ -14,8 +14,8 @@ struct Diamond3DOptions {
   int height = 8;   // band height in time steps (multiple of the lane count)
   int stride = 2;
   bool use_vector = true;  // false: identical tiling, scalar tiles
-  // External stage executor (serving pool); nullptr = the driver's own
-  // OpenMP loops.  Same tiles either way, bit-identical results.
+  // External stage executor (serving pool); nullptr = stage_run()'s
+  // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
 

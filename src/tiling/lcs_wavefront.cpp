@@ -40,7 +40,8 @@ std::int32_t lcs_wavefront_tiled(std::span<const std::int32_t> a,
     // are injective in bi for fixed d, so row/col writes are disjoint.
     const int bi_lo = std::max(0, d - (nbj - 1));
     const int bi_hi = std::min(d, nbi - 1);
-    const auto block = [&](int bi, int /*slot*/) {
+    const auto block = [&](int i, int /*slot*/) {
+      const int bi = bi_lo + i;
       const int bj = d - bi;
       const int t0 = bi * Hb;
       const int h = std::min(Hb, na - t0);
@@ -66,14 +67,8 @@ std::int32_t lcs_wavefront_tiled(std::span<const std::int32_t> a,
         }
       }
     };
-    if (opt.exec != nullptr) {
-      stage_run(opt.exec, bi_hi - bi_lo + 1,
-                [&](int i, int slot) { block(bi_lo + i, slot); });
-    } else {
-      // tvsrace: partitioned(bi)
-#pragma omp parallel for schedule(dynamic, 1)
-      for (int bi = bi_lo; bi <= bi_hi; ++bi) block(bi, 0);
-    }
+    // tvsrace: partitioned(i)
+    stage_run(opt.exec, bi_hi - bi_lo + 1, block);
   }
   return row[static_cast<std::size_t>(nb)];
 }

@@ -20,8 +20,8 @@ struct LcsWavefrontOptions {
   int block = 4096;        // column-block width (Table 1)
   int band = 4096;         // row-band height
   bool use_vector = true;  // false: identical tiling, scalar DP rows
-  // External stage executor (serving pool); nullptr = the driver's own
-  // OpenMP loops.  Same tiles either way, bit-identical results.
+  // External stage executor (serving pool); nullptr = stage_run()'s
+  // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
 

@@ -17,7 +17,9 @@
 // (bt-1, bx), (bt-1, bx+1) [base row]; all are satisfied by executing
 // anti-diagonal wavefronts w = 2*bt + bx, with every tile inside one
 // wavefront independent (they are >= 2W+H points apart).  Parallelism
-// therefore grows with the number of *bands* in flight, T/H.
+// therefore grows with the number of *bands* in flight, T/H.  The
+// wavefront schedule, one stage per anti-diagonal, is shared with the 2D
+// and 3D drivers (tiling/schedule.hpp).
 #pragma once
 
 #include "grid/grid1d.hpp"
@@ -31,8 +33,8 @@ struct Parallelogram1DOptions {
   int height = 64;   // band height (sweeps per band)
   int stride = 3;    // temporal-vectorization stride s (>= 2)
   bool use_vector = true;  // false: identical tiling, scalar tiles
-  // External stage executor (serving pool); nullptr = the driver's own
-  // OpenMP loops.  Same tiles either way, bit-identical results.
+  // External stage executor (serving pool); nullptr = stage_run()'s
+  // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
 

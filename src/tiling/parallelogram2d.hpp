@@ -3,7 +3,8 @@
 // acts on (t, x-rows) — level l of a tile covers rows
 // [xl0-(l-1), xr0-(l-1)] x the full inner dimensions — with the same
 // single-array interface-ladder discipline as the 1D driver
-// (parallelogram.hpp) and anti-diagonal wavefronts w = 2*bt + bx.  Each
+// (parallelogram.hpp) and its anti-diagonal wavefront schedule
+// w = 2*bt + bx (tiling/schedule.hpp).  Each
 // tile is the Gauss-Seidel engine tile (tv/tv_gs2d_impl.hpp,
 // tv/tv_gs3d_impl.hpp) on the parallelogram's rows.
 #pragma once
@@ -20,8 +21,8 @@ struct ParallelogramNDOptions {
   int height = 32;  // band height in sweeps
   int stride = 2;
   bool use_vector = true;  // false: identical tiling, scalar tiles
-  // External stage executor (serving pool); nullptr = the driver's own
-  // OpenMP loops.  Same tiles either way, bit-identical results.
+  // External stage executor (serving pool); nullptr = stage_run()'s
+  // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
 

@@ -1,6 +1,7 @@
 // Diamond tiling + temporal vectorization must reproduce the scalar oracle
 // exactly, for every tile geometry: wide/narrow tiles, short/tall bands,
-// step counts off the band and vl grid, single- and multi-threaded.  The
+// step counts off the band and vl grid, single- and multi-threaded, on
+// every stage executor (stage_execs.hpp).  The
 // f32 driver (8-lane float tiles) must equal the serial float engine
 // exactly and the float oracle within the scaled-ULP contract.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "dispatch/kernels.hpp"
 #include "f32_diamond.hpp"
+#include "stage_execs.hpp"
 #include "stencil/reference1d.hpp"
 #include "tiling/diamond.hpp"
 #include "tv/tv1d.hpp"
@@ -39,17 +41,23 @@ class Diamond1DSweep : public ::testing::TestWithParam<P> {};
 TEST_P(Diamond1DSweep, MatchesOracleExactly) {
   const auto [nx, steps, w, h, s] = GetParam();
   const stencil::C1D3 c{0.3, 0.42, 0.28};
-  Grid ref = make_random(nx, 600u + static_cast<unsigned>(nx)), got(nx);
-  copy(ref, got);
+  const Grid init = make_random(nx, 600u + static_cast<unsigned>(nx));
+  Grid ref(nx);
+  copy(init, ref);
   stencil::jacobi1d3_run(c, ref, steps);
-  tiling::Diamond1DOptions opt;
-  opt.width = w;
-  opt.height = h;
-  opt.stride = s;
-  tiling::diamond_jacobi1d3_run(c, got, steps, opt);
-  EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
-      << "nx=" << nx << " steps=" << steps << " W=" << w << " H=" << h
-      << " s=" << s;
+  for (const tiling::StageExec* exec : test::kStageExecs) {
+    Grid got(nx);
+    copy(init, got);
+    tiling::Diamond1DOptions opt;
+    opt.width = w;
+    opt.height = h;
+    opt.stride = s;
+    opt.exec = exec;
+    tiling::diamond_jacobi1d3_run(c, got, steps, opt);
+    EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
+        << "nx=" << nx << " steps=" << steps << " W=" << w << " H=" << h
+        << " s=" << s << " exec=" << test::exec_name(exec);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

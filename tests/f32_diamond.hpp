@@ -6,8 +6,8 @@
 // them.  For steps 7, 8, 9, 16 and 17 — a residual only, one band, one
 // band plus a residual step, two bands, two bands plus one — the tiled
 // result must equal the serial float engine exactly and the float oracle
-// within the scaled-ULP contract, with vector and scalar tiles, on the
-// driver's OpenMP loops and on an inline stage executor.
+// within the scaled-ULP contract, with vector and scalar tiles, on every
+// stage executor of stage_execs.hpp.
 #pragma once
 
 #include <gtest/gtest.h>
@@ -16,17 +16,11 @@
 #include <string_view>
 
 #include "dispatch/registry.hpp"
+#include "stage_execs.hpp"
 #include "tiling/pingpong_convert.hpp"
-#include "tiling/stage_exec.hpp"
 #include "tolerance.hpp"
 
 namespace tvs::test {
-
-// A StageExec that runs every body in order on the calling thread.
-inline void run_inline(void*, int n, void (*body)(void*, int, int),
-                       void* ctx) {
-  for (int i = 0; i < n; ++i) body(ctx, i, 0);
-}
 
 // make(t) returns a fresh, identically filled float grid; oracle(u, t) and
 // engine(u, t) advance one by t steps with the float oracle and the serial
@@ -38,17 +32,15 @@ void expect_f32_diamond(std::string_view id, const C& c, Opt base, Make make,
   Fn* const driver = dispatch::KernelRegistry::instance().get_at<Fn>(
       id, dispatch::selected_backend(), dispatch::kAnyVl,
       dispatch::DType::kF32);
-  const tiling::StageExec inline_exec{nullptr, 1, run_inline};
   for (const long steps : {7L, 8L, 9L, 16L, 17L}) {
     auto want = make(steps), exact = make(steps);
     oracle(want, steps);
     engine(exact, steps);
     for (const bool use_vector : {true, false})
-      for (const tiling::StageExec* exec :
-           {static_cast<const tiling::StageExec*>(nullptr), &inline_exec}) {
+      for (const tiling::StageExec* exec : kStageExecs) {
         SCOPED_TRACE(::testing::Message()
                      << id << " steps=" << steps << " use_vector="
-                     << use_vector << " exec=" << (exec != nullptr));
+                     << use_vector << " exec=" << exec_name(exec));
         Opt opt = base;
         opt.use_vector = use_vector;
         opt.exec = exec;

@@ -1,11 +1,13 @@
 // The block-wavefront parallel LCS must agree with the scalar DP oracle for
 // every block geometry, including blocks that do not divide the input and
-// blocks too narrow for the vector strip kernel.
+// blocks too narrow for the vector strip kernel, on every stage executor
+// (stage_execs.hpp).
 #include <gtest/gtest.h>
 
 #include <random>
 #include <tuple>
 
+#include "stage_execs.hpp"
 #include "stencil/lcs_ref.hpp"
 #include "tiling/lcs_wavefront.hpp"
 
@@ -29,11 +31,16 @@ TEST_P(LcsWavefrontSweep, MatchesOracle) {
   const auto [na, nb, blk, band] = GetParam();
   const auto a = random_seq(na, 4, 6000u + static_cast<unsigned>(na));
   const auto b = random_seq(nb, 4, 7000u + static_cast<unsigned>(nb));
-  tiling::LcsWavefrontOptions opt;
-  opt.block = blk;
-  opt.band = band;
-  EXPECT_EQ(tiling::lcs_wavefront(a, b, opt), stencil::lcs_ref(a, b))
-      << "na=" << na << " nb=" << nb << " blk=" << blk << " band=" << band;
+  const std::int32_t want = stencil::lcs_ref(a, b);
+  for (const tiling::StageExec* exec : test::kStageExecs) {
+    tiling::LcsWavefrontOptions opt;
+    opt.block = blk;
+    opt.band = band;
+    opt.exec = exec;
+    EXPECT_EQ(tiling::lcs_wavefront(a, b, opt), want)
+        << "na=" << na << " nb=" << nb << " blk=" << blk << " band=" << band
+        << " exec=" << test::exec_name(exec);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

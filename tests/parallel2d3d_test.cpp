@@ -1,6 +1,7 @@
 // The parallel tiled drivers (diamond on x for Jacobi/Life, parallelogram
 // wavefront for Gauss-Seidel) must reproduce the scalar oracles exactly,
-// across tile geometries and under many threads.  The f32 diamonds (8-lane
+// across tile geometries, on every stage executor (stage_execs.hpp) and
+// under many threads.  The f32 diamonds (8-lane
 // float tiles) must equal the serial float engines exactly and the float
 // oracles within the scaled-ULP contract.
 #include <gtest/gtest.h>
@@ -12,6 +13,7 @@
 
 #include "dispatch/kernels.hpp"
 #include "f32_diamond.hpp"
+#include "stage_execs.hpp"
 #include "stencil/life_ref.hpp"
 #include "stencil/reference2d.hpp"
 #include "stencil/reference3d.hpp"
@@ -42,36 +44,47 @@ TEST_P(Diamond2DSweep, Jacobi5PMatchesOracle) {
   const auto [nx, ny, steps, w, h, s] = GetParam();
   const stencil::C2D5 c{0.31, 0.2, 0.17, 0.17, 0.15};
   std::mt19937_64 rng(1000u + static_cast<unsigned>(nx * 7 + ny));
+  GridD2 init(nx, ny);
+  init.fill_random(rng, -1.0, 1.0);
   GridD2 ref(nx, ny);
-  ref.fill_random(rng, -1.0, 1.0);
-  GridD2 got(nx, ny);
-  copy(ref, got);
+  copy(init, ref);
   stencil::jacobi2d5_run(c, ref, steps);
-  tiling::Diamond2DOptions opt;
-  opt.width = w;
-  opt.height = h;
-  opt.stride = s;
-  tiling::diamond_jacobi2d5_run(c, got, steps, opt);
-  EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
-      << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
-      << " H=" << h << " s=" << s;
+  for (const tiling::StageExec* exec : test::kStageExecs) {
+    GridD2 got(nx, ny);
+    copy(init, got);
+    tiling::Diamond2DOptions opt;
+    opt.width = w;
+    opt.height = h;
+    opt.stride = s;
+    opt.exec = exec;
+    tiling::diamond_jacobi2d5_run(c, got, steps, opt);
+    EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
+        << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
+        << " H=" << h << " s=" << s << " exec=" << test::exec_name(exec);
+  }
 }
 
 TEST_P(Diamond2DSweep, Jacobi9PMatchesOracle) {
   const auto [nx, ny, steps, w, h, s] = GetParam();
   const stencil::C2D9 c{0.2, 0.14, 0.12, 0.1, 0.09, 0.08, 0.09, 0.09, 0.09};
   std::mt19937_64 rng(1100u + static_cast<unsigned>(nx * 11 + ny));
+  GridD2 init(nx, ny);
+  init.fill_random(rng, -1.0, 1.0);
   GridD2 ref(nx, ny);
-  ref.fill_random(rng, -1.0, 1.0);
-  GridD2 got(nx, ny);
-  copy(ref, got);
+  copy(init, ref);
   stencil::jacobi2d9_run(c, ref, steps);
-  tiling::Diamond2DOptions opt;
-  opt.width = w;
-  opt.height = h;
-  opt.stride = s;
-  tiling::diamond_jacobi2d9_run(c, got, steps, opt);
-  EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
+  for (const tiling::StageExec* exec : test::kStageExecs) {
+    GridD2 got(nx, ny);
+    copy(init, got);
+    tiling::Diamond2DOptions opt;
+    opt.width = w;
+    opt.height = h;
+    opt.stride = s;
+    opt.exec = exec;
+    tiling::diamond_jacobi2d9_run(c, got, steps, opt);
+    EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
+        << "exec=" << test::exec_name(exec);
+  }
 }
 
 TEST_P(Diamond2DSweep, GaussSeidel2DMatchesOracle) {
@@ -85,19 +98,22 @@ TEST_P(Diamond2DSweep, GaussSeidel2DMatchesOracle) {
   stencil::gs2d5_run(c, ref, steps);
   // Vector tiles, then the identical tiling with scalar tiles (the
   // bench/fig*_par comparators' baseline).
-  for (const bool use_vector : {true, false}) {
-    GridD2 got(nx, ny);
-    copy(init, got);
-    tiling::ParallelogramNDOptions opt;
-    opt.width = w;
-    opt.height = h;
-    opt.stride = s;
-    opt.use_vector = use_vector;
-    tiling::parallelogram_gs2d5_run(c, got, steps, opt);
-    EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
-        << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
-        << " H=" << h << " s=" << s << " use_vector=" << use_vector;
-  }
+  for (const bool use_vector : {true, false})
+    for (const tiling::StageExec* exec : test::kStageExecs) {
+      GridD2 got(nx, ny);
+      copy(init, got);
+      tiling::ParallelogramNDOptions opt;
+      opt.width = w;
+      opt.height = h;
+      opt.stride = s;
+      opt.use_vector = use_vector;
+      opt.exec = exec;
+      tiling::parallelogram_gs2d5_run(c, got, steps, opt);
+      EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
+          << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
+          << " H=" << h << " s=" << s << " use_vector=" << use_vector
+          << " exec=" << test::exec_name(exec);
+    }
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -136,15 +152,21 @@ TEST(DiamondLife, MatchesOracleAcrossGeometries) {
     std::uniform_int_distribution<std::int32_t> d(0, 1);
     for (int x = 0; x <= nx + 1; ++x)
       for (int y = 0; y <= ny + 1; ++y) ref.at(x, y) = d(rng);
-    GridI2 got(nx, ny);
-    copy(ref, got);
+    GridI2 init(nx, ny);
+    copy(ref, init);
     stencil::life_run(rule, ref, steps);
-    tiling::Diamond2DOptions opt;
-    opt.width = w;
-    opt.height = h;
-    tiling::diamond_life_run(rule, got, steps, opt);
-    ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
-        << "nx=" << nx << " steps=" << steps;
+    for (const tiling::StageExec* exec : test::kStageExecs) {
+      GridI2 got(nx, ny);
+      copy(init, got);
+      tiling::Diamond2DOptions opt;
+      opt.width = w;
+      opt.height = h;
+      opt.exec = exec;
+      tiling::diamond_life_run(rule, got, steps, opt);
+      ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
+          << "nx=" << nx << " steps=" << steps
+          << " exec=" << test::exec_name(exec);
+    }
   }
 }
 
@@ -174,19 +196,22 @@ TEST(Diamond3D, JacobiMatchesOracleAcrossGeometries) {
     GridD3 ref(nx, ny, nz);
     copy3(init, ref);
     stencil::jacobi3d7_run(c, ref, steps);
-    for (const bool use_vector : {true, false}) {
-      GridD3 got(nx, ny, nz);
-      copy3(init, got);
-      tiling::Diamond3DOptions opt;
-      opt.width = w;
-      opt.height = h;
-      opt.stride = s;
-      opt.use_vector = use_vector;
-      tiling::diamond_jacobi3d7_run(c, got, steps, opt);
-      ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
-          << "nx=" << nx << " steps=" << steps << " s=" << s
-          << " use_vector=" << use_vector;
-    }
+    for (const bool use_vector : {true, false})
+      for (const tiling::StageExec* exec : test::kStageExecs) {
+        GridD3 got(nx, ny, nz);
+        copy3(init, got);
+        tiling::Diamond3DOptions opt;
+        opt.width = w;
+        opt.height = h;
+        opt.stride = s;
+        opt.use_vector = use_vector;
+        opt.exec = exec;
+        tiling::diamond_jacobi3d7_run(c, got, steps, opt);
+        ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
+            << "nx=" << nx << " steps=" << steps << " s=" << s
+            << " use_vector=" << use_vector
+            << " exec=" << test::exec_name(exec);
+      }
   }
 }
 
@@ -199,19 +224,22 @@ TEST(ParaGs3D, MatchesOracleAcrossGeometries) {
     GridD3 ref(nx, ny, nz);
     copy3(init, ref);
     stencil::gs3d7_run(c, ref, steps);
-    for (const bool use_vector : {true, false}) {
-      GridD3 got(nx, ny, nz);
-      copy3(init, got);
-      tiling::ParallelogramNDOptions opt;
-      opt.width = w;
-      opt.height = h;
-      opt.stride = s;
-      opt.use_vector = use_vector;
-      tiling::parallelogram_gs3d7_run(c, got, steps, opt);
-      ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
-          << "nx=" << nx << " steps=" << steps << " s=" << s
-          << " use_vector=" << use_vector;
-    }
+    for (const bool use_vector : {true, false})
+      for (const tiling::StageExec* exec : test::kStageExecs) {
+        GridD3 got(nx, ny, nz);
+        copy3(init, got);
+        tiling::ParallelogramNDOptions opt;
+        opt.width = w;
+        opt.height = h;
+        opt.stride = s;
+        opt.use_vector = use_vector;
+        opt.exec = exec;
+        tiling::parallelogram_gs3d7_run(c, got, steps, opt);
+        ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
+            << "nx=" << nx << " steps=" << steps << " s=" << s
+            << " use_vector=" << use_vector
+            << " exec=" << test::exec_name(exec);
+      }
   }
 }
 

@@ -1,5 +1,6 @@
 // Parallelogram-tiled, wavefront-parallel Gauss-Seidel must match the
-// in-place scalar sweeps exactly, across tile geometries and thread counts.
+// in-place scalar sweeps exactly, across tile geometries, stage executors
+// (stage_execs.hpp) and thread counts.
 #include <gtest/gtest.h>
 
 #include "util/omp_compat.hpp"
@@ -7,6 +8,7 @@
 #include <random>
 #include <tuple>
 
+#include "stage_execs.hpp"
 #include "stencil/reference1d.hpp"
 #include "tiling/parallelogram.hpp"
 
@@ -33,17 +35,23 @@ class ParaGs1dSweep : public ::testing::TestWithParam<P> {};
 TEST_P(ParaGs1dSweep, MatchesOracleExactly) {
   const auto [nx, sweeps, w, h, s] = GetParam();
   const stencil::C1D3 c{0.33, 0.37, 0.3};
-  Grid ref = make_random(nx, 700u + static_cast<unsigned>(nx)), got(nx);
-  copy(ref, got);
+  const Grid init = make_random(nx, 700u + static_cast<unsigned>(nx));
+  Grid ref(nx);
+  copy(init, ref);
   stencil::gs1d3_run(c, ref, sweeps);
-  tiling::Parallelogram1DOptions opt;
-  opt.width = w;
-  opt.height = h;
-  opt.stride = s;
-  tiling::parallelogram_gs1d3_run(c, got, sweeps, opt);
-  EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
-      << "nx=" << nx << " sweeps=" << sweeps << " W=" << w << " H=" << h
-      << " s=" << s;
+  for (const tiling::StageExec* exec : test::kStageExecs) {
+    Grid got(nx);
+    copy(init, got);
+    tiling::Parallelogram1DOptions opt;
+    opt.width = w;
+    opt.height = h;
+    opt.stride = s;
+    opt.exec = exec;
+    tiling::parallelogram_gs1d3_run(c, got, sweeps, opt);
+    EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
+        << "nx=" << nx << " sweeps=" << sweeps << " W=" << w << " H=" << h
+        << " s=" << s << " exec=" << test::exec_name(exec);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -12,6 +12,7 @@
 
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
+#include "stage_execs.hpp"
 #include "stencil/lcs_ref.hpp"
 #include "tiling/diamond.hpp"
 #include "tiling/diamond2d.hpp"
@@ -615,11 +616,6 @@ TEST(SolverEqualityTiled, LcsWavefront) {
 // serial engine bit for bit at both step parities, and a failing stage
 // executor leaves the grid whole.
 
-// A StageExec that runs every body in order on the calling thread.
-void run_inline(void*, int n, void (*body)(void*, int, int), void* ctx) {
-  for (int i = 0; i < n; ++i) body(ctx, i, 0);
-}
-
 // A StageExec whose every stage fails before running a tile.
 [[noreturn]] void run_throwing(void*, int, void (*)(void*, int, int), void*) {
   throw std::runtime_error("stage executor failed");
@@ -688,8 +684,8 @@ void expect_in_place_tiled(const solver::ProblemBuilder& b, const C& c,
 
     const Solver tiled(p);
     ASSERT_EQ(tiled.plan().path, Path::kTiledParallel);
-    const tiling::StageExec inline_exec{nullptr, 1, run_inline};
-    for (const Solver& s : {tiled, tiled.with_stage_exec(&inline_exec)}) {
+    for (const Solver& s : {tiled, tiled.with_stage_exec(&test::kInlineExec),
+                            tiled.with_stage_exec(&test::kReverseExec)}) {
       auto u = make();
       const void* buf = buffer_of(u);
       s.run(solver::Workload(c, u));

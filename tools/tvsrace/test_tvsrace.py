@@ -2,9 +2,10 @@
 """Fixture tests for tvsrace: every seeded-violation fixture must trip
 exactly its intended rule group, every clean fixture (which exercises the
 annotation grammar) must pass, a wrong partitioned() name must be
-rejected, stripping a real in-tree partitioned() annotation must resurface
-the findings it certifies, and a missing --compile-commands path must be a
-usage error (exit 2).
+rejected, stripping a partitioned() annotation (in a fixture and in the
+real tree, on a stage_run() body and on a stage callback) must resurface
+the findings it certifies, and a missing
+--compile-commands path must be a usage error (exit 2).
 
 Run directly (python3 tools/tvsrace/test_tvsrace.py) or via the
 `tvsrace_fixtures` CTest entry.
@@ -69,23 +70,108 @@ class C1OmpSharing(unittest.TestCase):
         self.assertIn(11, lines)  # the surviving write finding
 
     def test_stripping_a_real_annotation_resurfaces_findings(self):
-        # Liveness against the actual tree: the wavefront LCS driver is
-        # certified by `// tvsrace: partitioned(bi)`; removing it must
-        # bring back C1 findings on the row/col segment writes.
+        # Liveness against the actual tree: the wavefront LCS driver's
+        # stage_run() call is certified by `// tvsrace: partitioned(i)`;
+        # removing it must bring back C1 findings on the row/col segment
+        # writes.
         src = os.path.join(REPO, "src", "tiling", "lcs_wavefront.cpp")
         with open(src, "r", encoding="utf-8") as f:
             text = f.read()
-        self.assertIn("tvsrace: partitioned(bi)", text)
+        self.assertIn("tvsrace: partitioned(i)", text)
         with tempfile.TemporaryDirectory() as td:
             fixdir = os.path.join(td, "fixtures")
             os.makedirs(fixdir)
             stripped = os.path.join(fixdir, "lcs_wavefront.cpp")
             with open(stripped, "w", encoding="utf-8") as f:
-                f.write(text.replace("// tvsrace: partitioned(bi)", ""))
+                f.write(text.replace("// tvsrace: partitioned(i)", ""))
             code, findings = run_race([stripped])
             self.assertEqual(code, 1)
             self.assertEqual({f[2] for f in findings}, {"C1"})
             self.assertGreaterEqual(len(findings), 3)
+
+    def test_stage_run_bodies_are_parallel_regions(self):
+        # stage_run() bodies (a named lambda, an inline one) writing
+        # shared state unannotated, and a body tvsrace cannot follow.
+        code, findings = run_race([fixture("c1_stage_run_shared.cpp")])
+        self.assertEqual(code, 1)
+        self.assertEqual({f[2] for f in findings}, {"C1"})
+        self.assertEqual(sorted(f[1] for f in findings), [15, 16, 20, 21, 23])
+
+    def test_stage_run_annotation_is_load_bearing(self):
+        # The annotated fixture is clean.  Without its annotation the
+        # segment writes resurface; an annotation naming the slot
+        # parameter instead of the index is refused (line 14) and certifies
+        # nothing.
+        src = fixture("c1_stage_run_clean.cpp")
+        code, findings = run_race([src])
+        self.assertEqual(findings, [])
+        self.assertEqual(code, 0)
+        with open(src, "r", encoding="utf-8") as f:
+            text = f.read()
+        mark = "// tvsrace: partitioned(k)"
+        self.assertIn(mark, text)
+        for repl, want in (("", [17, 19]),
+                           ("// tvsrace: partitioned(slot)", [14, 17, 19])):
+            with tempfile.TemporaryDirectory() as td:
+                fixdir = os.path.join(td, "fixtures")
+                os.makedirs(fixdir)
+                path = os.path.join(fixdir, "c1_stage_run_clean.cpp")
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(text.replace(mark, repl))
+                code, findings = run_race([path])
+                self.assertEqual(code, 1)
+                self.assertEqual(sorted(f[1] for f in findings), want)
+
+    def test_stage_callbacks_are_parallel_regions(self):
+        # A lambda passed as a schedule's stage callback is a region over
+        # the parameter that receives the stage index: the unannotated
+        # write (line 25) and the unfollowable callback (line 36) are
+        # findings; the annotated callback is certified.  Stripped, its
+        # segment writes resurface; naming the slot is refused (line 29).
+        src = fixture("c1_stage_callback.cpp")
+        code, findings = run_race([src])
+        self.assertEqual(code, 1)
+        self.assertEqual({f[2] for f in findings}, {"C1"})
+        self.assertEqual(sorted(f[1] for f in findings), [25, 36])
+        with open(src, "r", encoding="utf-8") as f:
+            text = f.read()
+        mark = "// tvsrace: partitioned(x0)"
+        self.assertIn(mark, text)
+        for repl, want in (("", [25, 32, 34, 36]),
+                           ("// tvsrace: partitioned(slot)",
+                            [25, 29, 32, 34, 36])):
+            with tempfile.TemporaryDirectory() as td:
+                fixdir = os.path.join(td, "fixtures")
+                os.makedirs(fixdir)
+                path = os.path.join(fixdir, "c1_stage_callback.cpp")
+                with open(path, "w", encoding="utf-8") as f:
+                    f.write(text.replace(mark, repl))
+                code, findings = run_race([path])
+                self.assertEqual(code, 1)
+                self.assertEqual(sorted(f[1] for f in findings), want)
+
+    def test_stripping_a_real_callback_annotation_resurfaces_findings(self):
+        # Liveness against the actual tree: the 2D diamond's trapezoid
+        # callback, a stage callback of diamond_schedule()
+        # (src/tiling/schedule.hpp), is certified by
+        # `// tvsrace: partitioned(rows)`; without it the writes to the
+        # parity grids come back.
+        sched = os.path.join(REPO, "src", "tiling", "schedule.hpp")
+        src = os.path.join(REPO, "src", "tiling", "diamond2d.cpp")
+        with open(src, "r", encoding="utf-8") as f:
+            text = f.read()
+        mark = "// tvsrace: partitioned(rows)"
+        self.assertEqual(text.count(mark), 1)
+        with tempfile.TemporaryDirectory() as td:
+            fixdir = os.path.join(td, "fixtures")
+            os.makedirs(fixdir)
+            stripped = os.path.join(fixdir, "diamond2d.cpp")
+            with open(stripped, "w", encoding="utf-8") as f:
+                f.write(text.replace(mark, ""))
+            code, findings = run_race([sched, stripped])
+            self.assertEqual(code, 1)
+            self.assertEqual({f[2] for f in findings}, {"C1"})
+            self.assertGreaterEqual(len(findings), 2)
 
 
 class C2LockDiscipline(unittest.TestCase):

@@ -8,11 +8,18 @@ mutex-holding classes, and the no-narrowing rule for values that flow into
 grid offset arithmetic.
 
   C1  omp-sharing      every write to (or mutable use of) shared state
-                       inside an `#pragma omp parallel` region must be
-                       provably private, covered by a reduction/critical/
-                       atomic/single/master construct, indexed by the
-                       parallel loop variable, per-thread via
-                       omp_get_thread_num(), or certified by a
+                       inside a parallel region - an `#pragma omp
+                       parallel` statement, or the body lambda of a
+                       `stage_run(ex, n, body)` call, parallel over its
+                       first parameter, or a lambda passed as a stage
+                       callback (a callable parameter that a schedule
+                       function invokes inside a stage_run body),
+                       parallel over the parameter that receives the
+                       stage index - must be provably private,
+                       covered by a reduction/critical/atomic/single/
+                       master construct, indexed by the parallel index,
+                       per-slot via omp_get_thread_num() or the body's
+                       slot parameter, or certified by a
                        `// tvsrace: partitioned(<var>)` annotation naming
                        the parallel index (the wavefront "owned diagonal"
                        pattern)
@@ -30,7 +37,9 @@ grid offset arithmetic.
 
 Annotation grammar (a comment on the flagged line or the line above):
   // tvsrace: allow(C1[,C2...])   suppress specific rules on one line
-  // tvsrace: partitioned(k)      certify an omp region whose shared
+  // tvsrace: partitioned(k)      certify a parallel region (on its
+                                  pragma, stage_run call or stage
+                                  callback lambda) whose shared
                                   writes are partitioned by parallel
                                   index k (must name the actual index)
   // tvsrace: guarded_by_caller   this function requires its caller to
@@ -64,7 +73,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 RULES = {
     "C1": "omp-sharing: unproven write/mutable access to shared state in "
-          "an omp parallel region",
+          "an omp parallel region, stage_run() body or stage callback",
     "C2": "lock-discipline: field of a mutex-owning class accessed "
           "without holding the mutex",
     "C3": "index-narrowing: grid offset/size value narrowed to "
@@ -452,7 +461,7 @@ DECL_RE = re.compile(
     r"^\s*(?P<const>const\s+)?(?:constexpr\s+)?(?P<static>static\s+)?"
     r"(?P<const2>const\s+)?"
     r"(?P<type>[A-Za-z_]\w*(?:\s*::\s*\w+)*(?:\s*<[^;={}]*>)?)"
-    r"\s*(?P<refptr>[&*](?:\s*(?:const\s+)?[&*])*)?\s+"
+    r"\s*(?P<refptr>[&*](?:\s*(?:const\s+)?[&*])*(?:\s*const\b)?)?\s+"
     r"(?P<name>[A-Za-z_]\w*)\s*(?P<open>=(?!=)|\{|;|\()"
 )
 
@@ -512,28 +521,31 @@ def scan_decl(line_text: str, line_no: int) -> Optional[Decl]:
     )
 
 
-def parse_params(header: str, header_line: int) -> List[Decl]:
-    """Parameter declarations from a function/lambda header (the last
-    balanced top-level paren group)."""
-    groups: List[Tuple[int, int]] = []
+def last_paren_group(header: str) -> Tuple[int, int]:
+    """(open, close) indices of the last balanced top-level paren group of
+    a function/lambda header, (-1, -1) if it has none."""
+    group = (-1, -1)
     i = 0
     while i < len(header):
         if header[i] == "(":
             j = match_forward(header, i, "(", ")")
-            groups.append((i, j))
+            group = (i, j)
             i = j + 1
         else:
             i += 1
-    if not groups:
+    return group
+
+
+def split_params(header: str) -> List[str]:
+    """The parameter declarations of a header's last paren group, split at
+    top-level commas (tracking () <> [] nesting)."""
+    lo, hi = last_paren_group(header)
+    if lo < 0:
         return []
-    lo, hi = groups[-1]
-    body = header[lo + 1:hi]
-    params: List[Decl] = []
-    # split at top-level commas (tracking () <> [] nesting)
     depth = 0
     part: List[str] = []
     parts: List[str] = []
-    for c in body:
+    for c in header[lo + 1:hi]:
         if c in "(<[":
             depth += 1
         elif c in ")>]":
@@ -544,16 +556,26 @@ def parse_params(header: str, header_line: int) -> List[Decl]:
         else:
             part.append(c)
     parts.append("".join(part))
-    for p in parts:
+    return parts
+
+
+def param_name(p: str) -> Optional[str]:
+    """The name a parameter declaration declares, None if unnamed."""
+    ids = re.findall(r"[A-Za-z_]\w*", p.split("=")[0])
+    if len(ids) < 2 or ids[-1] in SCALAR_TYPES:
+        return None
+    return ids[-1]
+
+
+def parse_params(header: str, header_line: int) -> List[Decl]:
+    """Parameter declarations from a function/lambda header (the last
+    balanced top-level paren group)."""
+    params: List[Decl] = []
+    for p in split_params(header):
         p = p.split("=")[0].strip()  # drop default arguments
-        if not p or p in ("void",):
+        name = param_name(p)
+        if name is None:
             continue
-        ids = re.findall(r"[A-Za-z_]\w*", p)
-        if not ids:
-            continue
-        name = ids[-1]
-        if name in SCALAR_TYPES or len(ids) < 2:
-            continue  # unnamed parameter
         type_text = p[:p.rfind(name)].strip()
         base = re.sub(r"<.*", "", type_text).split("::")[-1].strip(" &*")
         params.append(Decl(
@@ -616,9 +638,252 @@ def split_statements(text: str, base: int) -> List[Tuple[int, str]]:
     return out
 
 
-def check_omp(sf: SourceFile, flat: Flat,
-              blocks: List[Block]) -> List[Violation]:
-    found: List[Violation] = []
+STAGE_RUN_RE = re.compile(r"\bstage_run\s*\(")
+LAMBDA_CALL_RE = re.compile(
+    r"^\s*\{?\s*([A-Za-z_]\w*)\s*\([^;{}]*\)\s*;?\s*\}?\s*$")
+
+
+@dataclass
+class Region:
+    """One parallel region: the statement under an `#pragma omp parallel`
+    or the body a stage_run() call fans out.  A partitioned() annotation
+    attaches to `anchor`, the pragma's or the call's line."""
+    anchor: int
+    start: int                   # flat index of the first body character
+    end: int                     # flat index one past the body
+    induction: Optional[str] = None  # the parallel index
+    slot: Optional[str] = None   # stage_run's runner-slot parameter
+    private: Set[str] = field(default_factory=set)
+    reductions: Set[str] = field(default_factory=set)
+
+
+def lambda_at(text: str, lb: int
+              ) -> Optional[Tuple[List[Optional[str]], int, int]]:
+    """(parameter names, body start, body end) of the lambda whose capture
+    list opens at text[lb] == '['; an unnamed parameter is None."""
+    cap_end = match_forward(text, lb, "[", "]")
+    pstart = text.find("(", cap_end)
+    if pstart == -1 or text[cap_end + 1:pstart].strip():
+        return None
+    pclose = match_forward(text, pstart, "(", ")")
+    brace = text.find("{", pclose)
+    if brace == -1:
+        return None
+    names: List[Optional[str]] = []
+    for ptok in text[pstart + 1:pclose].split(","):
+        ids = re.findall(r"[A-Za-z_]\w*", ptok)
+        names.append(ids[-1] if len(ids) >= 2 else None)
+    return names, brace + 1, match_forward(text, brace, "{", "}")
+
+
+def named_lambda(text: str, name: str, before: int
+                 ) -> Optional[Tuple[List[Optional[str]], int, int]]:
+    """The lambda most recently declared as `auto <name> = [...]` before
+    flat index `before`."""
+    decls = list(re.finditer(
+        rf"\bauto\s+{re.escape(name)}\s*=\s*\[", text[:before]))
+    return lambda_at(text, decls[-1].end() - 1) if decls else None
+
+
+def pragma_regions(sf: SourceFile, flat: Flat) -> List[Region]:
+    text = flat.text
+    out: List[Region] = []
+    for pline, ptext in enumerate(sf.scan_lines, start=1):
+        if not PRAGMA_PAR_RE.search(ptext):
+            continue
+        pend = flat.idx_of_line(pline) + len(ptext)
+        reg = Region(pline, pend, pend)
+        for cm in CLAUSE_RE.finditer(ptext):
+            kind, body = cm.group(1), cm.group(2)
+            if kind == "reduction":
+                body = body.split(":", 1)[-1]
+                reg.reductions.update(
+                    v.strip() for v in body.split(",") if v.strip())
+            elif kind in ("private", "firstprivate", "lastprivate"):
+                reg.private.update(
+                    v.strip() for v in body.split(",") if v.strip())
+        if re.search(r"\bfor\b", ptext):
+            fm = FOR_KEYWORD_RE.search(text, pend)
+            if not fm:
+                continue
+            close = match_forward(text, fm.end() - 1, "(", ")")
+            im = re.search(
+                r"for\s*\(\s*(?:const\s+)?(?:[\w:]+(?:\s*<[^;]*>)?\s*)?"
+                r"[&*]?\s*([A-Za-z_]\w*)\s*=", text[fm.start():close + 1])
+            if im:
+                reg.induction = im.group(1)
+            reg.start = close + 1
+        reg.end = stmt_extent(text, reg.start)
+        # A loop body that only calls a lambda declared above is analyzed
+        # as that lambda's body (its parameters are per-invocation
+        # private); otherwise its writes would be invisible here.
+        lam_call = LAMBDA_CALL_RE.match(text[reg.start:reg.end])
+        lam = lam_call and named_lambda(text, lam_call.group(1),
+                                        flat.idx_of_line(pline))
+        if lam:
+            names, reg.start, reg.end = lam
+            reg.private.update(n for n in names if n)
+        out.append(reg)
+    return out
+
+
+def split_args(text: str, open_idx: int, close_idx: int
+               ) -> List[Tuple[int, str]]:
+    """(flat_index, text) of the top-level arguments between the call's
+    parentheses at open_idx and close_idx."""
+    out: List[Tuple[int, str]] = []
+    depth = 0
+    start = open_idx + 1
+    for i in range(open_idx + 1, close_idx):
+        c = text[i]
+        if c in "([{":
+            depth += 1
+        elif c in ")]}":
+            depth -= 1
+        elif c == "," and depth == 0:
+            out.append((start, text[start:i]))
+            start = i + 1
+    out.append((start, text[start:close_idx]))
+    return out
+
+
+def body_lambda(text: str, arg: Tuple[int, str], before: int
+                ) -> Optional[Tuple[int, Tuple[List[Optional[str]], int,
+                                               int]]]:
+    """(flat index, lambda_at() result) of a body argument that is a lambda
+    or the name of one declared before flat index `before`."""
+    bidx, body = arg
+    at = bidx + len(body) - len(body.lstrip())
+    if body.strip().startswith("["):
+        lam = lambda_at(text, at)
+    elif re.fullmatch(r"\s*[A-Za-z_]\w*\s*", body):
+        lam = named_lambda(text, body.strip(), before)
+    else:
+        lam = None
+    return (at, lam) if lam else None
+
+
+def calls_of(text: str, name: str):
+    """(match, argument list) of every call of `name` in text, explicit
+    template arguments allowed; declarations and definitions (a word
+    other than `return` right before the name) are skipped."""
+    for m in re.finditer(
+            rf"\b{re.escape(name)}\s*(?:<[^;{{}}()]*>)?\s*\(", text):
+        prev = re.search(r"(\w+)$", text[:m.start()].rstrip())
+        if prev and prev.group(1) != "return":
+            continue
+        close = match_forward(text, m.end() - 1, "(", ")")
+        yield m, split_args(text, m.end() - 1, close)
+
+
+UNFOLLOWABLE = ("body tvsrace cannot follow (pass a lambda or the name of "
+                "one declared above the call)")
+
+
+def stage_run_regions(sf: SourceFile, flat: Flat
+                      ) -> Tuple[List[Region], List[Violation]]:
+    """Every stage_run(<ex>, <n>, <body>) call is a parallel region over
+    the body lambda's first parameter; its second is the runner slot,
+    unique among the bodies running at once.  The body must be a lambda
+    or the name of one declared above the call: anything else is a
+    finding, since its writes could not be checked."""
+    text = flat.text
+    regions: List[Region] = []
+    viols: List[Violation] = []
+    for m, args in calls_of(text, "stage_run"):
+        line = flat.line_of(m.start())
+        found = body_lambda(text, args[2], m.start()) \
+            if len(args) == 3 else None
+        if not found:
+            if not sf.is_allowed(line, "C1"):
+                viols.append(Violation(sf.path, line, "C1",
+                                       "stage_run() " + UNFOLLOWABLE))
+            continue
+        names, start, end = found[1]
+        regions.append(Region(
+            line, start, end, induction=names[0] if names else None,
+            slot=names[1] if len(names) > 1 else None,
+            private={n for n in names if n}))
+    return regions, viols
+
+
+# A stage callback: a callable parameter of a schedule function that the
+# function invokes inside a stage_run() body.  Keyed by (schedule name,
+# parameter position); the value holds the positions of the callback's
+# arguments that carry the stage's parallel index and its runner slot.
+Callbacks = Dict[Tuple[str, int], Tuple[Optional[int], Optional[int]]]
+
+
+def stage_callbacks(sf: SourceFile, flat: Flat, blocks: List[Block],
+                    out: Callbacks) -> None:
+    """Records into `out` the stage callbacks of the schedule functions
+    defined in this file.  A callback argument carries the index when it
+    mentions the stage body's first parameter or a local computed from
+    it; it carries the slot when it is the body's second parameter."""
+    text = flat.text
+    for reg in stage_run_regions(sf, flat)[0]:
+        funcs = [b for b in enclosing_blocks(blocks, reg.start)
+                 if is_function_block(b)]
+        if not funcs or reg.induction is None:
+            continue
+        header = funcs[-1].header
+        lo, _ = last_paren_group(header)
+        fname = re.search(r"(\w+)\s*$", header[:lo])
+        if not fname:
+            continue
+        params = [param_name(p) for p in split_params(header)]
+        body = text[reg.start:reg.end]
+        derived = {reg.induction}
+        for dm in re.finditer(r"\b([A-Za-z_]\w*)\s*=(?!=)([^;]*);", body):
+            if any(token_in(n, dm.group(2)) for n in derived):
+                derived.add(dm.group(1))
+        for pos, pname in enumerate(params):
+            if pname is None:
+                continue
+            for _, args in calls_of(body, pname):
+                index = slot = None
+                for i, (_, a) in enumerate(args):
+                    if reg.slot is not None and a.strip() == reg.slot:
+                        slot = i
+                    elif index is None and any(token_in(n, a)
+                                               for n in derived):
+                        index = i
+                out[(fname.group(1), pos)] = (index, slot)
+
+
+def callback_regions(sf: SourceFile, flat: Flat, callbacks: Callbacks
+                     ) -> Tuple[List[Region], List[Violation]]:
+    """Every lambda passed as a stage callback is a parallel region over
+    the callback parameter that receives the stage's index, with the
+    parameter that receives the runner slot as its slot.  A
+    partitioned() annotation goes on the line of, or above, the lambda."""
+    text = flat.text
+    regions: List[Region] = []
+    viols: List[Violation] = []
+    for fname in sorted({f for f, _ in callbacks}):
+        for m, args in calls_of(text, fname):
+            for (f, pos), (index, slot) in sorted(callbacks.items()):
+                if f != fname or pos >= len(args):
+                    continue
+                found = body_lambda(text, args[pos], m.start())
+                if not found:
+                    line = flat.line_of(args[pos][0])
+                    if not sf.is_allowed(line, "C1"):
+                        viols.append(Violation(
+                            sf.path, line, "C1",
+                            f"{fname}() stage callback " + UNFOLLOWABLE))
+                    continue
+                at, (names, start, end) = found
+                pick = (lambda i: names[i]
+                        if i is not None and i < len(names) else None)
+                regions.append(Region(
+                    flat.line_of(at), start, end, induction=pick(index),
+                    slot=pick(slot), private={n for n in names if n}))
+    return regions, viols
+
+
+def check_omp(sf: SourceFile, flat: Flat, blocks: List[Block],
+              callbacks: Callbacks) -> List[Violation]:
     text = flat.text
 
     # ---- collect file-visible declarations, line by line (last-wins) -----
@@ -630,74 +895,16 @@ def check_omp(sf: SourceFile, flat: Flat,
         if d:
             all_decls.append(d)
 
-    for pline, ptext in enumerate(sf.scan_lines, start=1):
-        if not PRAGMA_PAR_RE.search(ptext):
-            continue
+    stage_regions, found = stage_run_regions(sf, flat)
+    cb_regions, cb_viols = callback_regions(sf, flat, callbacks)
+    found.extend(cb_viols)
+    for reg in pragma_regions(sf, flat) + stage_regions + cb_regions:
+        pline = reg.anchor
         pidx = flat.idx_of_line(pline)
-        pend = pidx + len(ptext)
-
-        # clause-declared sharing
-        clause_private: Set[str] = set()
-        reduction_vars: Set[str] = set()
-        for cm in CLAUSE_RE.finditer(ptext):
-            kind, body = cm.group(1), cm.group(2)
-            if kind == "reduction":
-                body = body.split(":", 1)[-1]
-                reduction_vars.update(
-                    v.strip() for v in body.split(",") if v.strip())
-            elif kind in ("private", "firstprivate", "lastprivate"):
-                clause_private.update(
-                    v.strip() for v in body.split(",") if v.strip())
-
-        # region extent + parallel induction variable
-        induction: Optional[str] = None
-        has_for = re.search(r"\bfor\b", ptext) is not None
-        if has_for:
-            fm = FOR_KEYWORD_RE.search(text, pend)
-            if not fm:
-                continue
-            close = match_forward(text, fm.end() - 1, "(", ")")
-            header = text[fm.start():close + 1]
-            im = re.search(
-                r"for\s*\(\s*(?:const\s+)?(?:[\w:]+(?:\s*<[^;]*>)?\s*)?"
-                r"[&*]?\s*([A-Za-z_]\w*)\s*=", header)
-            if im:
-                induction = im.group(1)
-            body_start = close + 1
-        else:
-            body_start = pend
-        body_end = stmt_extent(text, body_start)
+        body_start, body_end = reg.start, reg.end
         region = text[body_start:body_end]
-
-        # The tiled drivers share one tile body between their OpenMP branch
-        # and the serving executor's stage path, so the loop body is often a
-        # single call to a lambda declared just above.  Follow it: analyze
-        # the lambda's body as the region (its parameters are per-invocation
-        # private), otherwise the writes would be invisible here and the
-        # partitioned() certification would certify nothing.
-        lam_call = re.match(r"^\s*\{?\s*([A-Za-z_]\w*)\s*\([^;{}]*\)\s*;?\s*\}?\s*$",
-                            region)
-        if lam_call:
-            lam_name = lam_call.group(1)
-            lam_decls = list(re.finditer(
-                rf"\bauto\s+{re.escape(lam_name)}\s*=\s*\[", text[:pidx]))
-            if lam_decls:
-                lb = lam_decls[-1].end() - 1       # at the capture '['
-                cap_end = match_forward(text, lb, "[", "]")
-                pstart = text.find("(", cap_end)
-                if pstart != -1 and text[cap_end + 1:pstart].strip() == "":
-                    pclose = match_forward(text, pstart, "(", ")")
-                    for ptok in text[pstart + 1:pclose].split(","):
-                        pm = re.search(r"([A-Za-z_]\w*)\s*(?:/\*.*\*/\s*)?$",
-                                       ptok.strip())
-                        if pm:
-                            clause_private.add(pm.group(1))
-                    brace = text.find("{", pclose)
-                    if brace != -1:
-                        body_start = brace + 1
-                        body_end = match_forward(text, brace, "{", "}")
-                        region = text[body_start:body_end]
-
+        induction = reg.induction
+        reduction_vars = reg.reductions
         region_line0 = flat.line_of(body_start)
         region_line1 = flat.line_of(max(body_start, body_end - 1))
 
@@ -721,11 +928,11 @@ def check_omp(sf: SourceFile, flat: Flat,
         def in_safe(idx: int) -> bool:
             return any(a <= idx < b for a, b in safe_spans)
 
-        # outer declarations visible at the pragma: file statements above
+        # outer declarations visible at the region: file statements above
         # it plus enclosing function/lambda parameters (innermost wins).
         outer: Dict[str, Decl] = {}
         for d in all_decls:
-            if d.line < pline:
+            if d.line < min(pline, region_line0):
                 outer[d.name] = d
         for b in enclosing_blocks(blocks, pidx):
             if is_function_block(b):
@@ -734,11 +941,15 @@ def check_omp(sf: SourceFile, flat: Flat,
 
         # region-local declarations: private unless initialized from a
         # shared deep-mutable object (then they alias shared memory) --
-        # except when the initializer goes through omp_get_thread_num().
-        private: Set[str] = set(clause_private)
+        # except when the initializer goes through the runner's slot.
+        private: Set[str] = set(reg.private)
         if induction:
             private.add(induction)
         derived: Set[str] = set()
+
+        def per_slot(chunk: str) -> bool:
+            return (THREAD_NUM_RE.search(chunk) is not None
+                    or (reg.slot is not None and token_in(reg.slot, chunk)))
 
         def shared_deep(name: str) -> bool:
             if name in private or name in derived or name in reduction_vars:
@@ -753,7 +964,7 @@ def check_omp(sf: SourceFile, flat: Flat,
                 private.add(im2.group(1))
             d = scan_decl(frag.strip(), flat.line_of(fidx))
             if d:
-                if THREAD_NUM_RE.search(d.init):
+                if per_slot(d.init):
                     private.add(d.name)
                 elif not d.is_const and any(
                         shared_deep(t) or t in derived
@@ -765,7 +976,7 @@ def check_omp(sf: SourceFile, flat: Flat,
         def proven(chunk: str) -> bool:
             if induction and token_in(induction, chunk):
                 return True
-            return THREAD_NUM_RE.search(chunk) is not None
+            return per_slot(chunk)
 
         # pass 2: writes and mutable uses
         for fidx, frag in fragments:
@@ -856,8 +1067,8 @@ def check_omp(sf: SourceFile, flat: Flat,
                     "parallel variable, take it const, or certify with "
                     "'// tvsrace: partitioned(<index>)')")
             # bare shared identifiers passed as call arguments
-            for argm in re.finditer(r"[(,]\s*([A-Za-z_]\w*)\s*[,)]",
-                                    scan_text):
+            for argm in re.finditer(
+                    r"(?<=[(,])\s*([A-Za-z_]\w*)\s*(?=[,)])", scan_text):
                 base = argm.group(1)
                 if not (base in derived or shared_deep(base)):
                     continue
@@ -878,9 +1089,9 @@ def check_omp(sf: SourceFile, flat: Flat,
                 region_viols.append(Violation(
                     sf.path, pline, "C1",
                     f"'tvsrace: partitioned({part_var})' does not name the "
-                    f"parallel loop index"
+                    f"region's parallel index"
                     + (f" '{induction}'" if induction else
-                       " (region has no parallel for index)")))
+                       " (region has no parallel index)")))
         found.extend(region_viols)
     return found
 
@@ -1176,20 +1387,30 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         pairs = [(os.path.join(repo, rel), rel)
                  for rel in discover_files(repo, compile_commands)]
 
-    violations: List[Violation] = []
-    nfiles = 0
+    lexed = []
     for apath, rel in pairs:
         if not os.path.exists(apath):
             print(f"tvsrace: no such file: {apath}", file=sys.stderr)
             return 2
         sf = lex(apath, rel)
-        nfiles += 1
         flat = Flat(sf)
         needs_blocks = ("C1" in active and c1_applies(rel)) or \
                        ("C2" in active and c2_applies(rel))
-        blocks = parse_blocks(flat) if needs_blocks else []
+        lexed.append((rel, sf, flat,
+                      parse_blocks(flat) if needs_blocks else []))
+    # The stage callbacks of every schedule function in C1's scope first:
+    # a driver's callback lambdas are regions of the driver's file.
+    callbacks: Callbacks = {}
+    if "C1" in active:
+        for rel, sf, flat, blocks in lexed:
+            if c1_applies(rel):
+                stage_callbacks(sf, flat, blocks, callbacks)
+
+    violations: List[Violation] = []
+    nfiles = len(lexed)
+    for rel, sf, flat, blocks in lexed:
         if "C1" in active and c1_applies(rel):
-            violations.extend(check_omp(sf, flat, blocks))
+            violations.extend(check_omp(sf, flat, blocks, callbacks))
         if "C2" in active and c2_applies(rel):
             violations.extend(check_locks(sf, flat, blocks))
         if "C3" in active and c3_applies(rel):
