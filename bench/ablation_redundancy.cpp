@@ -31,9 +31,8 @@
 #include "tv/functors1d.hpp"
 #include "tv/functors2d.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/tv1d_re_impl.hpp"
-#include "tv/tv2d_re_impl.hpp"
-#include "tv/tv3d_re_impl.hpp"
+#include "tv/tv1d_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace {
 
@@ -153,13 +152,13 @@ void shuffle_rows_1d() {
     grid::Grid1D<double> a(nx), r(nx);
     shuffle_row("heat1d", VL, vectors,
                 [&] { tv::tv1d_run<V>(tv::J1D3F<V>(c3), a, steps, 5); },
-                [&] { tv::tv1d_re_run<V>(tv::J1D3F<V>(c3), r, steps, 5); });
+                [&] { tv::tv1d_run<V, /*Re=*/true>(tv::J1D3F<V>(c3), r, steps, 5); });
   }
   {
     grid::Grid1D<double> a(nx), r(nx);
     shuffle_row("heat1d5", VL, vectors,
                 [&] { tv::tv1d_run<V>(tv::J1D5F<V>(c5), a, steps, 3); },
-                [&] { tv::tv1d_re_run<V>(tv::J1D5F<V>(c5), r, steps, 3); });
+                [&] { tv::tv1d_run<V, /*Re=*/true>(tv::J1D5F<V>(c5), r, steps, 3); });
   }
 }
 
@@ -174,13 +173,12 @@ void shuffle_rows_2d3d() {
     const long steps = 2L * VL;
     const double vectors = static_cast<double>(n) * n * steps / VL;
     grid::Grid2D<double> a(n, n), r(n, n);
-    tv::Workspace2D<V, double> wa, wr;
     shuffle_row("heat2d", VL, vectors,
-                [&] { tv::tv2d_run<V>(tv::J2D5F<V>(c5), a, steps, 2, wa); },
-                [&] { tv::tv2d_re_run<V>(tv::J2D5F<V>(c5), r, steps, 2, wr); });
+                [&] { tv::tv_plane_run<V>(tv::J2D5F<V>(c5), a, steps, 2); },
+                [&] { tv::tv_plane_run<V, true>(tv::J2D5F<V>(c5), r, steps, 2); });
     shuffle_row("box2d9", VL, vectors,
-                [&] { tv::tv2d_run<V>(tv::J2D9F<V>(c9), a, steps, 2, wa); },
-                [&] { tv::tv2d_re_run<V>(tv::J2D9F<V>(c9), r, steps, 2, wr); });
+                [&] { tv::tv_plane_run<V>(tv::J2D9F<V>(c9), a, steps, 2); },
+                [&] { tv::tv_plane_run<V, true>(tv::J2D9F<V>(c9), r, steps, 2); });
   }
   {
     const int n = 64;
@@ -188,10 +186,9 @@ void shuffle_rows_2d3d() {
     const double vectors =
         static_cast<double>(n) * n * n * steps / VL;
     grid::Grid3D<double> a(n, n, n), r(n, n, n);
-    tv::Workspace3D<V, double> wa, wr;
     shuffle_row("heat3d", VL, vectors,
-                [&] { tv::tv3d_run<V>(tv::J3D7F<V>(c7), a, steps, 2, wa); },
-                [&] { tv::tv3d_re_run<V>(tv::J3D7F<V>(c7), r, steps, 2, wr); });
+                [&] { tv::tv_plane_run<V>(tv::J3D7F<V>(c7), a, steps, 2); },
+                [&] { tv::tv_plane_run<V, true>(tv::J3D7F<V>(c7), r, steps, 2); });
   }
 }
 

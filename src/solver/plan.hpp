@@ -35,13 +35,14 @@ enum class Path : int {
 std::string_view path_name(Path p);
 
 // Which temporal-engine generation runs on the serial path.  kRe is the
-// redundancy-eliminated variant (tv*_re_impl.hpp): one reorganization
+// redundancy-eliminated variant (the Re steady loop of tv1d_tile /
+// tv_plane_tile, registered by the tv*_re.cpp TUs): one reorganization
 // shuffle per produced vector plus register-carried window operands,
 // bit-identical results.  Registered for the five Jacobi families only;
 // the tiled drivers ignore it.
 enum class Variant : int {
   kTv = 0,  // baseline temporal engines (tv*_impl.hpp)
-  kRe = 1,  // redundancy-eliminated engines (tv*_re_impl.hpp)
+  kRe = 1,  // redundancy-eliminated engines (Re = true, tv*_re.cpp)
 };
 
 std::string_view variant_name(Variant v);

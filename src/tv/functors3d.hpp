@@ -1,9 +1,11 @@
-// Stencil functor for the 3D temporal-vectorization engine.
+// Stencil functors for the plane engines (tv/tv_plane_impl.hpp,
+// tv/tv_gs_plane_impl.hpp) on 3D grids.
 #pragma once
 
 #include "simd/vec.hpp"
 #include "stencil/coefficients.hpp"
 #include "stencil/kernels.hpp"
+#include "tv/tile.hpp"
 
 namespace tvs::tv {
 
@@ -25,10 +27,9 @@ struct J3D7F {
         cf(V::set1(k.f)),
         c(k) {}
 
-  V apply(const V* bm1, const V* b0c, const V* b0m, const V* b0p,
-          const V* bp1, int z) const {
-    return stencil::j3d7(cc, cw, ce, cs, cn, cb, cf, b0c[z], b0c[z - 1],
-                         b0c[z + 1], b0m[z], b0p[z], bm1[z], bp1[z]);
+  V apply(const LineWindow<V>& w, int z) const {
+    return stencil::j3d7(cc, cw, ce, cs, cn, cb, cf, w.c[z], w.c[z - 1],
+                         w.c[z + 1], w.ym[z], w.yp[z], w.xm[z], w.xp[z]);
   }
   template <class At>
   T apply_scalar(At&& at, int r, int y, int z) const {
@@ -45,19 +46,47 @@ struct J3D7F {
   // starting at z = 1.
   struct Carry {
     V dm, d0;
-    Carry(const V* /*bm1*/, const V* b0c, const V* /*b0m*/,
-          const V* /*b0p*/, const V* /*bp1*/)
-        : dm(b0c[0]), d0(b0c[1]) {}
-    V apply(const J3D7F& f, const V* bm1, const V* b0c, const V* b0m,
-            const V* b0p, const V* bp1, int z) {
-      const V dp = b0c[z + 1];
-      const V w = stencil::j3d7(f.cc, f.cw, f.ce, f.cs, f.cn, f.cb, f.cf, d0,
-                                dm, dp, b0m[z], b0p[z], bm1[z], bp1[z]);
+    explicit Carry(const LineWindow<V>& w) : dm(w.c[0]), d0(w.c[1]) {}
+    V apply(const J3D7F& f, const LineWindow<V>& w, int z) {
+      const V dp = w.c[z + 1];
+      const V v = stencil::j3d7(f.cc, f.cw, f.ce, f.cs, f.cn, f.cb, f.cf, d0,
+                                dm, dp, w.ym[z], w.yp[z], w.xm[z], w.xp[z]);
       dm = d0;
       d0 = dp;
-      return w;
+      return v;
     }
   };
+};
+
+// Gauss-Seidel 3D7P over (west, window): the window's xm line holds the
+// newest values of plane x-1 (the back operand) and its ym line the newest
+// values of line y-1 (the south operand); c, xp and yp are old values.
+// `west` is the newest value at z-1.
+template <class V>
+struct Gs3D7F {
+  using T = typename V::value_type;
+  using value_type = T;
+  V cc, cw, ce, cs, cn, cb, cf;
+  stencil::C3D7T<T> c;
+
+  explicit Gs3D7F(const stencil::C3D7T<T>& k)
+      : cc(V::set1(k.c)),
+        cw(V::set1(k.w)),
+        ce(V::set1(k.e)),
+        cs(V::set1(k.s)),
+        cn(V::set1(k.n)),
+        cb(V::set1(k.b)),
+        cf(V::set1(k.f)),
+        c(k) {}
+
+  V apply(V west, const LineWindow<V>& w, int z) const {
+    return stencil::gs3d7(cc, cw, ce, cs, cn, cb, cf, w.c[z], west,
+                          w.c[z + 1], w.ym[z], w.yp[z], w.xm[z], w.xp[z]);
+  }
+  T apply_scalar(T west, const LineWindow<T>& w, int z) const {
+    return stencil::gs3d7(c.c, c.w, c.e, c.s, c.n, c.b, c.f, w.c[z], west,
+                          w.c[z + 1], w.ym[z], w.yp[z], w.xm[z], w.xp[z]);
+  }
 };
 
 }  // namespace tvs::tv

@@ -38,6 +38,8 @@
 #include <cstddef>
 
 #include "grid/aligned.hpp"
+#include "grid/grid2d.hpp"
+#include "grid/grid3d.hpp"
 #include "tv/ring.hpp"
 
 namespace tvs::tv {
@@ -89,54 +91,97 @@ struct LevelLine {
   T& operator[](int x) const { return p[x - base]; }
 };
 
-// One level slab of a 3D tile: line y (z-indexable) at p + y * ystride.
+// The plane geometry of a 2D or 3D grid, taken from its type.  A plane is
+// one row r of the outermost dimension x: `lines` lines of n inner cells
+// plus a boundary cell at each end (z = 0 and n+1), of which the tiles
+// update lines [y0, y1].  A Grid2D plane is one line with no y halo; a
+// Grid3D plane is ny+2 lines whose lines 0 and ny+1 are halo (boundary)
+// lines.  Every plane storage below gives a one-line plane a line stride
+// of 0, so its lines y-1 and y+1 alias the centre line.
+struct PlaneShape {
+  int lines = 1, y0 = 0, y1 = 0, n = 0;
+  constexpr bool halo(int y) const { return y < y0 || y > y1; }
+};
+
+template <class T>
+constexpr PlaneShape plane_shape(const grid::Grid2D<T>& g) {
+  return {1, 0, 0, g.ny()};
+}
+template <class T>
+constexpr PlaneShape plane_shape(const grid::Grid3D<T>& g) {
+  return {g.ny() + 2, 1, g.ny(), g.nz()};
+}
+
+// A zero-filled grid of g's extents.
+template <class T>
+grid::Grid2D<T> grid_like(const grid::Grid2D<T>& g) {
+  return {g.nx(), g.ny()};
+}
+template <class T>
+grid::Grid3D<T> grid_like(const grid::Grid3D<T>& g) {
+  return {g.nx(), g.ny(), g.nz()};
+}
+
+// Line y of a plane at p + y * ystride (each line indexable at z in
+// [-1, n+1] at least).
 template <class T>
 struct LevelSlab {
   T* p = nullptr;
   std::ptrdiff_t ystride = 0;
   T* line(int y) const { return p + static_cast<std::ptrdiff_t>(y) * ystride; }
-  // Plane r of a Grid3D.
-  template <class G>
-  static LevelSlab of(G& g, int r) {
+  // Plane r of a grid.
+  static LevelSlab of(grid::Grid2D<T>& g, int r) { return {g.row(r), 0}; }
+  static LevelSlab of(grid::Grid3D<T>& g, int r) {
     return {g.line(r, 0), g.zstride()};
   }
 };
 
-// Ring of input vectors for the 2D/3D tiles: `period` slots, each a slab
-// of `lines` lines of `zstride` vectors (a 2D row ring is a one-line
-// slab).  Lines are indexable at [-1, zstride-2] so both boundary cells
-// fit.  prepare() reallocates only when the shape changes, so a per-slot
-// ring first-touches its pages on the worker that sweeps it.
+// The five lines a plane stencil reads at line y of plane x: lines x-1,
+// x and x+1, and lines y-1 and y+1 of plane x (the centre line itself on
+// a one-line plane).  U is a vector type for the steady loop and the
+// element type for scalar code.
+template <class U>
+struct LineWindow {
+  const U* xm;
+  const U* c;
+  const U* xp;
+  const U* ym;
+  const U* yp;
+};
+
+// Ring of input vectors for the plane tiles: `period` slots, each a slab
+// of `lines` lines of `zstride` vectors.  Lines are indexable at
+// [-1, zstride-2] so both boundary cells fit.  prepare() reallocates only
+// when the shape changes, so a per-slot ring first-touches its pages on
+// the worker that sweeps it.
 template <class V>
 struct SlabRing {
   grid::AlignedBuffer<V> buf;
   int period = 0, lines = 0;
-  std::ptrdiff_t zstride = 0;
+  std::ptrdiff_t zstride = 0, ystride = 0;
 
-  void prepare(int period_, int lines_, int n) {
-    const std::ptrdiff_t zs = ((n + 4 + 15) / 16) * 16;
-    if (period_ == period && lines_ == lines && zs == zstride) return;
+  void prepare(int period_, PlaneShape pl) {
+    const std::ptrdiff_t zs = ((pl.n + 4 + 15) / 16) * 16;
+    if (period_ == period && pl.lines == lines && zs == zstride) return;
     period = period_;
-    lines = lines_;
+    lines = pl.lines;
     zstride = zs;
+    ystride = lines > 1 ? zstride : 0;
     buf = grid::AlignedBuffer<V>(static_cast<std::size_t>(period) *
                                  static_cast<std::size_t>(lines) *
                                  static_cast<std::size_t>(zstride));
   }
   V* line(int p, int y) {
     const int slot = RingIndex(period).slot(p);
-    return buf.data() +
-           (static_cast<std::ptrdiff_t>(slot) * lines + y) * zstride + 1;
+    return buf.data() + static_cast<std::ptrdiff_t>(slot) * lines * zstride +
+           static_cast<std::ptrdiff_t>(y) * ystride + 1;
   }
-  V* row(int p) { return line(p, 0); }
 };
 
-// The flat 2D/3D engines' level-storage policy: levels 1..vl-1 live in
+// The flat plane engines' level-storage policy: levels 1..vl-1 live in
 // edge scratch planes — the left ones for rows [1, (vl-1)s] (left wedges
 // and gather), the right ones for rows [rbase+1, nx] (flush and right
-// wedges; rbase + 1 is the flat x_end).  A plane is `lines` lines of
-// `zstride` elements (a 2D row is a one-line plane), each line indexable
-// at [-1, zstride-2]; lo / hi return the plane's first line.
+// wedges; rbase + 1 is the flat x_end).  lo / hi return the plane.
 //
 // Both sides share one allocation: the flat engines allocate their
 // workspace per call, and one block is what the allocator reuses across
@@ -144,39 +189,42 @@ struct SlabRing {
 template <class T>
 struct EdgePlanes {
   grid::AlignedBuffer<T> buf;  // left planes, then right planes
-  int lrows = 0, rrows = 0, rbase = 0, lines = 0, n = 0, vl = 0;
+  PlaneShape pl;
+  int lrows = 0, rrows = 0, rbase = 0, vl = 0;
   std::ptrdiff_t zstride = 0;
 
-  void prepare(int vl_, int s, int nx, int lines_, int n_) {
+  void prepare(int vl_, int s, int nx, PlaneShape pl_) {
     vl = vl_;
-    lines = lines_;
-    n = n_;
-    zstride = ((n + 4 + 15) / 16) * 16;
+    pl = pl_;
+    zstride = ((pl.n + 4 + 15) / 16) * 16;
     lrows = (vl - 1) * s + 1;
     rbase = nx - (vl - 1) * s - 1;
     rrows = nx - rbase;
     buf = grid::AlignedBuffer<T>(static_cast<std::size_t>(vl - 1) *
                                  static_cast<std::size_t>(lrows + rrows) *
-                                 static_cast<std::size_t>(lines * zstride));
+                                 static_cast<std::size_t>(pl.lines * zstride));
   }
-  T* lo(int l, int r) { return plane((l - 1) * lrows + r); }
-  T* hi(int l, int r) {
+  LevelSlab<T> lo(int l, int r) { return plane((l - 1) * lrows + r); }
+  LevelSlab<T> hi(int l, int r) {
     return plane((vl - 1) * lrows + (l - 1) * rrows + (r - rbase - 1));
   }
-  T* plane(int i) {
-    return buf.data() + static_cast<std::ptrdiff_t>(i) * lines * zstride + 1;
+  LevelSlab<T> plane(int i) {
+    return {buf.data() + static_cast<std::ptrdiff_t>(i) * pl.lines * zstride + 1,
+            pl.lines > 1 ? zstride : 0};
   }
   // Boundary cells are fixed for the whole run: copy every plane's frame
-  // once from the grid, at(r, y, z) (2D grids: y == 0, z is the column).
-  template <class At>
-  void copy_frames(At&& at) {
-    const auto frame = [&](T* p, int r) {
-      for (int y = 0; y < lines; ++y) {
-        T* line = p + static_cast<std::ptrdiff_t>(y) * zstride;
-        if (lines > 1 && (y == 0 || y == lines - 1)) {
-          for (int z = 0; z <= n + 1; ++z) line[z] = at(r, y, z);
+  // (halo lines and boundary columns) once from the grid g.
+  template <class G>
+  void copy_frames(G& g) {
+    const auto frame = [&](LevelSlab<T> dst, int r) {
+      const LevelSlab<T> src = LevelSlab<T>::of(g, r);
+      for (int y = 0; y < pl.lines; ++y) {
+        T* d = dst.line(y);
+        const T* a = src.line(y);
+        if (pl.halo(y)) {
+          for (int z = 0; z <= pl.n + 1; ++z) d[z] = a[z];
         } else {
-          for (const int z : {0, n + 1}) line[z] = at(r, y, z);
+          for (const int z : {0, pl.n + 1}) d[z] = a[z];
         }
       }
     };
@@ -187,24 +235,80 @@ struct EdgePlanes {
   }
 };
 
-// The same planes as 3D slabs (line y at + y * zstride).
-template <class T>
-struct EdgeSlabs {
-  EdgePlanes<T>* e;
-  LevelSlab<T> lo(int l, int r) const { return {e->lo(l, r), e->zstride}; }
-  LevelSlab<T> hi(int l, int r) const { return {e->hi(l, r), e->zstride}; }
-};
-
-// Ring state of a 2D/3D Gauss-Seidel tile: s+1 input-vector slabs plus one
-// slab of the previous x iteration's outputs (the newest-south / -back
-// operands).
+// Ring state of a Gauss-Seidel plane tile: s+1 input-vector slabs plus one
+// slab of the previous x iteration's outputs (the newest-back and
+// newest-south operands).
 template <class V>
 struct GsRing {
   SlabRing<V> ring, w;
-  void prepare(int s, int lines, int n) {
-    ring.prepare(s + 1, lines, n);
-    w.prepare(1, lines, n);
+  void prepare(int s, PlaneShape pl) {
+    ring.prepare(s + 1, pl);
+    w.prepare(1, pl);
   }
 };
+
+// ---- steps both plane tiles share ------------------------------------------
+//
+// Slab p of a tile's ring holds, in lane k, plane p + (vl-1-k)s of level k.
+
+// Gathers slab p, every line and both boundary cells, from the level
+// planes src[0 .. vl-1].
+template <class V>
+void gather_slab(SlabRing<V>& ring, int p,
+                 const LevelSlab<typename V::value_type>* src,
+                 PlaneShape pl) {
+  alignas(64) typename V::value_type lanes[V::lanes];
+  for (int y = 0; y < pl.lines; ++y) {
+    V* line = ring.line(p, y);
+    for (int z = 0; z <= pl.n + 1; ++z) {
+      for (int k = 0; k < V::lanes; ++k) lanes[k] = src[k].line(y)[z];
+      line[z] = V::load(lanes);
+    }
+  }
+}
+
+// Writes the frame of produced slab p — halo lines and boundary columns,
+// constant at every level — from the base grid g; lanes past the last
+// plane read the boundary plane nx+1.
+template <class V, class G>
+void fill_frame(SlabRing<V>& ring, int p, G& g, int s, PlaneShape pl) {
+  using T = typename V::value_type;
+  constexpr int VL = V::lanes;
+  LevelSlab<T> src[VL];
+  for (int k = 0; k < VL; ++k)
+    src[k] = LevelSlab<T>::of(g, std::min(p + (VL - 1 - k) * s, g.nx() + 1));
+  alignas(64) T lanes[VL];
+  const auto fill = [&](int y, int z) {
+    for (int k = 0; k < VL; ++k) lanes[k] = src[k].line(y)[z];
+    ring.line(p, y)[z] = V::load(lanes);
+  };
+  for (int y = 0; y < pl.lines; ++y) {
+    if (pl.halo(y)) {
+      for (int z = 0; z <= pl.n + 1; ++z) fill(y, z);
+    } else {
+      fill(y, 0);
+      fill(y, pl.n + 1);
+    }
+  }
+}
+
+// Stores lanes 1 .. vl-1 of slab p into their levels, for each lane whose
+// plane lies inside its level's rows; hi(l, r) is the tile's flush-side
+// level lookup.
+template <class V, class Hi>
+void flush_slab(SlabRing<V>& ring, int p, const TileRows<V::lanes>& rows,
+                int s, const Hi& hi, PlaneShape pl) {
+  constexpr int VL = V::lanes;
+  for (int k = 1; k <= VL - 1; ++k) {
+    const int r = p + (VL - 1 - k) * s;
+    if (r < rows.xl(k) || r > rows.xr(k)) continue;
+    const auto dst = hi(k, r);
+    for (int y = pl.y0; y <= pl.y1; ++y) {
+      const V* line = ring.line(p, y);
+      auto* d = dst.line(y);
+      for (int z = 1; z <= pl.n; ++z) d[z] = line[z][k];
+    }
+  }
+}
 
 }  // namespace tvs::tv

@@ -192,14 +192,29 @@ int steady_s7(const F& f, typename V::value_type* a, int x_end,
 // drivers take (the flat run checks vector_ok first).  Requires
 // s >= radius+1.
 //
-// Re = the redundancy-eliminated steady loop (arXiv:2103.08825 /
-// 2103.09235, see tv1d_re_impl.hpp): identical wedges / gather / flush
-// and bit-identical arithmetic, but the steady loop retires tops
-// scalar-as-they-finish and slides the stencil window in registers, so each
-// produced vector costs ONE shuffle (simd::retire_shift_in) instead of the
-// baseline's shift_in_low_v + dispense_low pair plus the amortized
-// collect_tops assembly tree.
-template <class V, class F, bool Re = false, class Levels>
+// Re selects the redundancy-eliminated steady loop.  The baseline loop
+// pays ~2.5 shuffles per produced vector at vl = 4: one shift_in_low_v and
+// one dispense rotate per iteration plus the vl-1-shuffle collect_tops
+// assembly tree per vl outputs.  The two follow-up papers to the source
+// paper show most of that reorganization is redundant ("An Efficient
+// Vectorization Scheme for Stencil Computation", arXiv:2103.08825;
+// "Reducing Redundancy in Data Organization and Arithmetic Calculation for
+// Stencil Computations", arXiv:2103.09235).  Re applies their reuse scheme
+// under the bit-exactness contract:
+//   * ONE shuffle per produced vector — simd::retire_shift_in rotates the
+//     finished top lane down to lane 0 (where extracting it is free on
+//     every backend) and the same rotated register admits the fresh bottom
+//     element via a blend; retired tops stream out as scalar stores and
+//     fresh level-0 elements stream in as scalar loads;
+//   * the 2R+1 window vectors slide across iterations in registers, so
+//     each ring vector is loaded once instead of 2R+1 times.
+// The arithmetic half of arXiv:2103.09235 (symmetric-coefficient partial
+// sums) would reassociate the canonical fma chains and break the
+// bit-identical-to-scalar contract the property suite and the tuner's
+// candidate equivalence rely on, so it is left out: wedges, gather, flush
+// and arithmetic are shared, and results are bit-identical to the
+// baseline at every (dtype, vl, stride).
+template <class V, bool Re = false, class F, class Levels>
 void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
                const TileRows<V::lanes>& rows, int s,
                bool scalar_only = false) {
@@ -330,7 +345,7 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
 // Advance `u` by `steps` time steps: floor(steps/vl) vector tiles plus a
 // scalar residual.  Falls back to scalar whenever the line is too short for
 // the pipeline (TileRows::vector_ok).
-template <class V, class F, bool Re = false>
+template <class V, bool Re = false, class F>
 void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
               int s) {
   using T = typename V::value_type;
@@ -345,7 +360,7 @@ void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
   long t = 0;
   if (rows.vector_ok(s) && steps >= VL) {
     ws.copy_boundaries(a);
-    for (; t + VL <= steps; t += VL) tv1d_tile<V, F, Re>(f, a, ws, rows, s);
+    for (; t + VL <= steps; t += VL) tv1d_tile<V, Re>(f, a, ws, rows, s);
   }
   if (t < steps)
     detail::scalar_steps(f, a, nx, static_cast<int>(steps - t), ws);

@@ -1,4 +1,4 @@
-// Redundancy-eliminated 1D Jacobi kernel variants (tv1d_re_impl.hpp) —
+// Redundancy-eliminated 1D Jacobi kernel variants (tv1d_run, Re = true) —
 // compiled once per SIMD backend at the backend's native vector width for
 // double AND float element types, same axes as the baseline tv1d TU.  The
 // scalar backend additionally registers the width-pinned wide
@@ -6,7 +6,7 @@
 // signatures as the baseline ids; results are bit-identical.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors1d.hpp"
-#include "tv/tv1d_re_impl.hpp"
+#include "tv/tv1d_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -16,22 +16,22 @@ using VF = dispatch::BackendVec<float>;
 
 void jacobi1d3_re(const stencil::C1D3& c, grid::Grid1D<double>& u, long steps,
                   int stride) {
-  tv1d_re_run<V>(J1D3F<V>(c), u, steps, stride);
+  tv1d_run<V, /*Re=*/true>(J1D3F<V>(c), u, steps, stride);
 }
 
 void jacobi1d5_re(const stencil::C1D5& c, grid::Grid1D<double>& u, long steps,
                   int stride) {
-  tv1d_re_run<V>(J1D5F<V>(c), u, steps, stride);
+  tv1d_run<V, /*Re=*/true>(J1D5F<V>(c), u, steps, stride);
 }
 
 void jacobi1d3_re_f32(const stencil::C1D3f& c, grid::Grid1D<float>& u,
                       long steps, int stride) {
-  tv1d_re_run<VF>(J1D3F<VF>(c), u, steps, stride);
+  tv1d_run<VF, /*Re=*/true>(J1D3F<VF>(c), u, steps, stride);
 }
 
 void jacobi1d5_re_f32(const stencil::C1D5f& c, grid::Grid1D<float>& u,
                       long steps, int stride) {
-  tv1d_re_run<VF>(J1D5F<VF>(c), u, steps, stride);
+  tv1d_run<VF, /*Re=*/true>(J1D5F<VF>(c), u, steps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -40,22 +40,22 @@ using VF16 = simd::ScalarVec<float, 16>;
 
 void jacobi1d3_re_vl8(const stencil::C1D3& c, grid::Grid1D<double>& u,
                       long steps, int stride) {
-  tv1d_re_run<V8>(J1D3F<V8>(c), u, steps, stride);
+  tv1d_run<V8, /*Re=*/true>(J1D3F<V8>(c), u, steps, stride);
 }
 
 void jacobi1d5_re_vl8(const stencil::C1D5& c, grid::Grid1D<double>& u,
                       long steps, int stride) {
-  tv1d_re_run<V8>(J1D5F<V8>(c), u, steps, stride);
+  tv1d_run<V8, /*Re=*/true>(J1D5F<V8>(c), u, steps, stride);
 }
 
 void jacobi1d3_re_f32_vl16(const stencil::C1D3f& c, grid::Grid1D<float>& u,
                            long steps, int stride) {
-  tv1d_re_run<VF16>(J1D3F<VF16>(c), u, steps, stride);
+  tv1d_run<VF16, /*Re=*/true>(J1D3F<VF16>(c), u, steps, stride);
 }
 
 void jacobi1d5_re_f32_vl16(const stencil::C1D5f& c, grid::Grid1D<float>& u,
                            long steps, int stride) {
-  tv1d_re_run<VF16>(J1D5F<VF16>(c), u, steps, stride);
+  tv1d_run<VF16, /*Re=*/true>(J1D5F<VF16>(c), u, steps, stride);
 }
 #endif
 

@@ -5,7 +5,7 @@
 // every host.  Public entry points live in tv_dispatch.cpp.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors2d.hpp"
-#include "tv/tv2d_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -15,26 +15,22 @@ using VF = dispatch::BackendVec<float>;
 
 void jacobi2d5(const stencil::C2D5& c, grid::Grid2D<double>& u, long steps,
                int stride) {
-  Workspace2D<V, double> ws;
-  tv2d_run(J2D5F<V>(c), u, steps, stride, ws);
+  tv_plane_run<V>(J2D5F<V>(c), u, steps, stride);
 }
 
 void jacobi2d9(const stencil::C2D9& c, grid::Grid2D<double>& u, long steps,
                int stride) {
-  Workspace2D<V, double> ws;
-  tv2d_run(J2D9F<V>(c), u, steps, stride, ws);
+  tv_plane_run<V>(J2D9F<V>(c), u, steps, stride);
 }
 
 void jacobi2d5_f32(const stencil::C2D5f& c, grid::Grid2D<float>& u, long steps,
                    int stride) {
-  Workspace2D<VF, float> ws;
-  tv2d_run(J2D5F<VF>(c), u, steps, stride, ws);
+  tv_plane_run<VF>(J2D5F<VF>(c), u, steps, stride);
 }
 
 void jacobi2d9_f32(const stencil::C2D9f& c, grid::Grid2D<float>& u, long steps,
                    int stride) {
-  Workspace2D<VF, float> ws;
-  tv2d_run(J2D9F<VF>(c), u, steps, stride, ws);
+  tv_plane_run<VF>(J2D9F<VF>(c), u, steps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -43,26 +39,22 @@ using VF16 = simd::ScalarVec<float, 16>;
 
 void jacobi2d5_vl8(const stencil::C2D5& c, grid::Grid2D<double>& u, long steps,
                    int stride) {
-  Workspace2D<V8, double> ws;
-  tv2d_run(J2D5F<V8>(c), u, steps, stride, ws);
+  tv_plane_run<V8>(J2D5F<V8>(c), u, steps, stride);
 }
 
 void jacobi2d9_vl8(const stencil::C2D9& c, grid::Grid2D<double>& u, long steps,
                    int stride) {
-  Workspace2D<V8, double> ws;
-  tv2d_run(J2D9F<V8>(c), u, steps, stride, ws);
+  tv_plane_run<V8>(J2D9F<V8>(c), u, steps, stride);
 }
 
 void jacobi2d5_f32_vl16(const stencil::C2D5f& c, grid::Grid2D<float>& u,
                         long steps, int stride) {
-  Workspace2D<VF16, float> ws;
-  tv2d_run(J2D5F<VF16>(c), u, steps, stride, ws);
+  tv_plane_run<VF16>(J2D5F<VF16>(c), u, steps, stride);
 }
 
 void jacobi2d9_f32_vl16(const stencil::C2D9f& c, grid::Grid2D<float>& u,
                         long steps, int stride) {
-  Workspace2D<VF16, float> ws;
-  tv2d_run(J2D9F<VF16>(c), u, steps, stride, ws);
+  tv_plane_run<VF16>(J2D9F<VF16>(c), u, steps, stride);
 }
 #endif
 

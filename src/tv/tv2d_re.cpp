@@ -1,4 +1,4 @@
-// Redundancy-eliminated 2D Jacobi kernel variants (tv2d_re_impl.hpp) —
+// Redundancy-eliminated 2D Jacobi kernel variants (tv_plane_run, Re = true) —
 // compiled once per SIMD backend at the backend's native vector width for
 // double AND float element types, same axes as the baseline tv2d TU.  The
 // scalar backend additionally registers the width-pinned wide
@@ -6,7 +6,7 @@
 // bit-identical.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors2d.hpp"
-#include "tv/tv2d_re_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -16,26 +16,22 @@ using VF = dispatch::BackendVec<float>;
 
 void jacobi2d5_re(const stencil::C2D5& c, grid::Grid2D<double>& u, long steps,
                   int stride) {
-  Workspace2D<V, double> ws;
-  tv2d_re_run(J2D5F<V>(c), u, steps, stride, ws);
+  tv_plane_run<V, /*Re=*/true>(J2D5F<V>(c), u, steps, stride);
 }
 
 void jacobi2d9_re(const stencil::C2D9& c, grid::Grid2D<double>& u, long steps,
                   int stride) {
-  Workspace2D<V, double> ws;
-  tv2d_re_run(J2D9F<V>(c), u, steps, stride, ws);
+  tv_plane_run<V, /*Re=*/true>(J2D9F<V>(c), u, steps, stride);
 }
 
 void jacobi2d5_re_f32(const stencil::C2D5f& c, grid::Grid2D<float>& u,
                       long steps, int stride) {
-  Workspace2D<VF, float> ws;
-  tv2d_re_run(J2D5F<VF>(c), u, steps, stride, ws);
+  tv_plane_run<VF, /*Re=*/true>(J2D5F<VF>(c), u, steps, stride);
 }
 
 void jacobi2d9_re_f32(const stencil::C2D9f& c, grid::Grid2D<float>& u,
                       long steps, int stride) {
-  Workspace2D<VF, float> ws;
-  tv2d_re_run(J2D9F<VF>(c), u, steps, stride, ws);
+  tv_plane_run<VF, /*Re=*/true>(J2D9F<VF>(c), u, steps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -44,26 +40,22 @@ using VF16 = simd::ScalarVec<float, 16>;
 
 void jacobi2d5_re_vl8(const stencil::C2D5& c, grid::Grid2D<double>& u,
                       long steps, int stride) {
-  Workspace2D<V8, double> ws;
-  tv2d_re_run(J2D5F<V8>(c), u, steps, stride, ws);
+  tv_plane_run<V8, /*Re=*/true>(J2D5F<V8>(c), u, steps, stride);
 }
 
 void jacobi2d9_re_vl8(const stencil::C2D9& c, grid::Grid2D<double>& u,
                       long steps, int stride) {
-  Workspace2D<V8, double> ws;
-  tv2d_re_run(J2D9F<V8>(c), u, steps, stride, ws);
+  tv_plane_run<V8, /*Re=*/true>(J2D9F<V8>(c), u, steps, stride);
 }
 
 void jacobi2d5_re_f32_vl16(const stencil::C2D5f& c, grid::Grid2D<float>& u,
                            long steps, int stride) {
-  Workspace2D<VF16, float> ws;
-  tv2d_re_run(J2D5F<VF16>(c), u, steps, stride, ws);
+  tv_plane_run<VF16, /*Re=*/true>(J2D5F<VF16>(c), u, steps, stride);
 }
 
 void jacobi2d9_re_f32_vl16(const stencil::C2D9f& c, grid::Grid2D<float>& u,
                            long steps, int stride) {
-  Workspace2D<VF16, float> ws;
-  tv2d_re_run(J2D9F<VF16>(c), u, steps, stride, ws);
+  tv_plane_run<VF16, /*Re=*/true>(J2D9F<VF16>(c), u, steps, stride);
 }
 #endif
 

@@ -4,7 +4,7 @@
 // Public entry points live in tv_dispatch.cpp.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/tv3d_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -14,14 +14,12 @@ using VF = dispatch::BackendVec<float>;
 
 void jacobi3d7(const stencil::C3D7& c, grid::Grid3D<double>& u, long steps,
                int stride) {
-  Workspace3D<V, double> ws;
-  tv3d_run(J3D7F<V>(c), u, steps, stride, ws);
+  tv_plane_run<V>(J3D7F<V>(c), u, steps, stride);
 }
 
 void jacobi3d7_f32(const stencil::C3D7f& c, grid::Grid3D<float>& u, long steps,
                    int stride) {
-  Workspace3D<VF, float> ws;
-  tv3d_run(J3D7F<VF>(c), u, steps, stride, ws);
+  tv_plane_run<VF>(J3D7F<VF>(c), u, steps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -30,14 +28,12 @@ using VF16 = simd::ScalarVec<float, 16>;
 
 void jacobi3d7_vl8(const stencil::C3D7& c, grid::Grid3D<double>& u, long steps,
                    int stride) {
-  Workspace3D<V8, double> ws;
-  tv3d_run(J3D7F<V8>(c), u, steps, stride, ws);
+  tv_plane_run<V8>(J3D7F<V8>(c), u, steps, stride);
 }
 
 void jacobi3d7_f32_vl16(const stencil::C3D7f& c, grid::Grid3D<float>& u,
                         long steps, int stride) {
-  Workspace3D<VF16, float> ws;
-  tv3d_run(J3D7F<VF16>(c), u, steps, stride, ws);
+  tv_plane_run<VF16>(J3D7F<VF16>(c), u, steps, stride);
 }
 #endif
 

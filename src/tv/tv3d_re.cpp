@@ -1,4 +1,4 @@
-// Redundancy-eliminated 3D Jacobi kernel variant (tv3d_re_impl.hpp) —
+// Redundancy-eliminated 3D Jacobi kernel variant (tv_plane_run, Re = true) —
 // compiled once per SIMD backend at the backend's native vector width for
 // double AND float element types, same axes as the baseline tv3d TU.  The
 // scalar backend additionally registers the width-pinned wide
@@ -6,7 +6,7 @@
 // bit-identical.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/tv3d_re_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -16,14 +16,12 @@ using VF = dispatch::BackendVec<float>;
 
 void jacobi3d7_re(const stencil::C3D7& c, grid::Grid3D<double>& u, long steps,
                   int stride) {
-  Workspace3D<V, double> ws;
-  tv3d_re_run(J3D7F<V>(c), u, steps, stride, ws);
+  tv_plane_run<V, /*Re=*/true>(J3D7F<V>(c), u, steps, stride);
 }
 
 void jacobi3d7_re_f32(const stencil::C3D7f& c, grid::Grid3D<float>& u,
                       long steps, int stride) {
-  Workspace3D<VF, float> ws;
-  tv3d_re_run(J3D7F<VF>(c), u, steps, stride, ws);
+  tv_plane_run<VF, /*Re=*/true>(J3D7F<VF>(c), u, steps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -32,14 +30,12 @@ using VF16 = simd::ScalarVec<float, 16>;
 
 void jacobi3d7_re_vl8(const stencil::C3D7& c, grid::Grid3D<double>& u,
                       long steps, int stride) {
-  Workspace3D<V8, double> ws;
-  tv3d_re_run(J3D7F<V8>(c), u, steps, stride, ws);
+  tv_plane_run<V8, /*Re=*/true>(J3D7F<V8>(c), u, steps, stride);
 }
 
 void jacobi3d7_re_f32_vl16(const stencil::C3D7f& c, grid::Grid3D<float>& u,
                            long steps, int stride) {
-  Workspace3D<VF16, float> ws;
-  tv3d_re_run(J3D7F<VF16>(c), u, steps, stride, ws);
+  tv_plane_run<VF16, /*Re=*/true>(J3D7F<VF16>(c), u, steps, stride);
 }
 #endif
 

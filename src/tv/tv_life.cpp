@@ -5,7 +5,7 @@
 // tv_dispatch.cpp.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors2d.hpp"
-#include "tv/tv2d_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -14,8 +14,7 @@ using V = dispatch::BackendVec<std::int32_t>;
 
 void life(const stencil::LifeRule& r, grid::Grid2D<std::int32_t>& u,
           long steps, int stride) {
-  Workspace2D<V, std::int32_t> ws;
-  tv2d_run(LifeF<V>(r), u, steps, stride, ws);
+  tv_plane_run<V>(LifeF<V>(r), u, steps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -23,8 +22,7 @@ using V16 = simd::ScalarVec<std::int32_t, 16>;
 
 void life_vl16(const stencil::LifeRule& r, grid::Grid2D<std::int32_t>& u,
                long steps, int stride) {
-  Workspace2D<V16, std::int32_t> ws;
-  tv2d_run(LifeF<V16>(r), u, steps, stride, ws);
+  tv_plane_run<V16>(LifeF<V16>(r), u, steps, stride);
 }
 #endif
 

@@ -1,0 +1,248 @@
+// Temporal vectorization for 2D and 3D Jacobi stencils (§3.2
+// "High-dimensional stencils"): one plane tile for both.
+//
+// The stride-s lanes live on the *outermost* space dimension x; each x is
+// a plane (tv/tile.hpp PlaneShape: one line for a Grid2D, ny+2 lines for
+// a Grid3D) and the inner loops sweep whole planes, grouped top stores /
+// bottom loads running along the unit-stride dimension z (a 2D grid's y).
+// Unlike the 1D kernel, the reorganized input vectors cannot stay in
+// registers — each x iteration produces a full plane of them, consumed s
+// iterations later — so they are stored in a ring of s+2 slabs (vl =
+// V::lanes: 4/8 for doubles, 8/16 for floats and int32, or any ScalarVec
+// width the tests instantiate):
+//
+//   ring(p)[y][z] = [ lvl0 @ (p+(vl-1)s, y, z) , ... , lvl(vl-1) @ (p, y, z) ]
+//
+// This ring is the paper's "transposed data layout" made explicit: one
+// aligned vector store per produced input vector, one aligned load per
+// consumed one (§3.3).  Everything else mirrors the 1D kernel over the
+// per-level row ranges of tv/tile.hpp: scalar left wedges forward planes
+// to each level, the steady loop advances whole planes vl time steps, the
+// ring is flushed into the levels, and scalar right wedges finish each
+// level.  The flat engine updates the main array in place (the top plane
+// write at x trails every bottom read at x+vl*s) with levels 1..vl-1 in
+// two edge scratch planes; the diamond drivers (tiling/diamond_plane_impl.hpp)
+// run the same tile on clipped row ranges with their levels in the two
+// parity grids.
+//
+// The stencil functor F supplies (V = vector type, T = element type):
+//   static constexpr int radius = 1;
+//   V apply(const LineWindow<V>& w, int z)
+//       — the ring lines around (x, y) (tv/tile.hpp), indexable at z±1;
+//   T apply_scalar(At&& at, int r, int y, int z)
+//       — `at(r, y, z)` reads the previous level (a 2D functor reads line
+//         y only).
+#pragma once
+
+#include <algorithm>
+#include <cassert>
+
+#include "simd/reorg.hpp"
+#include "simd/vec.hpp"
+#include "tv/ring.hpp"
+#include "tv/tile.hpp"
+
+namespace tvs::tv {
+
+namespace detail {
+
+// One scalar line: d[z], z in [1, n], of plane r, line y, from the
+// previous level's line window w around (r, y).  Kept out of line: inlined
+// into the line loop of scalar_plane, GCC stops vectorizing the z loop
+// ("complicated access pattern") and Life's wedges ran 10x slower.
+template <class F, class T>
+[[gnu::noinline]] void scalar_line(const F& f, T* d, LineWindow<T> w, int r,
+                                   int y, int n) {
+  const auto at = [&](int rr, int yy, int z) -> T {
+    const T* line = rr < r   ? w.xm
+                    : rr > r ? w.xp
+                    : yy < y ? w.ym
+                    : yy > y ? w.yp
+                             : w.c;
+    return line[z];
+  };
+  for (int z = 1; z <= n; ++z) d[z] = f.apply_scalar(at, r, y, z);
+}
+
+// One scalar plane r of a level: dst from the previous level's planes
+// sm, s0, sp (r-1, r, r+1).  Serves the wedges, the flat residual steps
+// and the diamonds' residual steps.
+template <class F, class T>
+void scalar_plane(const F& f, LevelSlab<T> dst, LevelSlab<T> sm,
+                  LevelSlab<T> s0, LevelSlab<T> sp, int r, PlaneShape pl) {
+  for (int y = pl.y0; y <= pl.y1; ++y)
+    scalar_line(f, dst.line(y),
+                LineWindow<T>{sm.line(y), s0.line(y), sp.line(y),
+                              s0.line(y - 1), s0.line(y + 1)},
+                r, y, pl.n);
+}
+
+// Plain scalar steps: the steps % vl residual, and every step of a grid
+// too short for the pipeline.
+template <class F, class G>
+void scalar_steps(const F& f, G& g, long nsteps) {
+  if (nsteps <= 0) return;
+  using Slab = LevelSlab<typename F::value_type>;
+  const PlaneShape pl = plane_shape(g);
+  const int nx = g.nx();
+  G tmp = grid_like(g);
+  for (long t = 0; t < nsteps; ++t) {
+    for (int r = 1; r <= nx; ++r)
+      scalar_plane(f, Slab::of(tmp, r), Slab::of(g, r - 1), Slab::of(g, r),
+                   Slab::of(g, r + 1), r, pl);
+    for (int r = 1; r <= nx; ++r) {
+      const Slab src = Slab::of(tmp, r), dst = Slab::of(g, r);
+      for (int y = pl.y0; y <= pl.y1; ++y)
+        std::copy(src.line(y) + 1, src.line(y) + pl.n + 1, dst.line(y) + 1);
+    }
+  }
+}
+
+}  // namespace detail
+
+// One vl-step temporally vectorized tile over the rows `rows`.  Levels 0
+// and vl are the base grid g (as are the boundary planes 0 and nx+1 of
+// every level); levels 1..vl-1 live where the level-storage policy `lev`
+// says (lo(l, r) / hi(l, r) return a LevelSlab; see tv/tile.hpp).  `ring`
+// holds s+2 slabs.  With scalar_only, or when the steady interval is
+// shorter than vl, every level is updated in scalar, levels ascending,
+// through lev.lo — a path only the tiled drivers take.  s >= 2.
+//
+// Re selects the redundancy-eliminated inner loop of "An Efficient
+// Vectorization Scheme for Stencil Computation" (arXiv:2103.08825) and
+// "Reducing Redundancy in Data Organization and Arithmetic Calculation for
+// Stencil Computations" (arXiv:2103.09235), restricted to bit-exact
+// operand reuse: each produced ring vector costs ONE shuffle
+// (simd::retire_shift_in) — no collect_tops assembly tree, no separate
+// dispense rotate; tops retire as scalar stores into the top plane and
+// fresh level-0 elements stream in scalar from the bottom plane — and the
+// functor's nested F::Carry slides the operands shared by consecutive z in
+// registers, loading each ring vector once.  The papers' symmetric-
+// coefficient partial sums would reassociate the canonical fma chain, so
+// they are left out: wedges, gather, flush and arithmetic are shared, and
+// results are bit-identical to the baseline loop at every (dtype, vl,
+// stride).
+template <class V, bool Re = false, class F, class G, class Levels>
+void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
+                   const TileRows<V::lanes>& rows, int s,
+                   bool scalar_only = false) {
+  static_assert(F::radius == 1, "the plane engine covers radius-1 stencils");
+  using T = typename V::value_type;
+  using Slab = LevelSlab<T>;
+  constexpr int VL = V::lanes;
+  const int nx = g.nx();
+  const PlaneShape pl = plane_shape(g);
+  assert(s >= 2);
+
+  // Plane r of level l for the left wedges / gather (lo) and for the flush
+  // / right wedges (hi) — one policy call per plane, never per point.
+  const auto lo = [&](int l, int r) -> Slab {
+    return l == 0 || l == VL || r < 1 || r > nx ? Slab::of(g, r)
+                                                : lev.lo(l, r);
+  };
+  const auto hi = [&](int l, int r) -> Slab {
+    return l == 0 || l == VL || r < 1 || r > nx ? Slab::of(g, r)
+                                                : lev.hi(l, r);
+  };
+  // Scalar planes of level l over [r0, r1].
+  const auto scalar_planes = [&](const auto& L, int l, int r0, int r1) {
+    for (int r = r0; r <= r1; ++r)
+      detail::scalar_plane(f, L(l, r), L(l - 1, r - 1), L(l - 1, r),
+                           L(l - 1, r + 1), r, pl);
+  };
+
+  const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
+  if (scalar_only || !rows.vector_ok(s)) {
+    for (int l = 1; l <= VL; ++l)
+      scalar_planes(lo, l, rows.xl(l), rows.xr(l));
+    return;
+  }
+
+  // ---- left wedges (levels ascending, final level last) --------------------
+  for (int l = 1; l <= VL - 1; ++l)
+    scalar_planes(lo, l, rows.xl(l),
+                  std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
+  scalar_planes(lo, VL, rows.xl(VL), x_begin - 1);
+
+  // ---- gather slabs p = x_begin-1 .. x_begin+s-1 ----------------------------
+  for (int p = x_begin - 1; p <= x_begin + s - 1; ++p) {
+    Slab src[VL];
+    for (int k = 0; k < VL; ++k)
+      src[k] = lo(k, std::min(p + (VL - 1 - k) * s, nx + 1));
+    gather_slab(ring, p, src, pl);
+  }
+
+  // ---- steady loop ----------------------------------------------------------
+  for (int x = x_begin; x <= x_end; ++x) {
+    fill_frame(ring, x + s, g, s, pl);
+    // Bottom planes past the read cap are never consumed: clamp (tile.hpp).
+    const Slab top = Slab::of(g, x);
+    const Slab bot = Slab::of(g, std::min(x + VL * s, rows.read_cap));
+    for (int y = pl.y0; y <= pl.y1; ++y) {
+      const LineWindow<V> w{ring.line(x - 1, y), ring.line(x, y),
+                            ring.line(x + 1, y), ring.line(x, y - 1),
+                            ring.line(x, y + 1)};
+      V* lout = ring.line(x + s, y);
+      T* tline = top.line(y);
+      const T* bline = bot.line(y);
+
+      if constexpr (Re) {
+        typename F::Carry carry(w);
+        for (int z = 1; z <= pl.n; ++z) {
+          const V v = carry.apply(f, w, z);
+          lout[z] = simd::retire_shift_in(v, bline[z], &tline[z]);
+        }
+      } else {
+        int z = 1;
+        V wbuf[VL];
+        for (; z + VL - 1 <= pl.n; z += VL) {
+          V b = V::loadu(bline + z);
+          for (int j = 0; j < VL - 1; ++j) {
+            wbuf[j] = f.apply(w, z + j);
+            lout[z + j] = simd::shift_in_low_v(wbuf[j], b);
+            b = simd::dispense_low(b);
+          }
+          wbuf[VL - 1] = f.apply(w, z + VL - 1);
+          lout[z + VL - 1] = simd::shift_in_low_v(wbuf[VL - 1], b);
+          simd::collect_tops_arr(wbuf).storeu(tline + z);
+        }
+        for (; z <= pl.n; ++z) {
+          const V v = f.apply(w, z);
+          lout[z] = simd::shift_in_low(v, bline[z]);
+          tline[z] = simd::top_lane(v);
+        }
+      }
+    }
+  }
+
+  // ---- flush surviving ring lanes into their levels -------------------------
+  for (int p = x_end; p <= x_end + s; ++p) flush_slab(ring, p, rows, s, hi, pl);
+
+  // ---- right wedges (levels ascending; the final level writes to the base
+  // grid last so level 1 can still read lvl0) ---------------------------------
+  for (int l = 1; l <= VL; ++l)
+    scalar_planes(hi, l, std::max(rows.xl(l), x_end + (VL - l) * s + 1),
+                  rows.xr(l));
+}
+
+// Advance g by `steps` time steps: vl per tile plus a scalar residual.
+template <class V, bool Re = false, class F, class G>
+void tv_plane_run(const F& f, G& g, long steps, int s) {
+  static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
+  constexpr int VL = V::lanes;
+  const PlaneShape pl = plane_shape(g);
+  const auto rows = TileRows<VL>::full(g.nx(), F::radius);
+  long t = 0;
+  if (rows.vector_ok(s) && steps >= VL) {
+    SlabRing<V> ring;  // s+2 slabs of input vectors
+    EdgePlanes<typename V::value_type> planes;  // levels 1..vl-1 at the edges
+    ring.prepare(s + 2, pl);
+    planes.prepare(VL, s, g.nx(), pl);
+    planes.copy_frames(g);
+    for (; t + VL <= steps; t += VL)
+      tv_plane_tile<V, Re>(f, g, planes, ring, rows, s);
+  }
+  detail::scalar_steps(f, g, steps - t);
+}
+
+}  // namespace tvs::tv

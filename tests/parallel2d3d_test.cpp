@@ -132,7 +132,11 @@ INSTANTIATE_TEST_SUITE_P(
                       // steps % vl != 0
                       P2{14, 9, 12, 8, 4, 3}, P2{131, 7, 16, 40, 8, 5},
                       P2{300, 6, 12, 64, 8, 32}, P2{90, 11, 2, 32, 8, 3},
-                      P2{110, 10, 13, 36, 8, 3}),
+                      P2{110, 10, 13, 36, 8, 3},
+                      // inner extent 1 and vl-1 (4-lane tiles): one-line
+                      // planes shorter than a top-store group
+                      P2{100, 1, 16, 32, 8, 2}, P2{100, 3, 18, 32, 8, 2},
+                      P2{130, 1, 9, 48, 12, 3}),
     [](const auto& info) {
       return "nx" + std::to_string(std::get<0>(info.param)) + "_ny" +
              std::to_string(std::get<1>(info.param)) + "_t" +
@@ -146,7 +150,8 @@ TEST(DiamondLife, MatchesOracleAcrossGeometries) {
   const stencil::LifeRule rule{};  // B2S23
   for (const auto& [nx, ny, steps, w, h] :
        {std::tuple{120, 24, 16, 48, 8}, std::tuple{200, 16, 24, 64, 16},
-        std::tuple{90, 20, 9, 2048, 32}}) {
+        std::tuple{90, 20, 9, 2048, 32}, std::tuple{120, 1, 16, 48, 8},
+        std::tuple{120, 7, 17, 48, 8}}) {
     std::mt19937_64 rng(2000u + static_cast<unsigned>(nx));
     GridI2 ref(nx, ny);
     std::uniform_int_distribution<std::int32_t> d(0, 1);
@@ -177,15 +182,19 @@ void copy3(const GridD3& src, GridD3& dst) {
 }
 
 // (nx, ny, nz, steps, W, H, s): the first rows are regular geometries; the
-// rest hit the shared-tile branches — all-scalar fallback, the read-cap
+// next hit the shared-tile branches — all-scalar fallback, the read-cap
 // clamp on a tile clipped at the right domain edge, a large stride (the
-// parallelograms clamp it to 12), steps < vl and steps % vl != 0.
+// parallelograms clamp it to 12), steps < vl and steps % vl != 0; the last
+// have degenerate planes of one or two interior lines and one or three
+// columns.
 constexpr std::tuple<int, int, int, long, int, int, int> kGeom3D[] = {
     {40, 10, 12, 8, 20, 4, 2},  {64, 12, 8, 12, 24, 8, 2},
     {30, 8, 8, 7, 1024, 8, 2},  {64, 12, 8, 13, 24, 8, 2},
     {30, 8, 8, 12, 1024, 8, 2}, {12, 5, 6, 8, 8, 4, 3},
     {53, 6, 7, 12, 20, 4, 3},   {120, 4, 5, 8, 48, 4, 16},
-    {40, 6, 6, 3, 20, 4, 2},    {45, 6, 9, 13, 20, 8, 3}};
+    {40, 6, 6, 3, 20, 4, 2},    {45, 6, 9, 13, 20, 8, 3},
+    {40, 1, 3, 8, 20, 4, 2},    {64, 2, 1, 12, 24, 8, 2},
+    {45, 1, 1, 13, 20, 8, 3},   {53, 2, 3, 12, 20, 4, 3}};
 
 TEST(Diamond3D, JacobiMatchesOracleAcrossGeometries) {
   const stencil::C3D7 c{0.28, 0.13, 0.12, 0.12, 0.11, 0.13, 0.11};

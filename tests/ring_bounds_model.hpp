@@ -19,10 +19,12 @@
 // tile: diamond trapezoids (tiling/diamond.cpp, edges +-R per level) for
 // jacobi1d, parallelograms (tiling/parallelogram.cpp, edges -1 per level)
 // for gs1d.
-//   rowring    the 2D/3D row rings (tv2d/tv3d and their diamond tiles at
-//              pad 2, tv_gs2d/tv_gs3d and their parallelogram tiles at
-//              pad 1; M = s + pad rows allocated dynamically, so only the
-//              [0, M) slot bound applies)
+//   rowring    the slab rings of the two plane tiles, one model for 2D
+//              and 3D (a 2D row is a one-line plane): tv_plane_tile in
+//              src/tv/tv_plane_impl.hpp (flat and diamond, pad 2) and
+//              tv_gs_plane_tile in src/tv/tv_gs_plane_impl.hpp (flat and
+//              parallelogram, pad 1); M = s + pad slabs allocated
+//              dynamically, so only the [0, M) slot bound applies
 // If an engine's ring walk changes shape, change the model in the same
 // commit - the static gate is only as honest as this correspondence.
 #pragma once
@@ -115,8 +117,8 @@ constexpr bool check_gs1d(int s, int /*base*/) {
              s, Rows::sloped(W + 1, nx + VL, -1, -1, nx, R));
 }
 
-// 2D/3D row rings: M = s + pad rows, slot = RingIndex(M).slot(p) for row
-// positions p from (possibly negative, diamond2d/3d) tile bases up to a
+// Plane-tile slab rings: M = s + pad slabs, slot = RingIndex(M).slot(p) for
+// plane positions p from (possibly negative, diamond) tile bases up to a
 // few periods out.  Storage is allocated at exactly M rows, so the only
 // invariant is slot in [0, M) for every p the engines form.
 template <int VL, int PAD>

@@ -10,10 +10,9 @@
 #include "stencil/reference2d.hpp"
 #include "tv/functors2d.hpp"
 #include "tv/tv2d.hpp"
-#include "tv/tv2d_impl.hpp"
 #include "tv/tv_gs2d.hpp"
-#include "tv/tv_gs2d_impl.hpp"
 #include "tv/tv_life.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace {
 
@@ -83,8 +82,7 @@ TEST_P(Tv2dSweep, ScalarBackendJacobi5PMatchesOracle) {
   copy(ref, got);
   stencil::jacobi2d5_run(c, ref, steps);
   using SV = simd::ScalarVec<double, 4>;
-  tv::Workspace2D<SV, double> ws;
-  tv::tv2d_run(tv::J2D5F<SV>(c), got, steps, s, ws);
+  tv::tv_plane_run<SV>(tv::J2D5F<SV>(c), got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
 }
 
@@ -96,7 +94,10 @@ INSTANTIATE_TEST_SUITE_P(
         P{16, 4, 8, 2}, P{17, 33, 9, 2}, P{24, 16, 4, 3}, P{31, 7, 10, 2},
         P{40, 40, 12, 2}, P{64, 48, 7, 2}, P{65, 3, 4, 2}, P{100, 20, 2, 2},
         // larger strides
-        P{56, 24, 8, 5}, P{60, 31, 8, 7}),
+        P{56, 24, 8, 5}, P{60, 31, 8, 7},
+        // inner extent 1 and vl-1 (vl = 4 and 8): one-line planes shorter
+        // than a top-store group
+        P{40, 1, 9, 2}, P{33, 3, 8, 2}, P{48, 7, 17, 2}, P{50, 1, 16, 3}),
     [](const auto& info) {
       return "nx" + std::to_string(std::get<0>(info.param)) + "_ny" +
              std::to_string(std::get<1>(info.param)) + "_t" +
@@ -131,7 +132,9 @@ INSTANTIATE_TEST_SUITE_P(
         // vl = 8: pipeline needs nx >= 8s; hit both sides plus odd steps
         PL{15, 10, 9, 2}, PL{16, 16, 8, 2}, PL{17, 9, 10, 2}, PL{33, 20, 16, 2},
         PL{40, 12, 7, 2}, PL{48, 31, 11, 2}, PL{64, 16, 24, 3},
-        PL{70, 25, 8, 2}),
+        PL{70, 25, 8, 2},
+        // inner extent 1 and vl-1 (vl = 8 and 16)
+        PL{40, 1, 16, 2}, PL{48, 7, 17, 2}, PL{64, 15, 33, 2}),
     [](const auto& info) {
       return "nx" + std::to_string(std::get<0>(info.param)) + "_ny" +
              std::to_string(std::get<1>(info.param)) + "_t" +

@@ -10,8 +10,8 @@
 #include "stencil/reference3d.hpp"
 #include "tv/functors3d.hpp"
 #include "tv/tv3d.hpp"
-#include "tv/tv3d_impl.hpp"
 #include "tv/tv_gs3d.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace {
 
@@ -70,8 +70,7 @@ TEST_P(Tv3dSweep, ScalarBackendJacobiMatchesOracle) {
   copy(ref, got);
   stencil::jacobi3d7_run(c, ref, steps);
   using SV = simd::ScalarVec<double, 4>;
-  tv::Workspace3D<SV, double> ws;
-  tv::tv3d_run(tv::J3D7F<SV>(c), got, steps, s, ws);
+  tv::tv_plane_run<SV>(tv::J3D7F<SV>(c), got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
 }
 
@@ -84,7 +83,11 @@ INSTANTIATE_TEST_SUITE_P(
                       P{16, 10, 12, 8, 2},  // two tiles
                       P{17, 5, 9, 9, 2},    // residual step
                       P{24, 12, 8, 4, 3},   // stride 3
-                      P{25, 9, 11, 7, 2}, P{33, 14, 10, 12, 2}),
+                      P{25, 9, 11, 7, 2}, P{33, 14, 10, 12, 2},
+                      // degenerate planes: one or two interior lines, one
+                      // or three columns
+                      P{24, 1, 3, 8, 2}, P{33, 2, 1, 9, 2},
+                      P{40, 1, 1, 17, 2}, P{40, 2, 3, 16, 3}),
     [](const auto& info) {
       return "nx" + std::to_string(std::get<0>(info.param)) + "_ny" +
              std::to_string(std::get<1>(info.param)) + "_nz" +

@@ -15,8 +15,7 @@
 #include "stencil/reference3d.hpp"
 #include "tv/functors2d.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/tv2d_impl.hpp"
-#include "tv/tv3d_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace {
 
@@ -212,8 +211,7 @@ TEST_P(TvWide2D, ScalarBackendVl8MatchesOracleExactly) {
     for (int y = 0; y <= ny + 1; ++y) got.at(x, y) = ref.at(x, y);
   stencil::jacobi2d9_run(c, ref, steps);
   using S8 = simd::ScalarVec<double, 8>;
-  tv::Workspace2D<S8, double> ws;
-  tv::tv2d_run(tv::J2D9F<S8>(c), got, steps, s, ws);
+  tv::tv_plane_run<S8>(tv::J2D9F<S8>(c), got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
 }
 

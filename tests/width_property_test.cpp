@@ -27,15 +27,10 @@
 #include "tv/functors2d.hpp"
 #include "tv/functors3d.hpp"
 #include "tv/tv1d_impl.hpp"
-#include "tv/tv1d_re_impl.hpp"
-#include "tv/tv2d_impl.hpp"
-#include "tv/tv2d_re_impl.hpp"
-#include "tv/tv3d_impl.hpp"
-#include "tv/tv3d_re_impl.hpp"
 #include "tv/tv_gs1d_impl.hpp"
-#include "tv/tv_gs2d_impl.hpp"
-#include "tv/tv_gs3d_impl.hpp"
+#include "tv/tv_gs_plane_impl.hpp"
 #include "tv/tv_lcs_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace {
 
@@ -79,7 +74,7 @@ void check_tv1d(int nx, long steps, int s, unsigned seed) {
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx << " steps=" << steps << " s=" << s;
   auto re = random1d(nx, seed);
-  tv::tv1d_re_run<V>(tv::J1D3F<V>(c3), re, steps, s);
+  tv::tv1d_run<V, /*Re=*/true>(tv::J1D3F<V>(c3), re, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, re), 0.0)
       << "re vl=" << V::lanes << " nx=" << nx << " steps=" << steps
       << " s=" << s;
@@ -91,7 +86,7 @@ void check_tv1d(int nx, long steps, int s, unsigned seed) {
   tv::tv1d_run<V>(tv::J1D5F<V>(c5), got5, steps, s >= 3 ? s : 3);
   ASSERT_EQ(grid::max_abs_diff(ref5, got5), 0.0) << "vl=" << V::lanes;
   auto re5 = random1d(nx + 11, seed + 1);
-  tv::tv1d_re_run<V>(tv::J1D5F<V>(c5), re5, steps, s >= 3 ? s : 3);
+  tv::tv1d_run<V, /*Re=*/true>(tv::J1D5F<V>(c5), re5, steps, s >= 3 ? s : 3);
   ASSERT_EQ(grid::max_abs_diff(ref5, re5), 0.0) << "re vl=" << V::lanes;
 }
 
@@ -135,13 +130,11 @@ void check_tv2d(int nx, int ny, long steps, int s, unsigned seed) {
   auto ref = random2d(nx, ny, seed);
   auto got = random2d(nx, ny, seed);
   stencil::jacobi2d5_run(c5, ref, steps);
-  tv::Workspace2D<V, double> ws;
-  tv::tv2d_run(tv::J2D5F<V>(c5), got, steps, s, ws);
+  tv::tv_plane_run<V>(tv::J2D5F<V>(c5), got, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
   auto re = random2d(nx, ny, seed);
-  tv::Workspace2D<V, double> wsr;
-  tv::tv2d_re_run(tv::J2D5F<V>(c5), re, steps, s, wsr);
+  tv::tv_plane_run<V, /*Re=*/true>(tv::J2D5F<V>(c5), re, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, re), 0.0)
       << "re vl=" << V::lanes << " nx=" << nx;
 
@@ -149,13 +142,11 @@ void check_tv2d(int nx, int ny, long steps, int s, unsigned seed) {
   auto ref9 = random2d(nx, ny, seed + 1);
   auto got9 = random2d(nx, ny, seed + 1);
   stencil::jacobi2d9_run(c9, ref9, steps);
-  tv::Workspace2D<V, double> ws9;
-  tv::tv2d_run(tv::J2D9F<V>(c9), got9, steps, s, ws9);
+  tv::tv_plane_run<V>(tv::J2D9F<V>(c9), got9, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref9, got9), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
   auto re9 = random2d(nx, ny, seed + 1);
-  tv::Workspace2D<V, double> wsr9;
-  tv::tv2d_re_run(tv::J2D9F<V>(c9), re9, steps, s, wsr9);
+  tv::tv_plane_run<V, /*Re=*/true>(tv::J2D9F<V>(c9), re9, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref9, re9), 0.0)
       << "re vl=" << V::lanes << " nx=" << nx;
 }
@@ -177,13 +168,11 @@ void check_tv3d(int nx, int ny, int nz, long steps, int s, unsigned seed) {
   auto ref = random3d(nx, ny, nz, seed);
   auto got = random3d(nx, ny, nz, seed);
   stencil::jacobi3d7_run(c, ref, steps);
-  tv::Workspace3D<V, double> ws;
-  tv::tv3d_run(tv::J3D7F<V>(c), got, steps, s, ws);
+  tv::tv_plane_run<V>(tv::J3D7F<V>(c), got, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
   auto re = random3d(nx, ny, nz, seed);
-  tv::Workspace3D<V, double> wsr;
-  tv::tv3d_re_run(tv::J3D7F<V>(c), re, steps, s, wsr);
+  tv::tv_plane_run<V, /*Re=*/true>(tv::J3D7F<V>(c), re, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, re), 0.0)
       << "re vl=" << V::lanes << " nx=" << nx;
 }
@@ -205,7 +194,7 @@ void check_gs2d(int nx, int ny, long sweeps, int s, unsigned seed) {
   auto ref = random2d(nx, ny, seed);
   auto got = random2d(nx, ny, seed);
   stencil::gs2d5_run(c, ref, sweeps);
-  tv::tv_gs2d_run_impl<V>(c, got, sweeps, s);
+  tv::tv_gs_plane_run<V>(tv::Gs2D5F<V>(c), got, sweeps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
 }
@@ -225,7 +214,7 @@ void check_gs3d(int nx, int ny, int nz, long sweeps, int s, unsigned seed) {
   auto ref = random3d(nx, ny, nz, seed);
   auto got = random3d(nx, ny, nz, seed);
   stencil::gs3d7_run(c, ref, sweeps);
-  tv::tv_gs3d_run_impl<V>(c, got, sweeps, s);
+  tv::tv_gs_plane_run<V>(tv::Gs3D7F<V>(c), got, sweeps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
 }
@@ -251,8 +240,7 @@ void check_life(int nx, int ny, long steps, int s, unsigned seed) {
   for (int x = 0; x <= nx + 1; ++x)
     for (int y = 0; y <= ny + 1; ++y) got.at(x, y) = ref.at(x, y);
   stencil::life_run(rule, ref, steps);
-  tv::Workspace2D<V, std::int32_t> ws;
-  tv::tv2d_run(tv::LifeF<V>(rule), got, steps, s, ws);
+  tv::tv_plane_run<V>(tv::LifeF<V>(rule), got, steps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
 }

@@ -60,6 +60,30 @@ class C1OmpSharing(unittest.TestCase):
         self.assertEqual(findings, [])
         self.assertEqual(code, 0)
 
+    def test_region_locals_are_not_shared_writes(self):
+        # A one-line nested loop accumulating into a local and a
+        # region-local array, in a stage_run() body and an omp region, are
+        # clean.  Without the array's declaration its writes resurface
+        # (lines 15 and 23): the array is cleared as a declaration, not
+        # ignored.
+        src = fixture("c1_region_locals.cpp")
+        code, findings = run_race([src])
+        self.assertEqual(findings, [])
+        self.assertEqual(code, 0)
+        with open(src, "r", encoding="utf-8") as f:
+            text = f.read()
+        decl = "    double win[3];\n"
+        self.assertEqual(text.count(decl), 2)
+        with tempfile.TemporaryDirectory() as td:
+            fixdir = os.path.join(td, "fixtures")
+            os.makedirs(fixdir)
+            path = os.path.join(fixdir, "c1_region_locals.cpp")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text.replace(decl, "\n"))
+            code, findings = run_race([path])
+            self.assertEqual(code, 1)
+            self.assertEqual(sorted(f[1] for f in findings), [15, 23])
+
     def test_wrong_partition_name_is_rejected(self):
         # partitioned(j) on a loop parallel over i: the certification is
         # refused AND the underlying unpartitioned write still reported.
@@ -151,13 +175,13 @@ class C1OmpSharing(unittest.TestCase):
                 self.assertEqual(sorted(f[1] for f in findings), want)
 
     def test_stripping_a_real_callback_annotation_resurfaces_findings(self):
-        # Liveness against the actual tree: the 2D diamond's trapezoid
-        # callback, a stage callback of diamond_schedule()
+        # Liveness against the actual tree: the 2D/3D diamond body's
+        # trapezoid callback, a stage callback of diamond_schedule()
         # (src/tiling/schedule.hpp), is certified by
         # `// tvsrace: partitioned(rows)`; without it the writes to the
         # parity grids come back.
         sched = os.path.join(REPO, "src", "tiling", "schedule.hpp")
-        src = os.path.join(REPO, "src", "tiling", "diamond2d.cpp")
+        src = os.path.join(REPO, "src", "tiling", "diamond_plane_impl.hpp")
         with open(src, "r", encoding="utf-8") as f:
             text = f.read()
         mark = "// tvsrace: partitioned(rows)"
@@ -165,7 +189,7 @@ class C1OmpSharing(unittest.TestCase):
         with tempfile.TemporaryDirectory() as td:
             fixdir = os.path.join(td, "fixtures")
             os.makedirs(fixdir)
-            stripped = os.path.join(fixdir, "diamond2d.cpp")
+            stripped = os.path.join(fixdir, "diamond_plane_impl.hpp")
             with open(stripped, "w", encoding="utf-8") as f:
                 f.write(text.replace(mark, ""))
             code, findings = run_race([sched, stripped])

@@ -462,7 +462,9 @@ DECL_RE = re.compile(
     r"(?P<const2>const\s+)?"
     r"(?P<type>[A-Za-z_]\w*(?:\s*::\s*\w+)*(?:\s*<[^;={}]*>)?)"
     r"\s*(?P<refptr>[&*](?:\s*(?:const\s+)?[&*])*(?:\s*const\b)?)?\s+"
-    r"(?P<name>[A-Za-z_]\w*)\s*(?P<open>=(?!=)|\{|;|\()"
+    r"(?P<name>[A-Za-z_]\w*)"
+    r"(?:(?P<array>(?:\s*\[[^\]]*\])+)\s*(?P<aopen>=(?!=)|\{|;|$)"
+    r"|\s*(?P<open>=(?!=)|\{|;|\())"
 )
 
 FOR_DECL_RE = re.compile(
@@ -510,15 +512,35 @@ def scan_decl(line_text: str, line_no: int) -> Optional[Decl]:
     base = re.sub(r"<.*", "", t).split("::")[0].strip()
     if base in NOT_TYPES or base in CONTROL_KEYWORDS:
         return None
-    init = line_text[m.end():] if m.group("open") in ("=", "(", "{") else ""
+    opener = m.group("open") or m.group("aopen")
+    init = line_text[m.end():] if opener in ("=", "(", "{") else ""
     return Decl(
         name=m.group("name"),
         type_text=t,
         is_const=bool(m.group("const") or m.group("const2")),
-        is_ref_or_ptr=bool(m.group("refptr")),
+        is_ref_or_ptr=bool(m.group("refptr") or m.group("array")),
         line=line_no,
         init=init,
     )
+
+
+CONTROL_HEAD_RE = re.compile(r"^\s*(?:(?:for|if|while|switch)\s*\(|else\b)")
+
+
+def strip_control_heads(text: str) -> str:
+    """`text` without its leading control-statement heads, so the body of
+    a one-line `for (...) s += i;` is what remains."""
+    while True:
+        m = CONTROL_HEAD_RE.match(text)
+        if not m:
+            return text
+        if text[m.end() - 1] != "(":
+            text = text[m.end():]
+            continue
+        close = match_forward(text, m.end() - 1, "(", ")")
+        if close >= len(text):
+            return text
+        text = text[close + 1:]
 
 
 def last_paren_group(header: str) -> Tuple[int, int]:
@@ -996,13 +1018,13 @@ def check_omp(sf: SourceFile, flat: Flat, blocks: List[Block],
                              - pre.count(")") - pre.count("]"))
                     if depth != 0:
                         continue
+                    pre = strip_control_heads(pre)
                     op = am.group(1)
                     lv = pre if op not in ("++", "--") else None
                     if lv is None:
                         around = frag[max(0, am.start() - 40):am.end() + 40]
                         lv = around
-                        ids = re.findall(r"[A-Za-z_]\w*",
-                                         frag[:am.start()].split(";")[-1])
+                        ids = re.findall(r"[A-Za-z_]\w*", pre.split(";")[-1])
                         base = ids[0] if ids else None
                     else:
                         ids = re.findall(r"[A-Za-z_]\w*", lv)
