@@ -18,23 +18,11 @@
 #include "grid/grid2d.hpp"
 #include "grid/grid3d.hpp"
 #include "grid/pingpong.hpp"
+#include "tv/tile.hpp"
 
 namespace tvs::tiling {
 
 namespace detail {
-
-template <class T>
-grid::Grid1D<T> partner_of(const grid::Grid1D<T>& u) {
-  return grid::Grid1D<T>(u.nx());
-}
-template <class T>
-grid::Grid2D<T> partner_of(const grid::Grid2D<T>& u) {
-  return grid::Grid2D<T>(u.nx(), u.ny());
-}
-template <class T>
-grid::Grid3D<T> partner_of(const grid::Grid3D<T>& u) {
-  return grid::Grid3D<T>(u.nx(), u.ny(), u.nz());
-}
 
 // Copies the cells [0, n+1] of every dimension (boundary included).
 template <class T>
@@ -59,7 +47,7 @@ void copy_cells(const grid::Grid3D<T>& src, grid::Grid3D<T>& dst) {
 // holds the result of `steps` steps afterwards.
 template <class GridT, class Run>
 void with_pingpong(GridT& u, long steps, Run run) {
-  GridT partner = detail::partner_of(u);
+  GridT partner = tv::grid_like(u);
   grid::PingPong<GridT> pp(std::move(u), std::move(partner));
   class Restore {
    public:

@@ -38,6 +38,7 @@
 #include <cstddef>
 
 #include "grid/aligned.hpp"
+#include "grid/grid1d.hpp"
 #include "grid/grid2d.hpp"
 #include "grid/grid3d.hpp"
 #include "tv/ring.hpp"
@@ -113,6 +114,10 @@ constexpr PlaneShape plane_shape(const grid::Grid3D<T>& g) {
 }
 
 // A zero-filled grid of g's extents.
+template <class T>
+grid::Grid1D<T> grid_like(const grid::Grid1D<T>& g) {
+  return grid::Grid1D<T>(g.nx());
+}
 template <class T>
 grid::Grid2D<T> grid_like(const grid::Grid2D<T>& g) {
   return {g.nx(), g.ny()};
