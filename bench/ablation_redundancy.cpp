@@ -124,20 +124,32 @@ void sweep_3d(const dispatch::KernelRegistry& reg) {
 // vector-equivalent work (points * steps / VL).  Grid sizes are large
 // enough that the prologue/epilogue triangles (which reorganize nothing)
 // keep the steady-state figure within a few percent of the asymptote.
+// The Gauss-Seidel rows (gs*, tv column only: re is a Jacobi loop) run the
+// same tile on the same grids; the scheme's reorganization cost does not
+// depend on the family, so they match the Jacobi row above them.
 
 std::uint64_t& shuffles() { return simd::reorg_shuffle_count(); }
+
+template <class Run>
+double per_vector(double vectors, Run&& run) {
+  shuffles() = 0;
+  run();
+  return static_cast<double>(shuffles()) / vectors;
+}
 
 template <class RunTv, class RunRe>
 void shuffle_row(const std::string& kernel, int vl, double vectors,
                  RunTv&& run_tv, RunRe&& run_re) {
-  shuffles() = 0;
-  run_tv();
-  const double tv = static_cast<double>(shuffles()) / vectors;
-  shuffles() = 0;
-  run_re();
-  const double re = static_cast<double>(shuffles()) / vectors;
+  const double tv = per_vector(vectors, run_tv);
+  const double re = per_vector(vectors, run_re);
   b::print_row({kernel, std::to_string(vl), b::fmt(tv, 3), b::fmt(re, 3),
                 tv > 0.0 ? b::fmt(re / tv, 3) : "n/a"});
+}
+
+template <class Run>
+void gs_row(const std::string& kernel, int vl, double vectors, Run&& run) {
+  b::print_row({kernel, std::to_string(vl), b::fmt(per_vector(vectors, run), 3),
+                "n/a", "n/a"});
 }
 
 template <int VL>
@@ -153,6 +165,8 @@ void shuffle_rows_1d() {
     shuffle_row("heat1d", VL, vectors,
                 [&] { tv::tv1d_run<V>(tv::J1D3F<V>(c3), a, steps, 5); },
                 [&] { tv::tv1d_run<V, /*Re=*/true>(tv::J1D3F<V>(c3), r, steps, 5); });
+    gs_row("gs1d3", VL, vectors,
+           [&] { tv::tv1d_run<V>(tv::Gs1D3F<V>(c3), a, steps, 5); });
   }
   {
     grid::Grid1D<double> a(nx), r(nx);
@@ -176,6 +190,8 @@ void shuffle_rows_2d3d() {
     shuffle_row("heat2d", VL, vectors,
                 [&] { tv::tv_plane_run<V>(tv::J2D5F<V>(c5), a, steps, 2); },
                 [&] { tv::tv_plane_run<V, true>(tv::J2D5F<V>(c5), r, steps, 2); });
+    gs_row("gs2d5", VL, vectors,
+           [&] { tv::tv_plane_run<V>(tv::Gs2D5F<V>(c5), a, steps, 2); });
     shuffle_row("box2d9", VL, vectors,
                 [&] { tv::tv_plane_run<V>(tv::J2D9F<V>(c9), a, steps, 2); },
                 [&] { tv::tv_plane_run<V, true>(tv::J2D9F<V>(c9), r, steps, 2); });
@@ -189,6 +205,8 @@ void shuffle_rows_2d3d() {
     shuffle_row("heat3d", VL, vectors,
                 [&] { tv::tv_plane_run<V>(tv::J3D7F<V>(c7), a, steps, 2); },
                 [&] { tv::tv_plane_run<V, true>(tv::J3D7F<V>(c7), r, steps, 2); });
+    gs_row("gs3d7", VL, vectors,
+           [&] { tv::tv_plane_run<V>(tv::Gs3D7F<V>(c7), a, steps, 2); });
   }
 }
 

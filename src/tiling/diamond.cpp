@@ -55,13 +55,9 @@ void jacobi1d3(const stencil::C1D3T<typename V::value_type>& c,
       },
       // tvsrace: partitioned(x0)
       [&](long t, int x0, int x1) {
-        const T* src = pp.by_parity(t).p();
-        T* dst = pp.by_parity(t + 1).p();
-        T win[2 * R + 1];
-        for (int x = x0; x <= x1; ++x) {
-          for (int i = 0; i <= 2 * R; ++i) win[i] = src[x - R + i];
-          dst[x] = f.apply_scalar(win);
-        }
+        const tv::LevelLine<T> src{pp.by_parity(t).p(), 0},
+            dst{pp.by_parity(t + 1).p(), 0};
+        tv::detail::scalar_span(f, dst, src, x0, x1);
       });
 }
 

@@ -72,8 +72,8 @@ void diamond_plane_run(const F& f, grid::PingPong<G>& pp, long steps,
   const int nx = pp.even().nx();
   const tv::PlaneShape pl = tv::plane_shape(pp.even());
   const int s = std::max(2, opt.stride);
-  // One ring workspace per runner slot; each lazy prepare() first-touches
-  // its ring on the worker that sweeps it.
+  // One ring workspace per runner slot; the tile sizes it lazily, so it
+  // first-touches its ring on the worker that sweeps it.
   std::vector<tv::SlabRing<V>> tls(stage_slots(opt.exec));
   diamond_schedule<V::lanes, F::radius>(
       opt, s, nx, steps,
@@ -83,11 +83,10 @@ void diamond_plane_run(const F& f, grid::PingPong<G>& pp, long steps,
       },
       // tvsrace: partitioned(rows)
       [&](int slot, long tt, const tv::TileRows<V::lanes>& rows) {
-        tv::SlabRing<V>& ring = tls[static_cast<std::size_t>(slot)];
-        ring.prepare(s + 2, pl);
         G& a0 = pp.by_parity(tt);
         const detail::ParityLevels<G, T> lev{&pp.by_parity(tt + 1), &a0};
-        tv::tv_plane_tile<V>(f, a0, lev, ring, rows, s, !opt.use_vector);
+        tv::tv_plane_tile<V>(f, a0, lev, tls[static_cast<std::size_t>(slot)],
+                             rows, s, !opt.use_vector);
       },
       // tvsrace: partitioned(x0)
       [&](long t, int x0, int x1) {

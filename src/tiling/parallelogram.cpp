@@ -1,12 +1,13 @@
 // Parallelogram-tiled 1D Gauss-Seidel driver — compiled once per SIMD
-// backend.  A tile is the Gauss-Seidel engine tile (tv/tv_gs1d_impl.hpp)
-// on sloped rows with every level in the single array; see
-// parallelogram.hpp for the legality argument.
+// backend.  A tile is the 1D engine tile (tv/tv1d_impl.hpp) with the
+// Gauss-Seidel functor on sloped rows with every level in the single
+// array; see parallelogram.hpp for the legality argument.
 #include "dispatch/backend_variant.hpp"
 #include "tiling/parallelogram.hpp"
 
 #include "tiling/schedule.hpp"
-#include "tv/tv_gs1d_impl.hpp"
+#include "tv/functors1d.hpp"
+#include "tv/tv1d_impl.hpp"
 
 namespace tvs::tiling {
 namespace {
@@ -28,20 +29,14 @@ void gs1d3_tiled(const stencil::C1D3& c, grid::Grid1D<double>& u,
   const int nx = u.nx();
   double* a = u.p();
   const ArrayLevels1D lev{a};
+  const tv::Gs1D3F<V> f(c);
   wavefront_schedule<VL>(
       opt, nx, sweeps,
       // tvsrace: partitioned(rows)
       [&](int /*slot*/, int s, const tv::TileRows<VL>& rows) {
-        tv::tv_gs1d_tile<V>(c, a, lev, rows, s, !opt.use_vector);
+        tv::tv1d_tile<V>(f, a, lev, rows, s, !opt.use_vector);
       },
-      [&] {
-        double west = a[0];
-        for (int x = 1; x <= nx; ++x) {
-          const double v = stencil::gs1d3(c.w, c.c, c.e, west, a[x], a[x + 1]);
-          a[x] = v;
-          west = v;
-        }
-      });
+      [&] { tv::detail::scalar_span(f, lev.lo(0), lev.lo(0), 1, nx); });
 }
 
 }  // namespace

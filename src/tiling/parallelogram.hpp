@@ -6,8 +6,8 @@
 // in wavefront order.  A tile of the (t, x) plane covers, at level
 // l = 1..vl of one vector tile, the interval [xl0-(l-1), xr0-(l-1)] — both
 // edges slide left one point per sweep, matching the a^{t}_{x+1}
-// dependence.  Each tile is the Gauss-Seidel engine tile
-// (tv/tv_gs1d_impl.hpp) on those rows with every level in the *single*
+// dependence.  Each tile is the 1D engine tile with the Gauss-Seidel
+// functor (tv/tv1d_impl.hpp) on those rows with every level in the *single*
 // array: because the edges slope exactly -1, the last write to an
 // interface slot xl0-l is always the level-l value, which is precisely the
 // newest-west operand the right-hand neighbour tile needs — no interface

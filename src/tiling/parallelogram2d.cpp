@@ -1,6 +1,6 @@
 // Parallelogram tiles for GS-2D/3D, one body for gs2d5 and gs3d7: the flat
-// Gauss-Seidel engine's plane tile (tv/tv_gs_plane_impl.hpp) on a
-// row-parallelogram, with every level read from and written to the single
+// engine's plane tile (tv/tv_plane_impl.hpp) with the Gauss-Seidel functor
+// on a row-parallelogram, with every level read from and written to the single
 // array — the slope -1 interface ladder guarantees each slot holds exactly
 // the level its reader needs (see parallelogram.hpp for the 1D argument,
 // which lifts plane-wise verbatim).  Only the ring state is per runner.
@@ -12,7 +12,7 @@
 #include "tiling/schedule.hpp"
 #include "tv/functors2d.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/tv_gs_plane_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tiling {
 namespace {
@@ -35,18 +35,16 @@ struct ArrayLevels {
 template <class F, class G>
 void gs_tiled(const F& f, G& u, long sweeps,
               const ParallelogramNDOptions& opt) {
-  const tv::PlaneShape pl = tv::plane_shape(u);
-  std::vector<tv::GsRing<V>> tls(stage_slots(opt.exec));
+  std::vector<tv::SlabRing<V>> tls(stage_slots(opt.exec));
   const ArrayLevels<G> lev{&u};
   wavefront_schedule<VL>(
       opt, u.nx(), sweeps,
       // tvsrace: partitioned(rows)
       [&](int slot, int s, const tv::TileRows<VL>& rows) {
-        tv::GsRing<V>& rs = tls[static_cast<std::size_t>(slot)];
-        rs.prepare(s, pl);
-        tv::tv_gs_plane_tile<V>(f, u, lev, rs, rows, s, !opt.use_vector);
+        tv::tv_plane_tile<V>(f, u, lev, tls[static_cast<std::size_t>(slot)],
+                             rows, s, !opt.use_vector);
       },
-      [&] { tv::detail::gs_sweep(f, u); });
+      [&] { tv::detail::scalar_steps(f, u, 1); });
 }
 
 void gs2d5_tiled(const stencil::C2D5& c, grid::Grid2D<double>& u,

@@ -4,8 +4,9 @@
 // [xl0-(l-1), xr0-(l-1)] x the full inner dimensions — with the same
 // single-array interface-ladder discipline as the 1D driver
 // (parallelogram.hpp) and its anti-diagonal wavefront schedule
-// w = 2*bt + bx (tiling/schedule.hpp).  Each tile is the Gauss-Seidel
-// plane tile (tv/tv_gs_plane_impl.hpp) on the parallelogram's rows.
+// w = 2*bt + bx (tiling/schedule.hpp).  Each tile is the plane tile with
+// a Gauss-Seidel functor (tv/tv_plane_impl.hpp) on the parallelogram's
+// rows.
 #pragma once
 
 #include "grid/grid2d.hpp"

@@ -1,7 +1,10 @@
-// Stencil functors for the plane engines (tv/tv_plane_impl.hpp,
-// tv/tv_gs_plane_impl.hpp) on 2D grids.  A 2D plane is one line, so the
-// line window's ym / yp alias its centre line and these functors read
-// only xm, c and xp; the scalar forms read line y of `at` only.
+// Stencil functors for the plane tile (tv/tv_plane_impl.hpp) on 2D grids.
+// A 2D plane is one line, so the line window's ym / yp alias its centre
+// line and these functors read only xm, c and xp; the scalar forms read
+// line y of `at` only.  `newest_west` is the dependence trait
+// (tv/tile.hpp): false for Jacobi and Life, true for Gauss-Seidel, whose
+// west (z-1) operand comes as a value and whose window xm line holds the
+// newest values.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +21,7 @@ struct J2D5F {
   using T = typename V::value_type;
   using value_type = T;
   static constexpr int radius = 1;
+  static constexpr bool newest_west = false;
   V cc, cw, ce, cs, cn;
   stencil::C2D5T<T> c;
 
@@ -65,6 +69,7 @@ struct J2D9F {
   using T = typename V::value_type;
   using value_type = T;
   static constexpr int radius = 1;
+  static constexpr bool newest_west = false;
   V cc, cw, ce, cs, cn, csw, cse, cnw, cne;
   stencil::C2D9T<T> c;
 
@@ -128,6 +133,7 @@ struct J2D9F {
 template <class V>
 struct LifeF {
   static constexpr int radius = 1;
+  static constexpr bool newest_west = false;
   using value_type = std::int32_t;
   stencil::LifeRule rule;
 
@@ -156,6 +162,8 @@ template <class V>
 struct Gs2D5F {
   using T = typename V::value_type;
   using value_type = T;
+  static constexpr int radius = 1;
+  static constexpr bool newest_west = true;
   V cc, cw, ce, cs, cn;
   stencil::C2D5T<T> c;
 

@@ -1,5 +1,7 @@
-// Stencil functors for the plane engines (tv/tv_plane_impl.hpp,
-// tv/tv_gs_plane_impl.hpp) on 3D grids.
+// Stencil functors for the plane tile (tv/tv_plane_impl.hpp) on 3D grids.
+// `newest_west` is the dependence trait (tv/tile.hpp): false for Jacobi,
+// true for Gauss-Seidel, whose west (z-1) operand comes as a value and
+// whose window xm / ym lines hold the newest back / south values.
 #pragma once
 
 #include "simd/vec.hpp"
@@ -14,6 +16,7 @@ struct J3D7F {
   using T = typename V::value_type;
   using value_type = T;
   static constexpr int radius = 1;
+  static constexpr bool newest_west = false;
   V cc, cw, ce, cs, cn, cb, cf;
   stencil::C3D7T<T> c;
 
@@ -66,6 +69,8 @@ template <class V>
 struct Gs3D7F {
   using T = typename V::value_type;
   using value_type = T;
+  static constexpr int radius = 1;
+  static constexpr bool newest_west = true;
   V cc, cw, ce, cs, cn, cb, cf;
   stencil::C3D7T<T> c;
 

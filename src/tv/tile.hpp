@@ -1,4 +1,5 @@
-// The one temporal tile every engine walks, serial or tiled.
+// The one temporal tile every engine walks, serial or tiled, Jacobi or
+// Gauss-Seidel.
 //
 // A tile advances vl = V::lanes time levels at once.  Level l (0 .. vl)
 // covers rows [XL[l], XR[l]] of the outermost dimension: the whole domain
@@ -19,10 +20,19 @@
 // range, so a clamped re-read of a safe row is used instead.  In the flat
 // engine the cap is nx + R, inside the Dirichlet boundary cells.
 //
+// The stencil functor's dependence trait `newest_west` selects the family.
+// A Jacobi functor (false) reads every operand from level l-1.  A
+// Gauss-Seidel functor (true) reads its west operands — x-1 in 1D; the
+// back (x-1), south (y-1) and west (z-1) ones on planes — from level l, the
+// level being written; in the steady loop they are the previous output
+// vectors (§3.4).  The trait fixes the ring's west lag (tv/ring.hpp), the
+// carried west register, the plane tile's newest-value slab and the level
+// the scalar wedges read those operands from; everything else is shared.
+//
 // Where levels 1 .. vl-1 live is the caller's level-storage policy, a
-// template parameter of each engine's tile.  Level 0 and level vl always
-// live in the base array: the flat engines update in place, a diamond's
-// even levels share parity(t0), and Gauss-Seidel has one array for all.
+// template parameter of each tile.  Level 0 and level vl always live in
+// the base array: the flat engines update in place, a diamond's even
+// levels share parity(t0), and Gauss-Seidel has one array for all.
 // A policy answers two questions per level and row — where the left
 // wedges and the gather find it (`lo`), and where the flush and the right
 // wedges find it (`hi`) — once per row, never per point:
@@ -154,33 +164,45 @@ struct LineWindow {
   const U* yp;
 };
 
-// Ring of input vectors for the plane tiles: `period` slots, each a slab
-// of `lines` lines of `zstride` vectors.  Lines are indexable at
-// [-1, zstride-2] so both boundary cells fit.  prepare() reallocates only
-// when the shape changes, so a per-slot ring first-touches its pages on
-// the worker that sweeps it.
+// The west lag of functor F's ring (tv/ring.hpp).
+template <class F>
+inline constexpr int kWestLag = west_lag(F::radius, F::newest_west);
+
+// Ring of input vectors for the plane tile: `period` slots, each a slab of
+// `lines` lines of `zstride` vectors, and for a newest-west functor one
+// slab more, `newest`, holding the previous x iteration's outputs.  Lines
+// are indexable at [-1, zstride-2] so both boundary cells fit.  prepare()
+// reallocates only when the shape changes; the tile calls it, so a
+// per-slot ring first-touches its pages on the worker that sweeps it.
 template <class V>
 struct SlabRing {
   grid::AlignedBuffer<V> buf;
-  int period = 0, lines = 0;
+  int period = 0, slabs = 0, lines = 0;
   std::ptrdiff_t zstride = 0, ystride = 0;
 
-  void prepare(int period_, PlaneShape pl) {
+  void prepare(int period_, bool with_newest, PlaneShape pl) {
     const std::ptrdiff_t zs = ((pl.n + 4 + 15) / 16) * 16;
-    if (period_ == period && pl.lines == lines && zs == zstride) return;
+    const int slabs_ = period_ + (with_newest ? 1 : 0);
+    if (period_ == period && slabs_ == slabs && pl.lines == lines &&
+        zs == zstride)
+      return;
     period = period_;
+    slabs = slabs_;
     lines = pl.lines;
     zstride = zs;
     ystride = lines > 1 ? zstride : 0;
-    buf = grid::AlignedBuffer<V>(static_cast<std::size_t>(period) *
+    buf = grid::AlignedBuffer<V>(static_cast<std::size_t>(slabs) *
                                  static_cast<std::size_t>(lines) *
                                  static_cast<std::size_t>(zstride));
   }
-  V* line(int p, int y) {
-    const int slot = RingIndex(period).slot(p);
-    return buf.data() + static_cast<std::ptrdiff_t>(slot) * lines * zstride +
-           static_cast<std::ptrdiff_t>(y) * ystride + 1;
+  LevelSlab<V> slab_at(int i) {
+    return {buf.data() + static_cast<std::ptrdiff_t>(i) * lines * zstride + 1,
+            ystride};
   }
+  // Ring position p, and the newest-value slab.
+  LevelSlab<V> slab(int p) { return slab_at(RingIndex(period).slot(p)); }
+  LevelSlab<V> newest() { return slab_at(period); }
+  V* line(int p, int y) { return slab(p).line(y); }
 };
 
 // The flat plane engines' level-storage policy: levels 1..vl-1 live in
@@ -240,31 +262,19 @@ struct EdgePlanes {
   }
 };
 
-// Ring state of a Gauss-Seidel plane tile: s+1 input-vector slabs plus one
-// slab of the previous x iteration's outputs (the newest-back and
-// newest-south operands).
-template <class V>
-struct GsRing {
-  SlabRing<V> ring, w;
-  void prepare(int s, PlaneShape pl) {
-    ring.prepare(s + 1, pl);
-    w.prepare(1, pl);
-  }
-};
-
-// ---- steps both plane tiles share ------------------------------------------
+// ---- steps of the plane tile -----------------------------------------------
 //
 // Slab p of a tile's ring holds, in lane k, plane p + (vl-1-k)s of level k.
 
-// Gathers slab p, every line and both boundary cells, from the level
-// planes src[0 .. vl-1].
+// Gathers slab dst, every line and both boundary cells, lane k from the
+// level plane src[k].
 template <class V>
-void gather_slab(SlabRing<V>& ring, int p,
+void gather_slab(LevelSlab<V> dst,
                  const LevelSlab<typename V::value_type>* src,
                  PlaneShape pl) {
   alignas(64) typename V::value_type lanes[V::lanes];
   for (int y = 0; y < pl.lines; ++y) {
-    V* line = ring.line(p, y);
+    V* line = dst.line(y);
     for (int z = 0; z <= pl.n + 1; ++z) {
       for (int k = 0; k < V::lanes; ++k) lanes[k] = src[k].line(y)[z];
       line[z] = V::load(lanes);

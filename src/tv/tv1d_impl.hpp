@@ -1,6 +1,6 @@
-// Temporal vectorization, 1D Jacobi kernels — the paper's Algorithm 3
-// generalized to any stencil radius R, any legal space stride s, and any
-// vector length vl = V::lanes.
+// Temporal vectorization, 1D Jacobi and Gauss-Seidel kernels — the
+// paper's Algorithm 3 (§3.4 for Gauss-Seidel) generalized to any stencil
+// radius R, any legal space stride s, and any vector length vl = V::lanes.
 //
 // Vector layout (lane 0 is the lowest):
 //
@@ -33,10 +33,24 @@
 // "84 scalar points per tile for s=7" of the evaluation section at vl = 4;
 // the scalar area grows with vl^2*s/2 at wider lengths.  The diamond
 // driver (tiling/diamond.cpp) runs the same tile on a sloped, clipped
-// interval with its levels in the two parity arrays.
+// interval with its levels in the two parity arrays, the parallelogram
+// driver (tiling/parallelogram.cpp) on sloped rows with every level in the
+// single Gauss-Seidel array.
+//
+// Gauss-Seidel sweeps x ascending in place, a[x] <- f(a[x-1](newest),
+// a[x](old), a[x+1](old)): every loop of the naive code carries a
+// dependence, so no spatial vectorization is legal.  In the temporal
+// layout the newest west operand of lane k, lvl(k+1) @ (x-1 + (vl-1-k)s),
+// is exactly lane k of the previous iteration's output vector, so the
+// steady loop carries it in a register (the paper: "the temporal
+// vectorization uses their corresponding output vectors") and the ring
+// keeps only positions x .. x+s-1: west lag 0 instead of R (tv/ring.hpp).
+// The scalar wedges chain the newest west value like the in-place sweep,
+// so results are bit-identical to the oracle.  Legality needs s >= 2.
 //
 // The stencil functor F supplies:
 //   static constexpr int radius;
+//   static constexpr bool newest_west;  — win[0..R-1] the newest values
 //   V      apply(const V* win)      — win[0..2R], west-most first
 //   T      apply_scalar(const T* win)   — T = V::value_type
 //
@@ -101,30 +115,53 @@ struct Workspace1D {
 
 namespace detail {
 
-// Plain scalar time steps (used for nx too small for the vector pipeline
-// and for the T % vl residual).  Ping-pongs through ws.sbuf.
+// One scalar level over [x0, x1]: dst[x] from the window around x on src.
+// A newest-west (Gauss-Seidel) functor takes its x-R .. x-1 operands from
+// dst, the level being written, chained through registers like the
+// in-place sweep, so dst may alias src.  Serves the tile's wedges, the
+// flat residual steps, the diamond's residual steps and the
+// parallelogram's residual sweeps.
 template <class F, class T>
-void scalar_steps(const F& f, T* a, int nx, int nsteps,
-                  Workspace1D<T>& ws) {
+void scalar_span(const F& f, LevelLine<T> dst, LevelLine<T> src, int x0,
+                 int x1) {
   constexpr int R = F::radius;
-  const std::size_t len = static_cast<std::size_t>(nx + 2 * R + 2);
-  if (ws.sbuf.size() < len) ws.sbuf.resize(len);
-  T* b = ws.sbuf.data() + R;  // b[-R..nx+1+R] valid
+  constexpr int k0 = F::newest_west ? R : 0;  // first operand read from src
+  // Right-edge parallelogram tiles can clamp a level to an empty range
+  // with x0 far beyond nx; bail before touching x0 - R.
+  if (x0 > x1) return;
   T win[2 * R + 1];
-  for (int t = 0; t < nsteps; ++t) {
-    for (int x = 1 - R; x <= 0; ++x) b[x] = a[x];
-    for (int x = nx + 1; x <= nx + R; ++x) b[x] = a[x];
-    for (int x = 1; x <= nx; ++x) {
-      for (int k = 0; k <= 2 * R; ++k) win[k] = a[x - R + k];
-      b[x] = f.apply_scalar(win);
+  for (int k = 0; k < k0; ++k) win[k] = dst[x0 - R + k];
+  for (int x = x0; x <= x1; ++x) {
+    for (int k = k0; k <= 2 * R; ++k) win[k] = src[x - R + k];
+    const T v = f.apply_scalar(win);
+    dst[x] = v;
+    if constexpr (F::newest_west) {
+      for (int k = 0; k + 1 < R; ++k) win[k] = win[k + 1];
+      win[R - 1] = v;
     }
-    for (int x = 1; x <= nx; ++x) a[x] = b[x];
   }
 }
 
-}  // namespace detail
-
-namespace detail {
+// Plain scalar time steps (used for nx too small for the vector pipeline
+// and for the T % vl residual).  A Gauss-Seidel step sweeps in place; a
+// Jacobi step ping-pongs through ws.sbuf.
+template <class F, class T>
+void scalar_steps(const F& f, T* a, int nx, long nsteps,
+                  Workspace1D<T>& ws) {
+  if (nsteps <= 0) return;  // before the scratch line is sized and zeroed
+  const LevelLine<T> line{a, 0};
+  if constexpr (F::newest_west) {
+    for (long t = 0; t < nsteps; ++t) scalar_span(f, line, line, 1, nx);
+  } else {
+    const std::size_t len = static_cast<std::size_t>(nx) + 1;
+    if (ws.sbuf.size() < len) ws.sbuf.resize(len);
+    T* b = ws.sbuf.data();  // b[1..nx]
+    for (long t = 0; t < nsteps; ++t) {
+      scalar_span(f, LevelLine<T>{b, 0}, line, 1, nx);
+      std::copy(b + 1, b + nx + 1, a + 1);
+    }
+  }
+}
 
 // Compile-time-unrolled steady loop for the paper's 1D3P default (vl = 4,
 // s = 7, R = 1, ring of 8 input vectors): the ring lives in eight named
@@ -213,16 +250,23 @@ int steady_s7(const F& f, typename V::value_type* a, int x_end,
 // bit-identical-to-scalar contract the property suite and the tuner's
 // candidate equivalence rely on, so it is left out: wedges, gather, flush
 // and arithmetic are shared, and results are bit-identical to the
-// baseline at every (dtype, vl, stride).
+// baseline at every (dtype, vl, stride).  Jacobi functors only, as is the
+// unrolled s = 7 path: a Gauss-Seidel output is the next west operand, so
+// its window cannot slide ahead of the chain.
 template <class V, bool Re = false, class F, class Levels>
 void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
                const TileRows<V::lanes>& rows, int s,
                bool scalar_only = false) {
   static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
+  static_assert(!(Re && F::newest_west), "Re is a Jacobi steady loop");
   using T = typename V::value_type;
   constexpr int R = F::radius;
   constexpr int VL = V::lanes;
-  const int M = s + R;  // live input vectors (paper: "s + r")
+  constexpr int lag = kWestLag<F>;
+  // First window operand read from the ring; a Gauss-Seidel window's
+  // operands 0 .. R-1 are the previous outputs, carried in registers.
+  constexpr int k0 = R - lag;
+  const int M = line_ring_period(s, lag);  // live input vectors
   assert(s >= R + 1 && s <= kMaxStride);
 
   LevelLine<T> lo[VL + 1], hi[VL + 1];
@@ -232,14 +276,9 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
     hi[l] = lev.hi(l);
   }
 
-  T win[2 * R + 1];
   // Scalar update of level l over [x0, x1] from level l-1.
   const auto scalar_range = [&](const LevelLine<T>* L, int l, int x0, int x1) {
-    const LevelLine<T> src = L[l - 1], dst = L[l];
-    for (int x = x0; x <= x1; ++x) {
-      for (int k = 0; k <= 2 * R; ++k) win[k] = src[x - R + k];
-      dst[x] = f.apply_scalar(win);
-    }
+    detail::scalar_span(f, L[l], L[l - 1], x0, x1);
   };
 
   const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
@@ -255,10 +294,10 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
                  std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
   scalar_range(lo, VL, rows.xl(VL), x_begin - 1);
 
-  // ---- gather the initial ring ------------------------------------------
+  // ---- gather the initial ring -------------------------------------------
   std::array<V, kRingCapacity> ring;
   const RingIndex rix(M);
-  for (int p = x_begin - R; p <= x_begin + s - 1; ++p) {
+  for (int p = x_begin - lag; p <= x_begin + s - 1; ++p) {
     alignas(64) T lanes[VL];
     for (int k = 0; k < VL; ++k) lanes[k] = lo[k][p + (VL - 1 - k) * s];
     ring[static_cast<std::size_t>(rix.slot(p))] = V::load(lanes);
@@ -269,11 +308,20 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
   // ungrouped tail clamps the rest (their lanes are never consumed).
   const int x_fast = std::min(x_end, rows.read_cap - VL * s);
   int x = x_begin;
-  if constexpr (!Re && R == 1 && VL == 4) {
+  if constexpr (!Re && !F::newest_west && R == 1 && VL == 4) {
     if (s == 7 && x == 1) x = detail::steady_s7(f, a, x_fast, ring);
   }
-  int ib = rix.slot(x - R);  // slot of the west-most window vector (pos x-R)
+  int ib = rix.slot(x - lag);  // slot of the west-most ring operand
   V winv[2 * R + 1];
+  // A Gauss-Seidel window's west operands j = 0 .. R-1 (position x-R+j)
+  // are output vectors, carried in registers: lane k of the first ones is
+  // lvl(k+1) at x_begin-R+j, the left wedges' tips.
+  for (int j = 0; j < k0; ++j) {
+    alignas(64) T lanes[VL];
+    for (int k = 0; k < VL; ++k)
+      lanes[k] = lo[k + 1][x_begin - R + j + (VL - 1 - k) * s];
+    winv[j] = V::load(lanes);
+  }
   if constexpr (Re) {
     // Redundancy-eliminated steady loop: the 2R+1 window vectors slide in
     // registers (each ring vector is loaded once instead of 2R+1 times),
@@ -302,7 +350,7 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
       V bot = V::loadu(a + x + VL * s);
       for (int j = 0; j < VL; ++j) {
         int iw = ib;
-        for (int k = 0; k <= 2 * R; ++k) {
+        for (int k = k0; k <= 2 * R; ++k) {
           winv[k] = ring[iw];
           iw = rix.inc(iw);
         }
@@ -310,13 +358,17 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
         ring[ib] = simd::shift_in_low_v(wbuf[j], bot);
         if (j != VL - 1) bot = simd::dispense_low(bot);
         ib = rix.inc(ib);
+        if constexpr (F::newest_west) {  // the next newest west operand
+          for (int k = 0; k + 1 < k0; ++k) winv[k] = winv[k + 1];
+          winv[k0 - 1] = wbuf[j];
+        }
       }
       simd::collect_tops_arr(wbuf).storeu(a + x);
     }
   }
   for (; x <= x_end; ++x) {  // ungrouped tail
     int iw = ib;
-    for (int k = 0; k <= 2 * R; ++k) {
+    for (int k = k0; k <= 2 * R; ++k) {
       winv[k] = ring[iw];
       iw = rix.inc(iw);
     }
@@ -324,10 +376,14 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
     ring[ib] = simd::shift_in_low(w, a[std::min(x + VL * s, rows.read_cap)]);
     ib = rix.inc(ib);
     a[x] = simd::top_lane(w);
+    if constexpr (F::newest_west) {
+      for (int k = 0; k + 1 < k0; ++k) winv[k] = winv[k + 1];
+      winv[k0 - 1] = w;
+    }
   }
 
   // ---- flush: surviving ring lanes into their levels ---------------------
-  for (int p = x_end + 1 - R; p <= x_end + s; ++p) {
+  for (int p = x_end + 1 - lag; p <= x_end + s; ++p) {
     const V& u = ring[static_cast<std::size_t>(rix.slot(p))];
     for (int k = 1; k <= VL - 1; ++k) {
       const int q = p + (VL - 1 - k) * s;
@@ -342,9 +398,9 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
                  rows.xr(l));
 }
 
-// Advance `u` by `steps` time steps: floor(steps/vl) vector tiles plus a
-// scalar residual.  Falls back to scalar whenever the line is too short for
-// the pipeline (TileRows::vector_ok).
+// Advance `u` by `steps` time steps (Gauss-Seidel sweeps): floor(steps/vl)
+// vector tiles plus a scalar residual.  Falls back to scalar whenever the
+// line is too short for the pipeline (TileRows::vector_ok).
 template <class V, bool Re = false, class F>
 void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
               int s) {
@@ -362,8 +418,7 @@ void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
     ws.copy_boundaries(a);
     for (; t + VL <= steps; t += VL) tv1d_tile<V, Re>(f, a, ws, rows, s);
   }
-  if (t < steps)
-    detail::scalar_steps(f, a, nx, static_cast<int>(steps - t), ws);
+  detail::scalar_steps(f, a, nx, steps - t, ws);
 }
 
 }  // namespace tvs::tv

@@ -3,7 +3,8 @@
 // scalar backend also pins the wide widths).  Public entry points live in
 // tv_dispatch.cpp.
 #include "dispatch/backend_variant.hpp"
-#include "tv/tv_gs1d_impl.hpp"
+#include "tv/functors1d.hpp"
+#include "tv/tv1d_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -13,23 +14,26 @@ using VF = dispatch::BackendVec<float>;
 
 void gs1d3(const stencil::C1D3& c, grid::Grid1D<double>& u, long sweeps,
            int stride) {
-  tv_gs1d_run_impl<V>(c, u, sweeps, stride);
+  tv1d_run<V>(Gs1D3F<V>(c), u, sweeps, stride);
 }
 
 void gs1d3_f32(const stencil::C1D3f& c, grid::Grid1D<float>& u, long sweeps,
                int stride) {
-  tv_gs1d_run_impl<VF>(c, u, sweeps, stride);
+  tv1d_run<VF>(Gs1D3F<VF>(c), u, sweeps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
+using V8 = simd::ScalarVec<double, 8>;
+using VF16 = simd::ScalarVec<float, 16>;
+
 void gs1d3_vl8(const stencil::C1D3& c, grid::Grid1D<double>& u, long sweeps,
                int stride) {
-  tv_gs1d_run_impl<simd::ScalarVec<double, 8>>(c, u, sweeps, stride);
+  tv1d_run<V8>(Gs1D3F<V8>(c), u, sweeps, stride);
 }
 
 void gs1d3_f32_vl16(const stencil::C1D3f& c, grid::Grid1D<float>& u,
                     long sweeps, int stride) {
-  tv_gs1d_run_impl<simd::ScalarVec<float, 16>>(c, u, sweeps, stride);
+  tv1d_run<VF16>(Gs1D3F<VF16>(c), u, sweeps, stride);
 }
 #endif
 

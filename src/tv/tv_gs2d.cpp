@@ -4,7 +4,7 @@
 // tv_dispatch.cpp.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors2d.hpp"
-#include "tv/tv_gs_plane_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -14,12 +14,12 @@ using VF = dispatch::BackendVec<float>;
 
 void gs2d5(const stencil::C2D5& c, grid::Grid2D<double>& u, long sweeps,
            int stride) {
-  tv_gs_plane_run<V>(Gs2D5F<V>(c), u, sweeps, stride);
+  tv_plane_run<V>(Gs2D5F<V>(c), u, sweeps, stride);
 }
 
 void gs2d5_f32(const stencil::C2D5f& c, grid::Grid2D<float>& u, long sweeps,
                int stride) {
-  tv_gs_plane_run<VF>(Gs2D5F<VF>(c), u, sweeps, stride);
+  tv_plane_run<VF>(Gs2D5F<VF>(c), u, sweeps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -28,12 +28,12 @@ using VF16 = simd::ScalarVec<float, 16>;
 
 void gs2d5_vl8(const stencil::C2D5& c, grid::Grid2D<double>& u, long sweeps,
                int stride) {
-  tv_gs_plane_run<V8>(Gs2D5F<V8>(c), u, sweeps, stride);
+  tv_plane_run<V8>(Gs2D5F<V8>(c), u, sweeps, stride);
 }
 
 void gs2d5_f32_vl16(const stencil::C2D5f& c, grid::Grid2D<float>& u,
                     long sweeps, int stride) {
-  tv_gs_plane_run<VF16>(Gs2D5F<VF16>(c), u, sweeps, stride);
+  tv_plane_run<VF16>(Gs2D5F<VF16>(c), u, sweeps, stride);
 }
 #endif
 

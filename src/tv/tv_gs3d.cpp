@@ -4,7 +4,7 @@
 // tv_dispatch.cpp.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/tv_gs_plane_impl.hpp"
+#include "tv/tv_plane_impl.hpp"
 
 namespace tvs::tv {
 namespace {
@@ -14,12 +14,12 @@ using VF = dispatch::BackendVec<float>;
 
 void gs3d7(const stencil::C3D7& c, grid::Grid3D<double>& u, long sweeps,
            int stride) {
-  tv_gs_plane_run<V>(Gs3D7F<V>(c), u, sweeps, stride);
+  tv_plane_run<V>(Gs3D7F<V>(c), u, sweeps, stride);
 }
 
 void gs3d7_f32(const stencil::C3D7f& c, grid::Grid3D<float>& u, long sweeps,
                int stride) {
-  tv_gs_plane_run<VF>(Gs3D7F<VF>(c), u, sweeps, stride);
+  tv_plane_run<VF>(Gs3D7F<VF>(c), u, sweeps, stride);
 }
 
 #if TVS_BACKEND_LEVEL == 0
@@ -28,12 +28,12 @@ using VF16 = simd::ScalarVec<float, 16>;
 
 void gs3d7_vl8(const stencil::C3D7& c, grid::Grid3D<double>& u, long sweeps,
                int stride) {
-  tv_gs_plane_run<V8>(Gs3D7F<V8>(c), u, sweeps, stride);
+  tv_plane_run<V8>(Gs3D7F<V8>(c), u, sweeps, stride);
 }
 
 void gs3d7_f32_vl16(const stencil::C3D7f& c, grid::Grid3D<float>& u,
                     long sweeps, int stride) {
-  tv_gs_plane_run<VF16>(Gs3D7F<VF16>(c), u, sweeps, stride);
+  tv_plane_run<VF16>(Gs3D7F<VF16>(c), u, sweeps, stride);
 }
 #endif
 

@@ -1,5 +1,5 @@
 // Public entry point for the temporally vectorized 3D7P Gauss-Seidel
-// stencil (s >= 2; see tv_gs_plane_impl.hpp).
+// stencil (s >= 2; see tv_plane_impl.hpp).
 #pragma once
 
 #include "grid/grid3d.hpp"

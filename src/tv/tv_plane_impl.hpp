@@ -1,5 +1,6 @@
-// Temporal vectorization for 2D and 3D Jacobi stencils (§3.2
-// "High-dimensional stencils"): one plane tile for both.
+// Temporal vectorization for 2D and 3D stencils (§3.2 "High-dimensional
+// stencils", §3.4 Gauss-Seidel): one plane tile for Jacobi, Life and
+// Gauss-Seidel, in 2D and 3D.
 //
 // The stride-s lanes live on the *outermost* space dimension x; each x is
 // a plane (tv/tile.hpp PlaneShape: one line for a Grid2D, ny+2 lines for
@@ -7,7 +8,7 @@
 // bottom loads running along the unit-stride dimension z (a 2D grid's y).
 // Unlike the 1D kernel, the reorganized input vectors cannot stay in
 // registers — each x iteration produces a full plane of them, consumed s
-// iterations later — so they are stored in a ring of s+2 slabs (vl =
+// iterations later — so they are stored in a ring of slabs (vl =
 // V::lanes: 4/8 for doubles, 8/16 for floats and int32, or any ScalarVec
 // width the tests instantiate):
 //
@@ -23,15 +24,33 @@
 // write at x trails every bottom read at x+vl*s) with levels 1..vl-1 in
 // two edge scratch planes; the diamond drivers (tiling/diamond_plane_impl.hpp)
 // run the same tile on clipped row ranges with their levels in the two
-// parity grids.
+// parity grids, the parallelogram drivers (tiling/parallelogram2d.cpp) on
+// sloped row ranges with every level in the single Gauss-Seidel array.
+//
+// A Jacobi or Life window reads ring slabs x-1, x and x+1 (s+2 slabs).  A
+// Gauss-Seidel functor (newest_west, tv/tile.hpp) forwards its newest
+// operands from output vectors instead: newest west (z-1) is the previous
+// z iteration's output register, and the ring's `newest` slab holds the
+// rest.  During iteration x it is read at line y for the newest *back*
+// value (x-1, still holding the x-1 output) and at line y-1 for the
+// newest *south* value (already overwritten with the current x output) —
+// read-then-overwrite gives both for free; a one-line plane has no south.
+// Old values come from ring slabs x and x+1: s+1 slabs.
 //
 // The stencil functor F supplies (V = vector type, T = element type):
 //   static constexpr int radius = 1;
+//   static constexpr bool newest_west;
+// and, for a Jacobi functor,
 //   V apply(const LineWindow<V>& w, int z)
 //       — the ring lines around (x, y) (tv/tile.hpp), indexable at z±1;
 //   T apply_scalar(At&& at, int r, int y, int z)
 //       — `at(r, y, z)` reads the previous level (a 2D functor reads line
-//         y only).
+//         y only);
+// for a Gauss-Seidel functor
+//   V apply(V west, const LineWindow<V>& w, int z)
+//   T apply_scalar(T west, const LineWindow<T>& w, int z)
+//       — w.xm / w.ym are the newest back / south lines, w.c, w.xp and
+//         w.yp old values.
 #pragma once
 
 #include <algorithm>
@@ -64,36 +83,58 @@ template <class F, class T>
   for (int z = 1; z <= n; ++z) d[z] = f.apply_scalar(at, r, y, z);
 }
 
-// One scalar plane r of a level: dst from the previous level's planes
-// sm, s0, sp (r-1, r, r+1).  Serves the wedges, the flat residual steps
-// and the diamonds' residual steps.
+// One scalar plane r of a level, lines and then z ascending: dst from the
+// previous level's planes s0 and sp (r, r+1) and the plane sm (r-1) — of
+// the previous level for a Jacobi functor, of dst's own level for a
+// Gauss-Seidel one, whose south and west operands also come from dst (the
+// line below, and the value just written through a register; dst may then
+// alias s0, the in-place sweep).  Serves the wedges, the flat residual
+// steps and the diamonds' residual steps.
 template <class F, class T>
 void scalar_plane(const F& f, LevelSlab<T> dst, LevelSlab<T> sm,
                   LevelSlab<T> s0, LevelSlab<T> sp, int r, PlaneShape pl) {
-  for (int y = pl.y0; y <= pl.y1; ++y)
-    scalar_line(f, dst.line(y),
-                LineWindow<T>{sm.line(y), s0.line(y), sp.line(y),
-                              s0.line(y - 1), s0.line(y + 1)},
-                r, y, pl.n);
+  for (int y = pl.y0; y <= pl.y1; ++y) {
+    T* d = dst.line(y);
+    const LineWindow<T> w{sm.line(y), s0.line(y), sp.line(y),
+                          (F::newest_west ? dst : s0).line(y - 1),
+                          s0.line(y + 1)};
+    if constexpr (F::newest_west) {
+      T west = d[0];
+      for (int z = 1; z <= pl.n; ++z) {
+        west = f.apply_scalar(west, w, z);
+        d[z] = west;
+      }
+    } else {
+      scalar_line(f, d, w, r, y, pl.n);
+    }
+  }
 }
 
-// Plain scalar steps: the steps % vl residual, and every step of a grid
-// too short for the pipeline.
+// Plain scalar steps: the steps % vl residual, every step of a grid too
+// short for the pipeline, and the parallelograms' residual sweeps.  A
+// Gauss-Seidel step sweeps in place; a Jacobi step goes through a copy.
 template <class F, class G>
 void scalar_steps(const F& f, G& g, long nsteps) {
   if (nsteps <= 0) return;
   using Slab = LevelSlab<typename F::value_type>;
   const PlaneShape pl = plane_shape(g);
   const int nx = g.nx();
-  G tmp = grid_like(g);
-  for (long t = 0; t < nsteps; ++t) {
-    for (int r = 1; r <= nx; ++r)
-      scalar_plane(f, Slab::of(tmp, r), Slab::of(g, r - 1), Slab::of(g, r),
-                   Slab::of(g, r + 1), r, pl);
-    for (int r = 1; r <= nx; ++r) {
-      const Slab src = Slab::of(tmp, r), dst = Slab::of(g, r);
-      for (int y = pl.y0; y <= pl.y1; ++y)
-        std::copy(src.line(y) + 1, src.line(y) + pl.n + 1, dst.line(y) + 1);
+  if constexpr (F::newest_west) {
+    for (long t = 0; t < nsteps; ++t)
+      for (int r = 1; r <= nx; ++r)
+        scalar_plane(f, Slab::of(g, r), Slab::of(g, r - 1), Slab::of(g, r),
+                     Slab::of(g, r + 1), r, pl);
+  } else {
+    G tmp = grid_like(g);
+    for (long t = 0; t < nsteps; ++t) {
+      for (int r = 1; r <= nx; ++r)
+        scalar_plane(f, Slab::of(tmp, r), Slab::of(g, r - 1), Slab::of(g, r),
+                     Slab::of(g, r + 1), r, pl);
+      for (int r = 1; r <= nx; ++r) {
+        const Slab src = Slab::of(tmp, r), dst = Slab::of(g, r);
+        for (int y = pl.y0; y <= pl.y1; ++y)
+          std::copy(src.line(y) + 1, src.line(y) + pl.n + 1, dst.line(y) + 1);
+      }
     }
   }
 }
@@ -103,10 +144,11 @@ void scalar_steps(const F& f, G& g, long nsteps) {
 // One vl-step temporally vectorized tile over the rows `rows`.  Levels 0
 // and vl are the base grid g (as are the boundary planes 0 and nx+1 of
 // every level); levels 1..vl-1 live where the level-storage policy `lev`
-// says (lo(l, r) / hi(l, r) return a LevelSlab; see tv/tile.hpp).  `ring`
-// holds s+2 slabs.  With scalar_only, or when the steady interval is
-// shorter than vl, every level is updated in scalar, levels ascending,
-// through lev.lo — a path only the tiled drivers take.  s >= 2.
+// says (lo(l, r) / hi(l, r) return a LevelSlab; see tv/tile.hpp).  The
+// tile sizes `ring` for its functor and stride.  With scalar_only, or when
+// the steady interval is shorter than vl, every level is updated in
+// scalar, levels ascending, through lev.lo — a path only the tiled drivers
+// take.  s >= 2.
 //
 // Re selects the redundancy-eliminated inner loop of "An Efficient
 // Vectorization Scheme for Stencil Computation" (arXiv:2103.08825) and
@@ -121,15 +163,19 @@ void scalar_steps(const F& f, G& g, long nsteps) {
 // coefficient partial sums would reassociate the canonical fma chain, so
 // they are left out: wedges, gather, flush and arithmetic are shared, and
 // results are bit-identical to the baseline loop at every (dtype, vl,
-// stride).
+// stride).  Jacobi functors only: a Gauss-Seidel output is the next
+// operand, so its chain has nothing to carry.
 template <class V, bool Re = false, class F, class G, class Levels>
 void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
                    const TileRows<V::lanes>& rows, int s,
                    bool scalar_only = false) {
   static_assert(F::radius == 1, "the plane engine covers radius-1 stencils");
+  static_assert(!(Re && F::newest_west), "Re is a Jacobi steady loop");
   using T = typename V::value_type;
   using Slab = LevelSlab<T>;
   constexpr int VL = V::lanes;
+  constexpr bool kNewest = F::newest_west;
+  constexpr int lag = kWestLag<F>;
   const int nx = g.nx();
   const PlaneShape pl = plane_shape(g);
   assert(s >= 2);
@@ -144,11 +190,12 @@ void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
     return l == 0 || l == VL || r < 1 || r > nx ? Slab::of(g, r)
                                                 : lev.hi(l, r);
   };
-  // Scalar planes of level l over [r0, r1].
+  // Scalar planes of level l over [r0, r1]; plane r-1 is the newest back
+  // operand of a Gauss-Seidel functor.
   const auto scalar_planes = [&](const auto& L, int l, int r0, int r1) {
     for (int r = r0; r <= r1; ++r)
-      detail::scalar_plane(f, L(l, r), L(l - 1, r - 1), L(l - 1, r),
-                           L(l - 1, r + 1), r, pl);
+      detail::scalar_plane(f, L(l, r), L(kNewest ? l : l - 1, r - 1),
+                           L(l - 1, r), L(l - 1, r + 1), r, pl);
   };
 
   const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
@@ -157,6 +204,7 @@ void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
       scalar_planes(lo, l, rows.xl(l), rows.xr(l));
     return;
   }
+  ring.prepare(slab_ring_period(s, lag), kNewest, pl);
 
   // ---- left wedges (levels ascending, final level last) --------------------
   for (int l = 1; l <= VL - 1; ++l)
@@ -164,24 +212,46 @@ void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
                   std::min(rows.xr(l), x_begin + (VL - l) * s - 1));
   scalar_planes(lo, VL, rows.xl(VL), x_begin - 1);
 
-  // ---- gather slabs p = x_begin-1 .. x_begin+s-1 ----------------------------
-  for (int p = x_begin - 1; p <= x_begin + s - 1; ++p) {
-    Slab src[VL];
+  // ---- gather slabs x_begin-lag .. x_begin+s-1 (and the newest slab) --------
+  Slab src[VL];
+  for (int p = x_begin - lag; p <= x_begin + s - 1; ++p) {
     for (int k = 0; k < VL; ++k)
       src[k] = lo(k, std::min(p + (VL - 1 - k) * s, nx + 1));
-    gather_slab(ring, p, src, pl);
+    gather_slab(ring.slab(p), src, pl);
+  }
+  if constexpr (kNewest) {
+    // lane k = lvl(k+1) @ plane x_begin-1 + (vl-1-k)s: the wedges' tips.
+    for (int k = 0; k < VL; ++k)
+      src[k] = lo(k + 1, x_begin - 1 + (VL - 1 - k) * s);
+    gather_slab(ring.newest(), src, pl);
   }
 
   // ---- steady loop ----------------------------------------------------------
+  alignas(64) T lanes[VL];
   for (int x = x_begin; x <= x_end; ++x) {
     fill_frame(ring, x + s, g, s, pl);
+    if constexpr (kNewest) {
+      // Lane k works on plane x + (vl-1-k)s, whose boundary cells give the
+      // newest values at the frame: west at z = 0, south on halo line 0.
+      for (int k = 0; k < VL; ++k) src[k] = Slab::of(g, x + (VL - 1 - k) * s);
+      if (pl.halo(0)) {
+        V* line = ring.newest().line(0);
+        for (int z = 0; z <= pl.n + 1; ++z) {
+          for (int k = 0; k < VL; ++k) lanes[k] = src[k].line(0)[z];
+          line[z] = V::load(lanes);
+        }
+      }
+    }
     // Bottom planes past the read cap are never consumed: clamp (tile.hpp).
     const Slab top = Slab::of(g, x);
     const Slab bot = Slab::of(g, std::min(x + VL * s, rows.read_cap));
     for (int y = pl.y0; y <= pl.y1; ++y) {
-      const LineWindow<V> w{ring.line(x - 1, y), ring.line(x, y),
-                            ring.line(x + 1, y), ring.line(x, y - 1),
-                            ring.line(x, y + 1)};
+      V* wl = kNewest ? ring.newest().line(y) : nullptr;
+      const LineWindow<V> w{
+          kNewest ? wl : ring.line(x - 1, y), ring.line(x, y),
+          ring.line(x + 1, y),
+          kNewest ? ring.newest().line(y - 1) : ring.line(x, y - 1),
+          ring.line(x, y + 1)};
       V* lout = ring.line(x + s, y);
       T* tline = top.line(y);
       const T* bline = bot.line(y);
@@ -193,21 +263,40 @@ void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
           lout[z] = simd::retire_shift_in(v, bline[z], &tline[z]);
         }
       } else {
+        // The output at z; a Gauss-Seidel one is also the next west operand
+        // and, in the newest slab, the back operand of iteration x+1.
+        V west{};
+        if constexpr (kNewest) {
+          for (int k = 0; k < VL; ++k) lanes[k] = src[k].line(y)[0];
+          west = V::load(lanes);
+        }
+        const auto out = [&](int z) -> V {
+          if constexpr (kNewest) {
+            west = f.apply(west, w, z);
+            wl[z] = west;
+            return west;
+          } else {
+            return f.apply(w, z);
+          }
+        };
+        // The group's last step is peeled: folded into the loop behind an
+        // `if (j != VL - 1)`, GCC no longer unrolls it for J3D7F and
+        // jacobi3d7 ran 11% slower.
         int z = 1;
         V wbuf[VL];
         for (; z + VL - 1 <= pl.n; z += VL) {
           V b = V::loadu(bline + z);
           for (int j = 0; j < VL - 1; ++j) {
-            wbuf[j] = f.apply(w, z + j);
+            wbuf[j] = out(z + j);
             lout[z + j] = simd::shift_in_low_v(wbuf[j], b);
             b = simd::dispense_low(b);
           }
-          wbuf[VL - 1] = f.apply(w, z + VL - 1);
+          wbuf[VL - 1] = out(z + VL - 1);
           lout[z + VL - 1] = simd::shift_in_low_v(wbuf[VL - 1], b);
           simd::collect_tops_arr(wbuf).storeu(tline + z);
         }
         for (; z <= pl.n; ++z) {
-          const V v = f.apply(w, z);
+          const V v = out(z);
           lout[z] = simd::shift_in_low(v, bline[z]);
           tline[z] = simd::top_lane(v);
         }
@@ -216,7 +305,8 @@ void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
   }
 
   // ---- flush surviving ring lanes into their levels -------------------------
-  for (int p = x_end; p <= x_end + s; ++p) flush_slab(ring, p, rows, s, hi, pl);
+  for (int p = x_end + 1 - lag; p <= x_end + s; ++p)
+    flush_slab(ring, p, rows, s, hi, pl);
 
   // ---- right wedges (levels ascending; the final level writes to the base
   // grid last so level 1 can still read lvl0) ---------------------------------
@@ -225,19 +315,18 @@ void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
                   rows.xr(l));
 }
 
-// Advance g by `steps` time steps: vl per tile plus a scalar residual.
+// Advance g by `steps` time steps (Gauss-Seidel sweeps): vl per tile plus a
+// scalar residual.
 template <class V, bool Re = false, class F, class G>
 void tv_plane_run(const F& f, G& g, long steps, int s) {
   static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
   constexpr int VL = V::lanes;
-  const PlaneShape pl = plane_shape(g);
   const auto rows = TileRows<VL>::full(g.nx(), F::radius);
   long t = 0;
   if (rows.vector_ok(s) && steps >= VL) {
-    SlabRing<V> ring;  // s+2 slabs of input vectors
+    SlabRing<V> ring;
     EdgePlanes<typename V::value_type> planes;  // levels 1..vl-1 at the edges
-    ring.prepare(s + 2, pl);
-    planes.prepare(VL, s, g.nx(), pl);
+    planes.prepare(VL, s, g.nx(), plane_shape(g));
     planes.copy_frames(g);
     for (; t + VL <= steps; t += VL)
       tv_plane_tile<V, Re>(f, g, planes, ring, rows, s);

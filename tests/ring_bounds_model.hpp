@@ -9,22 +9,25 @@
 // out-of-bounds access for a given (vl, radius/pad, stride) fails the
 // enclosing static_assert - a build break, not a runtime fault.
 //
-// The 1D models mirror, line for line, the index arithmetic of the one
-// tile walk each family has, with the steady interval taken from the same
-// tv::TileRows the engines use:
-//   jacobi1d   tv1d_tile in src/tv/tv1d_impl.hpp      (ring period M = s + R)
-//   gs1d       tv_gs1d_tile in src/tv/tv_gs1d_impl.hpp (M = s)
+// The models mirror, line for line, the index arithmetic of the one tile
+// walk each geometry has, and take the ring's west lag and period from
+// the definitions the tiles use (tv::west_lag, tv::line_ring_period,
+// tv::slab_ring_period in src/tv/ring.hpp), with the steady interval from
+// the same tv::TileRows:
+//   jacobi1d   tv1d_tile in src/tv/tv1d_impl.hpp, Jacobi functor
+//              (lag R, ring period M = s + R)
+//   gs1d       the same tile, Gauss-Seidel functor (lag 0, M = s)
 // Each is traced on the flat engine's rows (the whole line) and on the
 // sloped, clipped rows of the tiled drivers that instantiate the same
 // tile: diamond trapezoids (tiling/diamond.cpp, edges +-R per level) for
 // jacobi1d, parallelograms (tiling/parallelogram.cpp, edges -1 per level)
 // for gs1d.
-//   rowring    the slab rings of the two plane tiles, one model for 2D
-//              and 3D (a 2D row is a one-line plane): tv_plane_tile in
-//              src/tv/tv_plane_impl.hpp (flat and diamond, pad 2) and
-//              tv_gs_plane_tile in src/tv/tv_gs_plane_impl.hpp (flat and
-//              parallelogram, pad 1); M = s + pad slabs allocated
-//              dynamically, so only the [0, M) slot bound applies
+//   rowring    the slab ring of the one plane tile, tv_plane_tile in
+//              src/tv/tv_plane_impl.hpp, for 2D and 3D (a 2D row is a
+//              one-line plane): pad = lag + 1 = 2 for Jacobi and Life
+//              (flat and diamond), 1 for Gauss-Seidel (flat and
+//              parallelogram); M = s + pad slabs allocated dynamically,
+//              so only the [0, M) slot bound applies
 // If an engine's ring walk changes shape, change the model in the same
 // commit - the static gate is only as honest as this correspondence.
 #pragma once
@@ -49,25 +52,25 @@ constexpr bool touch(int slot, int M) {
   return true;
 }
 
-// The shared 1D tile walk over `rows`.  Jacobi (Gs = false): gather
-// positions [x_begin - R, x_begin + s - 1], a steady loop whose window
-// walks 2R+1 consecutive slots per output, and a flush over
-// [x_end + 1 - R, x_end + s].  Gauss-Seidel (Gs = true): gather
-// [x_begin, x_begin + s - 1], a steady loop touching the center slot and
-// its east neighbour, flush [x_end + 1, x_end + s].  A tile whose steady
-// interval is too short runs all-scalar and never touches the ring.
+// The 1D tile walk over `rows`, for a Jacobi (Gs = false) or Gauss-Seidel
+// (Gs = true) functor of radius R: gather positions
+// [x_begin - lag, x_begin + s - 1], a steady loop whose window walks the
+// R + lag + 1 consecutive ring slots from position x - lag per output (the
+// Gauss-Seidel west operands are registers), and a flush over
+// [x_end + 1 - lag, x_end + s].  A tile whose steady interval is too short
+// runs all-scalar and never touches the ring.
 template <int VL, int R, bool Gs>
 constexpr bool check_tile1d(int s, const TileRows<VL>& rows) {
   if (!rows.vector_ok(s)) return true;
-  const int M = Gs ? s : s + R;
-  const int lag = Gs ? 0 : R;  // window reach west of the top position
+  constexpr int lag = tv::west_lag(R, Gs);
+  const int M = tv::line_ring_period(s, lag);
   const RingIndex rix(M);
   const int x_begin = rows.x_begin(s), x_end = rows.x_end(s);
   for (int p = x_begin - lag; p <= x_begin + s - 1; ++p) touch(rix.slot(p), M);
   int ib = rix.slot(x_begin - lag);
   for (int x = x_begin; x <= x_end; ++x) {
     int iw = ib;
-    for (int k = 0; k <= (Gs ? 1 : 2 * R); ++k) {
+    for (int k = 0; k <= R + lag; ++k) {
       touch(iw, M);
       iw = rix.inc(iw);
     }
@@ -117,15 +120,21 @@ constexpr bool check_gs1d(int s, int /*base*/) {
              s, Rows::sloped(W + 1, nx + VL, -1, -1, nx, R));
 }
 
-// Plane-tile slab rings: M = s + pad slabs, slot = RingIndex(M).slot(p) for
-// plane positions p from (possibly negative, diamond) tile bases up to a
-// few periods out.  Storage is allocated at exactly M rows, so the only
-// invariant is slot in [0, M) for every p the engines form.
+// Plane-tile slab rings: M = s + lag + 1 slabs, slot = RingIndex(M).slot(p)
+// for plane positions p from (possibly negative, diamond) tile bases up to
+// a few periods out.  Storage is allocated at exactly M slabs (plus the
+// Gauss-Seidel newest slab, addressed apart), so the only invariant is
+// slot in [0, M) for every p the engines form.  PAD, the matrix's ring
+// parameter, names the family: it is lag + 1 for one of the two lags.
 template <int VL, int PAD>
 constexpr bool check_rowring(int s, int base) {
-  const int M = s + PAD;
+  constexpr bool gs = PAD == tv::west_lag(1, true) + 1;
+  static_assert(gs || PAD == tv::west_lag(1, false) + 1,
+                "a plane ring's pad is its west lag + 1");
+  constexpr int lag = tv::west_lag(1, gs);
+  const int M = tv::slab_ring_period(s, lag);
   const RingIndex rix(M);
-  for (int p = base - (VL - 1) * s - PAD; p <= base + VL * s + M; ++p) {
+  for (int p = base - (VL - 1) * s - lag - 1; p <= base + VL * s + M; ++p) {
     const int slot = rix.slot(p);
     (void)checked_index(slot, 0, M - 1);
   }

@@ -8,7 +8,8 @@
 
 #include "stencil/reference1d.hpp"
 #include "tv/tv_gs1d.hpp"
-#include "tv/tv_gs1d_impl.hpp"
+#include "tv/functors1d.hpp"
+#include "tv/tv1d_impl.hpp"
 
 namespace {
 
@@ -46,7 +47,8 @@ TEST_P(TvGs1dSweep, ScalarBackendMatchesOracleExactly) {
   Grid ref = make_random(nx, 500u + static_cast<unsigned>(nx)), got(nx);
   copy(ref, got);
   stencil::gs1d3_run(c, ref, sweeps);
-  tv::tv_gs1d_run_impl<simd::ScalarVec<double, 4>>(c, got, sweeps, s);
+  using V = simd::ScalarVec<double, 4>;
+  tv::tv1d_run<V>(tv::Gs1D3F<V>(c), got, sweeps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " sweeps=" << sweeps << " s=" << s;
 }

@@ -10,7 +10,9 @@
 // without needing AVX-512 hardware.
 //
 // Sizes are chosen so the vector pipeline engages at the widest tested
-// width (nx >= vl*s) AND so short-grid scalar fallbacks are covered.
+// width (nx >= vl*s) AND so short-grid scalar fallbacks are covered.  The
+// Jacobi and Gauss-Seidel cases also run every step count in 1 .. 2vl+1:
+// residual-only, exact-tile and tile-plus-residual runs of the one tile.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -27,8 +29,6 @@
 #include "tv/functors2d.hpp"
 #include "tv/functors3d.hpp"
 #include "tv/tv1d_impl.hpp"
-#include "tv/tv_gs1d_impl.hpp"
-#include "tv/tv_gs_plane_impl.hpp"
 #include "tv/tv_lcs_impl.hpp"
 #include "tv/tv_plane_impl.hpp"
 
@@ -40,6 +40,13 @@ template <int N>
 using SD = simd::ScalarVec<double, N>;
 template <int N>
 using SI = simd::ScalarVec<std::int32_t, N>;
+
+// Runs check(steps) for steps = 1 .. 2vl+1, then for the case's own count.
+template <class V, class Check>
+void each_steps(long own, const Check& check) {
+  for (long t = 1; t <= 2L * V::lanes + 1; ++t) check(t);
+  check(own);
+}
 
 grid::Grid1D<double> random1d(int nx, unsigned seed) {
   std::mt19937_64 rng(seed);
@@ -94,8 +101,11 @@ TEST(WidthProperty, TvJacobi1D) {
   for (const auto& [nx, steps, s] :
        {std::tuple{200, 9, 7}, std::tuple{200, 16, 3}, std::tuple{45, 9, 2},
         std::tuple{13, 6, 3}}) {
-    check_tv1d<SD<4>>(nx, steps, s, 101u + static_cast<unsigned>(nx));
-    check_tv1d<SD<8>>(nx, steps, s, 101u + static_cast<unsigned>(nx));
+    const unsigned seed = 101u + static_cast<unsigned>(nx);
+    each_steps<SD<4>>(steps,
+                      [&](long t) { check_tv1d<SD<4>>(nx, t, s, seed); });
+    each_steps<SD<8>>(steps,
+                      [&](long t) { check_tv1d<SD<8>>(nx, t, s, seed); });
   }
 }
 
@@ -107,7 +117,7 @@ void check_gs1d(int nx, long sweeps, int s, unsigned seed) {
   auto ref = random1d(nx, seed);
   auto got = random1d(nx, seed);
   stencil::gs1d3_run(c, ref, sweeps);
-  tv::tv_gs1d_run_impl<V>(c, got, sweeps, s);
+  tv::tv1d_run<V>(tv::Gs1D3F<V>(c), got, sweeps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx << " sweeps=" << sweeps
       << " s=" << s;
@@ -117,8 +127,11 @@ TEST(WidthProperty, TvGs1D) {
   for (const auto& [nx, sweeps, s] :
        {std::tuple{150, 10, 3}, std::tuple{150, 13, 2}, std::tuple{40, 8, 2},
         std::tuple{9, 5, 2}}) {
-    check_gs1d<SD<4>>(nx, sweeps, s, 201u + static_cast<unsigned>(nx));
-    check_gs1d<SD<8>>(nx, sweeps, s, 201u + static_cast<unsigned>(nx));
+    const unsigned seed = 201u + static_cast<unsigned>(nx);
+    each_steps<SD<4>>(sweeps,
+                      [&](long t) { check_gs1d<SD<4>>(nx, t, s, seed); });
+    each_steps<SD<8>>(sweeps,
+                      [&](long t) { check_gs1d<SD<8>>(nx, t, s, seed); });
   }
 }
 
@@ -155,8 +168,11 @@ TEST(WidthProperty, TvJacobi2D) {
   for (const auto& [nx, ny, steps, s] :
        {std::tuple{40, 18, 9, 2}, std::tuple{48, 10, 17, 2},
         std::tuple{50, 9, 8, 3}, std::tuple{15, 9, 9, 2}}) {
-    check_tv2d<SD<4>>(nx, ny, steps, s, 301u + static_cast<unsigned>(nx));
-    check_tv2d<SD<8>>(nx, ny, steps, s, 301u + static_cast<unsigned>(nx));
+    const unsigned seed = 301u + static_cast<unsigned>(nx);
+    each_steps<SD<4>>(steps,
+                      [&](long t) { check_tv2d<SD<4>>(nx, ny, t, s, seed); });
+    each_steps<SD<8>>(steps,
+                      [&](long t) { check_tv2d<SD<8>>(nx, ny, t, s, seed); });
   }
 }
 
@@ -181,8 +197,11 @@ TEST(WidthProperty, TvJacobi3D) {
   for (const auto& [nx, ny, nz, steps] :
        {std::tuple{36, 8, 8, 9}, std::tuple{40, 6, 10, 17},
         std::tuple{14, 6, 6, 9}}) {
-    check_tv3d<SD<4>>(nx, ny, nz, steps, 2, 401u + static_cast<unsigned>(nx));
-    check_tv3d<SD<8>>(nx, ny, nz, steps, 2, 401u + static_cast<unsigned>(nx));
+    const unsigned seed = 401u + static_cast<unsigned>(nx);
+    each_steps<SD<4>>(
+        steps, [&](long t) { check_tv3d<SD<4>>(nx, ny, nz, t, 2, seed); });
+    each_steps<SD<8>>(
+        steps, [&](long t) { check_tv3d<SD<8>>(nx, ny, nz, t, 2, seed); });
   }
 }
 
@@ -194,7 +213,7 @@ void check_gs2d(int nx, int ny, long sweeps, int s, unsigned seed) {
   auto ref = random2d(nx, ny, seed);
   auto got = random2d(nx, ny, seed);
   stencil::gs2d5_run(c, ref, sweeps);
-  tv::tv_gs_plane_run<V>(tv::Gs2D5F<V>(c), got, sweeps, s);
+  tv::tv_plane_run<V>(tv::Gs2D5F<V>(c), got, sweeps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
 }
@@ -203,8 +222,11 @@ TEST(WidthProperty, TvGs2D) {
   for (const auto& [nx, ny, sweeps, s] :
        {std::tuple{40, 12, 6, 2}, std::tuple{52, 9, 10, 3},
         std::tuple{14, 8, 5, 2}}) {
-    check_gs2d<SD<4>>(nx, ny, sweeps, s, 501u + static_cast<unsigned>(nx));
-    check_gs2d<SD<8>>(nx, ny, sweeps, s, 501u + static_cast<unsigned>(nx));
+    const unsigned seed = 501u + static_cast<unsigned>(nx);
+    each_steps<SD<4>>(sweeps,
+                      [&](long t) { check_gs2d<SD<4>>(nx, ny, t, s, seed); });
+    each_steps<SD<8>>(sweeps,
+                      [&](long t) { check_gs2d<SD<8>>(nx, ny, t, s, seed); });
   }
 }
 
@@ -214,7 +236,7 @@ void check_gs3d(int nx, int ny, int nz, long sweeps, int s, unsigned seed) {
   auto ref = random3d(nx, ny, nz, seed);
   auto got = random3d(nx, ny, nz, seed);
   stencil::gs3d7_run(c, ref, sweeps);
-  tv::tv_gs_plane_run<V>(tv::Gs3D7F<V>(c), got, sweeps, s);
+  tv::tv_plane_run<V>(tv::Gs3D7F<V>(c), got, sweeps, s);
   ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "vl=" << V::lanes << " nx=" << nx;
 }
@@ -223,8 +245,11 @@ TEST(WidthProperty, TvGs3D) {
   for (const auto& [nx, ny, nz, sweeps] :
        {std::tuple{36, 8, 8, 5}, std::tuple{40, 6, 6, 9},
         std::tuple{12, 6, 6, 5}}) {
-    check_gs3d<SD<4>>(nx, ny, nz, sweeps, 2, 601u + static_cast<unsigned>(nx));
-    check_gs3d<SD<8>>(nx, ny, nz, sweeps, 2, 601u + static_cast<unsigned>(nx));
+    const unsigned seed = 601u + static_cast<unsigned>(nx);
+    each_steps<SD<4>>(
+        sweeps, [&](long t) { check_gs3d<SD<4>>(nx, ny, nz, t, 2, seed); });
+    each_steps<SD<8>>(
+        sweeps, [&](long t) { check_gs3d<SD<8>>(nx, ny, nz, t, 2, seed); });
   }
 }
 

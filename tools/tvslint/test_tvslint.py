@@ -82,6 +82,26 @@ class LineRuleFixtures(unittest.TestCase):
         self.assertEqual((code, findings), (0, []))
 
 
+class SummaryLineCount(unittest.TestCase):
+    def test_counts_code_lines_under_src_only(self):
+        # count.cpp holds blank lines, // and /* */ comments (whole-line,
+        # trailing, leading, inline) and comment markers inside string
+        # literals: 5 code lines.  The tests/ file is outside src/.
+        tree = fixture("linecount")
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = tvslint.main([
+                "--repo", tree, "--mode", "regex", "--rules", "R1",
+                os.path.join(tree, "src", "count.cpp"),
+                os.path.join(tree, "tests", "outside.cpp"),
+            ])
+        self.assertEqual(code, 0)
+        self.assertIn(
+            "2 files, 0 violation(s), 5 non-blank non-comment lines under "
+            "src/", err.getvalue())
+
+
 class R5RegistryFixture(unittest.TestCase):
     def test_r5_tree_reports_exactly_the_seeded_drift(self):
         tree = fixture("r5_tree")

@@ -273,6 +273,12 @@ LANE_CTX_RE = re.compile(r"\b(?:lanes|vl|VL|ring|slot)\b")
 LANE_EXEMPT_RE = re.compile(r"static_assert|if\s+constexpr")
 
 
+def code_lines(sf: SourceFile) -> int:
+    """Non-blank lines of the comment-stripped scan view: the code size
+    the summary line reports for src/."""
+    return sum(1 for text in sf.scan_lines if text.strip())
+
+
 def norm(path: str) -> str:
     return path.replace(os.sep, "/")
 
@@ -603,7 +609,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             extras.append(
                 f"R3 objects checked={r3_checked}" if r3_checked is not None
                 else "R3 skipped (no --objects)")
-        print(f"tvslint: {len(files)} files, {len(violations)} violation(s) "
+        src_lines = sum(code_lines(sf) for rel, sf in files.items()
+                        if rel.startswith("src/"))
+        print(f"tvslint: {len(files)} files, {len(violations)} violation(s), "
+              f"{src_lines} non-blank non-comment lines under src/ "
               f"[{', '.join(extras)}]", file=sys.stderr)
     return 1 if violations else 0
 
