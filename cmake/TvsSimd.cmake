@@ -22,6 +22,7 @@
 #                           which forced-backend CTest variants to register,
 #                           never to drop a backend from the build
 #   TVS_FP_FLAGS            FP-determinism flags (see below)
+#   TVS_KERNEL_INLINE_FLAGS the kernel TUs' inlining budget (see below)
 
 include(CheckCXXCompilerFlag)
 
@@ -177,6 +178,24 @@ if(TVS_COMPILER_HAS_FP_CONTRACT)
   set(TVS_FP_FLAGS -ffp-contract=off)
 else()
   set(TVS_FP_FLAGS "")
+endif()
+
+# ---- kernel inlining budget -------------------------------------------------
+# GCC caps the inlining growth of a translation unit larger than
+# large-unit-insns at inline-unit-growth percent (default 40).  One kernel
+# TU instantiates every engine of its dimension (tv/tv2d.cpp: 11 per SIMD
+# backend, 22 on the scalar one), so the default cap binds and leaves hot
+# helpers of some instantiations out of line; in tv/tv2d.cpp that was the
+# per-point operand lambda of the plane residual, and jacobi2d9 f32 and
+# Life ran 25-30x slower.  Raised far enough that only the per-function
+# limits decide, as they do in a TU holding one engine (200 already clears
+# the engine TUs; at 1000 no kernel TU reaches it).
+check_cxx_compiler_flag("--param=inline-unit-growth=1000"
+                        TVS_COMPILER_HAS_INLINE_UNIT_GROWTH)
+if(TVS_COMPILER_HAS_INLINE_UNIT_GROWTH)
+  set(TVS_KERNEL_INLINE_FLAGS --param=inline-unit-growth=1000)
+else()
+  set(TVS_KERNEL_INLINE_FLAGS "")
 endif()
 
 message(STATUS "TVS SIMD: compiled backends = scalar"

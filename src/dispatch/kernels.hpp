@@ -77,10 +77,11 @@ inline constexpr std::string_view kTvJacobi1D5 = "tv_jacobi1d5";
 inline constexpr std::string_view kTvJacobi2D5 = "tv_jacobi2d5";
 inline constexpr std::string_view kTvJacobi2D9 = "tv_jacobi2d9";
 inline constexpr std::string_view kTvJacobi3D7 = "tv_jacobi3d7";
-// Redundancy-eliminated engine variants (tv*_re.cpp, the engines' Re = true
-// steady loop): one-shuffle
-// reorganization + register-carried window operands, bit-identical results.
-// Same signatures as the baseline ids — callers switch ids, not types.
+// Redundancy-eliminated engine variants (the engines' Re = true steady
+// loop, registered beside the baseline ids in tv1d/tv2d/tv3d.cpp):
+// one-shuffle reorganization + register-carried window operands,
+// bit-identical results.  Same signatures as the baseline ids — callers
+// switch ids, not types.
 inline constexpr std::string_view kTvJacobi1D3Re = "tv_jacobi1d3_re";
 inline constexpr std::string_view kTvJacobi1D5Re = "tv_jacobi1d5_re";
 inline constexpr std::string_view kTvJacobi2D5Re = "tv_jacobi2d5_re";

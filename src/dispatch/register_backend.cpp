@@ -19,14 +19,7 @@
 TVS_DECLARE_MODULE(tv1d);
 TVS_DECLARE_MODULE(tv2d);
 TVS_DECLARE_MODULE(tv3d);
-TVS_DECLARE_MODULE(tv1d_re);
-TVS_DECLARE_MODULE(tv2d_re);
-TVS_DECLARE_MODULE(tv3d_re);
-TVS_DECLARE_MODULE(tv_gs1d);
-TVS_DECLARE_MODULE(tv_gs2d);
-TVS_DECLARE_MODULE(tv_gs3d);
 TVS_DECLARE_MODULE(tv_lcs);
-TVS_DECLARE_MODULE(tv_life);
 TVS_DECLARE_MODULE(autovec1d);
 TVS_DECLARE_MODULE(autovec2d);
 TVS_DECLARE_MODULE(autovec3d);
@@ -47,14 +40,7 @@ extern "C" __attribute__((visibility("default"))) void TVS_BACKEND_ENTRY_NAME(
   TVS_KREG_NAME(tv1d)(r);
   TVS_KREG_NAME(tv2d)(r);
   TVS_KREG_NAME(tv3d)(r);
-  TVS_KREG_NAME(tv1d_re)(r);
-  TVS_KREG_NAME(tv2d_re)(r);
-  TVS_KREG_NAME(tv3d_re)(r);
-  TVS_KREG_NAME(tv_gs1d)(r);
-  TVS_KREG_NAME(tv_gs2d)(r);
-  TVS_KREG_NAME(tv_gs3d)(r);
   TVS_KREG_NAME(tv_lcs)(r);
-  TVS_KREG_NAME(tv_life)(r);
   TVS_KREG_NAME(autovec1d)(r);
   TVS_KREG_NAME(autovec2d)(r);
   TVS_KREG_NAME(autovec3d)(r);

@@ -12,11 +12,6 @@ namespace tvs::solver {
 
 namespace {
 
-// Stride cap of the parallelogram drivers: tiling/parallelogram*.cpp clamp
-// s to [2, 12] before running the Gauss-Seidel engine tile
-// (tv/tv_gs*_impl.hpp) on each parallelogram.
-constexpr int kMaxParallelogramStride = 12;
-
 int parse_int_value(std::string_view clause, std::string_view value) {
   int out = 0;
   const char* first = value.data();
@@ -30,13 +25,10 @@ int parse_int_value(std::string_view clause, std::string_view value) {
   return out;
 }
 
-// True for the families that register a redundancy-eliminated engine
-// (the five Jacobi ids; the Gauss-Seidel/Life/LCS engines have no re
-// counterpart).
+// True for the families that register a redundancy-eliminated engine:
+// those whose serial id changes with the variant (the five Jacobi ids).
 bool family_has_re_variant(Family f) {
-  return f == Family::kJacobi1D3 || f == Family::kJacobi1D5 ||
-         f == Family::kJacobi2D5 || f == Family::kJacobi2D9 ||
-         f == Family::kJacobi3D7;
+  return serial_kernel_id(f, Variant::kRe) != serial_kernel_id(f, Variant::kTv);
 }
 
 // Band height rounded down to a multiple of `unit`, clamped to the number
@@ -141,6 +133,10 @@ std::string_view tiled_kernel_id(Family f) {
 }
 
 bool family_has_tiled_path(Family f) { return f != Family::kJacobi1D5; }
+
+bool family_is_gauss_seidel(Family f) {
+  return f == Family::kGs1D3 || f == Family::kGs2D5 || f == Family::kGs3D7;
+}
 
 ExecutionPlan heuristic_plan(const StencilProblem& p) {
   ExecutionPlan plan;
@@ -308,11 +304,9 @@ void validate_plan(const StencilProblem& p, const ExecutionPlan& plan) {
   // §3.2 stride legality, checked once for the whole solve.  The 1D
   // temporal engines additionally cap the stride at their ring capacity.
   const std::vector<stencil::Dep> deps = family_deps(p.family);
-  const bool has_ring_cap = p.family == Family::kJacobi1D3 ||
-                            p.family == Family::kJacobi1D5 ||
-                            p.family == Family::kGs1D3;
-  stencil::require_legal_stride(where, deps, plan.stride,
-                                has_ring_cap ? tv::kMaxStride : 0);
+  stencil::require_legal_stride(
+      where, deps, plan.stride,
+      family_dim(p.family) == 1 ? tv::kMaxStride : 0);
   if (p.family == Family::kLcs && plan.stride != 1) {
     throw Error(Errc::kBadStride,
                 where +
@@ -390,15 +384,13 @@ void validate_plan(const StencilProblem& p, const ExecutionPlan& plan) {
                       std::to_string(plan.tile_h) + ")",
                   p.signature());
     }
-    const bool parallelogram = p.family == Family::kGs1D3 ||
-                               p.family == Family::kGs2D5 ||
-                               p.family == Family::kGs3D7;
-    if (parallelogram && plan.stride > kMaxParallelogramStride) {
+    if (family_is_gauss_seidel(p.family) &&
+        plan.stride > tiling::kMaxParallelogramStride) {
       throw Error(Errc::kBadStride,
                   where + ": stride " + std::to_string(plan.stride) +
                       " exceeds the parallelogram tile kernel's ring "
                       "capacity (max " +
-                      std::to_string(kMaxParallelogramStride) + ")",
+                      std::to_string(tiling::kMaxParallelogramStride) + ")",
                   p.signature());
     }
   }

@@ -36,13 +36,13 @@ std::string_view path_name(Path p);
 
 // Which temporal-engine generation runs on the serial path.  kRe is the
 // redundancy-eliminated variant (the Re steady loop of tv1d_tile /
-// tv_plane_tile, registered by the tv*_re.cpp TUs): one reorganization
+// tv_plane_tile, registered under the *_re ids): one reorganization
 // shuffle per produced vector plus register-carried window operands,
 // bit-identical results.  Registered for the five Jacobi families only;
 // the tiled drivers ignore it.
 enum class Variant : int {
-  kTv = 0,  // baseline temporal engines (tv*_impl.hpp)
-  kRe = 1,  // redundancy-eliminated engines (Re = true, tv*_re.cpp)
+  kTv = 0,  // baseline temporal engines (Re = false)
+  kRe = 1,  // redundancy-eliminated engines (Re = true, the *_re ids)
 };
 
 std::string_view variant_name(Variant v);
@@ -104,6 +104,10 @@ void validate_plan(const StencilProblem& p, const ExecutionPlan& plan);
 // True when the family has a parallel tiling driver (everything except
 // Jacobi 1D5P, which only has the serial temporal engine).
 bool family_has_tiled_path(Family f);
+
+// True for the Gauss-Seidel families, whose tiled driver is a parallelogram
+// wavefront that runs in place (capped at tiling::kMaxParallelogramStride).
+bool family_is_gauss_seidel(Family f);
 
 // The registry id of the family's serial temporal engine (kRe swaps in the
 // redundancy-eliminated engine of a Jacobi family; the other families

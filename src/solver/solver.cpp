@@ -91,10 +91,6 @@ Opt tiled_options(const ExecutionPlan& plan, const tiling::StageExec* ex) {
   return opt;
 }
 
-bool is_gauss_seidel(Family f) {
-  return f == Family::kGs1D3 || f == Family::kGs2D5 || f == Family::kGs3D7;
-}
-
 // Runs p.steps steps of the payload (c, u) on the planned path.  The
 // serial path calls the temporal engine; the tiled path calls the
 // parallelogram driver in place (Gauss-Seidel) or the diamond driver on a
@@ -111,7 +107,7 @@ void route(const StencilProblem& p, const ExecutionPlan& plan,
   }
   const ThreadScope scope(ex != nullptr ? 1 : p.threads);
   const std::string_view id = tiled_kernel_id(p.family);
-  if (is_gauss_seidel(p.family)) {
+  if (family_is_gauss_seidel(p.family)) {
     using Opt = typename TiledOptions<G>::Parallelogram;
     resolve<void(const C&, G&, long, const Opt&)>(plan, id, dt)(
         c, u, p.steps, tiled_options<Opt>(plan, ex));

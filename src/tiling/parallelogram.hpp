@@ -28,6 +28,12 @@
 
 namespace tvs::tiling {
 
+// Stride cap of every parallelogram driver (1D, 2D and 3D): the wavefront
+// schedule clamps s to [2, kMaxParallelogramStride] before running the
+// Gauss-Seidel engine tile on each parallelogram, and the planner rejects
+// larger pinned strides.
+inline constexpr int kMaxParallelogramStride = 12;
+
 struct Parallelogram1DOptions {
   int width = 2048;  // tile width W (paper Table 1)
   int height = 64;   // band height (sweeps per band)

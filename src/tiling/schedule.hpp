@@ -14,6 +14,7 @@
 
 #include <algorithm>
 
+#include "tiling/parallelogram.hpp"
 #include "tiling/stage_exec.hpp"
 #include "tv/tile.hpp"
 
@@ -114,7 +115,7 @@ void diamond_schedule(const Opt& opt, int s, int nx, long steps,
 template <int VL, class Opt, class Tile, class Residual>
 void wavefront_schedule(const Opt& opt, int nx, long sweeps, Tile&& tile,
                         Residual&& residual) {
-  const int s = std::clamp(opt.stride, 2, 12);
+  const int s = std::clamp(opt.stride, 2, kMaxParallelogramStride);
   // Band height: multiple of vl, at least s+vl so a tile's base-row
   // footprint stays within the two band-(bt-1) tiles it depends on.
   const int H =

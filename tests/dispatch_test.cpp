@@ -7,9 +7,12 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <map>
 #include <random>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "dispatch/backend.hpp"
@@ -167,15 +170,22 @@ TEST(Registry, Avx512CoversEveryKernelNatively) {
   }
 }
 
+// Every FP temporal engine id, the redundancy-eliminated ones included.
+constexpr std::string_view kFpTvIds[] = {
+    dispatch::kTvJacobi1D3,   dispatch::kTvJacobi1D5,
+    dispatch::kTvJacobi2D5,   dispatch::kTvJacobi2D9,
+    dispatch::kTvJacobi3D7,   dispatch::kTvJacobi1D3Re,
+    dispatch::kTvJacobi1D5Re, dispatch::kTvJacobi2D5Re,
+    dispatch::kTvJacobi2D9Re, dispatch::kTvJacobi3D7Re,
+    dispatch::kTvGs1D3,       dispatch::kTvGs2D5,
+    dispatch::kTvGs3D7};
+
 TEST(Registry, WidthAxis) {
   const KernelRegistry& reg = KernelRegistry::instance();
   // Every double-typed temporal kernel resolves width-pinned at 4 and 8
   // lanes on any host (vl = 8 via the scalar backend when avx512 is
   // absent); the int32 kernels at 8 and 16.
-  for (std::string_view id :
-       {dispatch::kTvJacobi1D3, dispatch::kTvJacobi1D5, dispatch::kTvJacobi2D5,
-        dispatch::kTvJacobi2D9, dispatch::kTvJacobi3D7, dispatch::kTvGs1D3,
-        dispatch::kTvGs2D5, dispatch::kTvGs3D7}) {
+  for (std::string_view id : kFpTvIds) {
     EXPECT_EQ(reg.registered_widths(id, Backend::kAvx512),
               (std::vector<int>{4, 8}))
         << id;
@@ -195,15 +205,26 @@ TEST(Registry, WidthAxis) {
   // dispatch uses) must be the backend's NATIVE engine, not a width-pinned
   // extra — i.e. registrars register the native width first.  All widths
   // are bit-identical, so only this check catches an ordering regression.
-  EXPECT_EQ(reg.find(dispatch::kTvJacobi2D5, Backend::kScalar),
-            reg.find(dispatch::kTvJacobi2D5, Backend::kScalar, 4));
-  EXPECT_EQ(reg.find(dispatch::kTvLife, Backend::kScalar),
-            reg.find(dispatch::kTvLife, Backend::kScalar, 8));
-  if (reg.has_backend(Backend::kAvx512)) {
-    EXPECT_EQ(reg.find(dispatch::kTvJacobi2D5, Backend::kAvx512),
-              reg.find(dispatch::kTvJacobi2D5, Backend::kAvx512, 8));
-    EXPECT_EQ(reg.find(dispatch::kTvLife, Backend::kAvx512),
-              reg.find(dispatch::kTvLife, Backend::kAvx512, 16));
+  for (const Backend b : available_backends()) {
+    const int native_bytes = b == Backend::kAvx512 ? 64 : 32;
+    for (const std::string_view id : reg.kernel_ids()) {
+      if (!id.starts_with("tv_")) continue;
+      EXPECT_EQ(reg.find(id, b),
+                reg.find(id, b, dispatch::kAnyVl, reg.default_dtype(id)))
+          << id << " at " << dispatch::backend_name(b);
+      for (const dispatch::DType dt : reg.registered_dtypes(id, b)) {
+        const int native =
+            native_bytes / static_cast<int>(dispatch::dtype_size(dt));
+        const dispatch::AnyFn first = reg.find(id, b, dispatch::kAnyVl, dt);
+        EXPECT_NE(first, nullptr)
+            << id << " " << dispatch::dtype_name(dt) << " at "
+            << dispatch::backend_name(b);
+        EXPECT_EQ(first, reg.find(id, b, native, dt))
+            << id << " " << dispatch::dtype_name(dt) << " at "
+            << dispatch::backend_name(b) << ": first registration is not vl="
+            << native;
+      }
+    }
   }
   // A vl = 8 pin never resolves to the avx2 backend (no 8-wide double).
   if (reg.has_backend(Backend::kAvx2)) {
@@ -219,6 +240,44 @@ TEST(Registry, WidthAxis) {
   }
 }
 
+// The registry against the ring matrix (tools/tvslint/registry_matrix.json,
+// flattened into ring_combos.inc): every serial tv_* (dtype, vl) combination
+// the matrix declares resolves on the scalar backend, and the scalar
+// backend registers exactly the matrix's widths per (id, dtype).  A width
+// pin dropped from (or added to) a registrar fails here.
+struct RingCombo {
+  std::string_view id;
+  dispatch::DType dtype;
+  int vl;
+};
+
+constexpr RingCombo kRingCombos[] = {
+#define TVS_RING_COMBO(id, family, dtype, vl, param, stride) \
+  {#id, dispatch::DType::dtype, vl},
+#include "ring_combos.inc"
+#undef TVS_RING_COMBO
+};
+
+TEST(Registry, ScalarWidthsMatchRingMatrix) {
+  const KernelRegistry& reg = KernelRegistry::instance();
+  std::map<std::pair<std::string_view, dispatch::DType>, std::set<int>>
+      matrix;
+  for (const RingCombo& c : kRingCombos) {
+    if (c.id.starts_with("tv_")) matrix[{c.id, c.dtype}].insert(c.vl);
+  }
+  EXPECT_FALSE(matrix.empty());
+  for (const auto& [key, widths] : matrix) {
+    const auto& [id, dt] = key;
+    for (const int vl : widths) {
+      EXPECT_NE(reg.find(id, Backend::kScalar, vl, dt), nullptr)
+          << id << " " << dispatch::dtype_name(dt) << " vl=" << vl;
+    }
+    EXPECT_EQ(reg.registered_widths(id, Backend::kScalar, dt),
+              std::vector<int>(widths.begin(), widths.end()))
+        << id << " " << dispatch::dtype_name(dt);
+  }
+}
+
 // The dtype axis: every FP temporal kernel carries a float engine family
 // at doubled lane counts (8/16) next to the double one (4/8); the int32
 // kernels are tagged kI32.  Lookups without a dtype keep resolving the
@@ -227,10 +286,7 @@ TEST(Registry, WidthAxis) {
 TEST(Registry, DtypeAxis) {
   using dispatch::DType;
   const KernelRegistry& reg = KernelRegistry::instance();
-  for (std::string_view id :
-       {dispatch::kTvJacobi1D3, dispatch::kTvJacobi1D5, dispatch::kTvJacobi2D5,
-        dispatch::kTvJacobi2D9, dispatch::kTvJacobi3D7, dispatch::kTvGs1D3,
-        dispatch::kTvGs2D5, dispatch::kTvGs3D7}) {
+  for (std::string_view id : kFpTvIds) {
     EXPECT_EQ(reg.default_dtype(id), DType::kF64) << id;
     EXPECT_EQ(reg.registered_dtypes(id, Backend::kAvx512),
               (std::vector<DType>{DType::kF64, DType::kF32}))

@@ -22,8 +22,7 @@ namespace {
 using namespace tvs;
 
 // vl = 8 engines through the registry's width axis (the AVX-512 native
-// engines on an AVX-512 host, ScalarVec<double, 8> elsewhere) — the
-// tv2d_wide.hpp shim that used to wrap this lookup is gone.
+// engines on an AVX-512 host, ScalarVec<double, 8> elsewhere).
 template <class Fn>
 Fn* at_vl8(std::string_view id) {
   return dispatch::KernelRegistry::instance().get_at<Fn>(
