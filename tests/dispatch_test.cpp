@@ -7,12 +7,9 @@
 
 #include <algorithm>
 #include <cstdlib>
-#include <map>
 #include <random>
-#include <set>
 #include <stdexcept>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "dispatch/backend.hpp"
@@ -184,9 +181,14 @@ TEST(Registry, WidthAxis) {
   const KernelRegistry& reg = KernelRegistry::instance();
   // Every double-typed temporal kernel resolves width-pinned at 4 and 8
   // lanes on any host (vl = 8 via the scalar backend when avx512 is
-  // absent); the int32 kernels at 8 and 16.
+  // absent); the int32 kernels at 8 and 16.  The scalar backend registers
+  // exactly those widths (its native one and the wide pins), so a width
+  // pin dropped from or added to a registrar fails here.
   for (std::string_view id : kFpTvIds) {
     EXPECT_EQ(reg.registered_widths(id, Backend::kAvx512),
+              (std::vector<int>{4, 8}))
+        << id;
+    EXPECT_EQ(reg.registered_widths(id, Backend::kScalar),
               (std::vector<int>{4, 8}))
         << id;
     EXPECT_NE(reg.resolve_at(id, Backend::kScalar, 4), nullptr) << id;
@@ -198,6 +200,8 @@ TEST(Registry, WidthAxis) {
         << id;
     EXPECT_NE(reg.resolve_at(id, Backend::kScalar, 16), nullptr) << id;
   }
+  EXPECT_EQ(reg.registered_widths(dispatch::kTvLife, Backend::kScalar),
+            (std::vector<int>{8, 16}));
   // A pinned width that no engine was instantiated at is an error.
   EXPECT_THROW(reg.resolve_at(dispatch::kTvJacobi1D3, Backend::kAvx512, 16),
                std::runtime_error);
@@ -240,44 +244,6 @@ TEST(Registry, WidthAxis) {
   }
 }
 
-// The registry against the ring matrix (tools/tvslint/registry_matrix.json,
-// flattened into ring_combos.inc): every serial tv_* (dtype, vl) combination
-// the matrix declares resolves on the scalar backend, and the scalar
-// backend registers exactly the matrix's widths per (id, dtype).  A width
-// pin dropped from (or added to) a registrar fails here.
-struct RingCombo {
-  std::string_view id;
-  dispatch::DType dtype;
-  int vl;
-};
-
-constexpr RingCombo kRingCombos[] = {
-#define TVS_RING_COMBO(id, family, dtype, vl, param, stride) \
-  {#id, dispatch::DType::dtype, vl},
-#include "ring_combos.inc"
-#undef TVS_RING_COMBO
-};
-
-TEST(Registry, ScalarWidthsMatchRingMatrix) {
-  const KernelRegistry& reg = KernelRegistry::instance();
-  std::map<std::pair<std::string_view, dispatch::DType>, std::set<int>>
-      matrix;
-  for (const RingCombo& c : kRingCombos) {
-    if (c.id.starts_with("tv_")) matrix[{c.id, c.dtype}].insert(c.vl);
-  }
-  EXPECT_FALSE(matrix.empty());
-  for (const auto& [key, widths] : matrix) {
-    const auto& [id, dt] = key;
-    for (const int vl : widths) {
-      EXPECT_NE(reg.find(id, Backend::kScalar, vl, dt), nullptr)
-          << id << " " << dispatch::dtype_name(dt) << " vl=" << vl;
-    }
-    EXPECT_EQ(reg.registered_widths(id, Backend::kScalar, dt),
-              std::vector<int>(widths.begin(), widths.end()))
-        << id << " " << dispatch::dtype_name(dt);
-  }
-}
-
 // The dtype axis: every FP temporal kernel carries a float engine family
 // at doubled lane counts (8/16) next to the double one (4/8); the int32
 // kernels are tagged kI32.  Lookups without a dtype keep resolving the
@@ -294,6 +260,9 @@ TEST(Registry, DtypeAxis) {
     // Float engines: twice the lanes of the double family, resolvable on
     // every host (vl = 16 via the scalar backend when avx512 is absent).
     EXPECT_EQ(reg.registered_widths(id, Backend::kAvx512, DType::kF32),
+              (std::vector<int>{8, 16}))
+        << id;
+    EXPECT_EQ(reg.registered_widths(id, Backend::kScalar, DType::kF32),
               (std::vector<int>{8, 16}))
         << id;
     EXPECT_NE(reg.resolve_at(id, Backend::kScalar, 8, DType::kF32), nullptr)
