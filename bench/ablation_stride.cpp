@@ -5,12 +5,16 @@
 #include <string>
 
 #include "bench_util/bench.hpp"
-#include "tv/tv1d.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
 
 int main() {
   using namespace tvs;
   namespace b = tvs::bench;
   const stencil::C1D3 c = stencil::heat1d(0.25);
+  auto* const run =
+      dispatch::KernelRegistry::instance().get<dispatch::TvJacobi1D3Fn>(
+          dispatch::kTvJacobi1D3);
   b::print_title("Ablation  1D3P stride sweep (Gstencils/s)");
   b::print_header({"stride", "nx=2^10", "nx=2^16", "nx=2^21"});
   for (const int s : {2, 3, 5, 7, 9, 11}) {
@@ -22,7 +26,7 @@ int main() {
       grid::Grid1D<double> u(nx);
       for (int x = 0; x <= nx + 1; ++x) u.at(x) = 0.001 * (x % 89);
       row.push_back(b::fmt(b::measure_gstencils(
-          pts, [&] { tv::tv_jacobi1d3_run(c, u, steps, s); })));
+          pts, [&] { run(c, u, steps, s); })));
     }
     b::print_row(row);
   }

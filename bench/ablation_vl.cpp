@@ -5,10 +5,9 @@
 // future-work trade-off per kernel.
 //
 // The columns pin their engines through the registry's width axis
-// (reg.get_at(id, backend, vl)) instead of using the public entry points:
-// on an AVX-512 host the avx512 backend serves EVERY id with its vl = 8
-// engine, so a dispatched tv_jacobi*_run would silently measure vl = 8
-// against itself.  The backend ceiling is selected_backend(), so
+// (reg.get_at(id, backend, vl)) instead of a plain get(id): on an AVX-512
+// host the avx512 backend serves EVERY id with its vl = 8 engine, so an
+// unpinned lookup would silently measure vl = 8 against itself.  The backend ceiling is selected_backend(), so
 // TVS_FORCE_BACKEND pins this bench like everything else (matching the
 // backend stamp run_all.sh writes into the BENCH JSON): by default the
 // vl = 4 column resolves to the avx2 engine (scalar without AVX2) and the

@@ -8,9 +8,11 @@
 #include "baseline/autovec.hpp"
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
-#include "tiling/diamond.hpp"
+#include "tiling/pingpong_convert.hpp"
 
 int main() {
   using namespace tvs;
@@ -38,7 +40,12 @@ int main() {
   plan.tile_h = 128;
   const solver::Solver solve(prob, plan);
 
-  tiling::Diamond1DOptions sc;  // identical tiling, scalar tiles
+  // "tiled-auto": the registry's driver on the identical tiling with
+  // scalar tiles, run in place like a Grid-form solve.
+  auto* const tiled =
+      dispatch::KernelRegistry::instance().get<dispatch::DiamondJacobi1D3Fn>(
+          dispatch::kDiamondJacobi1D3);
+  tiling::Diamond1DOptions sc;
   sc.width = plan.tile_w;
   sc.height = plan.tile_h;
   sc.use_vector = false;
@@ -61,7 +68,11 @@ int main() {
         }},
        {"tiled-auto", [&](int) {
           return b::measure_gstencils(
-              pts, [&] { tiling::diamond_jacobi1d3_run(c, u, steps, sc); });
+              pts, [&] {
+                tiling::with_pingpong(u, steps, [&](auto& pp) {
+                  tiled(c, pp, steps, sc);
+                });
+              });
         }}});
   return 0;
 }

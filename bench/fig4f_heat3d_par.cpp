@@ -2,9 +2,11 @@
 #include "baseline/autovec.hpp"
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
-#include "tiling/diamond3d.hpp"
+#include "tiling/pingpong_convert.hpp"
 
 int main() {
   using namespace tvs;
@@ -39,7 +41,12 @@ int main() {
   plan.tile_h = 8;
   const solver::Solver solve(prob, plan);
 
-  tiling::Diamond3DOptions sc;  // identical tiling, scalar tiles
+  // "tiled-auto": the registry's driver on the identical tiling with
+  // scalar tiles, run in place like a Grid-form solve.
+  auto* const tiled =
+      dispatch::KernelRegistry::instance().get<dispatch::DiamondJacobi3D7Fn>(
+          dispatch::kDiamondJacobi3D7);
+  tiling::Diamond3DOptions sc;
   sc.width = plan.tile_w;
   sc.height = plan.tile_h;
   sc.use_vector = false;
@@ -59,7 +66,11 @@ int main() {
         }},
        {"tiled-auto", [&](int) {
           return b::measure_gstencils(
-              pts, [&] { tiling::diamond_jacobi3d7_run(c, u, steps, sc); });
+              pts, [&] {
+                tiling::with_pingpong(u, steps, [&](auto& pp) {
+                  tiled(c, pp, steps, sc);
+                });
+              });
         }}});
   return 0;
 }

@@ -2,9 +2,11 @@
 #include "baseline/autovec.hpp"
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
-#include "tiling/diamond2d.hpp"
+#include "tiling/pingpong_convert.hpp"
 
 int main() {
   using namespace tvs;
@@ -35,7 +37,12 @@ int main() {
   plan.tile_h = 32;
   const solver::Solver solve(prob, plan);
 
-  tiling::Diamond2DOptions sc;  // identical tiling, scalar tiles
+  // "tiled-auto": the registry's driver on the identical tiling with
+  // scalar tiles, run in place like a Grid-form solve.
+  auto* const tiled =
+      dispatch::KernelRegistry::instance().get<dispatch::DiamondLifeFn>(
+          dispatch::kDiamondLife);
+  tiling::Diamond2DOptions sc;
   sc.width = plan.tile_w;
   sc.height = plan.tile_h;
   sc.use_vector = false;
@@ -54,7 +61,11 @@ int main() {
         }},
        {"tiled-auto", [&](int) {
           return b::measure_gstencils(
-              pts, [&] { tiling::diamond_life_run(rule, u, steps, sc); });
+              pts, [&] {
+                tiling::with_pingpong(u, steps, [&](auto& pp) {
+                  tiled(rule, pp, steps, sc);
+                });
+              });
         }}});
   return 0;
 }

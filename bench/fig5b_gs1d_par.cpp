@@ -2,9 +2,10 @@
 // 2048 x 64 blocking.  `our` and `scalar` share the identical tiling.
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
-#include "tiling/parallelogram.hpp"
 
 int main() {
   using namespace tvs;
@@ -29,6 +30,9 @@ int main() {
   plan.tile_h = b::full_mode() ? 64 : 16;
   const solver::Solver solve(prob, plan);
 
+  auto* const tiled =
+      dispatch::KernelRegistry::instance().get<dispatch::ParallelogramGs1D3Fn>(
+          dispatch::kParallelogramGs1D3);
   tiling::Parallelogram1DOptions sc;  // identical tiling, scalar tiles
   sc.width = plan.tile_w;
   sc.height = plan.tile_h;
@@ -43,7 +47,7 @@ int main() {
         }},
        {"scalar", [&](int) {
           return b::measure_gstencils(pts, [&] {
-            tiling::parallelogram_gs1d3_run(c, u, sweeps, sc);
+            tiled(c, u, sweeps, sc);
           });
         }}});
   return 0;

@@ -2,9 +2,10 @@
 // Table 1: 128^2 x 32.
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
-#include "tiling/parallelogram2d.hpp"
 
 int main() {
   using namespace tvs;
@@ -30,6 +31,9 @@ int main() {
   plan.tile_h = b::full_mode() ? 32 : 8;
   const solver::Solver solve(prob, plan);
 
+  auto* const tiled =
+      dispatch::KernelRegistry::instance().get<dispatch::ParallelogramGs2D5Fn>(
+          dispatch::kParallelogramGs2D5);
   tiling::ParallelogramNDOptions sc;  // identical tiling, scalar tiles
   sc.width = plan.tile_w;
   sc.height = plan.tile_h;
@@ -44,7 +48,7 @@ int main() {
         }},
        {"scalar", [&](int) {
           return b::measure_gstencils(pts, [&] {
-            tiling::parallelogram_gs2d5_run(c, u, sweeps, sc);
+            tiled(c, u, sweeps, sc);
           });
         }}});
   return 0;

@@ -5,9 +5,10 @@
 
 #include "bench_util/bench.hpp"
 #include "common.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
-#include "tiling/lcs_wavefront.hpp"
 
 int main() {
   using namespace tvs;
@@ -31,6 +32,9 @@ int main() {
   const solver::Solver solve(prob, plan);
   const solver::Workload w(a, bseq);
 
+  auto* const tiled =
+      dispatch::KernelRegistry::instance().get<dispatch::LcsWavefrontFn>(
+          dispatch::kLcsWavefront);
   tiling::LcsWavefrontOptions sc;  // identical tiling, scalar DP rows
   sc.block = plan.tile_w;
   sc.band = plan.tile_h;
@@ -46,7 +50,7 @@ int main() {
         }},
        {"scalar", [&](int) {
           return b::measure_gstencils(
-              pts, [&] { sink = tiling::lcs_wavefront(a, bseq, sc); });
+              pts, [&] { sink = tiled(a, bseq, sc); });
         }}});
   (void)sink;
   return 0;

@@ -120,8 +120,8 @@ int main() {
 
   // --- Mixed large+small latency: does a small problem still return fast
   // while large tiled jobs occupy the pool?  Large jacobi2d5/f64 runs take
-  // the tiled-parallel path (decomposed into per-tile pool tasks when
-  // TVS_SERVE_DECOMPOSE is on); the small probes are sub-millisecond
+  // the tiled-parallel path (decomposed into per-tile pool tasks); the
+  // small probes are sub-millisecond
   // jacobi1d3 runs submitted one at a time while the big jobs are in
   // flight.  hint=off leaves the probes on the batch band, hint=on marks
   // them interactive so they bypass queued tile/batch work.

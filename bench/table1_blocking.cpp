@@ -6,8 +6,9 @@
 #include <string>
 
 #include "bench_util/bench.hpp"
-#include "tiling/diamond.hpp"
-#include "tiling/parallelogram.hpp"
+#include "dispatch/kernels.hpp"
+#include "dispatch/registry.hpp"
+#include "tiling/pingpong_convert.hpp"
 
 int main() {
   using namespace tvs;
@@ -39,6 +40,9 @@ int main() {
   grid::Grid1D<double> u(nx);
   for (int x = 0; x <= nx + 1; ++x) u.at(x) = 0.001 * (x % 101);
 
+  auto* const run =
+      dispatch::KernelRegistry::instance().get<dispatch::DiamondJacobi1D3Fn>(
+          dispatch::kDiamondJacobi1D3);
   b::print_title("Heat-1D diamond block search (24 threads, Gstencils/s)");
   b::print_header({"WxH", "rate"});
   for (int w = 2048; w <= 65536; w *= 2)
@@ -47,8 +51,10 @@ int main() {
       tiling::Diamond1DOptions opt;
       opt.width = w;
       opt.height = h;
-      const double r = b::measure_gstencils(
-          pts, [&] { tiling::diamond_jacobi1d3_run(c, u, steps, opt); });
+      const double r = b::measure_gstencils(pts, [&] {
+        tiling::with_pingpong(u, steps,
+                              [&](auto& pp) { run(c, pp, steps, opt); });
+      });
       b::print_row({std::to_string(w) + "x" + std::to_string(h), b::fmt(r)});
     }
   return 0;

@@ -6,10 +6,9 @@
 // looks the id up with `get<FnAlias>(id)`, so a signature mismatch between
 // producer and consumer is a compile error on the producer side.
 //
-// Ids follow the public entry-point names without the `_run` suffix where
-// one exists (`tv_jacobi1d3`, `diamond_jacobi2d5`, ...).  Function-pointer
-// types cannot carry default arguments; defaults live in the public
-// headers.
+// Ids name the module and the stencil (`tv_jacobi1d3`, `diamond_jacobi2d5`,
+// ...).  Function-pointer types carry no default arguments; the defaults
+// of a solve (stride, tile sizes) come from the planner (solver/plan.hpp).
 #pragma once
 
 #include <cstdint>

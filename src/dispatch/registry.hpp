@@ -1,5 +1,6 @@
 // KernelRegistry: the (kernel id, backend, vector length, dtype) ->
-// function pointer table behind every public `*_run` entry point.
+// function pointer table behind the Solver's router and the baseline
+// entry points.
 //
 // Layout of the dispatch subsystem:
 //
@@ -11,8 +12,8 @@
 //   * The common library (grids, references, dispatchers — this file's
 //     world) is compiled with no SIMD flags at all, so no illegal
 //     instruction can leak into code that runs before backend selection.
-//   * Public entry points look their implementation up by id at first call
-//     (`get<Fn>(id)`), honouring selected_backend().
+//   * Callers look an implementation up by id (`get<Fn>(id)`, honouring
+//     selected_backend(), or `get_at` at a planned backend/width/dtype).
 //
 // The vector length is a first-class registry axis: every temporal kernel
 // registers with the lane count it was instantiated at (its backend's

@@ -11,19 +11,17 @@ namespace tvs::serve {
 solver::Future<solver::RunResult> submit_on(ThreadPool& pool,
                                             solver::Solver s,
                                             solver::Workload w) {
-  // Admission: interactive workloads (and any workload with a deadline)
-  // go to the interactive band, drained before batch work on both pop
-  // and steal.  A hint only — results never depend on it.
-  const Band band = (w.priority() == solver::Priority::kInteractive ||
-                     w.deadline_micros() > 0)
+  // Admission: interactive workloads go to the interactive band, drained
+  // before batch work on both pop and steal.  A hint only — results never
+  // depend on it.
+  const Band band = w.priority() == solver::Priority::kInteractive
                         ? Band::kInteractive
                         : Band::kBatch;
   // A tiled-parallel plan is decomposed into per-tile tasks on the shared
   // pool (serve/sched.hpp) so one large problem does not monopolize a
   // single worker; each wavefront stage still completes before the next
   // starts, so the results stay bit-identical to the synchronous run.
-  const bool decompose =
-      decompose_enabled() && s.plan().path == solver::Path::kTiledParallel;
+  const bool decompose = s.plan().path == solver::Path::kTiledParallel;
   // shared_ptr, not move-capture: std::function requires copyable
   // closures, and the promise itself is move-only.
   auto promise = std::make_shared<std::promise<solver::RunResult>>();

@@ -6,10 +6,8 @@
 #include <condition_variable>
 #include <memory>
 #include <mutex>
-#include <string_view>
 
 #include "serve/executor.hpp"
-#include "util/env.hpp"
 
 namespace tvs::serve {
 
@@ -120,16 +118,6 @@ SchedStats sched_stats() {
   s.tile_tasks = g_tile_tasks.load(std::memory_order_relaxed);
   s.helper_tasks = g_helper_tasks.load(std::memory_order_relaxed);
   return s;
-}
-
-bool decompose_enabled() {
-  static const bool enabled = [] {
-    const char* env = util::env_cstr("TVS_SERVE_DECOMPOSE");
-    if (env == nullptr || env[0] == '\0') return true;
-    const std::string_view v(env);
-    return v != "0" && v != "off";
-  }();
-  return enabled;
 }
 
 StagePool::StagePool(ThreadPool& pool)

@@ -43,10 +43,6 @@ struct SchedStats {
 
 SchedStats sched_stats();
 
-// TVS_SERVE_DECOMPOSE gate (default on; "0"/"off" disable): whether
-// submit() decomposes tiled-path plans into per-tile pool tasks.
-bool decompose_enabled();
-
 // One problem's stage executor, bound to a pool for the duration of a
 // decomposed run.  Construct next to the Solver::run call and pass exec()
 // via Solver::with_stage_exec; the referenced pool must outlive the run.

@@ -6,7 +6,7 @@
 #include "dispatch/kernels.hpp"
 #include "dispatch/registry.hpp"
 #include "solver/error.hpp"
-#include "tv/tv1d_impl.hpp"  // kMaxStride (ring capacity of the 1D engines)
+#include "tv/ring.hpp"  // kMaxStride (ring capacity of the 1D engines)
 
 namespace tvs::solver {
 

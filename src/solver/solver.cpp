@@ -1,8 +1,8 @@
 // Solver kernel routing: registry-resolved temporal engines on the serial
 // path, diamond / parallelogram / wavefront drivers on the tiled path.
-// Stride legality was enforced once at plan validation and the payload was
-// checked once by validate_workload (workload.cpp), so the kernels are
-// invoked directly (not through the re-validating tv_*_run wrappers).
+// Stride legality was enforced once at plan validation (validate_plan) and
+// the payload was checked once by validate_workload (workload.cpp), so the
+// kernels are invoked directly as the registry returns them.
 //
 // One router serves every grid payload: the kernel id comes from the
 // family (serial_kernel_id / tiled_kernel_id, plan.hpp), the function

@@ -31,11 +31,11 @@
 //
 // ---- Scheduling hints -----------------------------------------------------
 //
-// priority() and deadline_micros() are admission hints for the serving
-// executor (serve/executor.hpp): kInteractive workloads — and workloads
-// whose deadline is set — land in the workers' interactive band, which is
-// drained before batch work on both pop and steal.  They are hints only:
-// run() ignores them, and results never depend on them.
+// priority() is an admission hint for the serving executor
+// (serve/executor.hpp): kInteractive workloads land in the workers'
+// interactive band, which is drained before batch work on both pop and
+// steal.  It is a hint only: run() ignores it, and results never depend
+// on it.
 #pragma once
 
 #include <cstdint>
@@ -168,18 +168,6 @@ class Workload {
   }
   Priority priority() const noexcept { return priority_; }
 
-  // A soft completion target in microseconds from submit (0 = none).
-  // Setting any deadline also routes the workload interactively.
-  Workload& deadline_micros(long us) & {
-    deadline_micros_ = us;
-    return *this;
-  }
-  Workload&& deadline_micros(long us) && {
-    deadline_micros_ = us;
-    return std::move(*this);
-  }
-  long deadline_micros() const noexcept { return deadline_micros_; }
-
   // True when this workload carries (co-owns) its grid/sequence storage.
   bool owns() const noexcept { return owner_ != nullptr; }
 
@@ -202,7 +190,6 @@ class Workload {
   // caller's storage backs the payload (the reference/span constructors).
   std::shared_ptr<void> owner_;
   Priority priority_ = Priority::kBatch;
-  long deadline_micros_ = 0;
 };
 
 // The single family/dtype/extent validation both run(Workload) and

@@ -27,7 +27,7 @@ struct Dep {
 // (a same-time forward dependence).  Defined in legality.cpp.
 int min_stride(std::span<const Dep> deps);
 
-// API-boundary guard for the public tv_*_run entry points: throws
+// The planner's stride guard (solver::validate_plan): throws
 // std::invalid_argument (naming `kernel`, the offending stride, and the
 // smallest legal one) unless `stride >= min_stride(deps)` — the §3.2
 // condition `s * dt > dx` for every forward dependence.  When

@@ -1,6 +1,6 @@
 // Diamond-tiled 1D Jacobi driver (f64 and f32 tiles) — compiled once per
 // SIMD backend.
-// The Grid1D wrapper lives in tiling_dispatch.cpp (common code).
+// Grid-form solves run it under tiling::with_pingpong (common code).
 #include <algorithm>
 
 #include "dispatch/backend_variant.hpp"

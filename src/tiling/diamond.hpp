@@ -18,9 +18,6 @@
 // sufficiency of diamond tiling).  The result of step T is in parity(T).
 #pragma once
 
-#include "grid/grid1d.hpp"
-#include "grid/pingpong.hpp"
-#include "stencil/coefficients.hpp"
 #include "tiling/stage_exec.hpp"
 
 namespace tvs::tiling {
@@ -35,17 +32,12 @@ struct Diamond1DOptions {
   const StageExec* exec = nullptr;
 };
 
-// Input: pp.by_parity(0) holds the t = 0 data, boundary and halo cells
-// included; the driver mirrors those cells (x <= 0, x >= nx+1) into
-// pp.by_parity(1) before the first step, so the odd array's prior
-// contents do not matter.  Output: pp.by_parity(steps) holds the result.
-void diamond_jacobi1d3_run(const stencil::C1D3& c,
-                           grid::PingPong<grid::Grid1D<double>>& pp,
-                           long steps, const Diamond1DOptions& opt = {});
-
-// In place on u (tiling/pingpong_convert.hpp): u's storage is the even
-// array and one partner array is allocated; the result ends in u.
-void diamond_jacobi1d3_run(const stencil::C1D3& c, grid::Grid1D<double>& u,
-                           long steps, const Diamond1DOptions& opt = {});
+// The driver (registry id diamond_jacobi1d3, dispatch/kernels.hpp) runs
+// on a parity pair.  Input: pp.by_parity(0) holds the t = 0 data, boundary
+// and halo cells included; the driver mirrors those cells (x <= 0,
+// x >= nx+1) into pp.by_parity(1) before the first step, so the odd
+// array's prior contents do not matter.  Output: pp.by_parity(steps) holds
+// the result.  tiling::with_pingpong (tiling/pingpong_convert.hpp) runs it
+// in place on a single grid.
 
 }  // namespace tvs::tiling

@@ -7,12 +7,6 @@
 // input-vector rows.
 #pragma once
 
-#include <cstdint>
-
-#include "grid/grid2d.hpp"
-#include "grid/pingpong.hpp"
-#include "stencil/coefficients.hpp"
-#include "stencil/kernels.hpp"
 #include "tiling/stage_exec.hpp"
 
 namespace tvs::tiling {
@@ -27,30 +21,14 @@ struct Diamond2DOptions {
   const StageExec* exec = nullptr;
 };
 
-// Jacobi 2D5P / 2D9P on a parity pair: pp.by_parity(0) holds t = 0,
-// boundary and halo cells included; the driver's first stage mirrors those
-// cells into pp.by_parity(1), so the odd grid's prior contents do not
-// matter.  Result in pp.by_parity(steps).  Tiles are one 32-byte vector
-// wide: 4 doubles, 8 int32s (Life), and 8 floats for the f32 drivers the
-// registry holds under the Jacobi ids (dispatch/kernels.hpp).
-void diamond_jacobi2d5_run(const stencil::C2D5& c,
-                           grid::PingPong<grid::Grid2D<double>>& pp,
-                           long steps, const Diamond2DOptions& opt = {});
-void diamond_jacobi2d9_run(const stencil::C2D9& c,
-                           grid::PingPong<grid::Grid2D<double>>& pp,
-                           long steps, const Diamond2DOptions& opt = {});
-void diamond_life_run(const stencil::LifeRule& r,
-                      grid::PingPong<grid::Grid2D<std::int32_t>>& pp,
-                      long steps, const Diamond2DOptions& opt = {});
-
-// In place on u (tiling/pingpong_convert.hpp): u's storage is the even
-// grid and one partner grid is allocated; the result ends in u.
-void diamond_jacobi2d5_run(const stencil::C2D5& c, grid::Grid2D<double>& u,
-                           long steps, const Diamond2DOptions& opt = {});
-void diamond_jacobi2d9_run(const stencil::C2D9& c, grid::Grid2D<double>& u,
-                           long steps, const Diamond2DOptions& opt = {});
-void diamond_life_run(const stencil::LifeRule& r,
-                      grid::Grid2D<std::int32_t>& u, long steps,
-                      const Diamond2DOptions& opt = {});
+// The Jacobi 2D5P / 2D9P and Life drivers (registry ids
+// diamond_jacobi2d5, diamond_jacobi2d9, diamond_life; dispatch/kernels.hpp)
+// run on a parity pair: pp.by_parity(0) holds t = 0, boundary and halo
+// cells included; the driver's first stage mirrors those cells into
+// pp.by_parity(1), so the odd grid's prior contents do not matter.  Result
+// in pp.by_parity(steps); tiling::with_pingpong runs a driver in place on a
+// single grid.  Tiles are one 32-byte vector wide: 4 doubles, 8 int32s
+// (Life), and 8 floats for the f32 drivers the registry holds under the
+// Jacobi ids.
 
 }  // namespace tvs::tiling

@@ -2,9 +2,6 @@
 // Table 1: 32^3 x 8 blocking).  3D analogue of diamond2d.hpp.
 #pragma once
 
-#include "grid/grid3d.hpp"
-#include "grid/pingpong.hpp"
-#include "stencil/coefficients.hpp"
 #include "tiling/stage_exec.hpp"
 
 namespace tvs::tiling {
@@ -19,16 +16,11 @@ struct Diamond3DOptions {
   const StageExec* exec = nullptr;
 };
 
-// Same parity-pair contract as diamond2d.hpp: pp.by_parity(0) holds t = 0,
-// the driver's first stage mirrors its boundary and halo cells into
+// The driver (registry id diamond_jacobi3d7, dispatch/kernels.hpp) keeps
+// diamond2d.hpp's parity-pair contract: pp.by_parity(0) holds t = 0, the
+// driver's first stage mirrors its boundary and halo cells into
 // pp.by_parity(1), and the result ends in pp.by_parity(steps).  Tiles are
 // 4 doubles wide; the registry's f32 driver under the same id runs 8-lane
-// float tiles (dispatch/kernels.hpp).
-void diamond_jacobi3d7_run(const stencil::C3D7& c,
-                           grid::PingPong<grid::Grid3D<double>>& pp,
-                           long steps, const Diamond3DOptions& opt = {});
-// In place on u, one partner grid allocated (tiling/pingpong_convert.hpp).
-void diamond_jacobi3d7_run(const stencil::C3D7& c, grid::Grid3D<double>& u,
-                           long steps, const Diamond3DOptions& opt = {});
+// float tiles.
 
 }  // namespace tvs::tiling

@@ -6,11 +6,9 @@
 // anti-diagonal bi+bj run in parallel.  Following the paper, only the
 // wavefront is stored: a global DP row (`lcsA`) plus one boundary column
 // per block seam (`lcsB`), which feed the temporally vectorized 8-row strip
-// kernel through its left-column/right-column hooks.
+// kernel through its left-column/right-column hooks.  The driver (registry
+// id lcs_wavefront, dispatch/kernels.hpp) returns the LCS length.
 #pragma once
-
-#include <cstdint>
-#include <span>
 
 #include "tiling/stage_exec.hpp"
 
@@ -24,9 +22,5 @@ struct LcsWavefrontOptions {
   // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
-
-std::int32_t lcs_wavefront(std::span<const std::int32_t> a,
-                           std::span<const std::int32_t> b,
-                           const LcsWavefrontOptions& opt = {});
 
 }  // namespace tvs::tiling

@@ -19,11 +19,11 @@
 // wavefront independent (they are >= 2W+H points apart).  Parallelism
 // therefore grows with the number of *bands* in flight, T/H.  The
 // wavefront schedule, one stage per anti-diagonal, is shared with the 2D
-// and 3D drivers (tiling/schedule.hpp).
+// and 3D drivers (tiling/schedule.hpp).  The driver (registry id
+// parallelogram_gs1d3, dispatch/kernels.hpp) advances the grid by the
+// requested number of sweeps in place.
 #pragma once
 
-#include "grid/grid1d.hpp"
-#include "stencil/coefficients.hpp"
 #include "tiling/stage_exec.hpp"
 
 namespace tvs::tiling {
@@ -43,10 +43,5 @@ struct Parallelogram1DOptions {
   // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
-
-// Advance u by `sweeps` Gauss-Seidel sweeps, in place.
-void parallelogram_gs1d3_run(const stencil::C1D3& c, grid::Grid1D<double>& u,
-                             long sweeps,
-                             const Parallelogram1DOptions& opt = {});
 
 }  // namespace tvs::tiling

@@ -6,12 +6,10 @@
 // (parallelogram.hpp) and its anti-diagonal wavefront schedule
 // w = 2*bt + bx (tiling/schedule.hpp).  Each tile is the plane tile with
 // a Gauss-Seidel functor (tv/tv_plane_impl.hpp) on the parallelogram's
-// rows.
+// rows.  The drivers are registry ids parallelogram_gs2d5 and
+// parallelogram_gs3d7 (dispatch/kernels.hpp), in place on the grid.
 #pragma once
 
-#include "grid/grid2d.hpp"
-#include "grid/grid3d.hpp"
-#include "stencil/coefficients.hpp"
 #include "tiling/stage_exec.hpp"
 
 namespace tvs::tiling {
@@ -25,12 +23,5 @@ struct ParallelogramNDOptions {
   // OpenMP loop.  Same tiles either way, bit-identical results.
   const StageExec* exec = nullptr;
 };
-
-void parallelogram_gs2d5_run(const stencil::C2D5& c, grid::Grid2D<double>& u,
-                             long sweeps,
-                             const ParallelogramNDOptions& opt = {});
-void parallelogram_gs3d7_run(const stencil::C3D7& c, grid::Grid3D<double>& u,
-                             long sweeps,
-                             const ParallelogramNDOptions& opt = {});
 
 }  // namespace tvs::tiling

@@ -1,4 +1,4 @@
-// Grid <-> parity-pair conversion for the diamond drivers' Grid overloads,
+// Grid <-> parity-pair conversion for Grid-form diamond solves,
 // in place: the caller's grid is moved in as the even parity (no copy),
 // one partner grid of the same extents is allocated as the odd parity
 // (zero pages until the driver touches them, see grid/aligned.hpp), and
@@ -6,9 +6,10 @@
 // as its first stage.  Afterwards the storage is moved back into the
 // caller's grid — on an exception too — so the grid keeps its buffer
 // address; an even step count leaves the result there already, an odd one
-// copies the result's cells [0, n+1] over from the partner.  Shared by the
-// public tiling dispatchers (tiling_dispatch.cpp) and the Solver facade
-// (solver/solver.cpp), so the copy ranges live in exactly one place.
+// copies the result's cells [0, n+1] over from the partner.  Used by the
+// Solver's router (solver/solver.cpp) and by the tests and benches that
+// run a diamond driver from the registry on a single grid, so the copy
+// ranges live in exactly one place.
 #pragma once
 
 #include <algorithm>

@@ -16,8 +16,8 @@
 
 namespace tvs::tv {
 
-// Largest legal space stride s accepted by the 1D engines (tv_dispatch
-// rejects larger ones via stencil::require_legal_stride).
+// Largest legal space stride s accepted by the 1D engines (the planner's
+// validate_plan rejects larger ones via stencil::require_legal_stride).
 inline constexpr int kMaxStride = 32;
 
 // Capacity of the fixed-size rings.  The largest period in the tree is the

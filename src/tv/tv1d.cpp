@@ -6,8 +6,8 @@
 // stencils also with the redundancy-eliminated steady loop (Re = true,
 // the *_re ids).  The scalar backend additionally registers width-pinned
 // wide instantiations (ScalarVec<double, 8>, ScalarVec<float, 16>) so the
-// registry's width axis resolves every width on every host.  Public
-// tv_*_run entry points live in tv_dispatch.cpp.
+// registry's width axis resolves every width on every host.  Callers
+// reach the engines by id through the registry (dispatch/kernels.hpp).
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors1d.hpp"
 #include "tv/tv1d_impl.hpp"

@@ -5,8 +5,8 @@
 // floats and int32s), the Jacobi stencils also with the
 // redundancy-eliminated steady loop (Re = true, the *_re ids).  The scalar
 // backend additionally registers width-pinned wide instantiations so the
-// width axis resolves on every host.  Public entry points live in
-// tv_dispatch.cpp.
+// width axis resolves on every host.  Callers reach the engines by id
+// through the registry (dispatch/kernels.hpp).
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors2d.hpp"
 #include "tv/tv_plane_impl.hpp"

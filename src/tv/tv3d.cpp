@@ -4,7 +4,7 @@
 // in double AND float, the Jacobi stencil also with the
 // redundancy-eliminated steady loop (Re = true, the _re id).  The scalar
 // backend additionally registers the width-pinned wide instantiations.
-// Public entry points live in tv_dispatch.cpp.
+// Callers reach the engines by id through the registry.
 #include "dispatch/backend_variant.hpp"
 #include "tv/functors3d.hpp"
 #include "tv/tv_plane_impl.hpp"

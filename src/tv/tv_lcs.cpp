@@ -1,8 +1,8 @@
 // LCS strip kernel variant — compiled once per SIMD backend at the
 // backend's native int32 width (8 DP rows per tile under scalar/avx2, 16
 // under avx512); the scalar backend also pins the 16-lane instantiation.
-// The public tv_lcs / tv_lcs_row wrappers (allocation, resize) live in
-// tv_dispatch.cpp; only the raw row engine is backend code.
+// Callers allocate the padded row (tv_lcs.hpp's kLcsRowPad) and reach the
+// raw row engine by id through the registry (dispatch/kernels.hpp).
 #include "dispatch/backend_variant.hpp"
 #include "tv/tv_lcs_impl.hpp"
 

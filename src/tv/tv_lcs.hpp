@@ -1,11 +1,8 @@
-// Public entry points for the temporally vectorized LCS dynamic program
+// Row-padding contract of the temporally vectorized LCS dynamic program
 // (int32 lanes — 8 under scalar/avx2, 16 under avx512 — stride s = 1; see
-// tv_lcs_impl.hpp).
+// tv_lcs_impl.hpp).  The row engine is registry id tv_lcs_rows
+// (dispatch/kernels.hpp).
 #pragma once
-
-#include <cstdint>
-#include <span>
-#include <vector>
 
 namespace tvs::tv {
 
@@ -14,13 +11,5 @@ namespace tvs::tv {
 // raw TvLcsRowsFn kernels allocate |b|+1+kLcsRowPad slots (the widest
 // engine's lane count bounds it).
 inline constexpr int kLcsRowPad = 16;
-
-// Length of the longest common subsequence of a and b.
-std::int32_t tv_lcs(std::span<const std::int32_t> a,
-                    std::span<const std::int32_t> b);
-
-// Final DP row lcs[|A|][0..|B|] (cell-level comparison against the oracle).
-std::vector<std::int32_t> tv_lcs_row(std::span<const std::int32_t> a,
-                                     std::span<const std::int32_t> b);
 
 }  // namespace tvs::tv

@@ -13,10 +13,10 @@
 
 #include "dispatch/kernels.hpp"
 #include "f32_diamond.hpp"
+#include "kernel.hpp"
 #include "stage_execs.hpp"
 #include "stencil/reference1d.hpp"
-#include "tiling/diamond.hpp"
-#include "tv/tv1d.hpp"
+#include "tiling/pingpong_convert.hpp"
 
 namespace {
 
@@ -45,6 +45,8 @@ TEST_P(Diamond1DSweep, MatchesOracleExactly) {
   Grid ref(nx);
   copy(init, ref);
   stencil::jacobi1d3_run(c, ref, steps);
+  auto* const run = test::resolve<dispatch::DiamondJacobi1D3Fn>(
+      dispatch::kDiamondJacobi1D3);
   for (const tiling::StageExec* exec : test::kStageExecs) {
     Grid got(nx);
     copy(init, got);
@@ -53,7 +55,8 @@ TEST_P(Diamond1DSweep, MatchesOracleExactly) {
     opt.height = h;
     opt.stride = s;
     opt.exec = exec;
-    tiling::diamond_jacobi1d3_run(c, got, steps, opt);
+    tiling::with_pingpong(got, steps,
+                          [&](auto& pp) { run(c, pp, steps, opt); });
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
         << "nx=" << nx << " steps=" << steps << " W=" << w << " H=" << h
         << " s=" << s << " exec=" << test::exec_name(exec);
@@ -101,9 +104,11 @@ TEST(Diamond1D, MultiThreadedMatchesOracle) {
   tiling::Diamond1DOptions opt;
   opt.width = 1024;
   opt.height = 32;
+  auto* const run = test::resolve<dispatch::DiamondJacobi1D3Fn>(
+      dispatch::kDiamondJacobi1D3);
   const int saved = omp_get_max_threads();
   omp_set_num_threads(8);
-  tiling::diamond_jacobi1d3_run(c, got, 96, opt);
+  tiling::with_pingpong(got, 96, [&](auto& pp) { run(c, pp, 96, opt); });
   omp_set_num_threads(saved);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
 }
@@ -116,8 +121,10 @@ TEST(Diamond1D, RepeatedRunsDeterministic) {
   tiling::Diamond1DOptions opt;
   opt.width = 256;
   opt.height = 32;
-  tiling::diamond_jacobi1d3_run(c, a, 64, opt);
-  tiling::diamond_jacobi1d3_run(c, b, 64, opt);
+  auto* const run = test::resolve<dispatch::DiamondJacobi1D3Fn>(
+      dispatch::kDiamondJacobi1D3);
+  tiling::with_pingpong(a, 64, [&](auto& pp) { run(c, pp, 64, opt); });
+  tiling::with_pingpong(b, 64, [&](auto& pp) { run(c, pp, 64, opt); });
   EXPECT_EQ(grid::max_abs_diff(a, b), 0.0);
 }
 
@@ -136,7 +143,8 @@ TEST(Diamond1D, PingPongApiParityContract) {
   tiling::Diamond1DOptions opt;
   opt.width = 512;
   opt.height = 16;
-  tiling::diamond_jacobi1d3_run(c, pp, 31, opt);
+  test::resolve<dispatch::DiamondJacobi1D3Fn>(dispatch::kDiamondJacobi1D3)(
+      c, pp, 31, opt);
   EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(31)), 0.0);
 }
 
@@ -147,7 +155,10 @@ TEST(Diamond1DF32, MatchesSerialEngineAndFloatOracle) {
       dispatch::kDiamondJacobi1D3, c, tiling::Diamond1DOptions{128, 16, 7},
       test::float_grid<G>(650u, 1000),
       [&](G& u, long t) { stencil::jacobi1d3_run(c, u, t); },
-      [&](G& u, long t) { tv::tv_jacobi1d3_run(c, u, t, 7); });
+      [&](G& u, long t) {
+        test::resolve<dispatch::TvJacobi1D3F32Fn>(
+            dispatch::kTvJacobi1D3, dispatch::DType::kF32)(c, u, t, 7);
+      });
 }
 
 }  // namespace

@@ -15,7 +15,7 @@
 #include <random>
 #include <string_view>
 
-#include "dispatch/registry.hpp"
+#include "kernel.hpp"
 #include "stage_execs.hpp"
 #include "tiling/pingpong_convert.hpp"
 #include "tolerance.hpp"
@@ -29,9 +29,7 @@ template <class Fn, class Opt, class C, class Make, class Oracle,
           class Engine>
 void expect_f32_diamond(std::string_view id, const C& c, Opt base, Make make,
                         Oracle oracle, Engine engine) {
-  Fn* const driver = dispatch::KernelRegistry::instance().get_at<Fn>(
-      id, dispatch::selected_backend(), dispatch::kAnyVl,
-      dispatch::DType::kF32);
+  Fn* const driver = resolve<Fn>(id, dispatch::DType::kF32);
   for (const long steps : {7L, 8L, 9L, 16L, 17L}) {
     auto want = make(steps), exact = make(steps);
     oracle(want, steps);

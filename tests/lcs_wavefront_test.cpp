@@ -7,9 +7,9 @@
 #include <random>
 #include <tuple>
 
+#include "kernel.hpp"
 #include "stage_execs.hpp"
 #include "stencil/lcs_ref.hpp"
-#include "tiling/lcs_wavefront.hpp"
 
 namespace {
 
@@ -32,12 +32,14 @@ TEST_P(LcsWavefrontSweep, MatchesOracle) {
   const auto a = random_seq(na, 4, 6000u + static_cast<unsigned>(na));
   const auto b = random_seq(nb, 4, 7000u + static_cast<unsigned>(nb));
   const std::int32_t want = stencil::lcs_ref(a, b);
+  auto* const lcs = test::resolve<dispatch::LcsWavefrontFn>(
+      dispatch::kLcsWavefront, dispatch::DType::kI32);
   for (const tiling::StageExec* exec : test::kStageExecs) {
     tiling::LcsWavefrontOptions opt;
     opt.block = blk;
     opt.band = band;
     opt.exec = exec;
-    EXPECT_EQ(tiling::lcs_wavefront(a, b, opt), want)
+    EXPECT_EQ(lcs(a, b, opt), want)
         << "na=" << na << " nb=" << nb << " blk=" << blk << " band=" << band
         << " exec=" << test::exec_name(exec);
   }
@@ -62,10 +64,12 @@ TEST(LcsWavefront, IdenticalAndDisjoint) {
   tiling::LcsWavefrontOptions opt;
   opt.block = 64;
   opt.band = 32;
-  EXPECT_EQ(tiling::lcs_wavefront(a, a, opt), 400);
+  auto* const lcs = test::resolve<dispatch::LcsWavefrontFn>(
+      dispatch::kLcsWavefront, dispatch::DType::kI32);
+  EXPECT_EQ(lcs(a, a, opt), 400);
   std::vector<std::int32_t> c(300, 7), d(200, 8);
-  EXPECT_EQ(tiling::lcs_wavefront(c, d, opt), 0);
-  EXPECT_EQ(tiling::lcs_wavefront(a, {}, opt), 0);
+  EXPECT_EQ(lcs(c, d, opt), 0);
+  EXPECT_EQ(lcs(a, {}, opt), 0);
 }
 
 }  // namespace

@@ -1,14 +1,12 @@
 // Tests for the §3.2 legality rule: s*dt > dx for every forward dependence,
-// and for its enforcement at the public tv_*_run API boundary.
+// and for its enforcement by the planner (solver::validate_plan).
 #include <gtest/gtest.h>
 
 #include <stdexcept>
 
+#include "solver/builder.hpp"
+#include "solver/plan.hpp"
 #include "stencil/dependence.hpp"
-#include "tv/tv1d.hpp"
-#include "tv/tv2d.hpp"
-#include "tv/tv_gs1d.hpp"
-#include "tv/tv_life.hpp"
 
 namespace {
 
@@ -82,11 +80,11 @@ TEST(RequireLegalStride, EnforcesMaxStride) {
 
 TEST(RequireLegalStride, NamesKernelAndMinimumInMessage) {
   try {
-    require_legal_stride("tv_jacobi1d5_run", jacobi1d_deps(2), 2);
+    require_legal_stride("jacobi1d5", jacobi1d_deps(2), 2);
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& e) {
     const std::string msg = e.what();
-    EXPECT_NE(msg.find("tv_jacobi1d5_run"), std::string::npos) << msg;
+    EXPECT_NE(msg.find("jacobi1d5"), std::string::npos) << msg;
     EXPECT_NE(msg.find("3"), std::string::npos) << msg;  // smallest legal s
   }
 }
@@ -96,35 +94,50 @@ TEST(RequireLegalStride, SameTimeForwardDependenceAlwaysThrows) {
   EXPECT_THROW(require_legal_stride("k", d, 100), std::invalid_argument);
 }
 
-// The public entry points enforce the rule instead of corrupting results.
-TEST(ApiBoundary, TvEntryPointsRejectIllegalStrides) {
-  namespace tv = tvs::tv;
-  namespace grid = tvs::grid;
-  const C1D3 c3 = heat1d(0.25);
-  grid::Grid1D<double> u1(64);
-  u1.fill(1.0);
-  EXPECT_THROW(tv::tv_jacobi1d3_run(c3, u1, 4, 1), std::invalid_argument);
-  EXPECT_THROW(tv::tv_jacobi1d3_run(c3, u1, 4, 0), std::invalid_argument);
-  EXPECT_THROW(tv::tv_jacobi1d3_run(c3, u1, 4, 33), std::invalid_argument);
-  EXPECT_NO_THROW(tv::tv_jacobi1d3_run(c3, u1, 4, 2));
+// The planner enforces the rule for every solve: validate_plan rejects a
+// pinned plan with an illegal stride before any kernel runs, and the 1D
+// engines' ring capacity caps the 1D strides.
+TEST(ApiBoundary, PlannerRejectsIllegalStrides) {
+  namespace solver = tvs::solver;
+  using solver::Family;
+  const auto plan_with = [](const solver::StencilProblem& p, int stride) {
+    solver::ExecutionPlan plan = solver::heuristic_plan(p);
+    plan.stride = stride;
+    return plan;
+  };
+  const auto p1 = [](Family f) {
+    return solver::ProblemBuilder(f).extents(64).steps(4).build();
+  };
+  const auto p2 = [](Family f) {
+    return solver::ProblemBuilder(f).extents(24, 12).steps(4).build();
+  };
 
-  const C1D5 c5 = heat1d5(0.1);
-  EXPECT_THROW(tv::tv_jacobi1d5_run(c5, u1, 4, 2), std::invalid_argument);
-  EXPECT_NO_THROW(tv::tv_jacobi1d5_run(c5, u1, 4, 3));
+  const solver::StencilProblem j1d3 = p1(Family::kJacobi1D3);
+  for (const int s : {0, 1, 33})
+    EXPECT_THROW(solver::validate_plan(j1d3, plan_with(j1d3, s)),
+                 std::invalid_argument)
+        << "s=" << s;
+  EXPECT_NO_THROW(solver::validate_plan(j1d3, plan_with(j1d3, 2)));
+  EXPECT_NO_THROW(solver::validate_plan(j1d3, plan_with(j1d3, 32)));
 
-  EXPECT_THROW(tv::tv_gs1d3_run(c3, u1, 4, 1), std::invalid_argument);
-  EXPECT_NO_THROW(tv::tv_gs1d3_run(c3, u1, 4, 2));
+  const solver::StencilProblem j1d5 = p1(Family::kJacobi1D5);
+  EXPECT_THROW(solver::validate_plan(j1d5, plan_with(j1d5, 2)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(solver::validate_plan(j1d5, plan_with(j1d5, 3)));
 
-  const C2D5 c2 = heat2d(0.1);
-  grid::Grid2D<double> u2(24, 12);
-  u2.fill(1.0);
-  EXPECT_THROW(tv::tv_jacobi2d5_run(c2, u2, 4, 1), std::invalid_argument);
-  EXPECT_NO_THROW(tv::tv_jacobi2d5_run(c2, u2, 4, 2));
+  const solver::StencilProblem gs1d3 = p1(Family::kGs1D3);
+  EXPECT_THROW(solver::validate_plan(gs1d3, plan_with(gs1d3, 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(solver::validate_plan(gs1d3, plan_with(gs1d3, 2)));
 
-  const LifeRule rule{};
-  grid::Grid2D<std::int32_t> ul(24, 12);
-  ul.fill(0);
-  EXPECT_THROW(tv::tv_life_run(rule, ul, 4, 1), std::invalid_argument);
+  const solver::StencilProblem j2d5 = p2(Family::kJacobi2D5);
+  EXPECT_THROW(solver::validate_plan(j2d5, plan_with(j2d5, 1)),
+               std::invalid_argument);
+  EXPECT_NO_THROW(solver::validate_plan(j2d5, plan_with(j2d5, 2)));
+
+  const solver::StencilProblem life = p2(Family::kLife);
+  EXPECT_THROW(solver::validate_plan(life, plan_with(life, 1)),
+               std::invalid_argument);
 }
 
 }  // namespace

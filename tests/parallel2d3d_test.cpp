@@ -13,15 +13,12 @@
 
 #include "dispatch/kernels.hpp"
 #include "f32_diamond.hpp"
+#include "kernel.hpp"
 #include "stage_execs.hpp"
 #include "stencil/life_ref.hpp"
 #include "stencil/reference2d.hpp"
 #include "stencil/reference3d.hpp"
-#include "tiling/diamond2d.hpp"
-#include "tiling/diamond3d.hpp"
-#include "tiling/parallelogram2d.hpp"
-#include "tv/tv2d.hpp"
-#include "tv/tv3d.hpp"
+#include "tiling/pingpong_convert.hpp"
 
 namespace {
 
@@ -49,6 +46,8 @@ TEST_P(Diamond2DSweep, Jacobi5PMatchesOracle) {
   GridD2 ref(nx, ny);
   copy(init, ref);
   stencil::jacobi2d5_run(c, ref, steps);
+  auto* const run = test::resolve<dispatch::DiamondJacobi2D5Fn>(
+      dispatch::kDiamondJacobi2D5);
   for (const tiling::StageExec* exec : test::kStageExecs) {
     GridD2 got(nx, ny);
     copy(init, got);
@@ -57,7 +56,8 @@ TEST_P(Diamond2DSweep, Jacobi5PMatchesOracle) {
     opt.height = h;
     opt.stride = s;
     opt.exec = exec;
-    tiling::diamond_jacobi2d5_run(c, got, steps, opt);
+    tiling::with_pingpong(got, steps,
+                          [&](auto& pp) { run(c, pp, steps, opt); });
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
         << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
         << " H=" << h << " s=" << s << " exec=" << test::exec_name(exec);
@@ -73,6 +73,8 @@ TEST_P(Diamond2DSweep, Jacobi9PMatchesOracle) {
   GridD2 ref(nx, ny);
   copy(init, ref);
   stencil::jacobi2d9_run(c, ref, steps);
+  auto* const run = test::resolve<dispatch::DiamondJacobi2D9Fn>(
+      dispatch::kDiamondJacobi2D9);
   for (const tiling::StageExec* exec : test::kStageExecs) {
     GridD2 got(nx, ny);
     copy(init, got);
@@ -81,7 +83,8 @@ TEST_P(Diamond2DSweep, Jacobi9PMatchesOracle) {
     opt.height = h;
     opt.stride = s;
     opt.exec = exec;
-    tiling::diamond_jacobi2d9_run(c, got, steps, opt);
+    tiling::with_pingpong(got, steps,
+                          [&](auto& pp) { run(c, pp, steps, opt); });
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
         << "exec=" << test::exec_name(exec);
   }
@@ -108,7 +111,8 @@ TEST_P(Diamond2DSweep, GaussSeidel2DMatchesOracle) {
       opt.stride = s;
       opt.use_vector = use_vector;
       opt.exec = exec;
-      tiling::parallelogram_gs2d5_run(c, got, steps, opt);
+      test::resolve<dispatch::ParallelogramGs2D5Fn>(
+          dispatch::kParallelogramGs2D5)(c, got, steps, opt);
       EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
           << "nx=" << nx << " ny=" << ny << " t=" << steps << " W=" << w
           << " H=" << h << " s=" << s << " use_vector=" << use_vector
@@ -160,6 +164,8 @@ TEST(DiamondLife, MatchesOracleAcrossGeometries) {
     GridI2 init(nx, ny);
     copy(ref, init);
     stencil::life_run(rule, ref, steps);
+    auto* const run = test::resolve<dispatch::DiamondLifeFn>(
+        dispatch::kDiamondLife, dispatch::DType::kI32);
     for (const tiling::StageExec* exec : test::kStageExecs) {
       GridI2 got(nx, ny);
       copy(init, got);
@@ -167,7 +173,8 @@ TEST(DiamondLife, MatchesOracleAcrossGeometries) {
       opt.width = w;
       opt.height = h;
       opt.exec = exec;
-      tiling::diamond_life_run(rule, got, steps, opt);
+      tiling::with_pingpong(got, steps,
+                            [&](auto& pp) { run(rule, pp, steps, opt); });
       ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
           << "nx=" << nx << " steps=" << steps
           << " exec=" << test::exec_name(exec);
@@ -205,6 +212,8 @@ TEST(Diamond3D, JacobiMatchesOracleAcrossGeometries) {
     GridD3 ref(nx, ny, nz);
     copy3(init, ref);
     stencil::jacobi3d7_run(c, ref, steps);
+    auto* const run = test::resolve<dispatch::DiamondJacobi3D7Fn>(
+        dispatch::kDiamondJacobi3D7);
     for (const bool use_vector : {true, false})
       for (const tiling::StageExec* exec : test::kStageExecs) {
         GridD3 got(nx, ny, nz);
@@ -215,7 +224,8 @@ TEST(Diamond3D, JacobiMatchesOracleAcrossGeometries) {
         opt.stride = s;
         opt.use_vector = use_vector;
         opt.exec = exec;
-        tiling::diamond_jacobi3d7_run(c, got, steps, opt);
+        tiling::with_pingpong(got, steps,
+                              [&](auto& pp) { run(c, pp, steps, opt); });
         ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
             << "nx=" << nx << " steps=" << steps << " s=" << s
             << " use_vector=" << use_vector
@@ -243,7 +253,8 @@ TEST(ParaGs3D, MatchesOracleAcrossGeometries) {
         opt.stride = s;
         opt.use_vector = use_vector;
         opt.exec = exec;
-        tiling::parallelogram_gs3d7_run(c, got, steps, opt);
+        test::resolve<dispatch::ParallelogramGs3D7Fn>(
+            dispatch::kParallelogramGs3D7)(c, got, steps, opt);
         ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
             << "nx=" << nx << " steps=" << steps << " s=" << s
             << " use_vector=" << use_vector
@@ -264,9 +275,11 @@ TEST(Parallel2D, ManyThreadsDeterministicAndExact) {
   tiling::Diamond2DOptions opt;
   opt.width = 64;
   opt.height = 16;
+  auto* const run = test::resolve<dispatch::DiamondJacobi2D5Fn>(
+      dispatch::kDiamondJacobi2D5);
   const int saved = omp_get_max_threads();
   omp_set_num_threads(12);
-  tiling::diamond_jacobi2d5_run(c, got, 32, opt);
+  tiling::with_pingpong(got, 32, [&](auto& pp) { run(c, pp, 32, opt); });
   omp_set_num_threads(saved);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
 }
@@ -280,7 +293,10 @@ TEST(DiamondF32, Jacobi2D5MatchesSerialEngineAndFloatOracle) {
       dispatch::kDiamondJacobi2D5, c, tiling::Diamond2DOptions{48, 16, 2},
       test::float_grid<G>(6000u, 130, 21),
       [&](G& u, long t) { stencil::jacobi2d5_run(c, u, t); },
-      [&](G& u, long t) { tv::tv_jacobi2d5_run(c, u, t, 2); });
+      [&](G& u, long t) {
+        test::resolve<dispatch::TvJacobi2D5F32Fn>(
+            dispatch::kTvJacobi2D5, dispatch::DType::kF32)(c, u, t, 2);
+      });
 }
 
 TEST(DiamondF32, Jacobi2D9MatchesSerialEngineAndFloatOracle) {
@@ -291,7 +307,10 @@ TEST(DiamondF32, Jacobi2D9MatchesSerialEngineAndFloatOracle) {
       dispatch::kDiamondJacobi2D9, c, tiling::Diamond2DOptions{48, 16, 3},
       test::float_grid<G>(6100u, 130, 21),
       [&](G& u, long t) { stencil::jacobi2d9_run(c, u, t); },
-      [&](G& u, long t) { tv::tv_jacobi2d9_run(c, u, t, 3); });
+      [&](G& u, long t) {
+        test::resolve<dispatch::TvJacobi2D9F32Fn>(
+            dispatch::kTvJacobi2D9, dispatch::DType::kF32)(c, u, t, 3);
+      });
 }
 
 TEST(DiamondF32, Jacobi3D7MatchesSerialEngineAndFloatOracle) {
@@ -301,7 +320,10 @@ TEST(DiamondF32, Jacobi3D7MatchesSerialEngineAndFloatOracle) {
       dispatch::kDiamondJacobi3D7, c, tiling::Diamond3DOptions{20, 8, 2},
       test::float_grid<G>(6200u, 90, 6, 9),
       [&](G& u, long t) { stencil::jacobi3d7_run(c, u, t); },
-      [&](G& u, long t) { tv::tv_jacobi3d7_run(c, u, t, 2); });
+      [&](G& u, long t) {
+        test::resolve<dispatch::TvJacobi3D7F32Fn>(
+            dispatch::kTvJacobi3D7, dispatch::DType::kF32)(c, u, t, 2);
+      });
 }
 
 }  // namespace

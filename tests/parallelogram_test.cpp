@@ -8,9 +8,9 @@
 #include <random>
 #include <tuple>
 
+#include "kernel.hpp"
 #include "stage_execs.hpp"
 #include "stencil/reference1d.hpp"
-#include "tiling/parallelogram.hpp"
 
 namespace {
 
@@ -47,7 +47,8 @@ TEST_P(ParaGs1dSweep, MatchesOracleExactly) {
     opt.height = h;
     opt.stride = s;
     opt.exec = exec;
-    tiling::parallelogram_gs1d3_run(c, got, sweeps, opt);
+    test::resolve<dispatch::ParallelogramGs1D3Fn>(
+        dispatch::kParallelogramGs1D3)(c, got, sweeps, opt);
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
         << "nx=" << nx << " sweeps=" << sweeps << " W=" << w << " H=" << h
         << " s=" << s << " exec=" << test::exec_name(exec);
@@ -92,7 +93,8 @@ TEST(ParaGs1d, MultiThreadedMatchesOracle) {
   opt.height = 16;
   const int saved = omp_get_max_threads();
   omp_set_num_threads(8);
-  tiling::parallelogram_gs1d3_run(c, got, 96, opt);
+  test::resolve<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3)(
+      c, got, 96, opt);
   omp_set_num_threads(saved);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
 }
@@ -105,7 +107,8 @@ TEST(ParaGs1d, BoundaryDrivenConvergence) {
   tiling::Parallelogram1DOptions opt;
   opt.width = 32;
   opt.height = 8;
-  tiling::parallelogram_gs1d3_run(c, u, 30000, opt);
+  test::resolve<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3)(
+      c, u, 30000, opt);
   for (int x = 1; x <= 31; ++x) {
     const double exact = 1.0 - static_cast<double>(x) / 32.0;
     EXPECT_NEAR(u.at(x), exact, 1e-6) << "x=" << x;

@@ -38,10 +38,10 @@
 #include "serve/sched.hpp"
 #include "serve/stats.hpp"
 #include "serve/topology.hpp"
+#include "kernel.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
-#include "tv/tv2d.hpp"
-#include "tv/tv_lcs.hpp"
+#include "stencil/lcs_ref.hpp"
 
 namespace tvs {
 namespace {
@@ -157,7 +157,8 @@ TEST(ServeWorkload, RunWorkloadMatchesDirectEngine) {
   fill_pattern<double>(direct, 1);
   fill_pattern<double>(erased, 1);
   const Solver s(p);
-  tv::tv_jacobi2d5_run(c, direct, p.steps, s.plan().stride);
+  test::resolve<dispatch::TvJacobi2D5Fn>(dispatch::kTvJacobi2D5)(
+      c, direct, p.steps, s.plan().stride);
   const RunResult r = s.run(Workload(c, erased));
   EXPECT_EQ(grid::max_abs_diff(direct, erased), 0.0);
   EXPECT_EQ(r.plan.to_string(), s.plan().to_string());
@@ -369,7 +370,8 @@ TEST(ServeSubmit, MixedLoadBitIdenticalToSync) {
     EXPECT_EQ(grid::max_abs_diff(*lf_sync[k], *lf_async[k]), 0.0)
         << "life instance " << i;
     const RunResult r = lcs_futures[k].get();
-    const std::vector<std::int32_t> row = tv::tv_lcs_row(seq_a[k], seq_b[k]);
+    const std::vector<std::int32_t> row =
+        stencil::lcs_ref_row(seq_a[k], seq_b[k]);
     EXPECT_EQ(r.lcs_length, row.back()) << "lcs " << i;
     if (!r.lcs_row.empty()) {
       EXPECT_EQ(r.lcs_row, row) << "lcs " << i;
@@ -874,13 +876,11 @@ TEST(ServeDecompose, TiledFamiliesBitIdenticalToSync) {
     EXPECT_EQ(async_r.lcs_length, sync_r.lcs_length);
   }
 
-  if (serve::decompose_enabled()) {
-    const serve::SchedStats after = serve::sched_stats();
-    EXPECT_GT(after.decomposed_runs, before.decomposed_runs)
-        << "submit() should have decomposed the tiled plans";
-    EXPECT_GT(after.tile_tasks, before.tile_tasks);
-    EXPECT_GT(after.stages, before.stages);
-  }
+  const serve::SchedStats after = serve::sched_stats();
+  EXPECT_GT(after.decomposed_runs, before.decomposed_runs)
+      << "submit() should have decomposed the tiled plans";
+  EXPECT_GT(after.tile_tasks, before.tile_tasks);
+  EXPECT_GT(after.stages, before.stages);
 }
 
 // ---- Workload ownership ----------------------------------------------------
@@ -924,7 +924,7 @@ TEST(ServeWorkload, OwningLcsMovesSequencesAndLvaluesStayNonOwning) {
                                         static_cast<int>(b.size()))
                                .build();
   const Solver s(p);
-  const std::int32_t expect = tv::tv_lcs(a, b);
+  const std::int32_t expect = stencil::lcs_ref(a, b);
 
   // Lvalue vectors bind the span constructor: non-owning, no copy.
   const Workload borrowed(a, b);
@@ -939,19 +939,16 @@ TEST(ServeWorkload, OwningLcsMovesSequencesAndLvaluesStayNonOwning) {
   EXPECT_EQ(r.lcs_length, expect);
 }
 
-TEST(ServeWorkload, PriorityAndDeadlineHintsStick) {
+TEST(ServeWorkload, PriorityHintSticks) {
   grid::Grid1D<double> u(16);
   u.fill(1.0);
   const Workload plain(stencil::heat1d(0.25), u);
   EXPECT_EQ(plain.priority(), solver::Priority::kBatch);
-  EXPECT_EQ(plain.deadline_micros(), 0);
   const Workload urgent = Workload(stencil::heat1d(0.25), u)
-                              .priority(solver::Priority::kInteractive)
-                              .deadline_micros(500);
+                              .priority(solver::Priority::kInteractive);
   EXPECT_EQ(urgent.priority(), solver::Priority::kInteractive);
-  EXPECT_EQ(urgent.deadline_micros(), 500);
 
-  // The hints route through submit: an interactive workload lands in the
+  // The hint routes through submit: an interactive workload lands in the
   // interactive band (observable in the default pool's counters).
   const StencilProblem p =
       ProblemBuilder(Family::kJacobi1D3).extents(64).steps(3).build();

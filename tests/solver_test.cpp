@@ -1,7 +1,7 @@
 // Solver facade: plan cache hit/miss accounting, TVS_PLAN override
 // parsing (including malformed specs -> clear errors), and bit-for-bit
-// equality of Solver::run against the direct tv_* / diamond_* /
-// parallelogram_* entry points for every kernel family.
+// equality of Solver::run against the registry's temporal engines and
+// tiled drivers, called directly, for every kernel family.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
@@ -10,22 +10,13 @@
 #include <string>
 #include <vector>
 
+#include "kernel.hpp"
 #include "solver/builder.hpp"
 #include "solver/solver.hpp"
 #include "stage_execs.hpp"
 #include "stencil/lcs_ref.hpp"
-#include "tiling/diamond.hpp"
-#include "tiling/diamond2d.hpp"
-#include "tiling/lcs_wavefront.hpp"
-#include "tiling/parallelogram.hpp"
-#include "tv/tv1d.hpp"
-#include "tv/tv2d.hpp"
-#include "tv/tv3d.hpp"
-#include "tv/tv_gs1d.hpp"
-#include "tv/tv_gs2d.hpp"
-#include "tv/tv_gs3d.hpp"
-#include "tv/tv_lcs.hpp"
-#include "tv/tv_life.hpp"
+#include "tiling/pingpong_convert.hpp"
+#include "tv/tv_lcs.hpp"  // kLcsRowPad
 
 namespace tvs {
 namespace {
@@ -277,7 +268,8 @@ TEST(TvsPlan, VariantReRunsBitIdenticalToBaseline) {
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx);
   fill_pattern(direct);
-  tv::tv_jacobi1d3_run(c, direct, p.steps, 7);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+      c, direct, p.steps, 7);
 
   const ScopedEnv pin("TVS_PLAN", "stride=7,variant=re");
   grid::Grid1D<double> got(p.nx);
@@ -293,7 +285,8 @@ TEST(TvsPlan, VariantReWithWidthPinRunsBitIdentical) {
   const stencil::C2D9 c = stencil::box2d9(0.1);
   grid::Grid2D<double> direct(p.nx, p.ny);
   fill_pattern(direct);
-  tv::tv_jacobi2d9_run(c, direct, p.steps, 2);
+  test::resolve<dispatch::TvJacobi2D9Fn>(dispatch::kTvJacobi2D9)(
+      c, direct, p.steps, 2);
 
   const ScopedEnv pin("TVS_PLAN", "stride=2,vl=8,variant=re");
   grid::Grid2D<double> got(p.nx, p.ny);
@@ -310,7 +303,8 @@ TEST(TvsPlan, WidthPinningKeepsResultsBitIdentical) {
   const stencil::C1D3 c = stencil::heat1d(0.25);
   grid::Grid1D<double> direct(p.nx);
   fill_pattern(direct);
-  tv::tv_jacobi1d3_run(c, direct, p.steps, 7);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+      c, direct, p.steps, 7);
 
   const ScopedEnv pin("TVS_PLAN", "vl=8,stride=7");
   grid::Grid1D<double> got(p.nx);
@@ -364,7 +358,8 @@ TEST(Planner, TunedModeProducesAValidatedPlan) {
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_jacobi1d3_run(c, direct, p.steps, plan.stride);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+      c, direct, p.steps, plan.stride);
   Solver(p, plan).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -383,7 +378,8 @@ TEST(Planner, TunedReCandidateRunsAndMatches) {
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_jacobi2d5_run(c, direct, p.steps, plan.stride);
+  test::resolve<dispatch::TvJacobi2D5Fn>(dispatch::kTvJacobi2D5)(
+      c, direct, p.steps, plan.stride);
   Solver(p, plan).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -412,7 +408,8 @@ TEST(SolverEquality, Jacobi1D3) {
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_jacobi1d3_run(c, direct, p.steps, 7);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+      c, direct, p.steps, 7);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -424,7 +421,8 @@ TEST(SolverEquality, Jacobi1D5) {
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_jacobi1d5_run(c, direct, p.steps, 7);
+  test::resolve<dispatch::TvJacobi1D5Fn>(dispatch::kTvJacobi1D5)(
+      c, direct, p.steps, 7);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -436,7 +434,8 @@ TEST(SolverEquality, Jacobi2D5) {
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_jacobi2d5_run(c, direct, p.steps, 2);
+  test::resolve<dispatch::TvJacobi2D5Fn>(dispatch::kTvJacobi2D5)(
+      c, direct, p.steps, 2);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -448,7 +447,8 @@ TEST(SolverEquality, Jacobi2D9) {
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_jacobi2d9_run(c, direct, p.steps, 2);
+  test::resolve<dispatch::TvJacobi2D9Fn>(dispatch::kTvJacobi2D9)(
+      c, direct, p.steps, 2);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -460,7 +460,8 @@ TEST(SolverEquality, Jacobi3D7) {
   grid::Grid3D<double> direct(p.nx, p.ny, p.nz), got(p.nx, p.ny, p.nz);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_jacobi3d7_run(c, direct, p.steps, 2);
+  test::resolve<dispatch::TvJacobi3D7Fn>(dispatch::kTvJacobi3D7)(
+      c, direct, p.steps, 2);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -472,7 +473,7 @@ TEST(SolverEquality, Gs1D3) {
   grid::Grid1D<double> direct(p.nx), got(p.nx);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_gs1d3_run(c, direct, p.steps, 3);
+  test::resolve<dispatch::TvGs1D3Fn>(dispatch::kTvGs1D3)(c, direct, p.steps, 3);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -484,7 +485,7 @@ TEST(SolverEquality, Gs2D5) {
   grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_gs2d5_run(c, direct, p.steps, 2);
+  test::resolve<dispatch::TvGs2D5Fn>(dispatch::kTvGs2D5)(c, direct, p.steps, 2);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -496,7 +497,7 @@ TEST(SolverEquality, Gs3D7) {
   grid::Grid3D<double> direct(p.nx, p.ny, p.nz), got(p.nx, p.ny, p.nz);
   fill_pattern(direct);
   fill_pattern(got);
-  tv::tv_gs3d7_run(c, direct, p.steps, 2);
+  test::resolve<dispatch::TvGs3D7Fn>(dispatch::kTvGs3D7)(c, direct, p.steps, 2);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -513,7 +514,8 @@ TEST(SolverEquality, Life) {
       direct.at(x, y) = static_cast<std::int32_t>(rng() & 1u);
   for (int x = 0; x <= p.nx + 1; ++x)
     for (int y = 0; y <= p.ny + 1; ++y) got.at(x, y) = direct.at(x, y);
-  tv::tv_life_run(r, direct, p.steps, 2);
+  test::resolve<dispatch::TvLifeFn>(dispatch::kTvLife, dispatch::DType::kI32)(
+      r, direct, p.steps, 2);
   Solver(p).run(Workload(r, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -530,8 +532,12 @@ TEST(SolverEquality, Lcs) {
   const Solver s(p);
   ASSERT_EQ(s.plan().path, Path::kSerialTv);
   const solver::RunResult r = s.run(Workload(a, b));
-  EXPECT_EQ(r.lcs_row, tv::tv_lcs_row(a, b));
-  EXPECT_EQ(r.lcs_length, tv::tv_lcs(a, b));
+  std::vector<std::int32_t> row(b.size() + 1 + tv::kLcsRowPad, 0);
+  test::resolve<dispatch::TvLcsRowsFn>(dispatch::kTvLcsRows,
+                                       dispatch::DType::kI32)(a, b, row.data());
+  row.resize(b.size() + 1);
+  EXPECT_EQ(r.lcs_row, row);
+  EXPECT_EQ(r.lcs_length, row.back());
   EXPECT_EQ(r.lcs_length, stencil::lcs_ref(a, b));
 }
 
@@ -551,7 +557,10 @@ TEST(SolverEqualityTiled, Jacobi1D3Diamond) {
   const ExecutionPlan plan = solver::plan_for(p);
   ASSERT_EQ(plan.path, Path::kTiledParallel);
   tiling::Diamond1DOptions opt{plan.tile_w, plan.tile_h, plan.stride, true};
-  tiling::diamond_jacobi1d3_run(c, direct, p.steps, opt);
+  auto* const run = test::resolve<dispatch::DiamondJacobi1D3Fn>(
+      dispatch::kDiamondJacobi1D3);
+  tiling::with_pingpong(direct, p.steps,
+                        [&](auto& pp) { run(c, pp, p.steps, opt); });
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -570,7 +579,10 @@ TEST(SolverEqualityTiled, Jacobi2D5Diamond) {
   const ExecutionPlan plan = solver::plan_for(p);
   ASSERT_EQ(plan.path, Path::kTiledParallel);
   tiling::Diamond2DOptions opt{plan.tile_w, plan.tile_h, plan.stride, true};
-  tiling::diamond_jacobi2d5_run(c, direct, p.steps, opt);
+  auto* const run = test::resolve<dispatch::DiamondJacobi2D5Fn>(
+      dispatch::kDiamondJacobi2D5);
+  tiling::with_pingpong(direct, p.steps,
+                        [&](auto& pp) { run(c, pp, p.steps, opt); });
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -587,7 +599,8 @@ TEST(SolverEqualityTiled, Gs1D3Parallelogram) {
   ASSERT_EQ(plan.path, Path::kTiledParallel);
   tiling::Parallelogram1DOptions opt{plan.tile_w, plan.tile_h, plan.stride,
                                      true};
-  tiling::parallelogram_gs1d3_run(c, direct, p.steps, opt);
+  test::resolve<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3)(
+      c, direct, p.steps, opt);
   Solver(p).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
@@ -606,7 +619,9 @@ TEST(SolverEqualityTiled, LcsWavefront) {
   ASSERT_EQ(s.plan().path, Path::kTiledParallel);
   tiling::LcsWavefrontOptions opt{s.plan().tile_w, s.plan().tile_h, true};
   const solver::RunResult r = s.run(Workload(a, b));
-  EXPECT_EQ(r.lcs_length, tiling::lcs_wavefront(a, b, opt));
+  EXPECT_EQ(r.lcs_length,
+            test::resolve<dispatch::LcsWavefrontFn>(
+                dispatch::kLcsWavefront, dispatch::DType::kI32)(a, b, opt));
   EXPECT_TRUE(r.lcs_row.empty());  // the wavefront reports the length only
 }
 
@@ -885,8 +900,8 @@ TEST(SolverFloat, DtypeMismatchThrows) {
 }
 
 TEST(SolverFloat, RunMatchesDirectEntryPointsBitForBit) {
-  // The facade resolves the same float engines the public tv_* overloads
-  // dispatch to; with the same stride the results are bit-identical.
+  // The facade resolves the same float engines the registry returns for
+  // (id, kF32); with the same stride the results are bit-identical.
   const auto fill = [](auto& g, int nx) {
     for (int x = 0; x <= nx + 1; ++x)
       g.at(x) = 1.0f + 0.001f * static_cast<float>(x % 89);
@@ -901,7 +916,9 @@ TEST(SolverFloat, RunMatchesDirectEntryPointsBitForBit) {
   grid::Grid1D<float> direct(p.nx), got(p.nx);
   fill(direct, p.nx);
   fill(got, p.nx);
-  tv::tv_jacobi1d3_run(c, direct, p.steps, s.plan().stride);
+  test::resolve<dispatch::TvJacobi1D3F32Fn>(dispatch::kTvJacobi1D3,
+                                            dispatch::DType::kF32)(
+      c, direct, p.steps, s.plan().stride);
   s.run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 
@@ -914,7 +931,9 @@ TEST(SolverFloat, RunMatchesDirectEntryPointsBitForBit) {
   grid::Grid1D<float> gdirect(pg.nx), ggot(pg.nx);
   fill(gdirect, pg.nx);
   fill(ggot, pg.nx);
-  tv::tv_gs1d3_run(c, gdirect, pg.steps, sg.plan().stride);
+  test::resolve<dispatch::TvGs1D3F32Fn>(dispatch::kTvGs1D3,
+                                        dispatch::DType::kF32)(
+      c, gdirect, pg.steps, sg.plan().stride);
   sg.run(Workload(c, ggot));
   EXPECT_EQ(grid::max_abs_diff(ggot, gdirect), 0.0);
 }

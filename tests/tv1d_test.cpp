@@ -13,9 +13,9 @@
 #include <random>
 #include <tuple>
 
+#include "kernel.hpp"
 #include "stencil/reference1d.hpp"
 #include "tv/functors1d.hpp"
-#include "tv/tv1d.hpp"
 #include "tv/tv1d_impl.hpp"
 
 namespace {
@@ -49,7 +49,8 @@ TEST_P(Tv1dSweep, MatchesOracleExactly3P) {
   Grid ref = make_random(nx, 7u + static_cast<unsigned>(nx)), got(nx);
   copy(ref, got);
   stencil::jacobi1d3_run(c, ref, steps);
-  tv::tv_jacobi1d3_run(c, got, steps, s);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+      c, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " steps=" << steps << " s=" << s;
 }
@@ -91,7 +92,8 @@ TEST_P(Tv1dSweep5P, MatchesOracleExactly5P) {
   Grid ref = make_random(nx, 101u + static_cast<unsigned>(nx)), got(nx);
   copy(ref, got);
   stencil::jacobi1d5_run(c, ref, steps);
-  tv::tv_jacobi1d5_run(c, got, steps, s);
+  test::resolve<dispatch::TvJacobi1D5Fn>(dispatch::kTvJacobi1D5)(
+      c, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " steps=" << steps << " s=" << s;
 }
@@ -120,7 +122,8 @@ TEST(Tv1d, RandomCoefficientsProperty) {
     Grid ref = make_random(nx, 200u + static_cast<unsigned>(it)), got(nx);
     copy(ref, got);
     stencil::jacobi1d3_run(c, ref, steps);
-    tv::tv_jacobi1d3_run(c, got, steps, s);
+    test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+        c, got, steps, s);
     ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
         << "it=" << it << " nx=" << nx << " steps=" << steps << " s=" << s;
   }
@@ -132,7 +135,7 @@ TEST(Tv1d, NonZeroBoundaryValuesStayFixed) {
   u.fill(0.0);
   u.at(0) = 3.5;
   u.at(65) = -2.5;
-  tv::tv_jacobi1d3_run(c, u, 40, 7);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(c, u, 40, 7);
   EXPECT_EQ(u.at(0), 3.5);
   EXPECT_EQ(u.at(65), -2.5);
   // Interior pulled towards the boundary values.
@@ -143,7 +146,8 @@ TEST(Tv1d, NonZeroBoundaryValuesStayFixed) {
 TEST(Tv1d, ZeroStepsIsIdentity) {
   Grid a = make_random(77, 5), b(77);
   copy(a, b);
-  tv::tv_jacobi1d3_run(stencil::heat1d(0.2), b, 0);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+      stencil::heat1d(0.2), b, 0, 7);
   EXPECT_EQ(grid::max_abs_diff(a, b), 0.0);
 }
 
@@ -153,7 +157,8 @@ TEST(Tv1d, LongRunStability) {
   Grid u = make_random(513, 31);
   u.at(0) = 0.0;
   u.at(514) = 0.0;
-  tv::tv_jacobi1d3_run(stencil::heat1d(0.25), u, 1000, 7);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(
+      stencil::heat1d(0.25), u, 1000, 7);
   for (int x = 1; x <= 513; ++x) {
     EXPECT_LT(std::abs(u.at(x)), 1.0 + 1e-9);
   }
@@ -166,7 +171,7 @@ TEST(Tv1d, StrideEqualsMinimumLegal) {
   Grid ref = make_random(240, 77), got(240);
   copy(ref, got);
   stencil::jacobi1d3_run(c, ref, 16);
-  tv::tv_jacobi1d3_run(c, got, 16, 2);
+  test::resolve<dispatch::TvJacobi1D3Fn>(dispatch::kTvJacobi1D3)(c, got, 16, 2);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
 }
 

@@ -6,12 +6,10 @@
 #include <random>
 #include <tuple>
 
+#include "kernel.hpp"
 #include "stencil/life_ref.hpp"
 #include "stencil/reference2d.hpp"
 #include "tv/functors2d.hpp"
-#include "tv/tv2d.hpp"
-#include "tv/tv_gs2d.hpp"
-#include "tv/tv_life.hpp"
 #include "tv/tv_plane_impl.hpp"
 
 namespace {
@@ -45,7 +43,8 @@ TEST_P(Tv2dSweep, Jacobi5PMatchesOracleExactly) {
   GridD got(nx, ny);
   copy(ref, got);
   stencil::jacobi2d5_run(c, ref, steps);
-  tv::tv_jacobi2d5_run(c, got, steps, s);
+  test::resolve<dispatch::TvJacobi2D5Fn>(dispatch::kTvJacobi2D5)(
+      c, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " ny=" << ny << " steps=" << steps << " s=" << s;
 }
@@ -57,7 +56,8 @@ TEST_P(Tv2dSweep, Jacobi9PMatchesOracleExactly) {
   GridD got(nx, ny);
   copy(ref, got);
   stencil::jacobi2d9_run(c, ref, steps);
-  tv::tv_jacobi2d9_run(c, got, steps, s);
+  test::resolve<dispatch::TvJacobi2D9Fn>(dispatch::kTvJacobi2D9)(
+      c, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " ny=" << ny << " steps=" << steps << " s=" << s;
 }
@@ -69,7 +69,7 @@ TEST_P(Tv2dSweep, GaussSeidelMatchesOracleExactly) {
   GridD got(nx, ny);
   copy(ref, got);
   stencil::gs2d5_run(c, ref, steps);
-  tv::tv_gs2d5_run(c, got, steps, s);
+  test::resolve<dispatch::TvGs2D5Fn>(dispatch::kTvGs2D5)(c, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " ny=" << ny << " steps=" << steps << " s=" << s;
 }
@@ -121,7 +121,8 @@ TEST_P(TvLifeSweep, MatchesOracleExactly) {
   GridI got(nx, ny);
   copy(ref, got);
   stencil::life_run(rule, ref, steps);
-  tv::tv_life_run(rule, got, steps, s);
+  test::resolve<dispatch::TvLifeFn>(dispatch::kTvLife, dispatch::DType::kI32)(
+      rule, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " ny=" << ny << " steps=" << steps << " s=" << s;
 }
@@ -151,7 +152,8 @@ TEST(TvLife, ConwayGliderTravels) {
   GridI ref(40, 40);
   copy(u, ref);
   stencil::life_run(conway, ref, 32);
-  tv::tv_life_run(conway, u, 32, 2);
+  test::resolve<dispatch::TvLifeFn>(dispatch::kTvLife, dispatch::DType::kI32)(
+      conway, u, 32, 2);
   EXPECT_EQ(grid::max_abs_diff(ref, u), 0.0);
   // After 32 steps the glider has moved 8 cells diagonally.
   EXPECT_EQ(u.at(10, 11), 1);
@@ -167,7 +169,8 @@ TEST(Tv2d, BoundaryStaysFixedAndRandomCoeffs) {
     GridD got(nx, ny);
     copy(ref, got);
     stencil::jacobi2d5_run(c, ref, 9);
-    tv::tv_jacobi2d5_run(c, got, 9, 2);
+    test::resolve<dispatch::TvJacobi2D5Fn>(dispatch::kTvJacobi2D5)(
+        c, got, 9, 2);
     ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0) << "it=" << it;
     EXPECT_EQ(got.at(0, 3), ref.at(0, 3));
   }

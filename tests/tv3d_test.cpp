@@ -7,10 +7,9 @@
 #include <random>
 #include <tuple>
 
+#include "kernel.hpp"
 #include "stencil/reference3d.hpp"
 #include "tv/functors3d.hpp"
-#include "tv/tv3d.hpp"
-#include "tv/tv_gs3d.hpp"
 #include "tv/tv_plane_impl.hpp"
 
 namespace {
@@ -43,7 +42,8 @@ TEST_P(Tv3dSweep, JacobiMatchesOracleExactly) {
   Grid got(nx, ny, nz);
   copy(ref, got);
   stencil::jacobi3d7_run(c, ref, steps);
-  tv::tv_jacobi3d7_run(c, got, steps, s);
+  test::resolve<dispatch::TvJacobi3D7Fn>(dispatch::kTvJacobi3D7)(
+      c, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "n=(" << nx << "," << ny << "," << nz << ") steps=" << steps
       << " s=" << s;
@@ -56,7 +56,7 @@ TEST_P(Tv3dSweep, GaussSeidelMatchesOracleExactly) {
   Grid got(nx, ny, nz);
   copy(ref, got);
   stencil::gs3d7_run(c, ref, steps);
-  tv::tv_gs3d7_run(c, got, steps, s);
+  test::resolve<dispatch::TvGs3D7Fn>(dispatch::kTvGs3D7)(c, got, steps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "n=(" << nx << "," << ny << "," << nz << ") steps=" << steps
       << " s=" << s;
@@ -99,7 +99,8 @@ INSTANTIATE_TEST_SUITE_P(
 TEST(Tv3d, ConstantFieldSteadyState) {
   Grid u(12, 10, 8);
   u.fill(3.25);
-  tv::tv_jacobi3d7_run(stencil::heat3d(0.05), u, 8, 2);
+  test::resolve<dispatch::TvJacobi3D7Fn>(dispatch::kTvJacobi3D7)(
+      stencil::heat3d(0.05), u, 8, 2);
   for (int x = 0; x <= 13; ++x)
     for (int y = 0; y <= 11; ++y)
       for (int z = 0; z <= 9; ++z)

@@ -6,8 +6,8 @@
 #include <random>
 #include <tuple>
 
+#include "kernel.hpp"
 #include "stencil/reference1d.hpp"
-#include "tv/tv_gs1d.hpp"
 #include "tv/functors1d.hpp"
 #include "tv/tv1d_impl.hpp"
 
@@ -36,7 +36,7 @@ TEST_P(TvGs1dSweep, MatchesOracleExactly) {
   Grid ref = make_random(nx, 300u + static_cast<unsigned>(nx)), got(nx);
   copy(ref, got);
   stencil::gs1d3_run(c, ref, sweeps);
-  tv::tv_gs1d3_run(c, got, sweeps, s);
+  test::resolve<dispatch::TvGs1D3Fn>(dispatch::kTvGs1D3)(c, got, sweeps, s);
   EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
       << "nx=" << nx << " sweeps=" << sweeps << " s=" << s;
 }
@@ -76,7 +76,7 @@ TEST(TvGs1d, RandomCoefficientsProperty) {
     Grid ref = make_random(nx, 900u + static_cast<unsigned>(it)), got(nx);
     copy(ref, got);
     stencil::gs1d3_run(c, ref, sweeps);
-    tv::tv_gs1d3_run(c, got, sweeps, s);
+    test::resolve<dispatch::TvGs1D3Fn>(dispatch::kTvGs1D3)(c, got, sweeps, s);
     ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
         << "it=" << it << " nx=" << nx << " sweeps=" << sweeps << " s=" << s;
   }
@@ -88,7 +88,7 @@ TEST(TvGs1d, BoundaryValuesStayFixed) {
   u.fill(0.5);
   u.at(0) = 2.0;
   u.at(101) = -1.0;
-  tv::tv_gs1d3_run(c, u, 24);
+  test::resolve<dispatch::TvGs1D3Fn>(dispatch::kTvGs1D3)(c, u, 24, 3);
   EXPECT_EQ(u.at(0), 2.0);
   EXPECT_EQ(u.at(101), -1.0);
 }
@@ -101,7 +101,7 @@ TEST(TvGs1d, ConvergesToLinearProfile) {
   u.fill(0.0);
   u.at(0) = 1.0;
   u.at(64) = 0.0;
-  tv::tv_gs1d3_run(c, u, 20000);
+  test::resolve<dispatch::TvGs1D3Fn>(dispatch::kTvGs1D3)(c, u, 20000, 3);
   for (int x = 1; x <= 63; ++x) {
     const double exact = 1.0 - static_cast<double>(x) / 64.0;
     EXPECT_NEAR(u.at(x), exact, 1e-6) << "x=" << x;

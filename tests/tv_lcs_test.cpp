@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "kernel.hpp"
 #include "simd/vec.hpp"
 #include "stencil/lcs_ref.hpp"
 #include "tv/tv_lcs.hpp"
@@ -31,9 +32,10 @@ TEST_P(TvLcsSweep, FinalRowMatchesOracle) {
   const auto a = random_seq(na, alpha, 1000u + static_cast<unsigned>(na));
   const auto b = random_seq(nb, alpha, 2000u + static_cast<unsigned>(nb));
   const auto ref = stencil::lcs_ref_row(a, b);
-  const auto got = tv::tv_lcs_row(a, b);
-  ASSERT_EQ(ref.size(), got.size());
-  for (std::size_t i = 0; i < ref.size(); ++i)
+  std::vector<std::int32_t> got(b.size() + 1 + tv::kLcsRowPad, 0);
+  test::resolve<dispatch::TvLcsRowsFn>(dispatch::kTvLcsRows,
+                                       dispatch::DType::kI32)(a, b, got.data());
+  for (std::size_t i = 0; i <= b.size(); ++i)
     ASSERT_EQ(ref[i], got[i]) << "col " << i << " na=" << na << " nb=" << nb;
 }
 
@@ -61,41 +63,39 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<2>(info.param));
     });
 
-TEST(TvLcs, KnownCases) {
+// The last cell of the final row is the LCS length: known cases, an empty
+// A, identical and disjoint sequences, a subsequence embedded in junk, and
+// a large random pair against the oracle's length.
+TEST(TvLcs, LengthsMatchKnownCases) {
+  struct Case {
+    std::vector<std::int32_t> a, b;
+    std::int32_t want;
+  };
   const std::vector<std::int32_t> a{1, 2, 3, 4, 1};
   const std::vector<std::int32_t> b{3, 4, 1, 2, 1, 3};
-  EXPECT_EQ(tv::tv_lcs(a, b), 3);
-  EXPECT_EQ(tv::tv_lcs(a, a), 5);
-  EXPECT_EQ(tv::tv_lcs(a, std::vector<std::int32_t>{}), 0);
-  EXPECT_EQ(tv::tv_lcs(std::vector<std::int32_t>{}, b), 0);
-}
-
-TEST(TvLcs, IdenticalSequences) {
-  const auto a = random_seq(200, 4, 7);
-  EXPECT_EQ(tv::tv_lcs(a, a), 200);
-}
-
-TEST(TvLcs, DisjointAlphabets) {
-  std::vector<std::int32_t> a(50, 1), b(70, 2);
-  EXPECT_EQ(tv::tv_lcs(a, b), 0);
-}
-
-TEST(TvLcs, SubsequenceEmbedding) {
+  const auto same = random_seq(200, 4, 7);
   // b = a with junk interleaved -> lcs == |a|.
-  const auto a = random_seq(64, 3, 11);
-  std::vector<std::int32_t> b;
-  for (const auto v : a) {
-    b.push_back(9);
-    b.push_back(v);
-    b.push_back(8);
+  const auto sub = random_seq(64, 3, 11);
+  std::vector<std::int32_t> embed;
+  for (const auto v : sub) embed.insert(embed.end(), {9, v, 8});
+  const auto la = random_seq(1000, 4, 21);
+  const auto lb = random_seq(1500, 4, 22);
+  const std::vector<Case> cases{
+      {a, b, 3},
+      {a, a, 5},
+      {{}, b, 0},
+      {same, same, 200},
+      {std::vector<std::int32_t>(50, 1), std::vector<std::int32_t>(70, 2), 0},
+      {sub, embed, 64},
+      {la, lb, stencil::lcs_ref(la, lb)}};
+  auto* const rows = test::resolve<dispatch::TvLcsRowsFn>(
+      dispatch::kTvLcsRows, dispatch::DType::kI32);
+  for (std::size_t k = 0; k < cases.size(); ++k) {
+    const Case& c = cases[k];
+    std::vector<std::int32_t> row(c.b.size() + 1 + tv::kLcsRowPad, 0);
+    rows(c.a, c.b, row.data());
+    EXPECT_EQ(row[c.b.size()], c.want) << "case " << k;
   }
-  EXPECT_EQ(tv::tv_lcs(a, b), 64);
-}
-
-TEST(TvLcs, LargeRandomMatchesOracleLength) {
-  const auto a = random_seq(1000, 4, 21);
-  const auto b = random_seq(1500, 4, 22);
-  EXPECT_EQ(tv::tv_lcs(a, b), stencil::lcs_ref(a, b));
 }
 
 }  // namespace

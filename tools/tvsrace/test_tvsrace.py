@@ -4,7 +4,8 @@ exactly its intended rule group, every clean fixture (which exercises the
 annotation grammar) must pass, a wrong partitioned() name must be
 rejected, stripping a partitioned() annotation (in a fixture and in the
 real tree, on a stage_run() body and on a stage callback) must resurface
-the findings it certifies, and a missing
+the findings it certifies, the destination of a bulk copy/fill is a
+write, and a missing
 --compile-commands path must be a usage error (exit 2).
 
 Run directly (python3 tools/tvsrace/test_tvsrace.py) or via the
@@ -112,6 +113,46 @@ class C1OmpSharing(unittest.TestCase):
             self.assertEqual(code, 1)
             self.assertEqual({f[2] for f in findings}, {"C1"})
             self.assertGreaterEqual(len(findings), 3)
+
+    def test_bulk_write_destinations_are_writes(self):
+        # The destination of a std::copy/fill/memset into a shared pointer,
+        # offset by pointer arithmetic, is an unpartitioned write (lines
+        # 16-18); a destination indexed by the parallel variable and a
+        # region-local buffer are clean.
+        code, findings = run_race([fixture("c1_bulk_write.cpp")])
+        self.assertEqual(code, 1)
+        self.assertEqual({f[2] for f in findings}, {"C1"})
+        self.assertEqual(sorted(f[1] for f in findings), [16, 17, 18])
+
+    def test_stripping_the_1d_mirror_annotation_resurfaces_copies(self):
+        # Liveness against the actual tree: the 1D diamond's mirror
+        # callback copies the halo cells into the odd parity array with
+        # std::copy(..., odd - kPad) and std::copy(..., odd + nx + 1).
+        # Without its `partitioned(x0)` annotation both copies are
+        # findings.
+        sched = os.path.join(REPO, "src", "tiling", "schedule.hpp")
+        src = os.path.join(REPO, "src", "tiling", "diamond.cpp")
+        with open(src, "r", encoding="utf-8") as f:
+            text = f.read()
+        mark = ("(x <= 0, x >= nx+1).\n"
+                "      // tvsrace: partitioned(x0)\n")
+        self.assertEqual(text.count(mark), 1)
+        stripped_text = text.replace(mark, "(x <= 0, x >= nx+1).\n\n")
+        lines = stripped_text.splitlines()
+        copies = [i + 1 for i, l in enumerate(lines)
+                  if "std::copy(" in l and "odd" in l]
+        self.assertEqual(len(copies), 2)
+        with tempfile.TemporaryDirectory() as td:
+            fixdir = os.path.join(td, "fixtures")
+            os.makedirs(fixdir)
+            stripped = os.path.join(fixdir, "diamond.cpp")
+            with open(stripped, "w", encoding="utf-8") as f:
+                f.write(stripped_text)
+            code, findings = run_race([sched, stripped])
+            self.assertEqual(code, 1)
+            self.assertEqual({f[2] for f in findings}, {"C1"})
+            for ln in copies:
+                self.assertIn(ln, [f[1] for f in findings])
 
     def test_stage_run_bodies_are_parallel_regions(self):
         # stage_run() bodies (a named lambda, an inline one) writing

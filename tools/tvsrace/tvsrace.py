@@ -627,6 +627,15 @@ THREAD_NUM_RE = re.compile(r"\bomp_get_thread_num\b")
 ASSIGN_OP_RE = re.compile(
     r"(\+\+|--|(?:[+\-*/%&|^]|<<|>>)?=(?!=))")
 CHAIN_USE_RE = re.compile(r"\b([A-Za-z_]\w*)\s*(\.|->|\[|\()")
+# Bulk writes: the standard algorithms and C routines that store through
+# one of their arguments, mapped to that argument's position.  Their
+# destination is usually pointer arithmetic (`std::copy(a, b, odd - 2)`),
+# which no assignment or subscript on the shared name would reveal.
+BULK_WRITE_DEST = {"copy": 2, "copy_n": 2, "copy_backward": 2, "fill": 0,
+                   "fill_n": 0, "memcpy": 0, "memset": 0}
+BULK_WRITE_RE = re.compile(
+    r"(?<![\w.>:])(?:std\s*::\s*(copy_backward|copy_n|copy|fill_n|fill"
+    r"|memcpy|memset)|(memcpy|memset))\s*\(")
 
 
 def token_in(name: str, text: str) -> bool:
@@ -1000,6 +1009,33 @@ def check_omp(sf: SourceFile, flat: Flat, blocks: List[Block],
                 return True
             return per_slot(chunk)
 
+        def write_to(base: str, idx: int, lv: str) -> None:
+            """Reports a write to `base` (lvalue text `lv`) at flat index
+            idx unless it is private, guarded or proven partitioned."""
+            if base in private or base in reduction_vars:
+                return
+            if in_safe(idx) or proven(lv):
+                return
+            if base in derived or shared_deep(base):
+                add(idx,
+                    f"write to shared '{base}' in this parallel "
+                    "region has no partition proof (index it by "
+                    f"the parallel variable, use a reduction/"
+                    "critical section, or certify the region with "
+                    "'// tvsrace: partitioned(<index>)')")
+            elif base not in outer:
+                add(idx,
+                    f"write to '{base}' which tvsrace cannot prove "
+                    "thread-private (declare it in the region, "
+                    "list it in a private()/reduction() clause, or "
+                    "annotate)")
+            elif outer[base].category() != "readonly":
+                add(idx,
+                    f"write to shared {outer[base].category()} "
+                    f"'{base}' in a parallel region (every "
+                    "iteration races on it; use reduction/"
+                    "critical or make it per-thread)")
+
         # pass 2: writes and mutable uses
         for fidx, frag in fragments:
             if PRAGMA_OMP_RE.search(frag):
@@ -1029,33 +1065,23 @@ def check_omp(sf: SourceFile, flat: Flat, blocks: List[Block],
                     else:
                         ids = re.findall(r"[A-Za-z_]\w*", lv)
                         base = ids[0] if ids else None
-                    if base is None:
-                        continue
-                    if base in private or base in reduction_vars:
-                        continue
-                    if in_safe(fidx + am.start()):
-                        continue
-                    if proven(lv):
-                        continue
-                    if base in derived or shared_deep(base):
-                        add(fidx + am.start(),
-                            f"write to shared '{base}' in this parallel "
-                            "region has no partition proof (index it by "
-                            f"the parallel variable, use a reduction/"
-                            "critical section, or certify the region with "
-                            "'// tvsrace: partitioned(<index>)')")
-                    elif base not in outer:
-                        add(fidx + am.start(),
-                            f"write to '{base}' which tvsrace cannot prove "
-                            "thread-private (declare it in the region, "
-                            "list it in a private()/reduction() clause, or "
-                            "annotate)")
-                    elif outer[base].category() != "readonly":
-                        add(fidx + am.start(),
-                            f"write to shared {outer[base].category()} "
-                            f"'{base}' in a parallel region (every "
-                            "iteration races on it; use reduction/"
-                            "critical or make it per-thread)")
+                    if base is not None:
+                        write_to(base, fidx + am.start(), lv)
+
+            # (a') bulk writes: the destination argument of a copy/fill
+            # or memcpy/memset is a write to its base identifier.
+            for bm in BULK_WRITE_RE.finditer(scan_text):
+                fn = bm.group(1) or bm.group(2)
+                open_idx = bm.end() - 1
+                close_idx = match_forward(scan_text, open_idx, "(", ")")
+                args = split_args(scan_text, open_idx, close_idx)
+                pos = BULK_WRITE_DEST[fn]
+                if pos >= len(args):
+                    continue
+                aidx, atext = args[pos]
+                ids = re.findall(r"[A-Za-z_]\w*", atext)
+                if ids:
+                    write_to(ids[0], scan_base + aidx, atext)
 
             # (b)+(c) mutable uses of shared objects: member/subscript/
             # call through a shared deep base, or passing it bare to a
