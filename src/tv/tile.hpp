@@ -168,6 +168,14 @@ struct LineWindow {
 template <class F>
 inline constexpr int kWestLag = west_lag(F::radius, F::newest_west);
 
+// Functor Fn<V> re-instantiated at vector type H from its coefficients c:
+// the same canonical formula, another width (the flat Gauss-Seidel runs'
+// halving cascade).
+template <class H, template <class> class Fn, class V>
+Fn<H> rebind(const Fn<V>& f) {
+  return Fn<H>(f.c);
+}
+
 // Ring of input vectors for the plane tile: `period` slots, each a slab of
 // `lines` lines of `zstride` vectors, and for a newest-west functor one
 // slab more, `newest`, holding the previous x iteration's outputs.  Lines

@@ -143,8 +143,9 @@ void scalar_span(const F& f, LevelLine<T> dst, LevelLine<T> src, int x0,
 }
 
 // Plain scalar time steps (used for nx too small for the vector pipeline
-// and for the T % vl residual).  A Gauss-Seidel step sweeps in place; a
-// Jacobi step ping-pongs through ws.sbuf.
+// and for the T % vl residual; a Gauss-Seidel run reaches them only at 2
+// lanes).  A Gauss-Seidel step sweeps in place; a Jacobi step ping-pongs
+// through ws.sbuf.
 template <class F, class T>
 void scalar_steps(const F& f, T* a, int nx, long nsteps,
                   Workspace1D<T>& ws) {
@@ -399,8 +400,10 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
 }
 
 // Advance `u` by `steps` time steps (Gauss-Seidel sweeps): floor(steps/vl)
-// vector tiles plus a scalar residual.  Falls back to scalar whenever the
-// line is too short for the pipeline (TileRows::vector_ok).
+// vector tiles plus a residual, every step when the line is too short for
+// the pipeline (TileRows::vector_ok).  A Jacobi residual runs as scalar
+// steps; a Gauss-Seidel one, which cannot vectorize in space, goes to the
+// same engine at half the width, down to 2 lanes (as in tv_plane_run).
 template <class V, bool Re = false, class F>
 void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
               int s) {
@@ -418,7 +421,12 @@ void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
     ws.copy_boundaries(a);
     for (; t + VL <= steps; t += VL) tv1d_tile<V, Re>(f, a, ws, rows, s);
   }
-  detail::scalar_steps(f, a, nx, steps - t, ws);
+  if constexpr (F::newest_west && VL > 2) {
+    using H = simd::NativeVec<T, VL / 2>;
+    if (t < steps) tv1d_run<H>(rebind<H>(f), u, steps - t, s);
+  } else {
+    detail::scalar_steps(f, a, nx, steps - t, ws);
+  }
 }
 
 }  // namespace tvs::tv

@@ -110,13 +110,16 @@ void scalar_plane(const F& f, LevelSlab<T> dst, LevelSlab<T> sm,
   }
 }
 
-// Plain scalar steps: the steps % vl residual, every step of a grid too
-// short for the pipeline, and the parallelograms' residual sweeps.  A
-// Gauss-Seidel step sweeps in place; a Jacobi step goes through a copy.
+// Plain scalar steps: the Jacobi and Life steps % vl residual, every step
+// of a grid too short for the pipeline, the 2-lane Gauss-Seidel residual
+// and the parallelograms' residual sweeps.  A Gauss-Seidel step sweeps in
+// place; a Jacobi step writes plane r to a rolling two-plane buffer and
+// stores plane r-1 back once plane r, its last reader, is computed.
 template <class F, class G>
 void scalar_steps(const F& f, G& g, long nsteps) {
   if (nsteps <= 0) return;
-  using Slab = LevelSlab<typename F::value_type>;
+  using T = typename F::value_type;
+  using Slab = LevelSlab<T>;
   const PlaneShape pl = plane_shape(g);
   const int nx = g.nx();
   if constexpr (F::newest_west) {
@@ -125,16 +128,25 @@ void scalar_steps(const F& f, G& g, long nsteps) {
         scalar_plane(f, Slab::of(g, r), Slab::of(g, r - 1), Slab::of(g, r),
                      Slab::of(g, r + 1), r, pl);
   } else {
-    G tmp = grid_like(g);
+    // Lines padded like the grid's, so line z = 0 is aligned in both.
+    const std::ptrdiff_t zs = (pl.n + 2 + 15) / 16 * 16;
+    const std::ptrdiff_t plane = pl.lines * zs;
+    grid::AlignedBuffer<T> buf(2 * static_cast<std::size_t>(plane));
+    const auto tmp = [&](int r) -> Slab {
+      return {buf.data() + (r & 1) * plane, pl.lines > 1 ? zs : 0};
+    };
+    const auto store = [&](int r) {
+      const Slab src = tmp(r), dst = Slab::of(g, r);
+      for (int y = pl.y0; y <= pl.y1; ++y)
+        std::copy(src.line(y) + 1, src.line(y) + pl.n + 1, dst.line(y) + 1);
+    };
     for (long t = 0; t < nsteps; ++t) {
-      for (int r = 1; r <= nx; ++r)
-        scalar_plane(f, Slab::of(tmp, r), Slab::of(g, r - 1), Slab::of(g, r),
-                     Slab::of(g, r + 1), r, pl);
       for (int r = 1; r <= nx; ++r) {
-        const Slab src = Slab::of(tmp, r), dst = Slab::of(g, r);
-        for (int y = pl.y0; y <= pl.y1; ++y)
-          std::copy(src.line(y) + 1, src.line(y) + pl.n + 1, dst.line(y) + 1);
+        scalar_plane(f, tmp(r), Slab::of(g, r - 1), Slab::of(g, r),
+                     Slab::of(g, r + 1), r, pl);
+        if (r > 1) store(r - 1);
       }
+      if (nx > 0) store(nx);
     }
   }
 }
@@ -316,22 +328,32 @@ void tv_plane_tile(const F& f, G& g, Levels& lev, SlabRing<V>& ring,
 }
 
 // Advance g by `steps` time steps (Gauss-Seidel sweeps): vl per tile plus a
-// scalar residual.
+// residual.  A Jacobi or Life residual runs as scalar steps, whose lines
+// vectorize in space.  A Gauss-Seidel sweep cannot (its west operand is the
+// value just written), so its residual — every sweep, when the grid is too
+// short for this width's pipeline — goes to the same engine at half the
+// width, down to 2 lanes: at most one scalar sweep is left.
 template <class V, bool Re = false, class F, class G>
 void tv_plane_run(const F& f, G& g, long steps, int s) {
   static_assert(simd::LaneGeneric<V> && simd::lane_layout_ok<V>);
+  using T = typename V::value_type;
   constexpr int VL = V::lanes;
   const auto rows = TileRows<VL>::full(g.nx(), F::radius);
   long t = 0;
   if (rows.vector_ok(s) && steps >= VL) {
     SlabRing<V> ring;
-    EdgePlanes<typename V::value_type> planes;  // levels 1..vl-1 at the edges
+    EdgePlanes<T> planes;  // levels 1..vl-1 at the edges
     planes.prepare(VL, s, g.nx(), plane_shape(g));
     planes.copy_frames(g);
     for (; t + VL <= steps; t += VL)
       tv_plane_tile<V, Re>(f, g, planes, ring, rows, s);
   }
-  detail::scalar_steps(f, g, steps - t);
+  if constexpr (F::newest_west && VL > 2) {
+    using H = simd::NativeVec<T, VL / 2>;
+    if (t < steps) tv_plane_run<H>(rebind<H>(f), g, steps - t, s);
+  } else {
+    detail::scalar_steps(f, g, steps - t);
+  }
 }
 
 }  // namespace tvs::tv

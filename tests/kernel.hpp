@@ -4,7 +4,8 @@
 // and element type through the registry (dispatch/kernels.hpp names both
 // and the signature alias Fn), at the selected backend — so a forced
 // backend (TVS_FORCE_BACKEND) runs the same test on its own engines — and
-// at that backend's native width for the dtype.
+// at that backend's native width for the dtype, or at a registered width
+// vl.
 #pragma once
 
 #include <string_view>
@@ -15,9 +16,10 @@
 namespace tvs::test {
 
 template <class Fn>
-Fn* resolve(std::string_view id, dispatch::DType dt = dispatch::DType::kF64) {
+Fn* resolve(std::string_view id, dispatch::DType dt = dispatch::DType::kF64,
+            int vl = dispatch::kAnyVl) {
   return dispatch::KernelRegistry::instance().get_at<Fn>(
-      id, dispatch::selected_backend(), dispatch::kAnyVl, dt);
+      id, dispatch::selected_backend(), vl, dt);
 }
 
 }  // namespace tvs::test

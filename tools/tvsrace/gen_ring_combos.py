@@ -3,14 +3,19 @@
 
 Every matrix row carrying a `ring` object (see tools/tvslint/
 registry_matrix.json) contributes one `TVS_RING_COMBO(...)` line per
-registered (dtype, vl, legal stride) combination:
+(dtype, vl, legal stride) combination its ring executes:
 
     TVS_RING_COMBO(kernel_id, family, dtype, vl, param, stride)
+
+The matrix's `vl` lists hold the widths a ring *executes*, not only the
+registered ones: a flat Gauss-Seidel engine hands its residual sweeps to
+the same engine at half the width, down to 2 lanes (tv_plane_run,
+tv1d_run), so its rows also list those half widths.
 
 tests/ring_bounds_static.cpp expands each line into a static_assert that
 traces the named family's ring/slot index math at constexpr time through
 CheckedIdx bounds (tests/ring_bounds_model.hpp), so an out-of-bounds ring
-access for ANY registered combination is a compile error.
+access for ANY executed combination is a compile error.
 
 The .inc file is committed; `--check` regenerates it in memory and fails
 (exit 1) when the committed file has drifted from the matrix - wired as
@@ -35,7 +40,7 @@ HEADER = """\
 // Generated by tools/tvsrace/gen_ring_combos.py from
 // tools/tvslint/registry_matrix.json - do not edit by hand.
 // One TVS_RING_COMBO(kernel, family, dtype, vl, param, stride) per
-// registered (dtype, vl, legal stride) combination of every ring-based
+// executed (dtype, vl, legal stride) combination of every ring-based
 // engine; regenerate with `python3 tools/tvsrace/gen_ring_combos.py`
 // (the ring_combos_sync CTest entry fails when this file drifts).
 """
