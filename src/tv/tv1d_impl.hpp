@@ -143,9 +143,9 @@ void scalar_span(const F& f, LevelLine<T> dst, LevelLine<T> src, int x0,
 }
 
 // Plain scalar time steps (used for nx too small for the vector pipeline
-// and for the T % vl residual; a Gauss-Seidel run reaches them only at 2
-// lanes).  A Gauss-Seidel step sweeps in place; a Jacobi step ping-pongs
-// through ws.sbuf.
+// and for the T % vl residual; a Gauss-Seidel run reaches them only at 4
+// lanes or fewer).  A Gauss-Seidel step sweeps in place; a Jacobi step
+// ping-pongs through ws.sbuf.
 template <class F, class T>
 void scalar_steps(const F& f, T* a, int nx, long nsteps,
                   Workspace1D<T>& ws) {
@@ -403,7 +403,9 @@ void tv1d_tile(const F& f, typename V::value_type* a, Levels& lev,
 // vector tiles plus a residual, every step when the line is too short for
 // the pipeline (TileRows::vector_ok).  A Jacobi residual runs as scalar
 // steps; a Gauss-Seidel one, which cannot vectorize in space, goes to the
-// same engine at half the width, down to 2 lanes (as in tv_plane_run).
+// same engine at half the width (as in tv_plane_run), down to 4 lanes: a
+// 2-lane line tile ran 1.2-1.4x slower than the two f64 sweeps it replaces
+// and no faster than two f32 ones, so at most three scalar sweeps are left.
 template <class V, bool Re = false, class F>
 void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
               int s) {
@@ -421,7 +423,7 @@ void tv1d_run(const F& f, grid::Grid1D<typename V::value_type>& u, long steps,
     ws.copy_boundaries(a);
     for (; t + VL <= steps; t += VL) tv1d_tile<V, Re>(f, a, ws, rows, s);
   }
-  if constexpr (F::newest_west && VL > 2) {
+  if constexpr (F::newest_west && VL / 2 >= 4) {
     using H = simd::NativeVec<T, VL / 2>;
     if (t < steps) tv1d_run<H>(rebind<H>(f), u, steps - t, s);
   } else {

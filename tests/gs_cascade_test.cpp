@@ -3,7 +3,7 @@
 // A flat Gauss-Seidel engine runs floor(sweeps / vl) tiles at its width and
 // hands the residual sweeps — all of them when the grid is too short for
 // the width's pipeline — to the same engine at half the width, down to 2
-// lanes (tv_plane_run, tv1d_run).  For every registered width of tv_gs1d3,
+// lanes on planes (tv_plane_run) and 4 on lines (tv1d_run).  For every registered width of tv_gs1d3,
 // tv_gs2d5 and tv_gs3d7 that the selected backend resolves, in f64 and
 // f32, sweeps 1 .. 2·vl+1 must equal the plain in-place scalar sweep
 // (tv::detail::scalar_steps) exactly: every width evaluates the canonical

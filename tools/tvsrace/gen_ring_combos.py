@@ -9,8 +9,9 @@ registry_matrix.json) contributes one `TVS_RING_COMBO(...)` line per
 
 The matrix's `vl` lists hold the widths a ring *executes*, not only the
 registered ones: a flat Gauss-Seidel engine hands its residual sweeps to
-the same engine at half the width, down to 2 lanes (tv_plane_run,
-tv1d_run), so its rows also list those half widths.
+the same engine at half the width, down to 2 lanes on planes
+(tv_plane_run) and 4 on lines (tv1d_run), so its rows also list those half
+widths.
 
 tests/ring_bounds_static.cpp expands each line into a static_assert that
 traces the named family's ring/slot index math at constexpr time through
@@ -99,7 +100,8 @@ def main(argv=None) -> int:
         return 0
     with open(args.out, "w", encoding="utf-8") as f:
         f.write(want)
-    nlines = want.count("TVS_RING_COMBO(")
+    nlines = sum(line.startswith("TVS_RING_COMBO(")
+                 for line in want.splitlines())
     print(f"gen_ring_combos: wrote {args.out} ({nlines} combinations)",
           file=sys.stderr)
     return 0
