@@ -45,10 +45,7 @@ int main() {
   auto* const tiled =
       dispatch::KernelRegistry::instance().get<dispatch::DiamondJacobi1D3Fn>(
           dispatch::kDiamondJacobi1D3);
-  tiling::Diamond1DOptions sc;
-  sc.width = plan.tile_w;
-  sc.height = plan.tile_h;
-  sc.use_vector = false;
+  const tiling::TileOptions sc{plan.tile_w, plan.tile_h, plan.stride, false};
 
   grid::Grid1D<double> ua(nx);
   for (int x = 0; x <= nx + 1; ++x) ua.at(x) = u.at(x);

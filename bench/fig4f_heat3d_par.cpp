@@ -46,10 +46,7 @@ int main() {
   auto* const tiled =
       dispatch::KernelRegistry::instance().get<dispatch::DiamondJacobi3D7Fn>(
           dispatch::kDiamondJacobi3D7);
-  tiling::Diamond3DOptions sc;
-  sc.width = plan.tile_w;
-  sc.height = plan.tile_h;
-  sc.use_vector = false;
+  const tiling::TileOptions sc{plan.tile_w, plan.tile_h, plan.stride, false};
 
   benchx::par_figure(
       "Fig 4f  Heat-3D parallel, diamond 32x8 on x (Gstencils/s)",

@@ -42,10 +42,7 @@ int main() {
   auto* const tiled =
       dispatch::KernelRegistry::instance().get<dispatch::DiamondLifeFn>(
           dispatch::kDiamondLife);
-  tiling::Diamond2DOptions sc;
-  sc.width = plan.tile_w;
-  sc.height = plan.tile_h;
-  sc.use_vector = false;
+  const tiling::TileOptions sc{plan.tile_w, plan.tile_h, plan.stride, false};
 
   benchx::par_figure(
       "Fig 4j  Life parallel, diamond 256x32 on x (Gstencils/s)",

@@ -33,10 +33,8 @@ int main() {
   auto* const tiled =
       dispatch::KernelRegistry::instance().get<dispatch::ParallelogramGs1D3Fn>(
           dispatch::kParallelogramGs1D3);
-  tiling::Parallelogram1DOptions sc;  // identical tiling, scalar tiles
-  sc.width = plan.tile_w;
-  sc.height = plan.tile_h;
-  sc.use_vector = false;
+  // identical tiling, scalar tiles
+  const tiling::TileOptions sc{plan.tile_w, plan.tile_h, plan.stride, false};
 
   benchx::par_figure(
       "Fig 5b  GS-1D parallel, parallelogram 2048x64 (Gstencils/s)",

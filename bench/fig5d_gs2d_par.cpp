@@ -34,10 +34,8 @@ int main() {
   auto* const tiled =
       dispatch::KernelRegistry::instance().get<dispatch::ParallelogramGs2D5Fn>(
           dispatch::kParallelogramGs2D5);
-  tiling::ParallelogramNDOptions sc;  // identical tiling, scalar tiles
-  sc.width = plan.tile_w;
-  sc.height = plan.tile_h;
-  sc.use_vector = false;
+  // identical tiling, scalar tiles
+  const tiling::TileOptions sc{plan.tile_w, plan.tile_h, plan.stride, false};
 
   benchx::par_figure(
       "Fig 5d  GS-2D parallel, parallelogram 128x32 on x (Gstencils/s)",

@@ -37,10 +37,8 @@ int main() {
   auto* const tiled =
       dispatch::KernelRegistry::instance().get<dispatch::ParallelogramGs3D7Fn>(
           dispatch::kParallelogramGs3D7);
-  tiling::ParallelogramNDOptions sc;  // identical tiling, scalar tiles
-  sc.width = plan.tile_w;
-  sc.height = plan.tile_h;
-  sc.use_vector = false;
+  // identical tiling, scalar tiles
+  const tiling::TileOptions sc{plan.tile_w, plan.tile_h, plan.stride, false};
 
   benchx::par_figure(
       "Fig 5f  GS-3D parallel, parallelogram 32x32 on x (Gstencils/s)",

@@ -35,10 +35,8 @@ int main() {
   auto* const tiled =
       dispatch::KernelRegistry::instance().get<dispatch::LcsWavefrontFn>(
           dispatch::kLcsWavefront);
-  tiling::LcsWavefrontOptions sc;  // identical tiling, scalar DP rows
-  sc.block = plan.tile_w;
-  sc.band = plan.tile_h;
-  sc.use_vector = false;
+  // identical tiling, scalar DP rows
+  const tiling::TileOptions sc{plan.tile_w, plan.tile_h, plan.stride, false};
 
   volatile std::int32_t sink = 0;
   benchx::par_figure(

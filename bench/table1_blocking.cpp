@@ -48,9 +48,7 @@ int main() {
   for (int w = 2048; w <= 65536; w *= 2)
     for (int h = 32; h <= 256; h *= 2) {
       if (2 * h + 40 > w) continue;
-      tiling::Diamond1DOptions opt;
-      opt.width = w;
-      opt.height = h;
+      const tiling::TileOptions opt{w, h, 7};
       const double r = b::measure_gstencils(pts, [&] {
         tiling::with_pingpong(u, steps,
                               [&](auto& pp) { run(c, pp, steps, opt); });

@@ -21,12 +21,7 @@
 #include "grid/pingpong.hpp"
 #include "stencil/coefficients.hpp"
 #include "stencil/kernels.hpp"
-#include "tiling/diamond.hpp"
-#include "tiling/diamond2d.hpp"
-#include "tiling/diamond3d.hpp"
-#include "tiling/lcs_wavefront.hpp"
-#include "tiling/parallelogram.hpp"
-#include "tiling/parallelogram2d.hpp"
+#include "tiling/stage_exec.hpp"
 
 namespace tvs::dispatch {
 
@@ -123,42 +118,42 @@ inline constexpr std::string_view kMultiloadLife = "multiload_life";
 // ---- tiling/: parallel tile schedules --------------------------------------
 using DiamondJacobi1D3Fn = void(const stencil::C1D3&,
                                 grid::PingPong<grid::Grid1D<double>>&, long,
-                                const tiling::Diamond1DOptions&);
+                                const tiling::TileOptions&);
 using DiamondJacobi2D5Fn = void(const stencil::C2D5&,
                                 grid::PingPong<grid::Grid2D<double>>&, long,
-                                const tiling::Diamond2DOptions&);
+                                const tiling::TileOptions&);
 using DiamondJacobi2D9Fn = void(const stencil::C2D9&,
                                 grid::PingPong<grid::Grid2D<double>>&, long,
-                                const tiling::Diamond2DOptions&);
+                                const tiling::TileOptions&);
 using DiamondLifeFn = void(const stencil::LifeRule&,
                            grid::PingPong<grid::Grid2D<std::int32_t>>&, long,
-                           const tiling::Diamond2DOptions&);
+                           const tiling::TileOptions&);
 using DiamondJacobi3D7Fn = void(const stencil::C3D7&,
                                 grid::PingPong<grid::Grid3D<double>>&, long,
-                                const tiling::Diamond3DOptions&);
+                                const tiling::TileOptions&);
 // Single-precision diamond drivers: same ids, registered under
 // DType::kF32 (8-lane float tiles, the f64 drivers' 32-byte tile width).
 using DiamondJacobi1D3F32Fn = void(const stencil::C1D3f&,
                                    grid::PingPong<grid::Grid1D<float>>&, long,
-                                   const tiling::Diamond1DOptions&);
+                                   const tiling::TileOptions&);
 using DiamondJacobi2D5F32Fn = void(const stencil::C2D5f&,
                                    grid::PingPong<grid::Grid2D<float>>&, long,
-                                   const tiling::Diamond2DOptions&);
+                                   const tiling::TileOptions&);
 using DiamondJacobi2D9F32Fn = void(const stencil::C2D9f&,
                                    grid::PingPong<grid::Grid2D<float>>&, long,
-                                   const tiling::Diamond2DOptions&);
+                                   const tiling::TileOptions&);
 using DiamondJacobi3D7F32Fn = void(const stencil::C3D7f&,
                                    grid::PingPong<grid::Grid3D<float>>&, long,
-                                   const tiling::Diamond3DOptions&);
+                                   const tiling::TileOptions&);
 using ParallelogramGs1D3Fn = void(const stencil::C1D3&, grid::Grid1D<double>&,
-                                  long, const tiling::Parallelogram1DOptions&);
+                                  long, const tiling::TileOptions&);
 using ParallelogramGs2D5Fn = void(const stencil::C2D5&, grid::Grid2D<double>&,
-                                  long, const tiling::ParallelogramNDOptions&);
+                                  long, const tiling::TileOptions&);
 using ParallelogramGs3D7Fn = void(const stencil::C3D7&, grid::Grid3D<double>&,
-                                  long, const tiling::ParallelogramNDOptions&);
+                                  long, const tiling::TileOptions&);
 using LcsWavefrontFn = std::int32_t(std::span<const std::int32_t>,
                                     std::span<const std::int32_t>,
-                                    const tiling::LcsWavefrontOptions&);
+                                    const tiling::TileOptions&);
 
 inline constexpr std::string_view kDiamondJacobi1D3 = "diamond_jacobi1d3";
 inline constexpr std::string_view kDiamondJacobi2D5 = "diamond_jacobi2d5";

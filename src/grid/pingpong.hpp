@@ -2,7 +2,7 @@
 // time step t, `next()` receives t+1, `swap()` advances.  The tiled kernels
 // address the pair by time parity instead (`by_parity(t)`), which is the
 // storage discipline that makes diamond tiling with in-register
-// intermediates correct (see tiling/diamond.hpp).
+// intermediates correct (see tiling/diamond.cpp).
 #pragma once
 
 #include <utility>

@@ -1,0 +1,47 @@
+// The family table: every per-family fact the solver branches on, one row
+// per stencil family (family.cpp).  The public views — family_name,
+// family_dim, family_deps, family_supports_dtype (problem.hpp) and
+// serial_kernel_id, tiled_kernel_id, family_has_tiled_path,
+// family_is_gauss_seidel (plan.hpp) — read it, and so do the planner
+// (heuristic_plan, validate_plan) and the tuner's candidates: Table 1's
+// blocking and each family's knobs live in this one row and nowhere else.
+#pragma once
+
+#include <string_view>
+#include <vector>
+
+#include "solver/problem.hpp"
+#include "stencil/dependence.hpp"
+
+namespace tvs::solver {
+
+struct FamilyRow {
+  Family family;
+  std::string_view name;  // matches the registry id stems
+  int dim;
+  std::vector<stencil::Dep> (*deps)();
+  bool int32;  // fixed int32 storage (Life, LCS); otherwise f64 or f32
+  // Registry ids of the serial engine, its redundancy-eliminated twin and
+  // the tiled driver; an empty id means the family has none.
+  std::string_view serial_id;
+  std::string_view serial_re_id;
+  std::string_view tiled_id;
+  // The tiled driver sweeps the grid in place (a Gauss-Seidel
+  // parallelogram) instead of running a diamond on a parity pair.
+  bool tiled_in_place;
+  // Largest stride the tiled driver runs; 0 = legality is the only bound.
+  int tiled_max_stride;
+  // Table 1: stride, tile width, band height and the multiple the band
+  // height is rounded down to.
+  int stride;
+  int width;
+  int height;
+  int height_unit;
+  // The tuner's serial-path stride candidates; 0 marks an unused slot.
+  int serial_strides[3];
+};
+
+// The row of family f; throws Error(kBadFamily) for an unknown id.
+const FamilyRow& family_row(Family f);
+
+}  // namespace tvs::solver

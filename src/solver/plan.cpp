@@ -3,9 +3,9 @@
 #include <algorithm>
 #include <charconv>
 
-#include "dispatch/kernels.hpp"
 #include "dispatch/registry.hpp"
 #include "solver/error.hpp"
+#include "solver/family.hpp"
 #include "tv/ring.hpp"  // kMaxStride (ring capacity of the 1D engines)
 
 namespace tvs::solver {
@@ -23,12 +23,6 @@ int parse_int_value(std::string_view clause, std::string_view value) {
                     std::string(value) + "\" is not an integer");
   }
   return out;
-}
-
-// True for the families that register a redundancy-eliminated engine:
-// those whose serial id changes with the variant (the five Jacobi ids).
-bool family_has_re_variant(Family f) {
-  return serial_kernel_id(f, Variant::kRe) != serial_kernel_id(f, Variant::kTv);
 }
 
 // Band height rounded down to a multiple of `unit`, clamped to the number
@@ -78,127 +72,36 @@ std::string ExecutionPlan::to_string() const {
   return s;
 }
 
-std::string_view serial_kernel_id(Family f, Variant v) {
-  const bool re = v == Variant::kRe;
-  switch (f) {
-    case Family::kJacobi1D3:
-      return re ? dispatch::kTvJacobi1D3Re : dispatch::kTvJacobi1D3;
-    case Family::kJacobi1D5:
-      return re ? dispatch::kTvJacobi1D5Re : dispatch::kTvJacobi1D5;
-    case Family::kJacobi2D5:
-      return re ? dispatch::kTvJacobi2D5Re : dispatch::kTvJacobi2D5;
-    case Family::kJacobi2D9:
-      return re ? dispatch::kTvJacobi2D9Re : dispatch::kTvJacobi2D9;
-    case Family::kJacobi3D7:
-      return re ? dispatch::kTvJacobi3D7Re : dispatch::kTvJacobi3D7;
-    case Family::kGs1D3:
-      return dispatch::kTvGs1D3;
-    case Family::kGs2D5:
-      return dispatch::kTvGs2D5;
-    case Family::kGs3D7:
-      return dispatch::kTvGs3D7;
-    case Family::kLife:
-      return dispatch::kTvLife;
-    case Family::kLcs:
-      return dispatch::kTvLcsRows;
-  }
-  throw Error(Errc::kBadFamily, "unknown stencil family");
-}
-
-std::string_view tiled_kernel_id(Family f) {
-  switch (f) {
-    case Family::kJacobi1D3:
-      return dispatch::kDiamondJacobi1D3;
-    case Family::kJacobi2D5:
-      return dispatch::kDiamondJacobi2D5;
-    case Family::kJacobi2D9:
-      return dispatch::kDiamondJacobi2D9;
-    case Family::kJacobi3D7:
-      return dispatch::kDiamondJacobi3D7;
-    case Family::kLife:
-      return dispatch::kDiamondLife;
-    case Family::kGs1D3:
-      return dispatch::kParallelogramGs1D3;
-    case Family::kGs2D5:
-      return dispatch::kParallelogramGs2D5;
-    case Family::kGs3D7:
-      return dispatch::kParallelogramGs3D7;
-    case Family::kLcs:
-      return dispatch::kLcsWavefront;
-    case Family::kJacobi1D5:
-      break;
-  }
-  throw Error(Errc::kBadPath,
-              std::string(family_name(f)) + " has no tiled parallel driver");
-}
-
-bool family_has_tiled_path(Family f) { return f != Family::kJacobi1D5; }
-
-bool family_is_gauss_seidel(Family f) {
-  return f == Family::kGs1D3 || f == Family::kGs2D5 || f == Family::kGs3D7;
-}
-
 ExecutionPlan heuristic_plan(const StencilProblem& p) {
+  const FamilyRow& row = family_row(p.family);
   ExecutionPlan plan;
   plan.backend = dispatch::selected_backend();
   plan.vl = 0;
 
-  // Paper defaults: stride from §3.4, blocking from Table 1, clamped to
-  // the problem extents so small problems still get whole tiles.
-  switch (p.family) {
-    case Family::kJacobi1D3:
-    case Family::kJacobi1D5:
-      plan.stride = 7;
-      plan.tile_w = std::min(16384, std::max(p.nx, 1));
-      plan.tile_h = clamp_height(128, std::max(p.steps, 1L), 4);
-      break;
-    case Family::kJacobi2D5:
-    case Family::kJacobi2D9:
-    case Family::kLife:
-      plan.stride = 2;
-      plan.tile_w = std::min(256, std::max(p.nx, 1));
-      plan.tile_h = clamp_height(32, std::max(p.steps, 1L), 16);
-      break;
-    case Family::kJacobi3D7:
-      plan.stride = 2;
-      plan.tile_w = std::min(32, std::max(p.nx, 1));
-      plan.tile_h = clamp_height(8, std::max(p.steps, 1L), 8);
-      break;
-    case Family::kGs1D3:
-      plan.stride = 3;
-      plan.tile_w = std::min(2048, std::max(p.nx, 1));
-      plan.tile_h = clamp_height(64, std::max(p.steps, 1L), 4);
-      break;
-    case Family::kGs2D5:
-    case Family::kGs3D7:
-      plan.stride = 2;
-      plan.tile_w = std::min(128, std::max(p.nx, 1));
-      plan.tile_h = clamp_height(32, std::max(p.steps, 1L), 4);
-      break;
-    case Family::kLcs:
-      plan.stride = 1;  // the LCS engine is a fixed s = 1 scheme
-      plan.tile_w = std::min(4096, std::max(p.ny, 1));  // column block
-      plan.tile_h = std::min(4096, std::max(p.nx, 1));  // row band
-      break;
+  // Paper defaults: the family's Table 1 stride and blocking, clamped to
+  // the problem extents so small problems still get whole tiles.  The LCS
+  // tile is a column block over |b| = ny by a row band over |a| = nx.
+  plan.stride = row.stride;
+  if (p.family == Family::kLcs) {
+    plan.tile_w = std::min(row.width, std::max(p.ny, 1));
+    plan.tile_h = std::min(row.height, std::max(p.nx, 1));
+  } else {
+    plan.tile_w = std::min(row.width, std::max(p.nx, 1));
+    plan.tile_h =
+        clamp_height(row.height, std::max(p.steps, 1L), row.height_unit);
   }
 
   // A thread request plans the tiled driver wherever one is registered for
   // the problem's element type (every Jacobi diamond runs f32 too; the
-  // Gauss-Seidel parallelograms are f64 only).  Tiled plans keep vl = 0:
-  // the drivers fix their own tile width.
+  // Gauss-Seidel parallelograms are f64 only).  vl stays 0 on both paths:
+  // the registry resolves the native width of whichever backend runs for
+  // the problem's dtype (the doubled float width on the serial path), and
+  // the tiled drivers fix their own tile width.
   const dispatch::DType dt = p.effective_dtype();
   plan.path = (p.threads > 1 &&
                tiled_driver_registered(p.family, plan.backend, dt))
                   ? Path::kTiledParallel
                   : Path::kSerialTv;
-
-  // On the serial path single precision doubles the lanes per register
-  // (Table 1's vl scaling: 8 under scalar/avx2, 16 under avx512), so the
-  // float default pins the doubled width explicitly; doubles keep vl = 0
-  // (backend native).
-  if (dt == dispatch::DType::kF32 && plan.path == Path::kSerialTv) {
-    plan.vl = plan.backend == dispatch::Backend::kAvx512 ? 16 : 8;
-  }
   return plan;
 }
 
@@ -318,7 +221,7 @@ void validate_plan(const StencilProblem& p, const ExecutionPlan& plan) {
   // The redundancy-eliminated variant exists for the Jacobi families'
   // serial engines only; everything else must stay on the baseline.
   if (plan.variant == Variant::kRe) {
-    if (!family_has_re_variant(p.family)) {
+    if (family_row(p.family).serial_re_id.empty()) {
       throw Error(Errc::kBadVariant,
                   where +
                       ": variant=re is registered for the Jacobi families "
@@ -384,13 +287,12 @@ void validate_plan(const StencilProblem& p, const ExecutionPlan& plan) {
                       std::to_string(plan.tile_h) + ")",
                   p.signature());
     }
-    if (family_is_gauss_seidel(p.family) &&
-        plan.stride > tiling::kMaxParallelogramStride) {
+    const int cap = family_row(p.family).tiled_max_stride;
+    if (cap > 0 && plan.stride > cap) {
       throw Error(Errc::kBadStride,
                   where + ": stride " + std::to_string(plan.stride) +
-                      " exceeds the parallelogram tile kernel's ring "
-                      "capacity (max " +
-                      std::to_string(tiling::kMaxParallelogramStride) + ")",
+                      " exceeds the tiled driver's stride cap (max " +
+                      std::to_string(cap) + ")",
                   p.signature());
     }
   }

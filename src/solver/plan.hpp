@@ -71,11 +71,12 @@ struct ExecutionPlan {
 };
 
 // The paper-default plan for the problem: stride and tiling from Table 1
-// scaled to the problem shape, tiled path iff the problem asks for more
-// than one thread and the family's tiled driver is registered for the
-// problem's dtype (f32 Gauss-Seidel therefore plans serial), backend from
-// dispatch::selected_backend().  Only serial f32 plans pin vl (the
-// doubled float width); tiled plans keep vl = 0.
+// (the family table, solver/family.hpp) scaled to the problem shape, tiled
+// path iff the problem asks for more than one thread and the family's
+// tiled driver is registered for the problem's dtype (f32 Gauss-Seidel
+// therefore plans serial), backend from dispatch::selected_backend(), and
+// vl = 0: the registry resolves the backend's native width for the dtype
+// (the doubled float width on the serial path).
 ExecutionPlan heuristic_plan(const StencilProblem& p);
 
 // Measured refinement of heuristic_plan(): times 2-3 candidate strides
@@ -96,8 +97,9 @@ ExecutionPlan apply_plan_spec(ExecutionPlan base, std::string_view spec);
 // Rejects plans that cannot run: illegal stride for the family's
 // dependence set (§3.2), stride beyond an engine's ring capacity,
 // non-positive tile extents on the tiled path, a tiled path for a family
-// with no tiled driver registered for the problem's dtype, or a backend
-// this binary/CPU cannot execute.
+// with no tiled driver registered for the problem's dtype, a tiled stride
+// beyond the driver's cap (tiling::kMaxDiamond1DStride,
+// kMaxParallelogramStride), or a backend this binary/CPU cannot execute.
 // Throws std::invalid_argument / std::runtime_error with the reason.
 void validate_plan(const StencilProblem& p, const ExecutionPlan& plan);
 

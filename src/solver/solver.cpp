@@ -17,12 +17,6 @@
 
 #include "dispatch/kernels.hpp"
 #include "dispatch/registry.hpp"
-#include "tiling/diamond.hpp"
-#include "tiling/diamond2d.hpp"
-#include "tiling/diamond3d.hpp"
-#include "tiling/lcs_wavefront.hpp"
-#include "tiling/parallelogram.hpp"
-#include "tiling/parallelogram2d.hpp"
 #include "tiling/pingpong_convert.hpp"
 #include "tv/tv_lcs.hpp"  // kLcsRowPad
 #include "util/omp_compat.hpp"
@@ -65,30 +59,11 @@ class ThreadScope {
   int saved_;
 };
 
-// The tiled drivers' options struct for a grid rank.
-template <class G>
-struct TiledOptions;
-template <class T>
-struct TiledOptions<grid::Grid1D<T>> {
-  using Diamond = tiling::Diamond1DOptions;
-  using Parallelogram = tiling::Parallelogram1DOptions;
-};
-template <class T>
-struct TiledOptions<grid::Grid2D<T>> {
-  using Diamond = tiling::Diamond2DOptions;
-  using Parallelogram = tiling::ParallelogramNDOptions;
-};
-template <class T>
-struct TiledOptions<grid::Grid3D<T>> {
-  using Diamond = tiling::Diamond3DOptions;
-  using Parallelogram = tiling::ParallelogramNDOptions;
-};
-
-template <class Opt>
-Opt tiled_options(const ExecutionPlan& plan, const tiling::StageExec* ex) {
-  Opt opt{plan.tile_w, plan.tile_h, plan.stride, true};
-  opt.exec = ex;
-  return opt;
+// The tiled drivers' options: the plan's tile shape and stride, vector
+// tiles, and the stage executor (null = OpenMP).
+tiling::TileOptions tile_options(const ExecutionPlan& plan,
+                                 const tiling::StageExec* ex) {
+  return {plan.tile_w, plan.tile_h, plan.stride, true, ex};
 }
 
 // Runs p.steps steps of the payload (c, u) on the planned path.  The
@@ -107,16 +82,14 @@ void route(const StencilProblem& p, const ExecutionPlan& plan,
   }
   const ThreadScope scope(ex != nullptr ? 1 : p.threads);
   const std::string_view id = tiled_kernel_id(p.family);
+  const tiling::TileOptions opt = tile_options(plan, ex);
   if (family_is_gauss_seidel(p.family)) {
-    using Opt = typename TiledOptions<G>::Parallelogram;
-    resolve<void(const C&, G&, long, const Opt&)>(plan, id, dt)(
-        c, u, p.steps, tiled_options<Opt>(plan, ex));
+    resolve<void(const C&, G&, long, const tiling::TileOptions&)>(
+        plan, id, dt)(c, u, p.steps, opt);
     return;
   }
-  using Opt = typename TiledOptions<G>::Diamond;
-  auto* run = resolve<void(const C&, grid::PingPong<G>&, long, const Opt&)>(
-      plan, id, dt);
-  const Opt opt = tiled_options<Opt>(plan, ex);
+  auto* run = resolve<void(const C&, grid::PingPong<G>&, long,
+                           const tiling::TileOptions&)>(plan, id, dt);
   tiling::with_pingpong(u, p.steps, [&](grid::PingPong<G>& pp) {
     run(c, pp, p.steps, opt);
   });
@@ -130,10 +103,9 @@ void route_lcs(const StencilProblem& p, const ExecutionPlan& plan,
   const dispatch::DType dt = p.effective_dtype();
   if (plan.path == Path::kTiledParallel) {
     const ThreadScope scope(ex != nullptr ? 1 : p.threads);
-    tiling::LcsWavefrontOptions opt{plan.tile_w, plan.tile_h, true};
-    opt.exec = ex;
     out.lcs_length = resolve<dispatch::LcsWavefrontFn>(
-        plan, tiled_kernel_id(p.family), dt)(job.a, job.b, opt);
+        plan, tiled_kernel_id(p.family), dt)(job.a, job.b,
+                                             tile_options(plan, ex));
     return;
   }
   const std::string_view id = serial_kernel_id(p.family, plan.variant);

@@ -13,8 +13,10 @@
 #include <algorithm>
 #include <chrono>
 #include <random>
+#include <type_traits>
 #include <vector>
 
+#include "solver/family.hpp"
 #include "solver/plan.hpp"
 #include "solver/solver.hpp"
 #include "stencil/coefficients.hpp"
@@ -22,6 +24,51 @@
 namespace tvs::solver {
 
 namespace {
+
+// The element type of a coefficient set (stencil::C1D3T<T>, ...).
+template <class C>
+struct ElemOf;
+template <template <class> class CT, class T>
+struct ElemOf<CT<T>> {
+  using type = T;
+};
+
+// The grid a coefficient set runs on: the rank whose grid the Workload
+// accepts beside it, at the coefficients' element type.
+template <class C, class T = typename ElemOf<C>::type>
+using GridOf = std::conditional_t<
+    std::is_constructible_v<Workload, const C&, grid::Grid1D<T>&>,
+    grid::Grid1D<T>,
+    std::conditional_t<
+        std::is_constructible_v<Workload, const C&, grid::Grid2D<T>&>,
+        grid::Grid2D<T>, grid::Grid3D<T>>>;
+
+// The replica grid of rep for coefficient set C, filled with the
+// deterministic pattern 1 + 0.001 * ((x + y + z) % 97), halo included.
+template <class C>
+GridOf<C> replica_grid(const StencilProblem& rep) {
+  using G = GridOf<C>;
+  using T = typename ElemOf<C>::type;
+  const auto at = [](int x, int y, int z) {
+    return T{1} + T(0.001) * static_cast<T>((x + y + z) % 97);
+  };
+  if constexpr (std::is_same_v<G, grid::Grid1D<T>>) {
+    G u(rep.nx);
+    for (int x = 0; x <= rep.nx + 1; ++x) u.at(x) = at(x, 0, 0);
+    return u;
+  } else if constexpr (std::is_same_v<G, grid::Grid2D<T>>) {
+    G u(rep.nx, rep.ny);
+    for (int x = 0; x <= rep.nx + 1; ++x)
+      for (int y = 0; y <= rep.ny + 1; ++y) u.at(x, y) = at(x, y, 0);
+    return u;
+  } else {
+    G u(rep.nx, rep.ny, rep.nz);
+    for (int x = 0; x <= rep.nx + 1; ++x)
+      for (int y = 0; y <= rep.ny + 1; ++y)
+        for (int z = 0; z <= rep.nz + 1; ++z) u.at(x, y, z) = at(x, y, z);
+    return u;
+  }
+}
 
 double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
   const Solver s(rep, plan);
@@ -41,72 +88,30 @@ double time_once(const StencilProblem& rep, const ExecutionPlan& plan) {
   };
 
   // The FP families run the replica at the problem's own element type so a
-  // float problem tunes against the float engines.
+  // float problem tunes against the float engines: coeffs(T{}) builds the
+  // family's coefficient set at element type T.
   const bool f32 = rep.effective_dtype() == dispatch::DType::kF32;
+  const auto run = [&](auto coeffs) {
+    const auto go = [&](const auto& c) {
+      auto u = replica_grid<std::decay_t<decltype(c)>>(rep);
+      return timed([&] { s.run(Workload(c, u)); });
+    };
+    return f32 ? go(coeffs(float{})) : go(coeffs(double{}));
+  };
   switch (rep.family) {
     case Family::kJacobi1D3:
-    case Family::kGs1D3: {
-      const auto go = [&]<class T>() {
-        grid::Grid1D<T> u(rep.nx);
-        for (int x = 0; x <= rep.nx + 1; ++x)
-          u.at(x) = T{1} + T(0.001) * static_cast<T>(x % 97);
-        const stencil::C1D3T<T> c = stencil::heat1d<T>(0.25);
-        return timed([&] { s.run(Workload(c, u)); });
-      };
-      return f32 ? go.template operator()<float>()
-                 : go.template operator()<double>();
-    }
-    case Family::kJacobi1D5: {
-      const auto go = [&]<class T>() {
-        grid::Grid1D<T> u(rep.nx);
-        for (int x = 0; x <= rep.nx + 1; ++x)
-          u.at(x) = T{1} + T(0.001) * static_cast<T>(x % 97);
-        const stencil::C1D5T<T> c = stencil::heat1d5<T>(0.1);
-        return timed([&] { s.run(Workload(c, u)); });
-      };
-      return f32 ? go.template operator()<float>()
-                 : go.template operator()<double>();
-    }
+    case Family::kGs1D3:
+      return run([](auto t) { return stencil::heat1d<decltype(t)>(0.25); });
+    case Family::kJacobi1D5:
+      return run([](auto t) { return stencil::heat1d5<decltype(t)>(0.1); });
     case Family::kJacobi2D5:
-    case Family::kGs2D5: {
-      const auto go = [&]<class T>() {
-        grid::Grid2D<T> u(rep.nx, rep.ny);
-        for (int x = 0; x <= rep.nx + 1; ++x)
-          for (int y = 0; y <= rep.ny + 1; ++y)
-            u.at(x, y) = T{1} + T(0.001) * static_cast<T>((x + y) % 97);
-        const stencil::C2D5T<T> c = stencil::heat2d<T>(0.2);
-        return timed([&] { s.run(Workload(c, u)); });
-      };
-      return f32 ? go.template operator()<float>()
-                 : go.template operator()<double>();
-    }
-    case Family::kJacobi2D9: {
-      const auto go = [&]<class T>() {
-        grid::Grid2D<T> u(rep.nx, rep.ny);
-        for (int x = 0; x <= rep.nx + 1; ++x)
-          for (int y = 0; y <= rep.ny + 1; ++y)
-            u.at(x, y) = T{1} + T(0.001) * static_cast<T>((x + y) % 97);
-        const stencil::C2D9T<T> c = stencil::box2d9<T>(0.1);
-        return timed([&] { s.run(Workload(c, u)); });
-      };
-      return f32 ? go.template operator()<float>()
-                 : go.template operator()<double>();
-    }
+    case Family::kGs2D5:
+      return run([](auto t) { return stencil::heat2d<decltype(t)>(0.2); });
+    case Family::kJacobi2D9:
+      return run([](auto t) { return stencil::box2d9<decltype(t)>(0.1); });
     case Family::kJacobi3D7:
-    case Family::kGs3D7: {
-      const auto go = [&]<class T>() {
-        grid::Grid3D<T> u(rep.nx, rep.ny, rep.nz);
-        for (int x = 0; x <= rep.nx + 1; ++x)
-          for (int y = 0; y <= rep.ny + 1; ++y)
-            for (int z = 0; z <= rep.nz + 1; ++z)
-              u.at(x, y, z) =
-                  T{1} + T(0.001) * static_cast<T>((x + y + z) % 97);
-        const stencil::C3D7T<T> c = stencil::heat3d<T>(0.1);
-        return timed([&] { s.run(Workload(c, u)); });
-      };
-      return f32 ? go.template operator()<float>()
-                 : go.template operator()<double>();
-    }
+    case Family::kGs3D7:
+      return run([](auto t) { return stencil::heat3d<decltype(t)>(0.1); });
     case Family::kLife: {
       grid::Grid2D<std::int32_t> u(rep.nx, rep.ny);
       std::mt19937 rng(7);
@@ -158,87 +163,37 @@ StencilProblem replica_of(const StencilProblem& p) {
   return rep;
 }
 
-// 2-3 candidate values for the knob the path is most sensitive to.
+// 2-3 candidate values for the knob the path is most sensitive to: the
+// family's serial stride candidates (each with its redundancy-eliminated
+// twin where the family has one: bit-identical results by the §3.2
+// contract, so only the speed can differ), or tile widths {W/2, W, 2W}
+// around the family's Table 1 width.
 std::vector<ExecutionPlan> candidates(const StencilProblem& p,
                                       const ExecutionPlan& base) {
+  const FamilyRow& row = family_row(p.family);
   std::vector<ExecutionPlan> cands;
-  const auto with_stride = [&](int s) {
-    ExecutionPlan c = base;
-    c.stride = s;
-    cands.push_back(c);
-  };
-  const auto with_tile = [&](int w, int h) {
-    ExecutionPlan c = base;
-    c.tile_w = std::min(w, std::max(p.nx, 1));
-    c.tile_h = h;
-    cands.push_back(c);
-  };
-  // The Jacobi families also race each stride candidate's
-  // redundancy-eliminated twin: bit-identical results (the §3.2 contract
-  // holds across variants), so only the speed can differ.
-  const auto with_stride_variants = [&](int s) {
-    with_stride(s);
-    ExecutionPlan c = base;
-    c.stride = s;
-    c.variant = Variant::kRe;
-    cands.push_back(c);
-  };
-
   if (base.path == Path::kSerialTv) {
-    switch (p.family) {
-      case Family::kJacobi1D3:
-      case Family::kJacobi1D5:
-        for (const int s : {5, 7, 11}) with_stride_variants(s);
-        break;
-      case Family::kGs1D3:
-        for (const int s : {2, 3, 5}) with_stride(s);
-        break;
-      case Family::kLcs:
-        cands.push_back(base);  // fixed stride-1 scheme: nothing to vary
-        break;
-      case Family::kJacobi2D5:
-      case Family::kJacobi2D9:
-      case Family::kJacobi3D7:
-        for (const int s : {2, 3, 4}) with_stride_variants(s);
-        break;
-      default:  // the 2D/3D Gauss-Seidel families and Life
-        for (const int s : {2, 3, 4}) with_stride(s);
-        break;
+    for (const int s : row.serial_strides) {
+      if (s == 0) continue;
+      ExecutionPlan c = base;
+      c.stride = s;
+      cands.push_back(c);
+      if (!row.serial_re_id.empty()) {
+        c.variant = Variant::kRe;
+        cands.push_back(c);
+      }
     }
     return cands;
   }
-
-  switch (p.family) {
-    case Family::kJacobi1D3:
-      for (const int w : {8192, 16384, 32768}) with_tile(w, base.tile_h);
-      break;
-    case Family::kGs1D3:
-      for (const int w : {1024, 2048, 4096}) with_tile(w, base.tile_h);
-      break;
-    case Family::kJacobi2D5:
-    case Family::kJacobi2D9:
-    case Family::kLife:
-      for (const int w : {128, 256, 512}) with_tile(w, base.tile_h);
-      break;
-    case Family::kJacobi3D7:
-      for (const int w : {16, 32, 64}) with_tile(w, base.tile_h);
-      break;
-    case Family::kGs2D5:
-    case Family::kGs3D7:
-      for (const int w : {64, 128, 256}) with_tile(w, base.tile_h);
-      break;
-    case Family::kLcs: {
-      for (const int w : {2048, 4096, 8192}) {
-        ExecutionPlan c = base;
-        c.tile_w = std::min(w, std::max(p.ny, 1));
-        c.tile_h = std::min(w, std::max(p.nx, 1));
-        cands.push_back(c);
-      }
-      break;
+  for (const int w : {row.width / 2, row.width, 2 * row.width}) {
+    ExecutionPlan c = base;
+    if (p.family == Family::kLcs) {  // column block x row band
+      c.tile_w = std::min(w, std::max(p.ny, 1));
+      c.tile_h = std::min(w, std::max(p.nx, 1));
+    } else {
+      c.tile_w = std::min(w, std::max(p.nx, 1));
     }
-    default:
-      cands.push_back(base);
-      break;
+    cands.push_back(c);
   }
   return cands;
 }

@@ -13,78 +13,49 @@ namespace tvs::solver {
 
 namespace {
 
-// Per-coefficient-set payload facts: display name, the families that
-// consume it, and the element type its grid carries.  The dtype lives here
-// (not on the grid type) so Life's int32 grid maps to kI32 without the
-// grid classes growing a dispatch dependency.
+// Per-coefficient-set payload facts: display stem, the families that
+// consume it, and the element type its grid carries (T of the coefficient
+// template, int32 for Life).  The dtype lives here (not on the grid type)
+// so Life's int32 grid maps to kI32 without the grid classes growing a
+// dispatch dependency.
 template <class C>
 struct PayloadTraits;
 
-template <>
-struct PayloadTraits<stencil::C1D3> {
-  static constexpr std::string_view kName = "C1D3/f64";
+template <class T>
+struct PayloadTraits<stencil::C1D3T<T>> {
+  using Elem = T;
+  static constexpr std::string_view kStem = "C1D3";
   static constexpr Family kFamilies[] = {Family::kJacobi1D3, Family::kGs1D3};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF64;
 };
-template <>
-struct PayloadTraits<stencil::C1D5> {
-  static constexpr std::string_view kName = "C1D5/f64";
+template <class T>
+struct PayloadTraits<stencil::C1D5T<T>> {
+  using Elem = T;
+  static constexpr std::string_view kStem = "C1D5";
   static constexpr Family kFamilies[] = {Family::kJacobi1D5};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF64;
 };
-template <>
-struct PayloadTraits<stencil::C2D5> {
-  static constexpr std::string_view kName = "C2D5/f64";
+template <class T>
+struct PayloadTraits<stencil::C2D5T<T>> {
+  using Elem = T;
+  static constexpr std::string_view kStem = "C2D5";
   static constexpr Family kFamilies[] = {Family::kJacobi2D5, Family::kGs2D5};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF64;
 };
-template <>
-struct PayloadTraits<stencil::C2D9> {
-  static constexpr std::string_view kName = "C2D9/f64";
+template <class T>
+struct PayloadTraits<stencil::C2D9T<T>> {
+  using Elem = T;
+  static constexpr std::string_view kStem = "C2D9";
   static constexpr Family kFamilies[] = {Family::kJacobi2D9};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF64;
 };
-template <>
-struct PayloadTraits<stencil::C3D7> {
-  static constexpr std::string_view kName = "C3D7/f64";
+template <class T>
+struct PayloadTraits<stencil::C3D7T<T>> {
+  using Elem = T;
+  static constexpr std::string_view kStem = "C3D7";
   static constexpr Family kFamilies[] = {Family::kJacobi3D7, Family::kGs3D7};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF64;
-};
-template <>
-struct PayloadTraits<stencil::C1D3f> {
-  static constexpr std::string_view kName = "C1D3/f32";
-  static constexpr Family kFamilies[] = {Family::kJacobi1D3, Family::kGs1D3};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF32;
-};
-template <>
-struct PayloadTraits<stencil::C1D5f> {
-  static constexpr std::string_view kName = "C1D5/f32";
-  static constexpr Family kFamilies[] = {Family::kJacobi1D5};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF32;
-};
-template <>
-struct PayloadTraits<stencil::C2D5f> {
-  static constexpr std::string_view kName = "C2D5/f32";
-  static constexpr Family kFamilies[] = {Family::kJacobi2D5, Family::kGs2D5};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF32;
-};
-template <>
-struct PayloadTraits<stencil::C2D9f> {
-  static constexpr std::string_view kName = "C2D9/f32";
-  static constexpr Family kFamilies[] = {Family::kJacobi2D9};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF32;
-};
-template <>
-struct PayloadTraits<stencil::C3D7f> {
-  static constexpr std::string_view kName = "C3D7/f32";
-  static constexpr Family kFamilies[] = {Family::kJacobi3D7, Family::kGs3D7};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kF32;
 };
 template <>
 struct PayloadTraits<stencil::LifeRule> {
-  static constexpr std::string_view kName = "LifeRule/i32";
+  using Elem = std::int32_t;
+  static constexpr std::string_view kStem = "LifeRule";
   static constexpr Family kFamilies[] = {Family::kLife};
-  static constexpr dispatch::DType kDtype = dispatch::DType::kI32;
 };
 
 void check_payload_family(const StencilProblem& p, std::string_view payload,
@@ -127,19 +98,23 @@ template <class C, class G>
 void check_stencil_job(const StencilProblem& p,
                        const detail::StencilJob<C, G>& job) {
   using Traits = PayloadTraits<C>;
+  constexpr dispatch::DType kDtype =
+      dispatch::dtype_of<typename Traits::Elem>::value;
+  static const std::string name = std::string(Traits::kStem) + "/" +
+                                  std::string(dispatch::dtype_name(kDtype));
   // An owning constructor given a null shared_ptr, or a moved-from
   // workload: reject before the extent probes dereference it.
   if (job.grid == nullptr) {
     throw Error(Errc::kBadWorkload,
-                "Solver::run: a " + std::string(Traits::kName) +
+                "Solver::run: a " + name +
                     " payload holds a null grid (problem " + p.signature() +
                     ")",
                 p.signature());
   }
   constexpr std::size_t kNFams =
       sizeof(Traits::kFamilies) / sizeof(Traits::kFamilies[0]);
-  check_payload_family(p, Traits::kName, Traits::kFamilies, kNFams);
-  check_payload_dtype(p, Traits::kName, Traits::kDtype);
+  check_payload_family(p, name, Traits::kFamilies, kNFams);
+  check_payload_dtype(p, name, kDtype);
   if constexpr (requires { job.grid->nz(); }) {
     check_payload_extents(p, job.grid->nx(), job.grid->ny(), job.grid->nz());
   } else if constexpr (requires { job.grid->ny(); }) {

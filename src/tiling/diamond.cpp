@@ -1,10 +1,33 @@
-// Diamond-tiled 1D Jacobi driver (f64 and f32 tiles) — compiled once per
-// SIMD backend.
-// Grid-form solves run it under tiling::with_pingpong (common code).
+// Diamond-tiled parallel driver for the 1D Jacobi kernel (Figure 4b;
+// Table 1's Heat-1D blocking 16384 x 128) — f64 and f32 tiles, compiled
+// once per SIMD backend.
+//
+// Decomposition per band of height `height` (a multiple of vl: 4 doubles,
+// or 8 floats for the f32 driver the registry holds under the same id),
+// the band/phase schedule of tiling/schedule.hpp that the 2D and 3D
+// drivers share, each phase one stage (tiling/stage_exec.hpp):
+//   phase 1: shrinking trapezoids based at [1+kW, (k+1)W], mutually
+//            independent;
+//   phase 2: growing trapezoids from the seams kW (empty base), mutually
+//            independent once phase 1 finished.
+// The union of a phase-2 tile and the next band's phase-1 tile above it is
+// the classic diamond.  Each trapezoid is the flat engine's tile
+// (tv/tv1d_impl.hpp) on clipped, sloped rows (tv/tile.hpp) with its levels
+// in two parity arrays: every value a^t_x that any *other* tile may read
+// is written to parity(t)[x], and the slope-R tile edges guarantee a slot
+// is only overwritten after its last reader ran (the classic two-array
+// sufficiency of diamond tiling).  The result of step T is in parity(T).
+//
+// The driver (registry id diamond_jacobi1d3, dispatch/kernels.hpp) runs
+// on a parity pair.  Input: pp.by_parity(0) holds the t = 0 data, boundary
+// and halo cells included; the driver mirrors those cells (x <= 0,
+// x >= nx+1) into pp.by_parity(1) before the first step, so the odd
+// array's prior contents do not matter.  Output: pp.by_parity(steps) holds
+// the result.  tiling::with_pingpong (tiling/pingpong_convert.hpp) runs it
+// in place on a single grid.
 #include <algorithm>
 
 #include "dispatch/backend_variant.hpp"
-#include "tiling/diamond.hpp"
 #include "tiling/schedule.hpp"
 #include "tv/functors1d.hpp"
 #include "tv/tv1d_impl.hpp"
@@ -29,12 +52,14 @@ struct ParityLevels1D {
 template <class V>
 void jacobi1d3(const stencil::C1D3T<typename V::value_type>& c,
                grid::PingPong<grid::Grid1D<typename V::value_type>>& pp,
-               long steps, const Diamond1DOptions& opt) {
+               long steps, const TileOptions& opt) {
   using T = typename V::value_type;
   using F = tv::J1D3F<V>;
   constexpr int R = F::radius;
   const F f(c);
-  const int s = std::max(2, std::min(opt.stride, 3 * R + 5));
+  // int{...}: bound to the namespace-scope constant itself, std::min
+  // changed GCC's code for the driver (the same clamp, a longer prologue).
+  const int s = std::max(2, std::min(opt.stride, int{kMaxDiamond1DStride}));
   const int nx = pp.even().nx();
   diamond_schedule<V::lanes, R>(
       opt, s, nx, steps,

@@ -1,5 +1,5 @@
 // The diamond driver body of the 2D and 3D Jacobi and Life stencils
-// (diamond2d.hpp, diamond3d.hpp) — the paper's parallel scheme: "the
+// (diamond2d.cpp, diamond3d.cpp) — the paper's parallel scheme: "the
 // diamond tiling always applies to the outermost space loop and co-works
 // with the temporal vectorization" (§3.4).  Tiles are trapezoids of planes
 // (rows of a 2D grid, x-slabs of a 3D grid) x the full inner dimensions,
@@ -64,9 +64,9 @@ void mirror_planes(G& from, G& to, int x0, int x1) {
 
 // The diamond schedule on the parity grids of pp for the plane functor f
 // on V-lane tiles (V::value_type is the grid's element type).
-template <class V, class F, class G, class Opt>
+template <class V, class F, class G>
 void diamond_plane_run(const F& f, grid::PingPong<G>& pp, long steps,
-                       const Opt& opt) {
+                       const TileOptions& opt) {
   using T = typename V::value_type;
   using Slab = tv::LevelSlab<T>;
   const int nx = pp.even().nx();

@@ -1,5 +1,16 @@
+// Rectangle tiling + anti-diagonal wavefront parallelization of the LCS
+// dynamic program (Figure 5h; Table 1: 4096 x 4096 blocks).
+//
+// The DP matrix is split into row bands (over A, TileOptions::height) x
+// column blocks (over B, TileOptions::width).  Tile (bi, bj) depends on
+// (bi-1, bj) and (bi, bj-1); all tiles on one anti-diagonal bi+bj run in
+// parallel.  Following the paper, only the wavefront is stored: a global
+// DP row (`lcsA`) plus one boundary column per block seam (`lcsB`), which
+// feed the temporally vectorized 8-row strip kernel through its
+// left-column/right-column hooks.  The driver (registry id lcs_wavefront,
+// dispatch/kernels.hpp) returns the LCS length.
 #include "dispatch/backend_variant.hpp"
-#include "tiling/lcs_wavefront.hpp"
+#include "tiling/stage_exec.hpp"
 
 #include <algorithm>
 #include <vector>
@@ -13,7 +24,7 @@ namespace {
 
 std::int32_t lcs_wavefront_tiled(std::span<const std::int32_t> a,
                            std::span<const std::int32_t> b,
-                           const LcsWavefrontOptions& opt) {
+                           const TileOptions& opt) {
   using V = dispatch::BackendVec<std::int32_t>;
   // checked_int, not static_cast: a 2^31-element span would otherwise
   // truncate silently and compute the LCS of a prefix (tvsrace C3).
@@ -21,8 +32,8 @@ std::int32_t lcs_wavefront_tiled(std::span<const std::int32_t> a,
   const int nb = util::checked_int(b.size());
   if (na == 0 || nb == 0) return 0;
 
-  const int Wb = std::max(16, opt.block);
-  const int Hb = std::max(16, opt.band);
+  const int Wb = std::max(16, opt.width);
+  const int Hb = std::max(16, opt.height);
   const int nbj = (nb + Wb - 1) / Wb;
   const int nbi = (na + Hb - 1) / Hb;
 

@@ -1,11 +1,17 @@
-// Parallelogram tiles for GS-2D/3D, one body for gs2d5 and gs3d7: the flat
-// engine's plane tile (tv/tv_plane_impl.hpp) with the Gauss-Seidel functor
-// on a row-parallelogram, with every level read from and written to the single
-// array — the slope -1 interface ladder guarantees each slot holds exactly
-// the level its reader needs (see parallelogram.hpp for the 1D argument,
-// which lifts plane-wise verbatim).  Only the ring state is per runner.
+// Parallelogram + wavefront tiling for the 2D and 3D Gauss-Seidel stencils
+// (Figures 5d/5f; Table 1: GS-2D 128^2 x 32, GS-3D 32^3 x 32), one body
+// for gs2d5 and gs3d7.  The tiling acts on (t, x-rows) — level l of a tile
+// covers rows [xl0-(l-1), xr0-(l-1)] x the full inner dimensions — with
+// the anti-diagonal wavefront schedule w = 2*bt + bx of the 1D driver
+// (tiling/schedule.hpp).  Each tile is the flat engine's plane tile
+// (tv/tv_plane_impl.hpp) with the Gauss-Seidel functor on the
+// parallelogram's rows, with every level read from and written to the
+// single array — the slope -1 interface ladder guarantees each slot holds
+// exactly the level its reader needs (see parallelogram.cpp for the 1D
+// argument, which lifts plane-wise verbatim).  Only the ring state is per
+// runner.  The drivers are registry ids parallelogram_gs2d5 and
+// parallelogram_gs3d7 (dispatch/kernels.hpp), in place on the grid.
 #include "dispatch/backend_variant.hpp"
-#include "tiling/parallelogram2d.hpp"
 
 #include <vector>
 
@@ -34,7 +40,7 @@ struct ArrayLevels {
 // functor f.
 template <class F, class G>
 void gs_tiled(const F& f, G& u, long sweeps,
-              const ParallelogramNDOptions& opt) {
+              const TileOptions& opt) {
   std::vector<tv::SlabRing<V>> tls(stage_slots(opt.exec));
   const ArrayLevels<G> lev{&u};
   wavefront_schedule<VL>(
@@ -48,12 +54,12 @@ void gs_tiled(const F& f, G& u, long sweeps,
 }
 
 void gs2d5_tiled(const stencil::C2D5& c, grid::Grid2D<double>& u,
-                 long sweeps, const ParallelogramNDOptions& opt) {
+                 long sweeps, const TileOptions& opt) {
   gs_tiled(tv::Gs2D5F<V>(c), u, sweeps, opt);
 }
 
 void gs3d7_tiled(const stencil::C3D7& c, grid::Grid3D<double>& u,
-                 long sweeps, const ParallelogramNDOptions& opt) {
+                 long sweeps, const TileOptions& opt) {
   gs_tiled(tv::Gs3D7F<V>(c), u, sweeps, opt);
 }
 

@@ -1,7 +1,7 @@
 // The tiled drivers' two stage schedules, written once: the diamond
-// band/phase schedule of the Jacobi and Life drivers (diamond.hpp,
-// diamond2d.hpp, diamond3d.hpp) and the parallelogram wavefront of the
-// Gauss-Seidel drivers (parallelogram.hpp, parallelogram2d.hpp).  Both cut
+// band/phase schedule of the Jacobi and Life drivers (diamond.cpp,
+// diamond2d.cpp, diamond3d.cpp) and the parallelogram wavefront of the
+// Gauss-Seidel drivers (parallelogram.cpp, parallelogram2d.cpp).  Both cut
 // the outermost space axis — points in 1D, rows in 2D, planes in 3D, all
 // called rows here — into tiles and run every stage through stage_run().
 // A driver supplies only the bodies: how one tile, one halo mirror or one
@@ -14,7 +14,6 @@
 
 #include <algorithm>
 
-#include "tiling/parallelogram.hpp"
 #include "tiling/stage_exec.hpp"
 #include "tv/tile.hpp"
 
@@ -47,9 +46,8 @@ namespace tvs::tiling {
 //   residual(t, x0, x1)      one scalar step t -> t+1 on rows [x0, x1]
 //                            (the steps % vl left after the last band).
 // The result of step `steps` is in parity(steps).
-template <int VL, int R, class Opt, class Mirror, class Trapezoid,
-          class Residual>
-void diamond_schedule(const Opt& opt, int s, int nx, long steps,
+template <int VL, int R, class Mirror, class Trapezoid, class Residual>
+void diamond_schedule(const TileOptions& opt, int s, int nx, long steps,
                       Mirror&& mirror, Trapezoid&& trapezoid,
                       Residual&& residual) {
   static_assert(VL % 2 == 0, "level vl must share parity(t0) with level 0");
@@ -100,7 +98,7 @@ void diamond_schedule(const Opt& opt, int s, int nx, long steps,
 
 // ---- parallelogram wavefront ------------------------------------------------
 //
-// Gauss-Seidel tiles (parallelogram.hpp): tile (bt, bx) is anchored at rows
+// Gauss-Seidel tiles (parallelogram.cpp): tile (bt, bx) is anchored at rows
 // [1 + bx*W - bt*H, (bx+1)*W - bt*H] at band base bt*H, and level l of each
 // of its stacked vl-level engine tiles covers the anchor slid l-1 rows
 // left.  Tile (bt, bx) needs (bt, bx-1) [west interface] and (bt-1, bx),
@@ -112,9 +110,9 @@ void diamond_schedule(const Opt& opt, int s, int nx, long steps,
 //   tile(slot, s, rows)  one engine tile at stride s on the clipped,
 //                        sloped rows; slot indexes the runner's scratch;
 //   residual()           one scalar sweep (the sweeps % vl left over).
-template <int VL, class Opt, class Tile, class Residual>
-void wavefront_schedule(const Opt& opt, int nx, long sweeps, Tile&& tile,
-                        Residual&& residual) {
+template <int VL, class Tile, class Residual>
+void wavefront_schedule(const TileOptions& opt, int nx, long sweeps,
+                        Tile&& tile, Residual&& residual) {
   const int s = std::clamp(opt.stride, 2, kMaxParallelogramStride);
   // Band height: multiple of vl, at least s+vl so a tile's base-row
   // footprint stays within the two band-(bt-1) tiles it depends on.

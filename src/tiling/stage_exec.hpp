@@ -1,10 +1,10 @@
-// Stage runner for the tiled drivers.
+// Stage runner and options of the tiled drivers.
 //
 // Every tiled driver in this directory is a sequence of STAGES — a diamond
 // phase over bands, a parallelogram anti-diagonal, an LCS wavefront — where
 // the iterations inside one stage are independent and a barrier separates
 // consecutive stages.  Each driver hands every stage to stage_run().  The
-// null executor (the default in every Options struct) is the OpenMP loop:
+// null executor (TileOptions' default) is the OpenMP loop:
 // stage_run then runs the stage as one OpenMP parallel loop, dynamic
 // schedule, chunk 1, the slot the thread number.  A non-null StageExec
 // receives the stage instead, so an external scheduler (the serving pool,
@@ -39,6 +39,33 @@ struct StageExec {
   void (*run)(void* ctx, int n, void (*body)(void* body_ctx, int i, int slot),
               void* body_ctx) = nullptr;
 };
+
+// The one options struct of every tiled driver (the dispatch/kernels.hpp
+// tiling Fn aliases take it).  It carries no defaults for the tile shape:
+// the planner (solver/plan.hpp) owns the paper's Table 1 blocking, and a
+// caller that runs a driver directly passes every extent itself.
+//   diamond        width W rows (points in 1D, x-slabs in 3D) per tile
+//                  base, height H steps per band, stride s;
+//   parallelogram  width W rows per tile, height H sweeps per band,
+//                  stride s;
+//   LCS wavefront  width = column block over B, height = row band over A;
+//                  stride is unused (the LCS engine is a fixed s = 1
+//                  scheme).
+struct TileOptions {
+  int width = 0;
+  int height = 0;
+  int stride = 0;
+  bool use_vector = true;  // false: identical tiling, scalar tiles
+  // External stage executor (serving pool); nullptr = stage_run()'s
+  // OpenMP loop.  Same tiles either way, bit-identical results.
+  const StageExec* exec = nullptr;
+};
+
+// Stride caps of the tiled drivers' engine tiles: the parallelograms (1D,
+// 2D and 3D) clamp s to [2, kMaxParallelogramStride] and the 1D diamond to
+// [2, kMaxDiamond1DStride]; the planner rejects a larger tiled stride.
+inline constexpr int kMaxParallelogramStride = 12;
+inline constexpr int kMaxDiamond1DStride = 8;
 
 // Number of distinct slots stage_run(ex, ...) may pass to a body: the
 // OpenMP team size on the null executor, ex->slots otherwise (the larger

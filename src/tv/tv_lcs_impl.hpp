@@ -64,7 +64,7 @@ inline void lcs_scalar_row(std::int32_t achar, const std::int32_t* bb,
 // nb+1+kLcsRowPad slots (padding for grouped loads).  Returns with
 // row[y] = lcs(|A|, y).
 //
-// For the column-blocked parallel driver (tiling/lcs_wavefront.hpp):
+// For the column-blocked parallel driver (tiling/lcs_wavefront.cpp):
 // `leftcol[t]` supplies lcs[t][y0-1] for t = 0..|A| (nullptr = zeros, the
 // full-width case) and, when `rightcol` is non-null, the kernel exports
 // lcs[t][nb] for t = 1..|A| into it.

@@ -50,11 +50,7 @@ TEST_P(Diamond1DSweep, MatchesOracleExactly) {
   for (const tiling::StageExec* exec : test::kStageExecs) {
     Grid got(nx);
     copy(init, got);
-    tiling::Diamond1DOptions opt;
-    opt.width = w;
-    opt.height = h;
-    opt.stride = s;
-    opt.exec = exec;
+    const tiling::TileOptions opt{w, h, s, true, exec};
     tiling::with_pingpong(got, steps,
                           [&](auto& pp) { run(c, pp, steps, opt); });
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -101,9 +97,7 @@ TEST(Diamond1D, MultiThreadedMatchesOracle) {
   Grid ref = make_random(nx, 77), got(nx);
   copy(ref, got);
   stencil::jacobi1d3_run(c, ref, 96);
-  tiling::Diamond1DOptions opt;
-  opt.width = 1024;
-  opt.height = 32;
+  const tiling::TileOptions opt{1024, 32, 7};
   auto* const run = test::resolve<dispatch::DiamondJacobi1D3Fn>(
       dispatch::kDiamondJacobi1D3);
   const int saved = omp_get_max_threads();
@@ -118,9 +112,7 @@ TEST(Diamond1D, RepeatedRunsDeterministic) {
   const int nx = 5000;
   Grid a = make_random(nx, 88), b(nx);
   copy(a, b);
-  tiling::Diamond1DOptions opt;
-  opt.width = 256;
-  opt.height = 32;
+  const tiling::TileOptions opt{256, 32, 7};
   auto* const run = test::resolve<dispatch::DiamondJacobi1D3Fn>(
       dispatch::kDiamondJacobi1D3);
   tiling::with_pingpong(a, 64, [&](auto& pp) { run(c, pp, 64, opt); });
@@ -140,9 +132,7 @@ TEST(Diamond1D, PingPongApiParityContract) {
   for (int x = -grid::kPad; x <= 0; ++x) pp.odd().at(x) = 1e30;
   for (int x = nx + 1; x <= nx + 1 + grid::kPad; ++x) pp.odd().at(x) = 1e30;
   stencil::jacobi1d3_run(c, ref, 31);  // odd step count
-  tiling::Diamond1DOptions opt;
-  opt.width = 512;
-  opt.height = 16;
+  const tiling::TileOptions opt{512, 16, 7};
   test::resolve<dispatch::DiamondJacobi1D3Fn>(dispatch::kDiamondJacobi1D3)(
       c, pp, 31, opt);
   EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(31)), 0.0);
@@ -152,7 +142,7 @@ TEST(Diamond1DF32, MatchesSerialEngineAndFloatOracle) {
   const stencil::C1D3f c{0.3f, 0.42f, 0.28f};
   using G = grid::Grid1D<float>;
   test::expect_f32_diamond<dispatch::DiamondJacobi1D3F32Fn>(
-      dispatch::kDiamondJacobi1D3, c, tiling::Diamond1DOptions{128, 16, 7},
+      dispatch::kDiamondJacobi1D3, c, tiling::TileOptions{128, 16, 7},
       test::float_grid<G>(650u, 1000),
       [&](G& u, long t) { stencil::jacobi1d3_run(c, u, t); },
       [&](G& u, long t) {

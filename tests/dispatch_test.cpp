@@ -684,7 +684,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     const long steps = 18;
     stencil::jacobi1d3_run(c3, ref, steps);
     at<dispatch::DiamondJacobi1D3Fn>(dispatch::kDiamondJacobi1D3, b)(
-        c3, pp, steps, tiling::Diamond1DOptions{});
+        c3, pp, steps, tiling::TileOptions{16384, 128, 7});
     EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(steps)), 0.0);
   }
   {
@@ -698,7 +698,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     const long steps = 10;
     stencil::jacobi2d5_run(c5, ref, steps);
     at<dispatch::DiamondJacobi2D5Fn>(dispatch::kDiamondJacobi2D5, b)(
-        c5, pp, steps, tiling::Diamond2DOptions{});
+        c5, pp, steps, tiling::TileOptions{256, 32, 2});
     EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(steps)), 0.0);
   }
   {
@@ -712,7 +712,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     const long steps = 9;
     stencil::jacobi2d9_run(c9, ref, steps);
     at<dispatch::DiamondJacobi2D9Fn>(dispatch::kDiamondJacobi2D9, b)(
-        c9, pp, steps, tiling::Diamond2DOptions{});
+        c9, pp, steps, tiling::TileOptions{256, 32, 2});
     EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(steps)), 0.0);
   }
   {
@@ -726,7 +726,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     const long steps = 9;
     stencil::life_run(rule, ref, steps);
     at<dispatch::DiamondLifeFn>(dispatch::kDiamondLife, b)(
-        rule, pp, steps, tiling::Diamond2DOptions{});
+        rule, pp, steps, tiling::TileOptions{256, 32, 2});
     EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(steps)), 0.0);
   }
   {
@@ -741,7 +741,7 @@ TEST_P(LaneForLane, TilingDiamond) {
     const long steps = 9;
     stencil::jacobi3d7_run(c7, ref, steps);
     at<dispatch::DiamondJacobi3D7Fn>(dispatch::kDiamondJacobi3D7, b)(
-        c7, pp, steps, tiling::Diamond3DOptions{});
+        c7, pp, steps, tiling::TileOptions{32, 8, 2});
     EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(steps)), 0.0);
   }
 }
@@ -754,7 +754,7 @@ TEST_P(LaneForLane, TilingParallelogramAndWavefront) {
     auto got = random1d(160, 96);
     stencil::gs1d3_run(c3, ref, 10);
     at<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3, b)(
-        c3, got, 10, tiling::Parallelogram1DOptions{});
+        c3, got, 10, tiling::TileOptions{2048, 64, 3});
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
   }
   {
@@ -763,7 +763,7 @@ TEST_P(LaneForLane, TilingParallelogramAndWavefront) {
     auto got = random2d(40, 12, 97);
     stencil::gs2d5_run(c5, ref, 6);
     at<dispatch::ParallelogramGs2D5Fn>(dispatch::kParallelogramGs2D5, b)(
-        c5, got, 6, tiling::ParallelogramNDOptions{});
+        c5, got, 6, tiling::TileOptions{128, 32, 2});
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
   }
   {
@@ -772,7 +772,7 @@ TEST_P(LaneForLane, TilingParallelogramAndWavefront) {
     auto got = random3d(24, 8, 8, 98);
     stencil::gs3d7_run(c7, ref, 5);
     at<dispatch::ParallelogramGs3D7Fn>(dispatch::kParallelogramGs3D7, b)(
-        c7, got, 5, tiling::ParallelogramNDOptions{});
+        c7, got, 5, tiling::TileOptions{128, 32, 2});
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0);
   }
   {
@@ -782,9 +782,7 @@ TEST_P(LaneForLane, TilingParallelogramAndWavefront) {
     for (auto& v : a) v = d(rng);
     for (auto& v : bb) v = d(rng);
     const std::int32_t expect = stencil::lcs_ref(a, bb);
-    tiling::LcsWavefrontOptions opt;
-    opt.block = 64;
-    opt.band = 64;
+    const tiling::TileOptions opt{64, 64, 1};
     EXPECT_EQ(at<dispatch::LcsWavefrontFn>(dispatch::kLcsWavefront, b)(a, bb,
                                                                        opt),
               expect);

@@ -25,9 +25,9 @@ namespace tvs::test {
 // make(t) returns a fresh, identically filled float grid; oracle(u, t) and
 // engine(u, t) advance one by t steps with the float oracle and the serial
 // float engine; Fn is the driver's f32 signature (dispatch/kernels.hpp).
-template <class Fn, class Opt, class C, class Make, class Oracle,
-          class Engine>
-void expect_f32_diamond(std::string_view id, const C& c, Opt base, Make make,
+template <class Fn, class C, class Make, class Oracle, class Engine>
+void expect_f32_diamond(std::string_view id, const C& c,
+                        const tiling::TileOptions& base, Make make,
                         Oracle oracle, Engine engine) {
   Fn* const driver = resolve<Fn>(id, dispatch::DType::kF32);
   for (const long steps : {7L, 8L, 9L, 16L, 17L}) {
@@ -39,9 +39,8 @@ void expect_f32_diamond(std::string_view id, const C& c, Opt base, Make make,
         SCOPED_TRACE(::testing::Message()
                      << id << " steps=" << steps << " use_vector="
                      << use_vector << " exec=" << exec_name(exec));
-        Opt opt = base;
-        opt.use_vector = use_vector;
-        opt.exec = exec;
+        const tiling::TileOptions opt{base.width, base.height, base.stride,
+                                      use_vector, exec};
         auto got = make(steps);
         tiling::with_pingpong(got, steps,
                               [&](auto& pp) { driver(c, pp, steps, opt); });

@@ -35,10 +35,7 @@ TEST_P(LcsWavefrontSweep, MatchesOracle) {
   auto* const lcs = test::resolve<dispatch::LcsWavefrontFn>(
       dispatch::kLcsWavefront, dispatch::DType::kI32);
   for (const tiling::StageExec* exec : test::kStageExecs) {
-    tiling::LcsWavefrontOptions opt;
-    opt.block = blk;
-    opt.band = band;
-    opt.exec = exec;
+    const tiling::TileOptions opt{blk, band, 1, true, exec};
     EXPECT_EQ(lcs(a, b, opt), want)
         << "na=" << na << " nb=" << nb << " blk=" << blk << " band=" << band
         << " exec=" << test::exec_name(exec);
@@ -61,9 +58,7 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(LcsWavefront, IdenticalAndDisjoint) {
   const auto a = random_seq(400, 3, 42);
-  tiling::LcsWavefrontOptions opt;
-  opt.block = 64;
-  opt.band = 32;
+  const tiling::TileOptions opt{64, 32, 1};
   auto* const lcs = test::resolve<dispatch::LcsWavefrontFn>(
       dispatch::kLcsWavefront, dispatch::DType::kI32);
   EXPECT_EQ(lcs(a, a, opt), 400);

@@ -2,9 +2,11 @@
 // and for its enforcement by the planner (solver::validate_plan).
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <stdexcept>
 
 #include "solver/builder.hpp"
+#include "solver/error.hpp"
 #include "solver/plan.hpp"
 #include "stencil/dependence.hpp"
 
@@ -138,6 +140,51 @@ TEST(ApiBoundary, PlannerRejectsIllegalStrides) {
   const solver::StencilProblem life = p2(Family::kLife);
   EXPECT_THROW(solver::validate_plan(life, plan_with(life, 1)),
                std::invalid_argument);
+}
+
+// A tiled plan cannot report a stride its driver never runs: the 1D
+// diamond clamps to tiling::kMaxDiamond1DStride, so the planner rejects a
+// larger tiled stride, as it does beyond the parallelograms' cap.
+TEST(ApiBoundary, PlannerRejectsTiledStridesBeyondTheDriverCap) {
+  namespace solver = tvs::solver;
+  using solver::Family;
+  const auto tiled_with = [](const solver::StencilProblem& p, int stride) {
+    solver::ExecutionPlan plan = solver::heuristic_plan(p);
+    plan.path = solver::Path::kTiledParallel;
+    plan.stride = stride;
+    return plan;
+  };
+  // The error code validate_plan raises; nullopt when it accepts.
+  const auto code_of = [](const solver::StencilProblem& p,
+                          const solver::ExecutionPlan& plan)
+      -> std::optional<solver::Errc> {
+    try {
+      solver::validate_plan(p, plan);
+    } catch (const solver::Error& e) {
+      return e.code();
+    }
+    return std::nullopt;
+  };
+
+  const solver::StencilProblem j1d3 = solver::ProblemBuilder(Family::kJacobi1D3)
+                                          .extents(4096)
+                                          .steps(64)
+                                          .threads(4)
+                                          .build();
+  EXPECT_EQ(code_of(j1d3, tiled_with(j1d3, 8)), std::nullopt);
+  EXPECT_EQ(code_of(j1d3, tiled_with(j1d3, 9)), solver::Errc::kBadStride);
+  // The serial engine's ring takes the same stride.
+  solver::ExecutionPlan serial = tiled_with(j1d3, 9);
+  serial.path = solver::Path::kSerialTv;
+  EXPECT_EQ(code_of(j1d3, serial), std::nullopt);
+
+  const solver::StencilProblem gs1d3 = solver::ProblemBuilder(Family::kGs1D3)
+                                           .extents(4096)
+                                           .steps(64)
+                                           .threads(4)
+                                           .build();
+  EXPECT_EQ(code_of(gs1d3, tiled_with(gs1d3, 12)), std::nullopt);
+  EXPECT_EQ(code_of(gs1d3, tiled_with(gs1d3, 13)), solver::Errc::kBadStride);
 }
 
 }  // namespace

@@ -51,11 +51,7 @@ TEST_P(Diamond2DSweep, Jacobi5PMatchesOracle) {
   for (const tiling::StageExec* exec : test::kStageExecs) {
     GridD2 got(nx, ny);
     copy(init, got);
-    tiling::Diamond2DOptions opt;
-    opt.width = w;
-    opt.height = h;
-    opt.stride = s;
-    opt.exec = exec;
+    const tiling::TileOptions opt{w, h, s, true, exec};
     tiling::with_pingpong(got, steps,
                           [&](auto& pp) { run(c, pp, steps, opt); });
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -78,11 +74,7 @@ TEST_P(Diamond2DSweep, Jacobi9PMatchesOracle) {
   for (const tiling::StageExec* exec : test::kStageExecs) {
     GridD2 got(nx, ny);
     copy(init, got);
-    tiling::Diamond2DOptions opt;
-    opt.width = w;
-    opt.height = h;
-    opt.stride = s;
-    opt.exec = exec;
+    const tiling::TileOptions opt{w, h, s, true, exec};
     tiling::with_pingpong(got, steps,
                           [&](auto& pp) { run(c, pp, steps, opt); });
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -105,12 +97,7 @@ TEST_P(Diamond2DSweep, GaussSeidel2DMatchesOracle) {
     for (const tiling::StageExec* exec : test::kStageExecs) {
       GridD2 got(nx, ny);
       copy(init, got);
-      tiling::ParallelogramNDOptions opt;
-      opt.width = w;
-      opt.height = h;
-      opt.stride = s;
-      opt.use_vector = use_vector;
-      opt.exec = exec;
+      const tiling::TileOptions opt{w, h, s, use_vector, exec};
       test::resolve<dispatch::ParallelogramGs2D5Fn>(
           dispatch::kParallelogramGs2D5)(c, got, steps, opt);
       EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -169,10 +156,7 @@ TEST(DiamondLife, MatchesOracleAcrossGeometries) {
     for (const tiling::StageExec* exec : test::kStageExecs) {
       GridI2 got(nx, ny);
       copy(init, got);
-      tiling::Diamond2DOptions opt;
-      opt.width = w;
-      opt.height = h;
-      opt.exec = exec;
+      const tiling::TileOptions opt{w, h, 2, true, exec};
       tiling::with_pingpong(got, steps,
                             [&](auto& pp) { run(rule, pp, steps, opt); });
       ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -218,12 +202,7 @@ TEST(Diamond3D, JacobiMatchesOracleAcrossGeometries) {
       for (const tiling::StageExec* exec : test::kStageExecs) {
         GridD3 got(nx, ny, nz);
         copy3(init, got);
-        tiling::Diamond3DOptions opt;
-        opt.width = w;
-        opt.height = h;
-        opt.stride = s;
-        opt.use_vector = use_vector;
-        opt.exec = exec;
+        const tiling::TileOptions opt{w, h, s, use_vector, exec};
         tiling::with_pingpong(got, steps,
                               [&](auto& pp) { run(c, pp, steps, opt); });
         ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -247,12 +226,7 @@ TEST(ParaGs3D, MatchesOracleAcrossGeometries) {
       for (const tiling::StageExec* exec : test::kStageExecs) {
         GridD3 got(nx, ny, nz);
         copy3(init, got);
-        tiling::ParallelogramNDOptions opt;
-        opt.width = w;
-        opt.height = h;
-        opt.stride = s;
-        opt.use_vector = use_vector;
-        opt.exec = exec;
+        const tiling::TileOptions opt{w, h, s, use_vector, exec};
         test::resolve<dispatch::ParallelogramGs3D7Fn>(
             dispatch::kParallelogramGs3D7)(c, got, steps, opt);
         ASSERT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -272,9 +246,7 @@ TEST(Parallel2D, ManyThreadsDeterministicAndExact) {
   GridD2 got(nx, ny);
   copy(ref, got);
   stencil::jacobi2d5_run(c, ref, 32);
-  tiling::Diamond2DOptions opt;
-  opt.width = 64;
-  opt.height = 16;
+  const tiling::TileOptions opt{64, 16, 2};
   auto* const run = test::resolve<dispatch::DiamondJacobi2D5Fn>(
       dispatch::kDiamondJacobi2D5);
   const int saved = omp_get_max_threads();
@@ -290,7 +262,7 @@ TEST(DiamondF32, Jacobi2D5MatchesSerialEngineAndFloatOracle) {
   const stencil::C2D5f c{0.31f, 0.2f, 0.17f, 0.17f, 0.15f};
   using G = grid::Grid2D<float>;
   test::expect_f32_diamond<dispatch::DiamondJacobi2D5F32Fn>(
-      dispatch::kDiamondJacobi2D5, c, tiling::Diamond2DOptions{48, 16, 2},
+      dispatch::kDiamondJacobi2D5, c, tiling::TileOptions{48, 16, 2},
       test::float_grid<G>(6000u, 130, 21),
       [&](G& u, long t) { stencil::jacobi2d5_run(c, u, t); },
       [&](G& u, long t) {
@@ -304,7 +276,7 @@ TEST(DiamondF32, Jacobi2D9MatchesSerialEngineAndFloatOracle) {
                          0.08f, 0.09f, 0.09f, 0.09f};
   using G = grid::Grid2D<float>;
   test::expect_f32_diamond<dispatch::DiamondJacobi2D9F32Fn>(
-      dispatch::kDiamondJacobi2D9, c, tiling::Diamond2DOptions{48, 16, 3},
+      dispatch::kDiamondJacobi2D9, c, tiling::TileOptions{48, 16, 3},
       test::float_grid<G>(6100u, 130, 21),
       [&](G& u, long t) { stencil::jacobi2d9_run(c, u, t); },
       [&](G& u, long t) {
@@ -317,7 +289,7 @@ TEST(DiamondF32, Jacobi3D7MatchesSerialEngineAndFloatOracle) {
   const stencil::C3D7f c{0.28f, 0.13f, 0.12f, 0.12f, 0.11f, 0.13f, 0.11f};
   using G = grid::Grid3D<float>;
   test::expect_f32_diamond<dispatch::DiamondJacobi3D7F32Fn>(
-      dispatch::kDiamondJacobi3D7, c, tiling::Diamond3DOptions{20, 8, 2},
+      dispatch::kDiamondJacobi3D7, c, tiling::TileOptions{20, 8, 2},
       test::float_grid<G>(6200u, 90, 6, 9),
       [&](G& u, long t) { stencil::jacobi3d7_run(c, u, t); },
       [&](G& u, long t) {

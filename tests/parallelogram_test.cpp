@@ -42,11 +42,7 @@ TEST_P(ParaGs1dSweep, MatchesOracleExactly) {
   for (const tiling::StageExec* exec : test::kStageExecs) {
     Grid got(nx);
     copy(init, got);
-    tiling::Parallelogram1DOptions opt;
-    opt.width = w;
-    opt.height = h;
-    opt.stride = s;
-    opt.exec = exec;
+    const tiling::TileOptions opt{w, h, s, true, exec};
     test::resolve<dispatch::ParallelogramGs1D3Fn>(
         dispatch::kParallelogramGs1D3)(c, got, sweeps, opt);
     EXPECT_EQ(grid::max_abs_diff(ref, got), 0.0)
@@ -88,9 +84,7 @@ TEST(ParaGs1d, MultiThreadedMatchesOracle) {
   Grid ref = make_random(nx, 177), got(nx);
   copy(ref, got);
   stencil::gs1d3_run(c, ref, 96);
-  tiling::Parallelogram1DOptions opt;
-  opt.width = 512;
-  opt.height = 16;
+  const tiling::TileOptions opt{512, 16, 3};
   const int saved = omp_get_max_threads();
   omp_set_num_threads(8);
   test::resolve<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3)(
@@ -104,9 +98,7 @@ TEST(ParaGs1d, BoundaryDrivenConvergence) {
   Grid u(31);
   u.fill(0.0);
   u.at(0) = 1.0;
-  tiling::Parallelogram1DOptions opt;
-  opt.width = 32;
-  opt.height = 8;
+  const tiling::TileOptions opt{32, 8, 3};
   test::resolve<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3)(
       c, u, 30000, opt);
   for (int x = 1; x <= 31; ++x) {

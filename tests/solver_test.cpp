@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <map>
 #include <random>
 #include <stdexcept>
 #include <string>
@@ -332,6 +333,199 @@ TEST(Planner, ThreadsSelectTheTiledPath) {
   EXPECT_EQ(solver::heuristic_plan(q).path, Path::kSerialTv);
 }
 
+// The heuristic plan of every family x thread request (0, 4) x dtype (f64,
+// and f32 where the family runs it) on a large shape and on one small
+// enough to clamp the tile width and the band height.  The table pins the
+// planner's reading of the family table (Table 1's blocking, strides,
+// tiled drivers); the backend clause is the host's and is dropped.
+TEST(Planner, GoldenHeuristicPlans) {
+  const std::map<std::string, std::string, std::less<>> golden = {
+      {"jacobi1d3:nx=1048576:steps=1000:threads=0",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d3:nx=1048576:steps=1000:threads=0:dtype=f32",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d3:nx=1048576:steps=1000:threads=4",
+       "vl=0,stride=7,tile=16384x128,path=tiled"},
+      {"jacobi1d3:nx=1048576:steps=1000:threads=4:dtype=f32",
+       "vl=0,stride=7,tile=16384x128,path=tiled"},
+      {"jacobi1d3:nx=100:steps=5:threads=0",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d3:nx=100:steps=5:threads=0:dtype=f32",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d3:nx=100:steps=5:threads=4",
+       "vl=0,stride=7,tile=100x4,path=tiled"},
+      {"jacobi1d3:nx=100:steps=5:threads=4:dtype=f32",
+       "vl=0,stride=7,tile=100x4,path=tiled"},
+      {"jacobi1d5:nx=1048576:steps=1000:threads=0",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d5:nx=1048576:steps=1000:threads=0:dtype=f32",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d5:nx=1048576:steps=1000:threads=4",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d5:nx=1048576:steps=1000:threads=4:dtype=f32",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d5:nx=100:steps=5:threads=0",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d5:nx=100:steps=5:threads=0:dtype=f32",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d5:nx=100:steps=5:threads=4",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi1d5:nx=100:steps=5:threads=4:dtype=f32",
+       "vl=0,stride=7,path=tv"},
+      {"jacobi2d5:nx=4096:ny=4096:steps=256:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d5:nx=4096:ny=4096:steps=256:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d5:nx=4096:ny=4096:steps=256:threads=4",
+       "vl=0,stride=2,tile=256x32,path=tiled"},
+      {"jacobi2d5:nx=4096:ny=4096:steps=256:threads=4:dtype=f32",
+       "vl=0,stride=2,tile=256x32,path=tiled"},
+      {"jacobi2d5:nx=100:ny=90:steps=6:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d5:nx=100:ny=90:steps=6:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d5:nx=100:ny=90:steps=6:threads=4",
+       "vl=0,stride=2,tile=100x16,path=tiled"},
+      {"jacobi2d5:nx=100:ny=90:steps=6:threads=4:dtype=f32",
+       "vl=0,stride=2,tile=100x16,path=tiled"},
+      {"jacobi2d9:nx=4096:ny=4096:steps=256:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d9:nx=4096:ny=4096:steps=256:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d9:nx=4096:ny=4096:steps=256:threads=4",
+       "vl=0,stride=2,tile=256x32,path=tiled"},
+      {"jacobi2d9:nx=4096:ny=4096:steps=256:threads=4:dtype=f32",
+       "vl=0,stride=2,tile=256x32,path=tiled"},
+      {"jacobi2d9:nx=100:ny=90:steps=6:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d9:nx=100:ny=90:steps=6:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi2d9:nx=100:ny=90:steps=6:threads=4",
+       "vl=0,stride=2,tile=100x16,path=tiled"},
+      {"jacobi2d9:nx=100:ny=90:steps=6:threads=4:dtype=f32",
+       "vl=0,stride=2,tile=100x16,path=tiled"},
+      {"jacobi3d7:nx=256:ny=256:nz=256:steps=64:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi3d7:nx=256:ny=256:nz=256:steps=64:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi3d7:nx=256:ny=256:nz=256:steps=64:threads=4",
+       "vl=0,stride=2,tile=32x8,path=tiled"},
+      {"jacobi3d7:nx=256:ny=256:nz=256:steps=64:threads=4:dtype=f32",
+       "vl=0,stride=2,tile=32x8,path=tiled"},
+      {"jacobi3d7:nx=20:ny=24:nz=28:steps=3:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi3d7:nx=20:ny=24:nz=28:steps=3:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"jacobi3d7:nx=20:ny=24:nz=28:steps=3:threads=4",
+       "vl=0,stride=2,tile=20x8,path=tiled"},
+      {"jacobi3d7:nx=20:ny=24:nz=28:steps=3:threads=4:dtype=f32",
+       "vl=0,stride=2,tile=20x8,path=tiled"},
+      {"gs1d3:nx=1048576:steps=1000:threads=0",
+       "vl=0,stride=3,path=tv"},
+      {"gs1d3:nx=1048576:steps=1000:threads=0:dtype=f32",
+       "vl=0,stride=3,path=tv"},
+      {"gs1d3:nx=1048576:steps=1000:threads=4",
+       "vl=0,stride=3,tile=2048x64,path=tiled"},
+      {"gs1d3:nx=1048576:steps=1000:threads=4:dtype=f32",
+       "vl=0,stride=3,path=tv"},
+      {"gs1d3:nx=100:steps=5:threads=0",
+       "vl=0,stride=3,path=tv"},
+      {"gs1d3:nx=100:steps=5:threads=0:dtype=f32",
+       "vl=0,stride=3,path=tv"},
+      {"gs1d3:nx=100:steps=5:threads=4",
+       "vl=0,stride=3,tile=100x4,path=tiled"},
+      {"gs1d3:nx=100:steps=5:threads=4:dtype=f32",
+       "vl=0,stride=3,path=tv"},
+      {"gs2d5:nx=4096:ny=4096:steps=256:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"gs2d5:nx=4096:ny=4096:steps=256:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"gs2d5:nx=4096:ny=4096:steps=256:threads=4",
+       "vl=0,stride=2,tile=128x32,path=tiled"},
+      {"gs2d5:nx=4096:ny=4096:steps=256:threads=4:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"gs2d5:nx=100:ny=90:steps=6:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"gs2d5:nx=100:ny=90:steps=6:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"gs2d5:nx=100:ny=90:steps=6:threads=4",
+       "vl=0,stride=2,tile=100x4,path=tiled"},
+      {"gs2d5:nx=100:ny=90:steps=6:threads=4:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"gs3d7:nx=256:ny=256:nz=256:steps=64:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"gs3d7:nx=256:ny=256:nz=256:steps=64:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"gs3d7:nx=256:ny=256:nz=256:steps=64:threads=4",
+       "vl=0,stride=2,tile=128x32,path=tiled"},
+      {"gs3d7:nx=256:ny=256:nz=256:steps=64:threads=4:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"gs3d7:nx=20:ny=24:nz=28:steps=3:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"gs3d7:nx=20:ny=24:nz=28:steps=3:threads=0:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"gs3d7:nx=20:ny=24:nz=28:steps=3:threads=4",
+       "vl=0,stride=2,tile=20x4,path=tiled"},
+      {"gs3d7:nx=20:ny=24:nz=28:steps=3:threads=4:dtype=f32",
+       "vl=0,stride=2,path=tv"},
+      {"life:nx=4096:ny=4096:steps=256:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"life:nx=4096:ny=4096:steps=256:threads=4",
+       "vl=0,stride=2,tile=256x32,path=tiled"},
+      {"life:nx=100:ny=90:steps=6:threads=0",
+       "vl=0,stride=2,path=tv"},
+      {"life:nx=100:ny=90:steps=6:threads=4",
+       "vl=0,stride=2,tile=100x16,path=tiled"},
+      {"lcs:nx=20000:ny=30000:steps=0:threads=0",
+       "vl=0,stride=1,path=tv"},
+      {"lcs:nx=20000:ny=30000:steps=0:threads=4",
+       "vl=0,stride=1,tile=4096x4096,path=tiled"},
+      {"lcs:nx=1000:ny=700:steps=0:threads=0",
+       "vl=0,stride=1,path=tv"},
+      {"lcs:nx=1000:ny=700:steps=0:threads=4",
+       "vl=0,stride=1,tile=700x1000,path=tiled"},
+  };
+  std::size_t checked = 0;
+  for (int fi = 0; fi < solver::kFamilyCount; ++fi) {
+    const auto f = static_cast<Family>(fi);
+    const int dim = solver::family_dim(f);
+    for (const bool big : {true, false})
+      for (const int threads : {0, 4})
+        for (const auto dt : {dispatch::DType::kF64, dispatch::DType::kF32}) {
+          StencilProblem p;
+          p.family = f;
+          p.threads = threads;
+          p.dtype = dt;
+          if (dt == dispatch::DType::kF32 &&
+              !solver::family_supports_dtype(f, dt))
+            continue;
+          if (f == Family::kLcs) {
+            p.nx = big ? 20000 : 1000;
+            p.ny = big ? 30000 : 700;
+          } else if (dim == 1) {
+            p.nx = big ? 1 << 20 : 100;
+            p.steps = big ? 1000 : 5;
+          } else if (dim == 2) {
+            p.nx = big ? 4096 : 100;
+            p.ny = big ? 4096 : 90;
+            p.steps = big ? 256 : 6;
+          } else {
+            p.nx = big ? 256 : 20;
+            p.ny = big ? 256 : 24;
+            p.nz = big ? 256 : 28;
+            p.steps = big ? 64 : 3;
+          }
+          std::string plan = solver::heuristic_plan(p).to_string();
+          plan = plan.substr(plan.find(',') + 1);  // drop backend=...
+          const auto it = golden.find(p.signature());
+          ASSERT_NE(it, golden.end()) << p.signature();
+          EXPECT_EQ(plan, it->second) << p.signature();
+          ++checked;
+        }
+  }
+  EXPECT_EQ(checked, golden.size());
+}
+
 TEST(Planner, TileHeightsAreClampedToTheStepCount) {
   const StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
                                .extents(1 << 16)
@@ -556,7 +750,7 @@ TEST(SolverEqualityTiled, Jacobi1D3Diamond) {
 
   const ExecutionPlan plan = solver::plan_for(p);
   ASSERT_EQ(plan.path, Path::kTiledParallel);
-  tiling::Diamond1DOptions opt{plan.tile_w, plan.tile_h, plan.stride, true};
+  const tiling::TileOptions opt{plan.tile_w, plan.tile_h, plan.stride};
   auto* const run = test::resolve<dispatch::DiamondJacobi1D3Fn>(
       dispatch::kDiamondJacobi1D3);
   tiling::with_pingpong(direct, p.steps,
@@ -578,7 +772,7 @@ TEST(SolverEqualityTiled, Jacobi2D5Diamond) {
 
   const ExecutionPlan plan = solver::plan_for(p);
   ASSERT_EQ(plan.path, Path::kTiledParallel);
-  tiling::Diamond2DOptions opt{plan.tile_w, plan.tile_h, plan.stride, true};
+  const tiling::TileOptions opt{plan.tile_w, plan.tile_h, plan.stride};
   auto* const run = test::resolve<dispatch::DiamondJacobi2D5Fn>(
       dispatch::kDiamondJacobi2D5);
   tiling::with_pingpong(direct, p.steps,
@@ -597,8 +791,7 @@ TEST(SolverEqualityTiled, Gs1D3Parallelogram) {
 
   const ExecutionPlan plan = solver::plan_for(p);
   ASSERT_EQ(plan.path, Path::kTiledParallel);
-  tiling::Parallelogram1DOptions opt{plan.tile_w, plan.tile_h, plan.stride,
-                                     true};
+  const tiling::TileOptions opt{plan.tile_w, plan.tile_h, plan.stride};
   test::resolve<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3)(
       c, direct, p.steps, opt);
   Solver(p).run(Workload(c, got));
@@ -617,7 +810,8 @@ TEST(SolverEqualityTiled, LcsWavefront) {
           .build();
   const Solver s(p);
   ASSERT_EQ(s.plan().path, Path::kTiledParallel);
-  tiling::LcsWavefrontOptions opt{s.plan().tile_w, s.plan().tile_h, true};
+  const tiling::TileOptions opt{s.plan().tile_w, s.plan().tile_h,
+                                s.plan().stride};
   const solver::RunResult r = s.run(Workload(a, b));
   EXPECT_EQ(r.lcs_length,
             test::resolve<dispatch::LcsWavefrontFn>(
@@ -830,18 +1024,54 @@ TEST(SolverFloat, SignatureCarriesDtype) {
   EXPECT_EQ(p.signature(), f64_sig + ":dtype=f32");
 }
 
+// The f32 engine the Solver's router resolves for a plan: the pinned
+// width, or (vl = 0) the backend's native width for the dtype.
+dispatch::AnyFn planned_f32_engine(const ExecutionPlan& plan,
+                                   std::string_view id) {
+  return dispatch::KernelRegistry::instance().resolve_at(
+      id, plan.backend, plan.vl > 0 ? plan.vl : dispatch::kAnyVl,
+      dispatch::DType::kF32);
+}
+
 TEST(SolverFloat, HeuristicDoublesVectorLength) {
+  // The serial f32 plan runs the doubled float width: the 16-lane engine
+  // under avx512, the 8-lane one under avx2 and scalar.
   StencilProblem p = ProblemBuilder(Family::kJacobi1D3)
                          .extents(4096)
                          .steps(64)
                          .dtype(dispatch::DType::kF32)
                          .build();
   const ExecutionPlan plan = solver::heuristic_plan(p);
-  EXPECT_EQ(plan.vl,
-            plan.backend == dispatch::Backend::kAvx512 ? 16 : 8)
+  const int lanes = plan.backend == dispatch::Backend::kAvx512 ? 16 : 8;
+  EXPECT_EQ(planned_f32_engine(plan, dispatch::kTvJacobi1D3),
+            dispatch::KernelRegistry::instance().resolve_at(
+                dispatch::kTvJacobi1D3, plan.backend, lanes,
+                dispatch::DType::kF32))
       << plan.to_string();
   EXPECT_EQ(plan.path, Path::kSerialTv);
   solver::validate_plan(p, plan);  // must not throw
+}
+
+TEST(SolverFloat, PinnedBackendResolvesItsOwnFloatEngine) {
+  // TVS_PLAN=backend=avx2 on an f32 problem runs AVX2's 8-lane engine,
+  // whatever width the host's own backend would have planned.
+  const auto& reg = dispatch::KernelRegistry::instance();
+  if (!reg.has_backend(dispatch::Backend::kAvx2) ||
+      !dispatch::cpu_supports(dispatch::Backend::kAvx2)) {
+    GTEST_SKIP() << "avx2 backend not available";
+  }
+  const ScopedEnv pin("TVS_PLAN", "backend=avx2");
+  const StencilProblem p = ProblemBuilder(Family::kJacobi2D5)
+                               .extents(64, 48)
+                               .steps(8)
+                               .dtype(dispatch::DType::kF32)
+                               .build();
+  const Solver s(p);
+  EXPECT_EQ(s.plan().backend, dispatch::Backend::kAvx2);
+  EXPECT_EQ(planned_f32_engine(s.plan(), dispatch::kTvJacobi2D5),
+            reg.find(dispatch::kTvJacobi2D5, dispatch::Backend::kAvx2, 8,
+                     dispatch::DType::kF32))
+      << s.plan().to_string();
 }
 
 TEST(SolverFloat, FloatJacobiPlansTiled) {

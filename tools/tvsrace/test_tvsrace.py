@@ -5,7 +5,8 @@ annotation grammar) must pass, a wrong partitioned() name must be
 rejected, stripping a partitioned() annotation (in a fixture and in the
 real tree, on a stage_run() body and on a stage callback) must resurface
 the findings it certifies, the destination of a bulk copy/fill is a
-write, and a missing
+write, a const local built from shared memory (or a member of it) is a
+use of that memory when it goes to a call, and a missing
 --compile-commands path must be a usage error (exit 2).
 
 Run directly (python3 tools/tvsrace/test_tvsrace.py) or via the
@@ -153,6 +154,56 @@ class C1OmpSharing(unittest.TestCase):
             self.assertEqual({f[2] for f in findings}, {"C1"})
             for ln in copies:
                 self.assertIn(ln, [f[1] for f in findings])
+
+    def test_const_object_member_is_a_use_of_its_initializer(self):
+        # A const region-local object built from shared pointers hands
+        # them on when it or one of its members goes to a call (lines 21
+        # and 22); built from the parallel index it is clean, and the
+        # annotated region is certified.  Without the annotation its call
+        # resurfaces (line 33).
+        src = fixture("c1_const_object_member.cpp")
+        code, findings = run_race([src])
+        self.assertEqual(code, 1)
+        self.assertEqual({f[2] for f in findings}, {"C1"})
+        self.assertEqual(sorted(f[1] for f in findings), [21, 22])
+        with open(src, "r", encoding="utf-8") as f:
+            text = f.read()
+        mark = "// tvsrace: partitioned(k)"
+        self.assertEqual(text.count(mark), 1)
+        with tempfile.TemporaryDirectory() as td:
+            fixdir = os.path.join(td, "fixtures")
+            os.makedirs(fixdir)
+            path = os.path.join(fixdir, "c1_const_object_member.cpp")
+            with open(path, "w", encoding="utf-8") as f:
+                f.write(text.replace(mark, ""))
+            code, findings = run_race([path])
+            self.assertEqual(code, 1)
+            self.assertEqual(sorted(f[1] for f in findings), [21, 22, 33])
+
+    def test_stripping_the_1d_trapezoid_annotation_flags_the_tile_call(self):
+        # Liveness against the actual tree: the 1D diamond's trapezoid
+        # callback hands `lev.a0`, a pointer into the shared parity pair
+        # `pp` held in a const ParityLevels1D, to tv1d_tile.  Without its
+        # `partitioned(rows)` annotation that call is a finding.
+        sched = os.path.join(REPO, "src", "tiling", "schedule.hpp")
+        src = os.path.join(REPO, "src", "tiling", "diamond.cpp")
+        with open(src, "r", encoding="utf-8") as f:
+            text = f.read()
+        mark = "// tvsrace: partitioned(rows)"
+        self.assertEqual(text.count(mark), 1)
+        stripped_text = text.replace(mark, "")
+        calls = [i + 1 for i, l in enumerate(stripped_text.splitlines())
+                 if "tv1d_tile<V>(f, lev.a0" in l]
+        self.assertEqual(len(calls), 1)
+        with tempfile.TemporaryDirectory() as td:
+            fixdir = os.path.join(td, "fixtures")
+            os.makedirs(fixdir)
+            stripped = os.path.join(fixdir, "diamond.cpp")
+            with open(stripped, "w", encoding="utf-8") as f:
+                f.write(stripped_text)
+            code, findings = run_race([sched, stripped])
+            self.assertEqual(code, 1)
+            self.assertIn(calls[0], [f[1] for f in findings])
 
     def test_stage_run_bodies_are_parallel_regions(self):
         # stage_run() bodies (a named lambda, an inline one) writing

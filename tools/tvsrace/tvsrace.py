@@ -22,7 +22,9 @@ grid offset arithmetic.
                        slot parameter, or certified by a
                        `// tvsrace: partitioned(<var>)` annotation naming
                        the parallel index (the wavefront "owned diagonal"
-                       pattern)
+                       pattern); a const region-local object, or a member
+                       of one, handed to a call (`tile(lev.a0, lev)`) is a
+                       use of the shared names in its initializer
   C2  lock-discipline  every access to a data member of a class that owns
                        a std::mutex happens while that mutex is held
                        (lock_guard / scoped_lock / unique_lock / .lock()
@@ -988,26 +990,46 @@ def check_omp(sf: SourceFile, flat: Flat, blocks: List[Block],
             d = outer.get(name)
             return d is not None and d.category() == "deep"
 
-        fragments = split_statements(region, body_start)
-        # pass 1: declarations (so later fragments see earlier locals)
-        for fidx, frag in fragments:
-            for im2 in FOR_DECL_RE.finditer(frag):
-                private.add(im2.group(1))
-            d = scan_decl(frag.strip(), flat.line_of(fidx))
-            if d:
-                if per_slot(d.init):
-                    private.add(d.name)
-                elif not d.is_const and any(
-                        shared_deep(t) or t in derived
-                        for t in re.findall(r"[A-Za-z_]\w*", d.init)):
-                    derived.add(d.name)
-                else:
-                    private.add(d.name)
-
         def proven(chunk: str) -> bool:
             if induction and token_in(induction, chunk):
                 return True
             return per_slot(chunk)
+
+        fragments = split_statements(region, body_start)
+        # const locals whose initializer names shared memory (name ->
+        # initializer): a member of one handed to a call hands on that
+        # shared memory, e.g. `const Levels lev{odd}; tile(lev.a0)`.
+        held: Dict[str, str] = {}
+
+        def decl_of(fidx: int, frag: str) -> Optional[Decl]:
+            """The fragment's declaration; a brace-initialized one
+            (`T name{...}`) ends where split_statements cut it at its `{`,
+            so its initializer is the brace group that follows."""
+            d = scan_decl(frag.strip(), flat.line_of(fidx))
+            brace = fidx + len(frag)
+            if d or brace >= body_end or text[brace] != "{":
+                return d
+            d = scan_decl(frag.strip() + "{", flat.line_of(fidx))
+            if d:
+                d.init = text[brace + 1:match_forward(text, brace, "{", "}")]
+            return d
+
+        # pass 1: declarations (so later fragments see earlier locals)
+        for fidx, frag in fragments:
+            for im2 in FOR_DECL_RE.finditer(frag):
+                private.add(im2.group(1))
+            d = decl_of(fidx, frag)
+            if d:
+                shares = any(shared_deep(t) or t in derived
+                             for t in re.findall(r"[A-Za-z_]\w*", d.init))
+                if per_slot(d.init):
+                    private.add(d.name)
+                elif not d.is_const and shares:
+                    derived.add(d.name)
+                else:
+                    private.add(d.name)
+                    if shares and not proven(d.init):
+                        held[d.name] = d.init
 
         def write_to(base: str, idx: int, lv: str) -> None:
             """Reports a write to `base` (lvalue text `lv`) at flat index
@@ -1113,6 +1135,27 @@ def check_omp(sf: SourceFile, flat: Flat, blocks: List[Block],
                     f"shared mutable '{base}' used in a parallel region "
                     "without a partition proof (index the access by the "
                     "parallel variable, take it const, or certify with "
+                    "'// tvsrace: partitioned(<index>)')")
+            # a const local holding shared memory, or a member of one,
+            # passed as a call argument: a use of the shared names it was
+            # built from
+            for hm in re.finditer(
+                    r"(?<=[(,])\s*([A-Za-z_]\w*)"
+                    r"(?:\s*(?:\.|->)\s*\w+[^,()]*)?(?=[,)])", scan_text):
+                base = hm.group(1)
+                if base not in held or proven(hm.group(0)):
+                    continue
+                if in_safe(scan_base + hm.start(1)):
+                    continue
+                names = sorted({t for t in re.findall(r"[A-Za-z_]\w*",
+                                                      held[base])
+                                if shared_deep(t) or t in derived})
+                add(scan_base + hm.start(1),
+                    f"shared mutable {', '.join(repr(n) for n in names)} "
+                    f"passed to a call through '{hm.group(0).strip()}' "
+                    "in a parallel region without a partition proof (the "
+                    "callee may write through it; build the object from "
+                    "the parallel index, or certify the region with "
                     "'// tvsrace: partitioned(<index>)')")
             # bare shared identifiers passed as call arguments
             for argm in re.finditer(
