@@ -16,50 +16,51 @@ using tiling::kMaxParallelogramStride;
 constexpr FamilyRow kFamilies[kFamilyCount] = {
     // family, name, dim, deps, int32,
     //   serial id, serial re id, tiled id, tiled in place,
-    //   tiled stride cap, Table 1 stride, width, height, height unit,
+    //   tiled stride cap, tiled min bands,
+    //   Table 1 stride, width, height, height unit,
     //   serial stride candidates
     {Family::kJacobi1D3, "jacobi1d3", 1,
      [] { return stencil::jacobi1d_deps(1); }, false,
      d::kTvJacobi1D3, d::kTvJacobi1D3Re, d::kDiamondJacobi1D3, false,
-     kMaxDiamond1DStride, 7, 16384, 128, 4, {5, 7, 11}},
+     kMaxDiamond1DStride, 0, 7, 16384, 128, 4, {5, 7, 11}},
     {Family::kJacobi1D5, "jacobi1d5", 1,
      [] { return stencil::jacobi1d_deps(2); }, false,
      d::kTvJacobi1D5, d::kTvJacobi1D5Re, {}, false,
-     0, 7, 16384, 128, 4, {5, 7, 11}},
+     0, 0, 7, 16384, 128, 4, {5, 7, 11}},
     {Family::kJacobi2D5, "jacobi2d5", 2,
      [] { return stencil::jacobi2d_deps(1); }, false,
      d::kTvJacobi2D5, d::kTvJacobi2D5Re, d::kDiamondJacobi2D5, false,
-     0, 2, 256, 32, 16, {2, 3, 4}},
+     0, 0, 2, 256, 32, 16, {2, 3, 4}},
     {Family::kJacobi2D9, "jacobi2d9", 2,
      [] { return stencil::jacobi2d_deps(1); }, false,
      d::kTvJacobi2D9, d::kTvJacobi2D9Re, d::kDiamondJacobi2D9, false,
-     0, 2, 256, 32, 16, {2, 3, 4}},
+     0, 0, 2, 256, 32, 16, {2, 3, 4}},
     {Family::kJacobi3D7, "jacobi3d7", 3,
      [] { return stencil::jacobi3d_deps(1); }, false,
      d::kTvJacobi3D7, d::kTvJacobi3D7Re, d::kDiamondJacobi3D7, false,
-     0, 2, 32, 8, 8, {2, 3, 4}},
+     0, 0, 2, 32, 8, 8, {2, 3, 4}},
     {Family::kGs1D3, "gs1d3", 1,
      [] { return stencil::gauss_seidel_deps(1); }, false,
      d::kTvGs1D3, {}, d::kParallelogramGs1D3, true,
-     kMaxParallelogramStride, 3, 2048, 64, 4, {2, 3, 5}},
+     kMaxParallelogramStride, 2, 3, 2048, 64, 4, {2, 3, 5}},
     {Family::kGs2D5, "gs2d5", 2,
      [] { return stencil::gauss_seidel_deps(1); }, false,
      d::kTvGs2D5, {}, d::kParallelogramGs2D5, true,
-     kMaxParallelogramStride, 2, 128, 32, 4, {2, 3, 4}},
+     kMaxParallelogramStride, 2, 2, 128, 32, 4, {2, 3, 4}},
     {Family::kGs3D7, "gs3d7", 3,
      [] { return stencil::gauss_seidel_deps(1); }, false,
      d::kTvGs3D7, {}, d::kParallelogramGs3D7, true,
-     kMaxParallelogramStride, 2, 128, 32, 4, {2, 3, 4}},
+     kMaxParallelogramStride, 0, 2, 128, 32, 4, {2, 3, 4}},
     {Family::kLife, "life", 2,
      [] { return stencil::jacobi2d_deps(1); }, true,
      d::kTvLife, {}, d::kDiamondLife, false,
-     0, 2, 256, 32, 16, {2, 3, 4}},
+     0, 0, 2, 256, 32, 16, {2, 3, 4}},
     // LCS is a fixed s = 1 scheme; its tile is a column block over |b| by
     // a row band over |a| (heuristic_plan), so the band has no unit.
     {Family::kLcs, "lcs", 2,
      [] { return stencil::lcs_deps(); }, true,
      d::kTvLcsRows, {}, d::kLcsWavefront, false,
-     0, 1, 4096, 4096, 0, {1}},
+     0, 0, 1, 4096, 4096, 0, {1}},
 };
 // clang-format on
 

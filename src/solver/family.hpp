@@ -31,6 +31,14 @@ struct FamilyRow {
   bool tiled_in_place;
   // Largest stride the tiled driver runs; 0 = legality is the only bound.
   int tiled_max_stride;
+  // The fewest temporal bands, ceil(steps / band height), for which the
+  // heuristic plans the tiled driver; 0 = no minimum.  A Gauss-Seidel
+  // stage runs one tile per band, so with one band the parallelogram is
+  // a serial sweep with stage overhead, and gs1d3 and gs2d5 ran at
+  // 0.25-0.86x the serial engine's speed that way.  gs3d7's one-band
+  // parallelogram kept pace with its serial engine, and beat it on small
+  // grids, so it has no minimum.
+  int tiled_min_bands;
   // Table 1: stride, tile width, band height and the multiple the band
   // height is rounded down to.
   int stride;

@@ -93,12 +93,15 @@ ExecutionPlan heuristic_plan(const StencilProblem& p) {
 
   // A thread request plans the tiled driver wherever one is registered for
   // the problem's element type (every Jacobi diamond runs f32 too; the
-  // Gauss-Seidel parallelograms are f64 only).  vl stays 0 on both paths:
-  // the registry resolves the native width of whichever backend runs for
-  // the problem's dtype (the doubled float width on the serial path), and
-  // the tiled drivers fix their own tile width.
+  // Gauss-Seidel parallelograms are f64 only) and the steps fill the
+  // family's minimum number of bands (tiled_min_bands, family.hpp).  vl
+  // stays 0 on both paths: the registry resolves the native width of
+  // whichever backend runs for the problem's dtype (the doubled float
+  // width on the serial path), and the tiled drivers fix their own tile
+  // width.
   const dispatch::DType dt = p.effective_dtype();
-  plan.path = (p.threads > 1 &&
+  const long bands = (p.steps + plan.tile_h - 1) / plan.tile_h;
+  plan.path = (p.threads > 1 && bands >= row.tiled_min_bands &&
                tiled_driver_registered(p.family, plan.backend, dt))
                   ? Path::kTiledParallel
                   : Path::kSerialTv;

@@ -9,10 +9,18 @@
 // signature from the payload's (coefficient set, grid) types, and the
 // lookup is pinned to the problem's element type, so a payload can only be
 // cast to an engine of its own dtype.
+//
+// A tiled diamond run borrows its odd-parity partner grid from the
+// Solver's PartnerSlot and hands it back afterwards, so only a Solver's
+// first run (or a run that overlaps another copy's) allocates one.  The
+// drivers mirror the boundary and halo cells into the odd grid before
+// they read it, so what a previous run left there does not matter.
 #include "solver/solver.hpp"
 
 #include <cassert>
 #include <chrono>
+#include <cstdint>
+#include <mutex>
 #include <variant>
 
 #include "dispatch/kernels.hpp"
@@ -22,6 +30,42 @@
 #include "util/omp_compat.hpp"
 
 namespace tvs::solver {
+
+namespace detail {
+
+// At most one kept partner grid, of whichever grid type the Solver's
+// payload has.
+class PartnerSlot {
+ public:
+  // The kept grid, or an empty one when the slot holds none (with_pingpong
+  // then allocates).
+  template <class G>
+  G take() {
+    const std::lock_guard<std::mutex> lock(m_);
+    G* kept = std::get_if<G>(&grid_);
+    if (kept == nullptr) return G{};
+    G g = std::move(*kept);
+    grid_ = std::monostate{};
+    return g;
+  }
+  // Keeps g unless the slot already holds a grid; g then stays with the
+  // caller, which frees it outside the lock.
+  template <class G>
+  void give(G& g) {
+    const std::lock_guard<std::mutex> lock(m_);
+    if (std::holds_alternative<std::monostate>(grid_)) grid_ = std::move(g);
+  }
+
+ private:
+  std::mutex m_;
+  std::variant<std::monostate, grid::Grid1D<double>, grid::Grid1D<float>,
+               grid::Grid2D<double>, grid::Grid2D<float>,
+               grid::Grid2D<std::int32_t>, grid::Grid3D<double>,
+               grid::Grid3D<float>>
+      grid_;
+};
+
+}  // namespace detail
 
 namespace {
 
@@ -66,13 +110,44 @@ tiling::TileOptions tile_options(const ExecutionPlan& plan,
   return {plan.tile_w, plan.tile_h, plan.stride, true, ex};
 }
 
+// Lends the slot's partner grid to one run and gives it back on scope
+// exit, also when the run throws.
+template <class G>
+class PartnerLease {
+ public:
+  explicit PartnerLease(detail::PartnerSlot& slot)
+      : slot_(slot), grid_(slot.take<G>()) {}
+  ~PartnerLease() { slot_.give(grid_); }
+  PartnerLease(const PartnerLease&) = delete;
+  PartnerLease& operator=(const PartnerLease&) = delete;
+
+  G& grid() { return grid_; }
+
+ private:
+  detail::PartnerSlot& slot_;
+  G grid_;
+};
+
+// A partner slot for a tiled diamond plan (the tiled path of every family
+// but Gauss-Seidel, which runs in place, and LCS, which has no grid);
+// null for every other plan.
+std::shared_ptr<detail::PartnerSlot> partner_slot(const StencilProblem& p,
+                                                  const ExecutionPlan& plan) {
+  const bool diamond = plan.path == Path::kTiledParallel &&
+                       p.family != Family::kLcs &&
+                       !family_is_gauss_seidel(p.family);
+  return diamond ? std::make_shared<detail::PartnerSlot>() : nullptr;
+}
+
 // Runs p.steps steps of the payload (c, u) on the planned path.  The
 // serial path calls the temporal engine; the tiled path calls the
 // parallelogram driver in place (Gauss-Seidel) or the diamond driver on a
-// parity pair built around u's own storage (tiling/pingpong_convert.hpp).
+// parity pair of u's own storage and the partner grid borrowed from
+// `partner` (tiling/pingpong_convert.hpp).
 template <class C, class G>
 void route(const StencilProblem& p, const ExecutionPlan& plan,
-           const tiling::StageExec* ex, const C& c, G& u) {
+           const tiling::StageExec* ex, detail::PartnerSlot* partner,
+           const C& c, G& u) {
   const dispatch::DType dt = p.effective_dtype();
   if (plan.path != Path::kTiledParallel) {
     const std::string_view id = serial_kernel_id(p.family, plan.variant);
@@ -90,9 +165,12 @@ void route(const StencilProblem& p, const ExecutionPlan& plan,
   }
   auto* run = resolve<void(const C&, grid::PingPong<G>&, long,
                            const tiling::TileOptions&)>(plan, id, dt);
-  tiling::with_pingpong(u, p.steps, [&](grid::PingPong<G>& pp) {
-    run(c, pp, p.steps, opt);
-  });
+  assert(partner != nullptr && "a tiled diamond plan has a partner slot");
+  PartnerLease<G> lease(*partner);
+  tiling::with_pingpong(u, lease.grid(), p.steps,
+                        [&](grid::PingPong<G>& pp) {
+                          run(c, pp, p.steps, opt);
+                        });
 }
 
 // LCS: the tiled wavefront reports the length only; the serial row engine
@@ -122,11 +200,12 @@ void route_lcs(const StencilProblem& p, const ExecutionPlan& plan,
 }  // namespace
 
 Solver::Solver(const StencilProblem& p, PlanMode mode)
-    : prob_(p), plan_(plan_for(p, mode)) {}
+    : prob_(p), plan_(plan_for(p, mode)), partner_(partner_slot(p, plan_)) {}
 
 Solver::Solver(const StencilProblem& p, const ExecutionPlan& plan)
     : prob_(p), plan_(plan) {
   validate_plan(prob_, plan_);
+  partner_ = partner_slot(prob_, plan_);
 }
 
 RunResult Solver::run(const Workload& w) const {
@@ -142,7 +221,8 @@ RunResult Solver::run(const Workload& w) const {
         } else {
           assert(job.grid != nullptr &&
                  "validate_workload admitted a null grid");
-          route(prob_, plan_, stage_exec_, job.coeffs, *job.grid);
+          route(prob_, plan_, stage_exec_, partner_.get(), job.coeffs,
+                *job.grid);
         }
       },
       w.payload());

@@ -25,7 +25,18 @@
 // generic kernel router (solver.cpp).  Every payload — the FP grids in
 // f64/f32, Life, LCS — goes through this pair; errors are
 // tvs::solver::Error (error.hpp), which derives std::invalid_argument.
+//
+// Memory: a Solver whose plan is a tiled diamond (the tiled path of the
+// Jacobi families and Life) keeps the driver's odd-parity partner grid,
+// one buffer the size of the problem's grid, between its runs instead of
+// allocating one per run.  The Solver and all its copies (submit,
+// with_stage_exec and Batch copy it) share that one partner; it is freed
+// when the last of them is destroyed.  Two copies running at once take
+// the partner and a fresh grid, and the slot keeps one of them afterwards.
+// Every other plan holds nothing beyond the problem and the plan.
 #pragma once
+
+#include <memory>
 
 #include "solver/error.hpp"
 #include "solver/plan.hpp"
@@ -38,6 +49,10 @@ struct StageExec;
 }
 
 namespace tvs::solver {
+
+namespace detail {
+class PartnerSlot;  // solver.cpp
+}
 
 class Solver {
  public:
@@ -85,6 +100,9 @@ class Solver {
   // drivers fan their stages out on it and OpenMP is held to one thread
   // (the executor provides the parallelism).
   const tiling::StageExec* stage_exec_ = nullptr;
+  // The kept diamond partner grid, shared by every copy; null unless the
+  // plan is a tiled diamond.
+  std::shared_ptr<detail::PartnerSlot> partner_;
 };
 
 }  // namespace tvs::solver

@@ -7,9 +7,13 @@
 
 #include <algorithm>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <random>
+#include <span>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "dispatch/backend.hpp"
@@ -19,7 +23,9 @@
 #include "stencil/life_ref.hpp"
 #include "stencil/reference1d.hpp"
 #include "stencil/reference2d.hpp"
+#include "stage_execs.hpp"
 #include "stencil/reference3d.hpp"
+#include "tiling/pingpong_convert.hpp"
 #include "tv/tv_lcs.hpp"  // kLcsRowPad
 
 namespace {
@@ -744,6 +750,137 @@ TEST_P(LaneForLane, TilingDiamond) {
         c7, pp, steps, tiling::TileOptions{32, 8, 2});
     EXPECT_EQ(grid::max_abs_diff(ref, pp.by_parity(steps)), 0.0);
   }
+}
+
+// Every element of g's storage, the padding included.
+template <class T>
+std::span<T> storage(grid::Grid1D<T>& g) {
+  return {g.p() - grid::kPad,
+          static_cast<std::size_t>(g.nx() + 2 + 2 * grid::kPad)};
+}
+template <class T>
+std::span<T> storage(grid::Grid2D<T>& g) {
+  return {g.row(0) - grid::kPad,
+          static_cast<std::size_t>(g.nx() + 2) *
+              static_cast<std::size_t>(g.stride())};
+}
+template <class T>
+std::span<T> storage(grid::Grid3D<T>& g) {
+  return {g.line(0, 0) - grid::kPad,
+          static_cast<std::size_t>(g.nx() + 2) *
+              static_cast<std::size_t>(g.ny() + 2) *
+              static_cast<std::size_t>(g.zstride())};
+}
+
+// Garbage for a whole odd grid: NaN for the FP grids, a non-cell value for
+// Life.
+template <class T>
+T garbage() {
+  if constexpr (std::is_floating_point_v<T>) {
+    return std::numeric_limits<T>::quiet_NaN();
+  } else {
+    return T{0x5A5A5A5A};
+  }
+}
+
+// Runs the diamond driver `id` (signature Fn, element type dt) on a grid
+// from make() twice: once on a fresh, zeroed partner and once on a partner
+// whose whole storage holds garbage, as a partner kept from an earlier run
+// may.  The two results must be bit-identical, on every stage executor,
+// at an odd and an even step count.
+template <class Fn, class C, class Make>
+void expect_partner_ignored(Backend b, std::string_view id, dispatch::DType dt,
+                            const C& c, const tiling::TileOptions& base,
+                            Make make) {
+  Fn* const run =
+      KernelRegistry::instance().get_at<Fn>(id, b, dispatch::kAnyVl, dt);
+  for (const long steps : {13L, 16L})
+    for (const tiling::StageExec* exec : test::kStageExecs) {
+      SCOPED_TRACE(::testing::Message()
+                   << id << " dtype=" << dispatch::dtype_name(dt)
+                   << " steps=" << steps << " exec=" << test::exec_name(exec));
+      const tiling::TileOptions opt{base.width, base.height, base.stride, true,
+                                    exec};
+      auto zeroed = make();
+      tiling::with_pingpong(zeroed, steps,
+                            [&](auto& pp) { run(c, pp, steps, opt); });
+      auto got = make();
+      auto partner = tv::grid_like(got);
+      using T = typename decltype(storage(got))::value_type;
+      std::ranges::fill(storage(partner), garbage<T>());
+      tiling::with_pingpong(got, partner, steps,
+                            [&](auto& pp) { run(c, pp, steps, opt); });
+      const auto want = storage(zeroed);
+      const auto have = storage(got);
+      ASSERT_EQ(want.size(), have.size());
+      EXPECT_EQ(std::memcmp(want.data(), have.data(), want.size_bytes()), 0);
+    }
+}
+
+// A Solver keeps its diamond partner across runs (solver/solver.cpp), so
+// every diamond driver must ignore all of the odd grid's prior contents,
+// not only its boundary and halo cells.
+TEST_P(LaneForLane, TilingDiamondIgnoresOddGrid) {
+  const Backend b = GetParam();
+  using dispatch::DType;
+  const auto grid1d = [](auto v, unsigned seed) {
+    return [=] {
+      std::mt19937_64 rng(seed);
+      grid::Grid1D<decltype(v)> g(300);
+      g.fill_random(rng, decltype(v){-1}, decltype(v){1});
+      return g;
+    };
+  };
+  const auto grid2d = [](auto lo, auto hi, unsigned seed) {
+    return [=] {
+      std::mt19937_64 rng(seed);
+      grid::Grid2D<decltype(lo)> g(48, 14);
+      g.fill_random(rng, lo, hi);
+      return g;
+    };
+  };
+  const auto grid3d = [](auto v, unsigned seed) {
+    return [=] {
+      std::mt19937_64 rng(seed);
+      grid::Grid3D<decltype(v)> g(24, 8, 8);
+      g.fill_random(rng, decltype(v){-1}, decltype(v){1});
+      return g;
+    };
+  };
+  const tiling::TileOptions t1{64, 16, 7}, t2{16, 16, 2}, t3{8, 8, 2};
+  expect_partner_ignored<dispatch::DiamondJacobi1D3Fn>(
+      b, dispatch::kDiamondJacobi1D3, DType::kF64, stencil::heat1d(0.25), t1,
+      grid1d(0.0, 101));
+  expect_partner_ignored<dispatch::DiamondJacobi1D3F32Fn>(
+      b, dispatch::kDiamondJacobi1D3, DType::kF32,
+      stencil::heat1d<float>(0.25), t1, grid1d(0.0f, 102));
+  const stencil::C2D5 c5{0.3, 0.2, 0.18, 0.17, 0.15};
+  const stencil::C2D5f c5f{0.31f, 0.2f, 0.17f, 0.17f, 0.15f};
+  expect_partner_ignored<dispatch::DiamondJacobi2D5Fn>(
+      b, dispatch::kDiamondJacobi2D5, DType::kF64, c5, t2,
+      grid2d(-1.0, 1.0, 103));
+  expect_partner_ignored<dispatch::DiamondJacobi2D5F32Fn>(
+      b, dispatch::kDiamondJacobi2D5, DType::kF32, c5f, t2,
+      grid2d(-1.0f, 1.0f, 104));
+  const stencil::C2D9 c9{0.2, 0.14, 0.12, 0.1, 0.09, 0.08, 0.09, 0.09, 0.09};
+  const stencil::C2D9f c9f{0.2f,  0.14f, 0.12f, 0.1f, 0.09f,
+                           0.08f, 0.09f, 0.09f, 0.09f};
+  expect_partner_ignored<dispatch::DiamondJacobi2D9Fn>(
+      b, dispatch::kDiamondJacobi2D9, DType::kF64, c9, t2,
+      grid2d(-1.0, 1.0, 105));
+  expect_partner_ignored<dispatch::DiamondJacobi2D9F32Fn>(
+      b, dispatch::kDiamondJacobi2D9, DType::kF32, c9f, t2,
+      grid2d(-1.0f, 1.0f, 106));
+  expect_partner_ignored<dispatch::DiamondLifeFn>(
+      b, dispatch::kDiamondLife, DType::kI32, stencil::LifeRule{}, t2,
+      grid2d(std::int32_t{0}, std::int32_t{1}, 107));
+  const stencil::C3D7 c7{0.28, 0.13, 0.12, 0.12, 0.11, 0.13, 0.11};
+  const stencil::C3D7f c7f{0.28f, 0.13f, 0.12f, 0.12f, 0.11f, 0.13f, 0.11f};
+  expect_partner_ignored<dispatch::DiamondJacobi3D7Fn>(
+      b, dispatch::kDiamondJacobi3D7, DType::kF64, c7, t3, grid3d(0.0, 108));
+  expect_partner_ignored<dispatch::DiamondJacobi3D7F32Fn>(
+      b, dispatch::kDiamondJacobi3D7, DType::kF32, c7f, t3,
+      grid3d(0.0f, 109));
 }
 
 TEST_P(LaneForLane, TilingParallelogramAndWavefront) {

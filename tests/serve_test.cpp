@@ -704,12 +704,14 @@ TEST(ServeTopology, FakeSysfsPlacementAndFallback) {
 
 // Runs one problem sync and async (through submit, where a tiled plan is
 // decomposed into per-tile pool tasks) and requires bit-identical grids.
+// The tiled path is pinned: a Gauss-Seidel problem whose steps fill one
+// band plans the serial engine.
 template <class T, class C, class G>
 void expect_decomposed_identical(const StencilProblem& p, const C& coeffs,
                                  unsigned salt) {
-  const Solver s(p);
-  ASSERT_EQ(s.plan().path, solver::Path::kTiledParallel)
-      << p.signature() << " did not plan the tiled path";
+  solver::ExecutionPlan plan = solver::plan_for(p);
+  plan.path = solver::Path::kTiledParallel;
+  const Solver s(p, plan);
   const auto make = [&p] {
     if constexpr (requires { G(p.nx, p.ny, p.nz); }) {
       return G(p.nx, p.ny, p.nz);
@@ -731,9 +733,9 @@ TEST(ServeDecompose, TiledFamiliesBitIdenticalToSync) {
   if (plan_pinned()) GTEST_SKIP() << "TVS_PLAN may pin a non-tiled path";
   const serve::SchedStats before = serve::sched_stats();
 
-  // threads > 1 routes every family with a tiled driver registered for its
-  // element type onto the tiled path: every f64/i32 family and the f32
-  // Jacobi families (f32 Gauss-Seidel stays serial).
+  // Every family with a tiled driver registered for its element type:
+  // every f64/i32 family and the f32 Jacobi families (f32 Gauss-Seidel has
+  // no tiled driver).
   constexpr int kThreads = 4;
   {
     const StencilProblem p = ProblemBuilder(Family::kJacobi1D3)

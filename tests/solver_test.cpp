@@ -9,6 +9,7 @@
 #include <random>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "kernel.hpp"
@@ -69,6 +70,14 @@ void fill_pattern(GridT& u) {
   } else {
     for (int x = 0; x <= u.nx() + 1; ++x) u.at(x) = 1.0 + 0.001 * (x % 97);
   }
+}
+
+// The plan of p with the tiled path pinned: a Gauss-Seidel problem whose
+// steps fill one band plans the serial engine.
+ExecutionPlan tiled_plan(const StencilProblem& p) {
+  ExecutionPlan plan = solver::plan_for(p);
+  plan.path = Path::kTiledParallel;
+  return plan;
 }
 
 // ---- plan cache ------------------------------------------------------------
@@ -537,6 +546,42 @@ TEST(Planner, TileHeightsAreClampedToTheStepCount) {
   EXPECT_EQ(plan.tile_h % 4, 0);
 }
 
+// A Gauss-Seidel stage runs one tile per band, so where the steps fill a
+// single band the heuristic plans the serial engine for gs1d3 and gs2d5
+// (measured faster there); gs3d7 keeps its parallelogram.  A pinned
+// path=tiled still runs the parallelogram.
+TEST(Planner, OneBandGaussSeidelPlansTheSerialEngine) {
+  const auto plan_of = [](ProblemBuilder b, long steps) {
+    return solver::heuristic_plan(b.steps(steps).threads(4).build());
+  };
+  const ProblemBuilder gs1 = ProblemBuilder(Family::kGs1D3).extents(1 << 16);
+  const ProblemBuilder gs2 = ProblemBuilder(Family::kGs2D5).extents(512, 512);
+  const ProblemBuilder gs3 =
+      ProblemBuilder(Family::kGs3D7).extents(64, 64, 64);
+  EXPECT_EQ(plan_of(gs1, 64).path, Path::kSerialTv);   // tile 2048x64
+  EXPECT_EQ(plan_of(gs1, 65).path, Path::kTiledParallel);
+  EXPECT_EQ(plan_of(gs2, 4).path, Path::kSerialTv);    // tile 128x4
+  EXPECT_EQ(plan_of(gs2, 32).path, Path::kSerialTv);   // tile 128x32
+  EXPECT_EQ(plan_of(gs2, 6).path, Path::kTiledParallel);  // 128x4, 2 bands
+  EXPECT_EQ(plan_of(gs2, 33).path, Path::kTiledParallel);
+  EXPECT_EQ(plan_of(gs3, 4).path, Path::kTiledParallel);
+  EXPECT_EQ(plan_of(gs3, 32).path, Path::kTiledParallel);
+
+  const ScopedEnv pin("TVS_PLAN", "path=tiled");
+  const StencilProblem p = ProblemBuilder(gs2).steps(8).threads(4).build();
+  const Solver s(p);
+  ASSERT_EQ(s.plan().path, Path::kTiledParallel);
+  const stencil::C2D5 c = stencil::heat2d(0.2);
+  grid::Grid2D<double> direct(p.nx, p.ny), got(p.nx, p.ny);
+  fill_pattern(direct);
+  fill_pattern(got);
+  test::resolve<dispatch::ParallelogramGs2D5Fn>(dispatch::kParallelogramGs2D5)(
+      c, direct, p.steps,
+      tiling::TileOptions{s.plan().tile_w, s.plan().tile_h, s.plan().stride});
+  s.run(Workload(c, got));
+  EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
+}
+
 TEST(Planner, TunedModeProducesAValidatedPlan) {
   solver::plan_cache_clear();
   const StencilProblem p =
@@ -789,12 +834,11 @@ TEST(SolverEqualityTiled, Gs1D3Parallelogram) {
   fill_pattern(direct);
   fill_pattern(got);
 
-  const ExecutionPlan plan = solver::plan_for(p);
-  ASSERT_EQ(plan.path, Path::kTiledParallel);
+  const ExecutionPlan plan = tiled_plan(p);
   const tiling::TileOptions opt{plan.tile_w, plan.tile_h, plan.stride};
   test::resolve<dispatch::ParallelogramGs1D3Fn>(dispatch::kParallelogramGs1D3)(
       c, direct, p.steps, opt);
-  Solver(p).run(Workload(c, got));
+  Solver(p, plan).run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
 }
 
@@ -877,7 +921,7 @@ bool boundaries_equal(const GridT& a, const GridT& b) {
 }
 
 // Runs the checks at an even and an odd step count on the problem `b`
-// describes, with threads = 2 (the tiled path); `make()` returns a fresh,
+// describes, with threads = 2 on the tiled path; `make()` returns a fresh,
 // identically filled grid.
 template <class C, class Make>
 void expect_in_place_tiled(const solver::ProblemBuilder& b, const C& c,
@@ -891,8 +935,7 @@ void expect_in_place_tiled(const solver::ProblemBuilder& b, const C& c,
     auto ref = make();
     Solver(ps).run(solver::Workload(c, ref));
 
-    const Solver tiled(p);
-    ASSERT_EQ(tiled.plan().path, Path::kTiledParallel);
+    const Solver tiled(p, tiled_plan(p));
     for (const Solver& s : {tiled, tiled.with_stage_exec(&test::kInlineExec),
                             tiled.with_stage_exec(&test::kReverseExec)}) {
       auto u = make();
@@ -1010,6 +1053,142 @@ TEST(SolverInPlace, Gs3D7) {
   expect_in_place_tiled(
       solver::ProblemBuilder(Family::kGs3D7).extents(40, 12, 10),
       stencil::heat3d(0.1), random_grid<double, grid::Grid3D>(38, 40, 12, 10));
+}
+
+// ---- the kept diamond partner ----------------------------------------------
+// A tiled diamond Solver keeps its odd-parity partner grid between runs and
+// shares it with its copies (solver.hpp).  Whatever a run leaves in it, and
+// however runs of the copies overlap, every result must stay exact.
+
+// A StageExec that runs its first `ok` stages inline and throws in the
+// next one, so the failing run leaves a half-advanced partner behind.
+struct FailAfter {
+  int ok;
+  static void run(void* ctx, int n, void (*body)(void*, int, int),
+                  void* body_ctx) {
+    auto* self = static_cast<FailAfter*>(ctx);
+    if (self->ok-- <= 0) throw std::runtime_error("stage executor failed");
+    for (int i = 0; i < n; ++i) body(body_ctx, i, 0);
+  }
+};
+
+// One tiled Solver per step count (odd and even) runs run -> submit ->
+// run on a new input each time, then a run whose stage executor throws
+// mid-run, then another run; each result equals the serial plan's.
+template <class C, class Make>
+void expect_partner_reuse_exact(const solver::ProblemBuilder& b, const C& c,
+                                Make make) {
+  for (const long steps : {8L, 9L}) {
+    const StencilProblem p =
+        solver::ProblemBuilder(b).steps(steps).threads(2).build();
+    SCOPED_TRACE(p.signature());
+    StencilProblem ps = p;
+    ps.threads = 0;
+    const Solver serial(ps);
+    const Solver tiled(p);
+    ASSERT_EQ(tiled.plan().path, Path::kTiledParallel);
+    const auto expect_exact = [&](unsigned seed, bool async) {
+      auto want = make(seed), got = make(seed);
+      serial.run(solver::Workload(c, want));
+      if (async) {
+        tiled.submit(solver::Workload(c, got)).get();
+      } else {
+        tiled.run(solver::Workload(c, got));
+      }
+      EXPECT_EQ(grid::max_abs_diff(got, want), 0.0) << "seed " << seed;
+    };
+    expect_exact(1, false);
+    expect_exact(2, true);
+    expect_exact(3, false);
+
+    FailAfter fail{2};
+    const tiling::StageExec failing{&fail, 1, FailAfter::run};
+    const auto before = make(4);
+    auto u = make(4);
+    const void* buf = buffer_of(u);
+    EXPECT_THROW(tiled.with_stage_exec(&failing).run(solver::Workload(c, u)),
+                 std::runtime_error);
+    ASSERT_EQ(buffer_of(u), buf);
+    EXPECT_EQ(extents_of(u), extents_of(before));
+    expect_exact(5, false);
+    expect_exact(6, true);
+  }
+}
+
+// A maker of G<T>(n...) grids filled from a seed (values in [0, 1]).
+template <class T, template <class> class G, class... Extents>
+auto seeded_grid(Extents... n) {
+  return [=](unsigned seed) {
+    std::mt19937_64 rng(seed);
+    G<T> g(n...);
+    g.fill_random(rng, T{0}, T{1});
+    return g;
+  };
+}
+
+TEST(SolverPartner, Jacobi1D3ReuseIsExact) {
+  expect_partner_reuse_exact(
+      solver::ProblemBuilder(Family::kJacobi1D3).extents(4096),
+      stencil::heat1d(0.25), seeded_grid<double, grid::Grid1D>(4096));
+}
+
+TEST(SolverPartner, Jacobi2D5ReuseIsExact) {
+  expect_partner_reuse_exact(
+      solver::ProblemBuilder(Family::kJacobi2D5).extents(96, 80),
+      stencil::heat2d(0.2), seeded_grid<double, grid::Grid2D>(96, 80));
+}
+
+TEST(SolverPartner, Jacobi3D7F32ReuseIsExact) {
+  const stencil::C3D7f c{0.28f, 0.13f, 0.12f, 0.12f, 0.11f, 0.13f, 0.11f};
+  expect_partner_reuse_exact(solver::ProblemBuilder(Family::kJacobi3D7)
+                                 .extents(40, 12, 10)
+                                 .dtype(dispatch::DType::kF32),
+                             c, seeded_grid<float, grid::Grid3D>(40, 12, 10));
+}
+
+TEST(SolverPartner, LifeReuseIsExact) {
+  expect_partner_reuse_exact(
+      solver::ProblemBuilder(Family::kLife).extents(96, 80),
+      stencil::LifeRule{}, seeded_grid<std::int32_t, grid::Grid2D>(96, 80));
+}
+
+// Two threads run copies of one Solver at the same time, each on its own
+// grid and 16 runs in a row, so the copies contend for the one kept
+// partner; both results equal the serial plan's.  The copies run their
+// stages on the test executors, not OpenMP: under GCC's TSan build, with
+// two OpenMP teams started from two std::threads, the run did not finish
+// in ten minutes (it takes milliseconds in a normal build).
+TEST(SolverPartner, ConcurrentCopiesAreExact) {
+  const StencilProblem p = ProblemBuilder(Family::kJacobi2D5)
+                               .extents(96, 80)
+                               .steps(9)
+                               .threads(2)
+                               .build();
+  StencilProblem ps = p;
+  ps.threads = 0;
+  const Solver serial(ps);
+  const Solver tiled(p);
+  ASSERT_EQ(tiled.plan().path, Path::kTiledParallel);
+  const stencil::C2D5 c = stencil::heat2d(0.2);
+  const auto make = seeded_grid<double, grid::Grid2D>(96, 80);
+  constexpr int kRuns = 16;
+  std::vector<grid::Grid2D<double>> got, want;
+  for (unsigned k = 0; k < 2; ++k) {
+    got.push_back(make(10 + k));
+    want.push_back(make(10 + k));
+    for (int r = 0; r < kRuns; ++r) serial.run(Workload(c, want.back()));
+  }
+  std::vector<std::thread> threads;
+  for (std::size_t k = 0; k < 2; ++k) {
+    threads.emplace_back([&, k] {
+      const Solver s = tiled.with_stage_exec(
+          k == 0 ? &test::kInlineExec : &test::kReverseExec);
+      for (int r = 0; r < kRuns; ++r) s.run(Workload(c, got[k]));
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(grid::max_abs_diff(got[0], want[0]), 0.0);
+  EXPECT_EQ(grid::max_abs_diff(got[1], want[1]), 0.0);
 }
 
 // ---- float (dtype = f32) plumbing ------------------------------------------
