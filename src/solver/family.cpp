@@ -16,7 +16,7 @@ using tiling::kMaxParallelogramStride;
 constexpr FamilyRow kFamilies[kFamilyCount] = {
     // family, name, dim, deps, int32,
     //   serial id, serial re id, tiled id, tiled in place,
-    //   tiled stride cap, tiled min bands,
+    //   tiled stride cap, tiled min tiles per stage,
     //   Table 1 stride, width, height, height unit,
     //   serial stride candidates
     {Family::kJacobi1D3, "jacobi1d3", 1,
@@ -46,7 +46,7 @@ constexpr FamilyRow kFamilies[kFamilyCount] = {
     {Family::kGs2D5, "gs2d5", 2,
      [] { return stencil::gauss_seidel_deps(1); }, false,
      d::kTvGs2D5, {}, d::kParallelogramGs2D5, true,
-     kMaxParallelogramStride, 2, 2, 128, 32, 4, {2, 3, 4}},
+     kMaxParallelogramStride, 3, 2, 128, 32, 4, {2, 3, 4}},
     {Family::kGs3D7, "gs3d7", 3,
      [] { return stencil::gauss_seidel_deps(1); }, false,
      d::kTvGs3D7, {}, d::kParallelogramGs3D7, true,

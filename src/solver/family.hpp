@@ -31,14 +31,17 @@ struct FamilyRow {
   bool tiled_in_place;
   // Largest stride the tiled driver runs; 0 = legality is the only bound.
   int tiled_max_stride;
-  // The fewest temporal bands, ceil(steps / band height), for which the
-  // heuristic plans the tiled driver; 0 = no minimum.  A Gauss-Seidel
-  // stage runs one tile per band, so with one band the parallelogram is
-  // a serial sweep with stage overhead, and gs1d3 and gs2d5 ran at
-  // 0.25-0.86x the serial engine's speed that way.  gs3d7's one-band
-  // parallelogram kept pace with its serial engine, and beat it on small
-  // grids, so it has no minimum.
-  int tiled_min_bands;
+  // The fewest tiles one stage of the tiled driver can hold for which the
+  // heuristic plans it; 0 = no minimum.  A Gauss-Seidel stage holds one
+  // tile per temporal band, ceil(steps / band height), and per column
+  // block of the inner axis, ceil(inner extent / tile width) on a plane
+  // grid (heuristic_plan).  With one tile the parallelogram is a serial
+  // sweep with stage overhead: gs1d3 and gs2d5 ran at 0.25-0.86x the
+  // serial engine's speed that way, and gs2d5 at 0.65-0.85x with two
+  // column blocks (256^2), 0.97-1.05x with three (384^2) and 1.35-2.8x
+  // with four or more.  gs3d7's parallelogram kept pace with its serial
+  // engine at every shape measured, so it has no minimum.
+  int tiled_min_tiles;
   // Table 1: stride, tile width, band height and the multiple the band
   // height is rounded down to.
   int stride;

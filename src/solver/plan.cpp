@@ -93,15 +93,18 @@ ExecutionPlan heuristic_plan(const StencilProblem& p) {
 
   // A thread request plans the tiled driver wherever one is registered for
   // the problem's element type (every Jacobi diamond runs f32 too; the
-  // Gauss-Seidel parallelograms are f64 only) and the steps fill the
-  // family's minimum number of bands (tiled_min_bands, family.hpp).  vl
-  // stays 0 on both paths: the registry resolves the native width of
-  // whichever backend runs for the problem's dtype (the doubled float
-  // width on the serial path), and the tiled drivers fix their own tile
-  // width.
+  // Gauss-Seidel parallelograms are f64 only) and one stage can hold the
+  // family's minimum number of tiles (tiled_min_tiles, family.hpp): the
+  // temporal bands times the column blocks the inner axis of a plane grid
+  // is cut into (tiling/schedule.hpp).  vl stays 0 on both paths: the
+  // registry resolves the native width of whichever backend runs for the
+  // problem's dtype (the doubled float width on the serial path), and the
+  // tiled drivers fix their own tile width.
   const dispatch::DType dt = p.effective_dtype();
   const long bands = (p.steps + plan.tile_h - 1) / plan.tile_h;
-  plan.path = (p.threads > 1 && bands >= row.tiled_min_bands &&
+  const int inner = std::max(row.dim == 3 ? p.nz : row.dim == 2 ? p.ny : 1, 1);
+  const long blocks = (inner + plan.tile_w - 1) / plan.tile_w;
+  plan.path = (p.threads > 1 && bands * blocks >= row.tiled_min_tiles &&
                tiled_driver_registered(p.family, plan.backend, dt))
                   ? Path::kTiledParallel
                   : Path::kSerialTv;

@@ -37,8 +37,8 @@ struct ParityLevels {
 
 // Copies the boundary and halo cells of planes [x0, x1] from `from` into
 // `to`: whole padded lines on the boundary planes 0 and nx+1 and on halo
-// lines, the inner halos [-kPad, 0] and [n+1, n+1+kPad] of every other
-// line.
+// lines, the boundary cells z = 0 and n+1 of every other line (the pads
+// beyond them are never read there).
 template <class T, class G>
 void mirror_planes(G& from, G& to, int x0, int x1) {
   constexpr int P = grid::kPad;
@@ -53,8 +53,8 @@ void mirror_planes(G& from, G& to, int x0, int x1) {
       if (x == 0 || x == nx + 1 || pl.halo(y)) {
         std::copy(src - P, src + n + 2 + P, dst - P);
       } else {
-        std::copy(src - P, src + 1, dst - P);
-        std::copy(src + n + 1, src + n + 2 + P, dst + n + 1);
+        dst[0] = src[0];
+        dst[n + 1] = src[n + 1];
       }
     }
   }
@@ -75,6 +75,7 @@ void diamond_plane_run(const F& f, grid::PingPong<G>& pp, long steps,
   // One ring workspace per runner slot; the tile sizes it lazily, so it
   // first-touches its ring on the worker that sweeps it.
   std::vector<tv::SlabRing<V>> tls(stage_slots(opt.exec));
+  const auto cols = tv::TileCols<V::lanes>::full(pl.n);
   diamond_schedule<V::lanes, F::radius>(
       opt, s, nx, steps,
       // tvsrace: partitioned(x0)
@@ -86,7 +87,7 @@ void diamond_plane_run(const F& f, grid::PingPong<G>& pp, long steps,
         G& a0 = pp.by_parity(tt);
         const detail::ParityLevels<G, T> lev{&pp.by_parity(tt + 1), &a0};
         tv::tv_plane_tile<V>(f, a0, lev, tls[static_cast<std::size_t>(slot)],
-                             rows, s, !opt.use_vector);
+                             rows, cols, s, !opt.use_vector);
       },
       // tvsrace: partitioned(x0)
       [&](long t, int x0, int x1) {
@@ -95,7 +96,7 @@ void diamond_plane_run(const F& f, grid::PingPong<G>& pp, long steps,
         for (int r = x0; r <= x1; ++r)
           tv::detail::scalar_plane(f, Slab::of(dst, r), Slab::of(src, r - 1),
                                    Slab::of(src, r), Slab::of(src, r + 1), r,
-                                   pl);
+                                   pl, 1, pl.n);
       });
 }
 

@@ -4,13 +4,14 @@
 // The DP matrix is split into row bands (over A, TileOptions::height) x
 // column blocks (over B, TileOptions::width).  Tile (bi, bj) depends on
 // (bi-1, bj) and (bi, bj-1); all tiles on one anti-diagonal bi+bj run in
-// parallel.  Following the paper, only the wavefront is stored: a global
-// DP row (`lcsA`) plus one boundary column per block seam (`lcsB`), which
-// feed the temporally vectorized 8-row strip kernel through its
+// parallel, in the parallelograms' wavefront order (tiling/schedule.hpp).
+// Following the paper, only the wavefront is stored: a global DP row
+// (`lcsA`) plus one boundary column per block seam (`lcsB`), which feed
+// the temporally vectorized 8-row strip kernel through its
 // left-column/right-column hooks.  The driver (registry id lcs_wavefront,
 // dispatch/kernels.hpp) returns the LCS length.
 #include "dispatch/backend_variant.hpp"
-#include "tiling/stage_exec.hpp"
+#include "tiling/schedule.hpp"
 
 #include <algorithm>
 #include <vector>
@@ -45,15 +46,13 @@ std::int32_t lcs_wavefront_tiled(std::span<const std::int32_t> a,
       static_cast<std::size_t>(nbj) + 1,
       std::vector<std::int32_t>(static_cast<std::size_t>(na) + 1, 0));
 
-  for (int d = 0; d <= (nbi - 1) + (nbj - 1); ++d) {
-    // Anti-diagonal wavefront: block (bi, bj = d - bi) owns row segment
-    // [bj*Wb, bj*Wb + wseg] and column bj+1 rows [bi*Hb, bi*Hb + h] — both
-    // are injective in bi for fixed d, so row/col writes are disjoint.
-    const int bi_lo = std::max(0, d - (nbj - 1));
-    const int bi_hi = std::min(d, nbi - 1);
+  // Anti-diagonal wavefront: block (bi, bj = d - bi) owns row segment
+  // [bj*Wb, bj*Wb + wseg] and column bj+1 rows [bi*Hb, bi*Hb + h] — both
+  // are injective in bi for fixed d, so row/col writes are disjoint.
+  const Wavefront<2> wf({nbi, nbj}, {1, 1}, [](const auto&) { return true; });
+  for (int d = 0; d < wf.stages(); ++d) {
     const auto block = [&](int i, int /*slot*/) {
-      const int bi = bi_lo + i;
-      const int bj = d - bi;
+      const auto [bi, bj] = wf.block(d, i);
       const int t0 = bi * Hb;
       const int h = std::min(Hb, na - t0);
       const int y0 = bj * Wb;  // global column before this block's segment
@@ -79,7 +78,7 @@ std::int32_t lcs_wavefront_tiled(std::span<const std::int32_t> a,
       }
     };
     // tvsrace: partitioned(i)
-    stage_run(opt.exec, bi_hi - bi_lo + 1, block);
+    stage_run(opt.exec, wf.size(d), block);
   }
   return row[static_cast<std::size_t>(nb)];
 }

@@ -50,9 +50,10 @@ void gs1d3_tiled(const stencil::C1D3& c, grid::Grid1D<double>& u,
   const ArrayLevels1D lev{a};
   const tv::Gs1D3F<V> f(c);
   wavefront_schedule<VL>(
-      opt, nx, sweeps,
+      opt, nx, 1, sweeps,
       // tvsrace: partitioned(rows)
-      [&](int /*slot*/, int s, const tv::TileRows<VL>& rows) {
+      [&](int /*slot*/, int s, const tv::TileRows<VL>& rows,
+          const tv::TileCols<VL>& /*cols*/) {
         tv::tv1d_tile<V>(f, a, lev, rows, s, !opt.use_vector);
       },
       [&] { tv::detail::scalar_span(f, lev.lo(0), lev.lo(0), 1, nx); });

@@ -1,16 +1,20 @@
 // Parallelogram + wavefront tiling for the 2D and 3D Gauss-Seidel stencils
 // (Figures 5d/5f; Table 1: GS-2D 128^2 x 32, GS-3D 32^3 x 32), one body
-// for gs2d5 and gs3d7.  The tiling acts on (t, x-rows) — level l of a tile
-// covers rows [xl0-(l-1), xr0-(l-1)] x the full inner dimensions — with
-// the anti-diagonal wavefront schedule w = 2*bt + bx of the 1D driver
-// (tiling/schedule.hpp).  Each tile is the flat engine's plane tile
-// (tv/tv_plane_impl.hpp) with the Gauss-Seidel functor on the
-// parallelogram's rows, with every level read from and written to the
-// single array — the slope -1 interface ladder guarantees each slot holds
-// exactly the level its reader needs (see parallelogram.cpp for the 1D
-// argument, which lifts plane-wise verbatim).  Only the ring state is per
-// runner.  The drivers are registry ids parallelogram_gs2d5 and
-// parallelogram_gs3d7 (dispatch/kernels.hpp), in place on the grid.
+// for gs2d5 and gs3d7.  The tiling acts on (t, x-rows, z-columns): level l
+// of a tile covers rows [xl0-(l-1), xr0-(l-1)] x every y line x columns
+// [zl0-(l-1), zr0-(l-1)] of the unit-stride axis z (a Grid2D's y, a
+// Grid3D's z), or whole lines when the inner extent fits one block (the
+// tile width).  The anti-diagonal wavefront schedule w = 3*bt + bx + bz
+// (tiling/schedule.hpp; 2*bt + bx without a z cut, as in 1D) runs the
+// tiles of one band in parallel.  Each tile is the flat engine's plane
+// tile (tv/tv_plane_impl.hpp) with the Gauss-Seidel functor on the
+// parallelogram's rows and columns, with every level read from and written
+// to the single array — the slope -1 interface ladder on both axes
+// guarantees each slot holds exactly the level its reader needs (see
+// parallelogram.cpp for the 1D argument, which lifts to each axis
+// verbatim).  Only the ring state is per runner.  The drivers are registry
+// ids parallelogram_gs2d5 and parallelogram_gs3d7 (dispatch/kernels.hpp),
+// in place on the grid.
 #include "dispatch/backend_variant.hpp"
 
 #include <vector>
@@ -44,11 +48,13 @@ void gs_tiled(const F& f, G& u, long sweeps,
   std::vector<tv::SlabRing<V>> tls(stage_slots(opt.exec));
   const ArrayLevels<G> lev{&u};
   wavefront_schedule<VL>(
-      opt, u.nx(), sweeps,
+      opt, u.nx(), tv::plane_shape(u).n, sweeps,
       // tvsrace: partitioned(rows)
-      [&](int slot, int s, const tv::TileRows<VL>& rows) {
-        tv::tv_plane_tile<V>(f, u, lev, tls[static_cast<std::size_t>(slot)],
-                             rows, s, !opt.use_vector);
+      [&](int slot, int s, const tv::TileRows<VL>& rows,
+          const tv::TileCols<VL>& cols) {
+        tv::tv_plane_tile<V, false, true>(
+            f, u, lev, tls[static_cast<std::size_t>(slot)], rows, cols, s,
+            !opt.use_vector);
       },
       [&] { tv::detail::scalar_steps(f, u, 1); });
 }

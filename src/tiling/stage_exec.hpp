@@ -46,8 +46,9 @@ struct StageExec {
 // caller that runs a driver directly passes every extent itself.
 //   diamond        width W rows (points in 1D, x-slabs in 3D) per tile
 //                  base, height H steps per band, stride s;
-//   parallelogram  width W rows per tile, height H sweeps per band,
-//                  stride s;
+//   parallelogram  width W rows per tile, and W columns per block of
+//                  the unit-stride axis when a plane's inner extent
+//                  exceeds W; height H sweeps per band, stride s;
 //   LCS wavefront  width = column block over B, height = row band over A;
 //                  stride is unused (the LCS engine is a fixed s = 1
 //                  scheme).

@@ -20,6 +20,13 @@
 // range, so a clamped re-read of a safe row is used instead.  In the flat
 // engine the cap is nx + R, inside the Dirichlet boundary cells.
 //
+// A plane tile also has per-level columns on the unit-stride axis z
+// (TileCols): whole lines for the flat engines and the diamonds, and for a
+// Gauss-Seidel parallelogram blocked along z a range sliding -1 per level
+// like its rows.  Every lane of a vector works at the same z, so where the
+// levels' columns differ — at most vl-1 edge columns at each end — lane k
+// is active only at the columns of level k+1 (see tv_plane_tile).
+//
 // The stencil functor's dependence trait `newest_west` selects the family.
 // A Jacobi functor (false) reads every operand from level l-1.  A
 // Gauss-Seidel functor (true) reads its west operands — x-1 in 1D; the
@@ -92,6 +99,77 @@ struct TileRows {
   // False when the steady interval is too short for the vector pipeline;
   // the tile then updates every level in scalar, levels ascending.
   constexpr bool vector_ok(int s) const { return x_end(s) - x_begin(s) >= VL; }
+};
+
+// The per-level columns of a plane tile: level l (1 .. vl) covers columns
+// [ZL[l], ZR[l]] of the unit-stride axis, clipped to [1, n].  Level 0 is
+// read, never written: at [ZL[1], ZR[1] + 1] (the z read cap) by a
+// Gauss-Seidel tile, whose west operand is a newest value.
+//
+// In a single Gauss-Seidel array with both ends sliding -1 per level, the
+// column left of a level's range, ZL[l] - 1, holds level l once the west
+// neighbour tile ran (its level l ends there and was written last), and
+// the column right of it, ZR[l] + 1, holds level l - 1 until the east
+// neighbour runs.  So a lane's inputs outside its range are either there
+// or never consumed, and no load needs a column another tile writes.
+template <int VL>
+struct TileCols {
+  std::array<int, VL + 1> ZL{}, ZR{};
+  int n = 0;
+
+  // Every level over the whole line [1, n].
+  static constexpr TileCols full(int n) { return sloped(1, n, 0, 0, n); }
+  // Level l covers [zl0 + dl*l, zr0 + dr*l] clipped to [1, n].
+  static constexpr TileCols sloped(int zl0, int zr0, int dl, int dr, int n) {
+    TileCols c;
+    c.n = n;
+    for (int l = 0; l <= VL; ++l) {
+      c.ZL[static_cast<std::size_t>(l)] = std::max(1, zl0 + dl * l);
+      c.ZR[static_cast<std::size_t>(l)] = std::min(n, zr0 + dr * l);
+    }
+    return c;
+  }
+
+  constexpr int zl(int l) const { return ZL[static_cast<std::size_t>(l)]; }
+  constexpr int zr(int l) const { return ZR[static_cast<std::size_t>(l)]; }
+
+  constexpr bool whole() const {
+    for (int l = 1; l <= VL; ++l)
+      if (zl(l) != 1 || zr(l) != n) return false;
+    return true;
+  }
+  // The columns some level covers, [first, last].
+  constexpr int first() const {
+    int z = zl(1);
+    for (int l = 2; l <= VL; ++l) z = std::min(z, zl(l));
+    return z;
+  }
+  constexpr int last() const {
+    int z = zr(1);
+    for (int l = 2; l <= VL; ++l) z = std::max(z, zr(l));
+    return z;
+  }
+  // The columns every level covers, [steady_begin, steady_end]: every lane
+  // of the steady loop is active there.
+  constexpr int steady_begin() const {
+    int z = zl(1);
+    for (int l = 2; l <= VL; ++l) z = std::max(z, zl(l));
+    return z;
+  }
+  constexpr int steady_end() const {
+    int z = zr(1);
+    for (int l = 2; l <= VL; ++l) z = std::min(z, zr(l));
+    return z;
+  }
+  // False when no column is common to every level; the tile then updates
+  // every level in scalar.
+  constexpr bool vector_ok() const { return steady_begin() <= steady_end(); }
+  // The last column a load of level 0 may touch.
+  constexpr int read_cap() const { return zr(1) + 1; }
+  // Whether lane k (the level k+1 output) is active at column z.
+  constexpr bool active(int k, int z) const {
+    return zl(k + 1) <= z && z <= zr(k + 1);
+  }
 };
 
 // One level line of a 1D tile: element x lives at p[x - base].
@@ -178,21 +256,23 @@ Fn<H> rebind(const Fn<V>& f) {
 
 // Ring of input vectors for the plane tile: `period` slots, each a slab of
 // `lines` lines of `zstride` vectors, and for a newest-west functor one
-// slab more, `newest`, holding the previous x iteration's outputs.  Lines
-// are indexable at [-1, zstride-2] so both boundary cells fit.  prepare()
-// reallocates only when the shape changes; the tile calls it, so a
-// per-slot ring first-touches its pages on the worker that sweeps it.
+// slab more, `newest`, holding the previous x iteration's outputs.  A line
+// holds the tile's `cols` columns at 1 .. cols plus a frame column at each
+// end (the boundary cells of a whole line), and is indexable at
+// [-1, zstride-2].  prepare() reallocates only when the shape changes or
+// the lines must grow; the tile calls it, so a per-slot ring first-touches
+// its pages on the worker that sweeps it.
 template <class V>
 struct SlabRing {
   grid::AlignedBuffer<V> buf;
   int period = 0, slabs = 0, lines = 0;
   std::ptrdiff_t zstride = 0, ystride = 0;
 
-  void prepare(int period_, bool with_newest, PlaneShape pl) {
-    const std::ptrdiff_t zs = ((pl.n + 4 + 15) / 16) * 16;
+  void prepare(int period_, bool with_newest, PlaneShape pl, int cols) {
+    const std::ptrdiff_t zs = ((cols + 4 + 15) / 16) * 16;
     const int slabs_ = period_ + (with_newest ? 1 : 0);
     if (period_ == period && slabs_ == slabs && pl.lines == lines &&
-        zs == zstride)
+        zs <= zstride)
       return;
     period = period_;
     slabs = slabs_;
@@ -214,9 +294,11 @@ struct SlabRing {
 };
 
 // The flat plane engines' level-storage policy: levels 1..vl-1 live in
-// edge scratch planes — the left ones for rows [1, (vl-1)s] (left wedges
-// and gather), the right ones for rows [rbase+1, nx] (flush and right
-// wedges; rbase + 1 is the flat x_end).  lo / hi return the plane.
+// edge scratch planes.  The left wedges and the gather read level l at
+// rows [1, (vl-l)s], the flush and the right wedges at rows [nx-ls, nx]
+// (the flat x_end is nx - (vl-1)s), so level l keeps (vl-l)s planes on
+// the left and ls+1 on the right: two triangles, not a rectangle per
+// side.  lo / hi return the plane.
 //
 // Both sides share one allocation: the flat engines allocate their
 // workspace per call, and one block is what the allocator reuses across
@@ -225,23 +307,27 @@ template <class T>
 struct EdgePlanes {
   grid::AlignedBuffer<T> buf;  // left planes, then right planes
   PlaneShape pl;
-  int lrows = 0, rrows = 0, rbase = 0, vl = 0;
+  int vl = 0, s = 0, nx = 0, nleft = 0;
   std::ptrdiff_t zstride = 0;
 
-  void prepare(int vl_, int s, int nx, PlaneShape pl_) {
+  void prepare(int vl_, int s_, int nx_, PlaneShape pl_) {
     vl = vl_;
+    s = s_;
+    nx = nx_;
     pl = pl_;
     zstride = ((pl.n + 4 + 15) / 16) * 16;
-    lrows = (vl - 1) * s + 1;
-    rbase = nx - (vl - 1) * s - 1;
-    rrows = nx - rbase;
-    buf = grid::AlignedBuffer<T>(static_cast<std::size_t>(vl - 1) *
-                                 static_cast<std::size_t>(lrows + rrows) *
+    nleft = s * vl * (vl - 1) / 2;
+    const int nright = nleft + vl - 1;
+    buf = grid::AlignedBuffer<T>(static_cast<std::size_t>(nleft + nright) *
                                  static_cast<std::size_t>(pl.lines * zstride));
   }
-  LevelSlab<T> lo(int l, int r) { return plane((l - 1) * lrows + r); }
+  // Level l's first left plane (sum over m < l of (vl-m)s) and first right
+  // plane (sum over m < l of ms+1).
+  int left0(int l) const { return s * ((l - 1) * vl - (l - 1) * l / 2); }
+  int right0(int l) const { return nleft + s * (l - 1) * l / 2 + (l - 1); }
+  LevelSlab<T> lo(int l, int r) { return plane(left0(l) + r - 1); }
   LevelSlab<T> hi(int l, int r) {
-    return plane((vl - 1) * lrows + (l - 1) * rrows + (r - rbase - 1));
+    return plane(right0(l) + r - (nx - l * s));
   }
   LevelSlab<T> plane(int i) {
     return {buf.data() + static_cast<std::ptrdiff_t>(i) * pl.lines * zstride + 1,
@@ -264,8 +350,8 @@ struct EdgePlanes {
       }
     };
     for (int l = 1; l <= vl - 1; ++l) {
-      for (int r = 1; r < lrows; ++r) frame(lo(l, r), r);
-      for (int r = rbase + 1; r <= rbase + rrows; ++r) frame(hi(l, r), r);
+      for (int r = 1; r <= (vl - l) * s; ++r) frame(lo(l, r), r);
+      for (int r = nx - l * s; r <= nx; ++r) frame(hi(l, r), r);
     }
   }
 };
@@ -273,54 +359,65 @@ struct EdgePlanes {
 // ---- steps of the plane tile -----------------------------------------------
 //
 // Slab p of a tile's ring holds, in lane k, plane p + (vl-1-k)s of level k.
+// Ring column j holds grid column zo + j, for the tile's zo = first() - 1
+// (0 for a whole line).
 
-// Gathers slab dst, every line and both boundary cells, lane k from the
-// level plane src[k].
+// Gathers slab dst at ring columns 0 .. m+1, lane k from the level plane
+// src[k]: on a halo line at every column, on the other lines at columns
+// [lo[k], hi[k]] only and zero elsewhere — a column outside a lane's range
+// may be another tile's, and the lane never consumes it.
 template <class V>
 void gather_slab(LevelSlab<V> dst,
                  const LevelSlab<typename V::value_type>* src,
-                 PlaneShape pl) {
-  alignas(64) typename V::value_type lanes[V::lanes];
+                 PlaneShape pl, int zo, int m, const int* lo, const int* hi) {
+  using T = typename V::value_type;
+  alignas(64) T lanes[V::lanes];
   for (int y = 0; y < pl.lines; ++y) {
     V* line = dst.line(y);
-    for (int z = 0; z <= pl.n + 1; ++z) {
-      for (int k = 0; k < V::lanes; ++k) lanes[k] = src[k].line(y)[z];
-      line[z] = V::load(lanes);
+    const bool halo = pl.halo(y);
+    for (int j = 0; j <= m + 1; ++j) {
+      const int z = zo + j;
+      for (int k = 0; k < V::lanes; ++k)
+        lanes[k] = halo || (lo[k] <= z && z <= hi[k]) ? src[k].line(y)[z]
+                                                      : T{};
+      line[j] = V::load(lanes);
     }
   }
 }
 
-// Writes the frame of produced slab p — halo lines and boundary columns,
-// constant at every level — from the base grid g; lanes past the last
-// plane read the boundary plane nx+1.
+// Writes the frame of produced slab p — halo lines and the boundary
+// columns among ring columns 0 .. m+1, constant at every level — from the
+// base grid g; lanes past the last plane read the boundary plane nx+1.
 template <class V, class G>
-void fill_frame(SlabRing<V>& ring, int p, G& g, int s, PlaneShape pl) {
+void fill_frame(SlabRing<V>& ring, int p, G& g, int s, PlaneShape pl, int zo,
+                int m) {
   using T = typename V::value_type;
   constexpr int VL = V::lanes;
   LevelSlab<T> src[VL];
   for (int k = 0; k < VL; ++k)
     src[k] = LevelSlab<T>::of(g, std::min(p + (VL - 1 - k) * s, g.nx() + 1));
   alignas(64) T lanes[VL];
-  const auto fill = [&](int y, int z) {
-    for (int k = 0; k < VL; ++k) lanes[k] = src[k].line(y)[z];
-    ring.line(p, y)[z] = V::load(lanes);
+  const auto fill = [&](int y, int j) {
+    for (int k = 0; k < VL; ++k) lanes[k] = src[k].line(y)[zo + j];
+    ring.line(p, y)[j] = V::load(lanes);
   };
   for (int y = 0; y < pl.lines; ++y) {
     if (pl.halo(y)) {
-      for (int z = 0; z <= pl.n + 1; ++z) fill(y, z);
+      for (int j = 0; j <= m + 1; ++j) fill(y, j);
     } else {
-      fill(y, 0);
-      fill(y, pl.n + 1);
+      if (zo == 0) fill(y, 0);
+      if (zo + m == pl.n) fill(y, m + 1);
     }
   }
 }
 
 // Stores lanes 1 .. vl-1 of slab p into their levels, for each lane whose
-// plane lies inside its level's rows; hi(l, r) is the tile's flush-side
-// level lookup.
+// plane lies inside its level's rows, at its level's columns; hi(l, r) is
+// the tile's flush-side level lookup.
 template <class V, class Hi>
 void flush_slab(SlabRing<V>& ring, int p, const TileRows<V::lanes>& rows,
-                int s, const Hi& hi, PlaneShape pl) {
+                const TileCols<V::lanes>& cols, int s, const Hi& hi,
+                PlaneShape pl, int zo) {
   constexpr int VL = V::lanes;
   for (int k = 1; k <= VL - 1; ++k) {
     const int r = p + (VL - 1 - k) * s;
@@ -329,7 +426,7 @@ void flush_slab(SlabRing<V>& ring, int p, const TileRows<V::lanes>& rows,
     for (int y = pl.y0; y <= pl.y1; ++y) {
       const V* line = ring.line(p, y);
       auto* d = dst.line(y);
-      for (int z = 1; z <= pl.n; ++z) d[z] = line[z][k];
+      for (int z = cols.zl(k); z <= cols.zr(k); ++z) d[z] = line[z - zo][k];
     }
   }
 }

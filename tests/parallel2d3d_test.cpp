@@ -137,6 +137,31 @@ INSTANTIATE_TEST_SUITE_P(
              std::to_string(std::get<5>(info.param));
     });
 
+// Gauss-Seidel parallelograms cut along the inner axis y too (the tile
+// width W is also the column block): several column blocks with a ragged
+// last one, at every sweep count 1 .. 2*vl+1 and over several bands; an
+// inner extent below one block and below 2*vl (whole lines, no cut); a
+// larger stride.  The Jacobi tests run the same shapes.
+INSTANTIATE_TEST_SUITE_P(
+    ColumnBlocks, Diamond2DSweep,
+    ::testing::Values(P2{40, 53, 1, 16, 8, 2}, P2{40, 53, 2, 16, 8, 2},
+                      P2{40, 53, 3, 16, 8, 2}, P2{40, 53, 4, 16, 8, 2},
+                      P2{40, 53, 5, 16, 8, 2}, P2{40, 53, 6, 16, 8, 2},
+                      P2{40, 53, 7, 16, 8, 2}, P2{40, 53, 8, 16, 8, 2},
+                      P2{40, 53, 9, 16, 8, 2}, P2{40, 53, 26, 16, 8, 2},
+                      P2{48, 48, 16, 16, 8, 2}, P2{64, 70, 17, 20, 8, 3},
+                      P2{70, 61, 12, 28, 8, 5}, P2{150, 90, 21, 16, 12, 2},
+                      P2{40, 12, 9, 16, 8, 2}, P2{40, 7, 9, 16, 8, 2},
+                      P2{40, 5, 13, 16, 8, 2}),
+    [](const auto& info) {
+      return "nx" + std::to_string(std::get<0>(info.param)) + "_ny" +
+             std::to_string(std::get<1>(info.param)) + "_t" +
+             std::to_string(std::get<2>(info.param)) + "_W" +
+             std::to_string(std::get<3>(info.param)) + "_H" +
+             std::to_string(std::get<4>(info.param)) + "_s" +
+             std::to_string(std::get<5>(info.param));
+    });
+
 TEST(DiamondLife, MatchesOracleAcrossGeometries) {
   const stencil::LifeRule rule{};  // B2S23
   for (const auto& [nx, ny, steps, w, h] :
@@ -175,9 +200,12 @@ void copy3(const GridD3& src, GridD3& dst) {
 // (nx, ny, nz, steps, W, H, s): the first rows are regular geometries; the
 // next hit the shared-tile branches — all-scalar fallback, the read-cap
 // clamp on a tile clipped at the right domain edge, a large stride (the
-// parallelograms clamp it to 12), steps < vl and steps % vl != 0; the last
-// have degenerate planes of one or two interior lines and one or three
-// columns.
+// parallelograms clamp it to 12), steps < vl and steps % vl != 0; then
+// degenerate planes of one or two interior lines and one or three
+// columns.  The last cut the Gauss-Seidel parallelograms along z too (W
+// columns a block): several blocks with a ragged last one at every sweep
+// count 1 .. 2*vl+1 and over several bands, then nz below one block and
+// below 2*vl (whole lines).
 constexpr std::tuple<int, int, int, long, int, int, int> kGeom3D[] = {
     {40, 10, 12, 8, 20, 4, 2},  {64, 12, 8, 12, 24, 8, 2},
     {30, 8, 8, 7, 1024, 8, 2},  {64, 12, 8, 13, 24, 8, 2},
@@ -185,7 +213,14 @@ constexpr std::tuple<int, int, int, long, int, int, int> kGeom3D[] = {
     {53, 6, 7, 12, 20, 4, 3},   {120, 4, 5, 8, 48, 4, 16},
     {40, 6, 6, 3, 20, 4, 2},    {45, 6, 9, 13, 20, 8, 3},
     {40, 1, 3, 8, 20, 4, 2},    {64, 2, 1, 12, 24, 8, 2},
-    {45, 1, 1, 13, 20, 8, 3},   {53, 2, 3, 12, 20, 4, 3}};
+    {45, 1, 1, 13, 20, 8, 3},   {53, 2, 3, 12, 20, 4, 3},
+    {30, 3, 37, 1, 16, 8, 2},   {30, 3, 37, 2, 16, 8, 2},
+    {30, 3, 37, 3, 16, 8, 2},   {30, 3, 37, 4, 16, 8, 2},
+    {30, 3, 37, 5, 16, 8, 2},   {30, 3, 37, 6, 16, 8, 2},
+    {30, 3, 37, 7, 16, 8, 2},   {30, 3, 37, 8, 16, 8, 2},
+    {30, 3, 37, 9, 16, 8, 2},   {36, 4, 41, 22, 16, 8, 2},
+    {44, 2, 50, 13, 20, 8, 3},  {24, 3, 12, 9, 16, 8, 2},
+    {24, 3, 7, 9, 16, 8, 2}};
 
 TEST(Diamond3D, JacobiMatchesOracleAcrossGeometries) {
   const stencil::C3D7 c{0.28, 0.13, 0.12, 0.12, 0.11, 0.13, 0.11};

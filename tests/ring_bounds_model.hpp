@@ -28,6 +28,12 @@
 //              (flat and diamond), 1 for Gauss-Seidel (flat and
 //              parallelogram); M = s + pad slabs allocated dynamically,
 //              so only the [0, M) slot bound applies
+//   gsplane    the Gauss-Seidel plane tile: the rowring slots, and the
+//              column walk of a tile cut along z (tv::TileCols) — the
+//              ring line columns, the edge table, and every grid column
+//              it loads or stores — on whole lines and on the sloped,
+//              clipped column blocks of the parallelograms
+//              (tiling/schedule.hpp)
 // If an engine's ring walk changes shape, change the model in the same
 // commit - the static gate is only as honest as this correspondence.
 #pragma once
@@ -139,6 +145,68 @@ constexpr bool check_rowring(int s, int base) {
     (void)checked_index(slot, 0, M - 1);
   }
   return true;
+}
+
+// The column walk of one Gauss-Seidel plane tile over `cols`, as
+// tv_plane_tile runs it: ring columns 0 .. m+1 (grid column zo + j) must
+// fit a line of the ring SlabRing::prepare sizes for m columns, the edge
+// columns must fit the tile's table of 2*vl, and every grid column must
+// stay inside the line:
+//   - loads of level 0 (bottom reads, the frame column m+1) inside
+//     [ZL[1], ZR[1]+1], whose right end is the z read cap;
+//   - lane k's output, stored or blended, inside level k+1's columns or
+//     at ZL[k+1]-1, the one column left of them the tile reads from g;
+//   - the gather of lane k inside [ZL[k+1], ZR[k+1]+1], the flush of
+//     level k inside its columns.
+// A tile without a column common to every level runs all-scalar and
+// never walks the ring.
+template <int VL>
+constexpr bool check_cols(const tv::TileCols<VL>& c) {
+  if (!c.vector_ok()) return true;
+  const int n = c.n, zo = c.first() - 1, m = c.last() - zo;
+  const int js = c.steady_begin() - zo, je = c.steady_end() - zo;
+  const int zstride = ((m + 4 + 15) / 16) * 16;
+  (void)checked_index(m + 1, -1, zstride - 2);
+  (void)checked_index((js - 1) + (m - je), 0, 2 * VL);
+  (void)checked_index(zo, 0, n);  // west of the first column
+  for (int j = 1; j <= m; ++j) {
+    const int z = zo + j;
+    (void)checked_index(z, 1, n);
+    const bool edge = j < js || j > je;
+    if (!edge || c.zl(1) <= z) (void)checked_index(z, c.zl(1), c.read_cap());
+    int store = -1;
+    for (int k = 0; k < VL; ++k) {
+      if (c.active(k, z)) store = k;
+      if (!edge) (void)checked_index(z, c.zl(k + 1), c.zr(k + 1));
+      if (edge && c.zl(k + 1) - 1 == z) (void)checked_index(z, 1, n);
+    }
+    if (store >= 0) (void)checked_index(z, c.zl(store + 1), c.zr(store + 1));
+  }
+  if (zo + m < n) (void)checked_index(zo + m + 1, c.zl(1), c.read_cap());
+  for (int k = 0; k < VL; ++k) {
+    (void)checked_index(c.zl(k + 1) - zo, 0, m + 1);
+    (void)checked_index(c.zr(k + 1) + 1 - zo, 0, m + 1);
+    if (k > 0) {
+      (void)checked_index(c.zl(k) - zo, 1, m);
+      (void)checked_index(c.zr(k) - zo, 1, m);
+    }
+  }
+  return true;
+}
+
+// Gauss-Seidel plane tiles: the slab ring, then the columns of a whole
+// line and of parallelogram column blocks of the schedule's width
+// max(W, vl*s + 8) and of a narrow one, straddling the left edge, inside
+// and straddling the right edge of a line of a few blocks.
+template <int VL, int PAD>
+constexpr bool check_gsplane(int s, int base) {
+  using Cols = tv::TileCols<VL>;
+  const int W = VL * s + 8, n = 3 * W + VL + 1;
+  bool ok = check_rowring<VL, PAD>(s, base) && check_cols<VL>(Cols::full(n));
+  for (const int w : {W, VL, 2 * VL + 1})
+    for (int zl0 = 2 - w - VL; zl0 <= n + VL; zl0 += w / 2 + 1)
+      ok = ok && check_cols<VL>(Cols::sloped(zl0, zl0 + w - 1, -1, -1, n));
+  return ok;
 }
 
 }  // namespace tvs::ringtest

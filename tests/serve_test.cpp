@@ -783,6 +783,25 @@ TEST(ServeDecompose, TiledFamiliesBitIdenticalToSync) {
         p, stencil::heat2d(0.2), 5);
   }
   {
+    // Lines wider than the 64-column tile: parallelograms cut along y.
+    const StencilProblem p = ProblemBuilder(Family::kGs2D5)
+                                 .extents(64, 200)
+                                 .steps(13)
+                                 .threads(kThreads)
+                                 .build();
+    expect_decomposed_identical<double, stencil::C2D5, grid::Grid2D<double>>(
+        p, stencil::heat2d(0.2), 15);
+  }
+  {
+    const StencilProblem p = ProblemBuilder(Family::kGs3D7)
+                                 .extents(24, 6, 70)
+                                 .steps(9)
+                                 .threads(kThreads)
+                                 .build();
+    expect_decomposed_identical<double, stencil::C3D7, grid::Grid3D<double>>(
+        p, stencil::heat3d(0.1), 16);
+  }
+  {
     const StencilProblem p = ProblemBuilder(Family::kJacobi3D7)
                                  .extents(24, 20, 28)
                                  .steps(8)

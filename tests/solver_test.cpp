@@ -458,7 +458,7 @@ TEST(Planner, GoldenHeuristicPlans) {
       {"gs2d5:nx=100:ny=90:steps=6:threads=0:dtype=f32",
        "vl=0,stride=2,path=tv"},
       {"gs2d5:nx=100:ny=90:steps=6:threads=4",
-       "vl=0,stride=2,tile=100x4,path=tiled"},
+       "vl=0,stride=2,path=tv"},
       {"gs2d5:nx=100:ny=90:steps=6:threads=4:dtype=f32",
        "vl=0,stride=2,path=tv"},
       {"gs3d7:nx=256:ny=256:nz=256:steps=64:threads=0",
@@ -550,25 +550,47 @@ TEST(Planner, TileHeightsAreClampedToTheStepCount) {
 // single band the heuristic plans the serial engine for gs1d3 and gs2d5
 // (measured faster there); gs3d7 keeps its parallelogram.  A pinned
 // path=tiled still runs the parallelogram.
-TEST(Planner, OneBandGaussSeidelPlansTheSerialEngine) {
+// A Gauss-Seidel stage holds one tile per band and per column block of a
+// plane grid's inner axis; the heuristic plans the parallelogram when one
+// stage can hold the family's minimum (2 tiles for gs1d3, 3 for gs2d5,
+// none for gs3d7), else the serial engine.
+TEST(Planner, GaussSeidelPlansTheTiledDriverWhenAStageHoldsEnoughTiles) {
   const auto plan_of = [](ProblemBuilder b, long steps) {
     return solver::heuristic_plan(b.steps(steps).threads(4).build());
   };
   const ProblemBuilder gs1 = ProblemBuilder(Family::kGs1D3).extents(1 << 16);
   const ProblemBuilder gs2 = ProblemBuilder(Family::kGs2D5).extents(512, 512);
+  const ProblemBuilder gs2narrow =
+      ProblemBuilder(Family::kGs2D5).extents(512, 128);
   const ProblemBuilder gs3 =
       ProblemBuilder(Family::kGs3D7).extents(64, 64, 64);
   EXPECT_EQ(plan_of(gs1, 64).path, Path::kSerialTv);   // tile 2048x64
   EXPECT_EQ(plan_of(gs1, 65).path, Path::kTiledParallel);
-  EXPECT_EQ(plan_of(gs2, 4).path, Path::kSerialTv);    // tile 128x4
-  EXPECT_EQ(plan_of(gs2, 32).path, Path::kSerialTv);   // tile 128x32
-  EXPECT_EQ(plan_of(gs2, 6).path, Path::kTiledParallel);  // 128x4, 2 bands
-  EXPECT_EQ(plan_of(gs2, 33).path, Path::kTiledParallel);
+  // 128-column blocks: 4 on a 512-wide line, 3 on 384, 2 on 256, 1 on
+  // 128; bands of 4 sweeps at 4 to 7 sweeps, of 32 from 32 on.
+  EXPECT_EQ(plan_of(gs2, 4).path, Path::kTiledParallel);  // 1 band x 4
+  EXPECT_EQ(plan_of(gs2, 32).path, Path::kTiledParallel);
+  const auto gs2w = [](int ny) {
+    return ProblemBuilder(Family::kGs2D5).extents(512, ny);
+  };
+  EXPECT_EQ(plan_of(gs2w(384), 4).path, Path::kTiledParallel);
+  EXPECT_EQ(plan_of(gs2w(256), 4).path, Path::kSerialTv);
+  EXPECT_EQ(plan_of(gs2w(256), 6).path, Path::kTiledParallel);  // 2 x 2
+  EXPECT_EQ(plan_of(gs2narrow, 4).path, Path::kSerialTv);   // 1 x 1
+  EXPECT_EQ(plan_of(gs2narrow, 6).path, Path::kSerialTv);   // 2 x 1
+  EXPECT_EQ(plan_of(gs2narrow, 64).path, Path::kSerialTv);  // 2 x 1
+  EXPECT_EQ(plan_of(gs2narrow, 65).path, Path::kTiledParallel);  // 3 x 1
   EXPECT_EQ(plan_of(gs3, 4).path, Path::kTiledParallel);
   EXPECT_EQ(plan_of(gs3, 32).path, Path::kTiledParallel);
 
-  const ScopedEnv pin("TVS_PLAN", "path=tiled");
-  const StencilProblem p = ProblemBuilder(gs2).steps(8).threads(4).build();
+  // The column-blocked parallelogram through the solver (48-column
+  // blocks, 5 of them) equals the driver run directly and the serial
+  // engine.
+  const StencilProblem p = ProblemBuilder(Family::kGs2D5)
+                               .extents(48, 200)
+                               .steps(8)
+                               .threads(4)
+                               .build();
   const Solver s(p);
   ASSERT_EQ(s.plan().path, Path::kTiledParallel);
   const stencil::C2D5 c = stencil::heat2d(0.2);
@@ -580,6 +602,11 @@ TEST(Planner, OneBandGaussSeidelPlansTheSerialEngine) {
       tiling::TileOptions{s.plan().tile_w, s.plan().tile_h, s.plan().stride});
   s.run(Workload(c, got));
   EXPECT_EQ(grid::max_abs_diff(got, direct), 0.0);
+  grid::Grid2D<double> serial(p.nx, p.ny);
+  fill_pattern(serial);
+  const ScopedEnv pin("TVS_PLAN", "path=tv");
+  Solver(p).run(Workload(c, serial));
+  EXPECT_EQ(grid::max_abs_diff(got, serial), 0.0);
 }
 
 TEST(Planner, TunedModeProducesAValidatedPlan) {
